@@ -49,6 +49,7 @@ from .numerov import (
     fd_check,
     overlap,
     solve_eigen,
+    solve_eigens,
 )
 from .fields import (
     CircularLoop,

@@ -149,7 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        exports.write_text_atomic(args.out, text)
+        try:
+            exports.write_text_atomic(args.out, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -33,7 +33,7 @@ from .fields import (
     top_time_average_numeric,
     top_time_avg_potential,
 )
-from .numerov import RadialProblem, count_nodes, overlap, solve_eigen
+from .numerov import RadialProblem, count_nodes, overlap, solve_eigens
 from .oscillator3d import (
     OscillatorScales,
     allowed_angular,
@@ -151,13 +151,16 @@ def _natural() -> OscillatorScales:
     return OscillatorScales.natural()
 
 
-def _solve_energy(potential, centrifugal, node_target, r_max=12.0,
-                  origin_exponent=None) -> float:
-    problem = RadialProblem(
+def _problem(potential, centrifugal, r_max=12.0, origin_exponent=None) -> RadialProblem:
+    return RadialProblem(
         potential=potential, centrifugal=centrifugal, mass=1.0,
         r_min=1e-6, r_max=r_max, origin_exponent=origin_exponent,
     )
-    return solve_eigen(problem, node_target).energy
+
+
+def _solve_energies(problems, node_targets) -> list[float]:
+    """Eigenvalues of all states of a suite from one batched solve."""
+    return [res.energy for res in solve_eigens(problems, node_targets)]
 
 
 # --------------------------------------------------------------------------
@@ -172,16 +175,17 @@ def check_spectrum_oracle(max_n: int = 16, max_l: int = 6) -> CheckResult:
     def potential(r):
         return 0.5 * r * r
 
-    for n in range(max_n + 1):
-        for l in allowed_angular(n):
-            if l > max_l:
-                continue
-            exact = energy_3d(scales, n)
-            numeric = _solve_energy(potential, l * (l + 1.0), (n - l) // 2)
-            rel = abs(numeric - exact) / exact
-            n_states += 1
-            if rel > worst:
-                worst, worst_label = rel, f"(N={n}, L={l})"
+    states = [(n, l) for n in range(max_n + 1) for l in allowed_angular(n) if l <= max_l]
+    numeric = _solve_energies(
+        [_problem(potential, l * (l + 1.0)) for _, l in states],
+        [(n - l) // 2 for n, l in states],
+    )
+    for (n, l), energy in zip(states, numeric):
+        exact = energy_3d(scales, n)
+        rel = abs(energy - exact) / exact
+        n_states += 1
+        if rel > worst:
+            worst, worst_label = rel, f"(N={n}, L={l})"
     elapsed = time.perf_counter() - start
     thr = tolerance("spectrum_relative")
     passed = worst <= thr and elapsed <= SPECTRUM_BUDGET_SECONDS
@@ -209,6 +213,7 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
     worst, worst_label = 0.0, ""
     worst_ground = 0.0
 
+    problems, targets = [], []
     for l in l_values:
         pair = partner_pair(superpotential(l, scales.r0), scales)
         c_plus = l * (l + 1.0)
@@ -220,8 +225,14 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
         def minus_reg(r, _pair=pair, _c=c_minus):
             return _pair.minus_potential(r) - pref * _c / (np.asarray(r, float) ** 2)
 
-        plus = [_solve_energy(plus_reg, c_plus, k) for k in range(levels + 1)]
-        minus = [_solve_energy(minus_reg, c_minus, k) for k in range(levels)]
+        problems += [_problem(plus_reg, c_plus)] * (levels + 1)
+        problems += [_problem(minus_reg, c_minus)] * levels
+        targets += list(range(levels + 1)) + list(range(levels))
+    energies = _solve_energies(problems, targets)
+
+    for i, l in enumerate(l_values):
+        block = energies[i * (2 * levels + 1) : (i + 1) * (2 * levels + 1)]
+        plus, minus = block[: levels + 1], block[levels + 1 :]
         worst_ground = max(worst_ground, abs(plus[0]))
         for k in range(levels):
             rel = abs(plus[k + 1] - minus[k]) / abs(minus[k])
@@ -475,14 +486,11 @@ def check_defect_model() -> CheckResult:
 
     model = EffectiveModel(l_angular=0, iterations=0, selector=0, delta=0.3, scales=scales)
     ls = model.l_star
+    tower = _problem(lambda r: 0.5 * np.asarray(r, float) ** 2, ls * (ls + 1.0),
+                     origin_exponent=ls + 1.0)
     worst_spec = 0.0
-    for k in range(5):
-        n_s = 2 * k
-        numeric = _solve_energy(
-            lambda r: 0.5 * np.asarray(r, float) ** 2,
-            ls * (ls + 1.0), k, origin_exponent=ls + 1.0,
-        )
-        exact = defect_energy(model, n_s)
+    for k, numeric in enumerate(_solve_energies([tower] * 5, range(5))):
+        exact = defect_energy(model, 2 * k)
         worst_spec = max(worst_spec, abs(numeric - exact) / exact)
 
     states = [defect_wavefunction(model, n_s) for n_s in range(0, 13, 2)]
@@ -541,12 +549,14 @@ def _planar_reference() -> tuple[PaulFrequencies, PenningFrequencies]:
     return paul, penning
 
 
-def _radial_oracle(omega: float, abs_m: int, n_nodes: int) -> float:
+def _radial_oracle(omega: float, abs_m: int) -> RadialProblem:
+    """2D radial problem of tower ``|M|`` in a planar trap of frequency ``omega``."""
+
     def potential(rho):
         return 0.5 * omega**2 * np.asarray(rho, float) ** 2
 
-    return _solve_energy(
-        potential, abs_m * abs_m - 0.25, n_nodes,
+    return _problem(
+        potential, abs_m * abs_m - 0.25,
         r_max=12.0 / math.sqrt(omega), origin_exponent=abs_m + 0.5,
     )
 
@@ -556,12 +566,14 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
     thr = tolerance("planar_energy_relative")
     worst, worst_label = 0.0, ""
 
-    radial_paul = {}
-    radial_penning = {}
-    for m in range(max_abs_m + 1):
-        for n in range(m, max_n + 1, 2):
-            radial_paul[n, m] = _radial_oracle(paul.secular, m, (n - m) // 2)
-            radial_penning[n, m] = _radial_oracle(penning.hybrid / 2.0, m, (n - m) // 2)
+    levels = [(n, m) for m in range(max_abs_m + 1) for n in range(m, max_n + 1, 2)]
+    omegas = (paul.secular, penning.hybrid / 2.0)
+    energies = _solve_energies(
+        [_radial_oracle(omega, m) for omega in omegas for _, m in levels],
+        [(n - m) // 2 for n, m in levels] * len(omegas),
+    )
+    radial_paul = dict(zip(levels, energies[: len(levels)]))
+    radial_penning = dict(zip(levels, energies[len(levels) :]))
 
     for (n, m), e_radial in radial_paul.items():
         for k in range(max_k + 1):

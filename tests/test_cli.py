@@ -242,6 +242,17 @@ class TestSpectrumCommand:
         run(capsys, "spectrum", "--config", config, "--max-n", "6", "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "levels.csv"
+        code, out, err = run(
+            capsys, "spectrum", "--config", ip_config(tmp_path), "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write {target}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not target.parent.exists()
+
 
 class TestWavefunctionCommand:
     def test_natural_radial_table(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from trapspec.defect import (
     effective_potential,
     recover_partner,
 )
-from trapspec.numerov import RadialProblem, overlap, solve_eigen
+from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
 from trapspec.oscillator3d import OscillatorScales, energy_3d, radial_wavefunction_3d
 from trapspec.special import radial_norm_3d
 from trapspec.susy import input_potential, partner_pair, partner_spectrum, superpotential
@@ -31,8 +31,8 @@ def model(l=0, i=0, s=0, delta=0.0, scales=NAT):
     )
 
 
-def solve_tower_level(m, k_nodes):
-    """Shooting eigenvalue of trap + shifted centrifugal term, trap-referenced.
+def tower_problem(m):
+    """Trap + shifted centrifugal term, trap-referenced.
 
     The inverse-square part of the effective potential merges with the trap
     centrifugal term into the single coefficient L*(L*+1).
@@ -40,7 +40,7 @@ def solve_tower_level(m, k_nodes):
     ls = m.l_star
     scales = m.scales
     spring = 0.5 * scales.mass * scales.omega0**2
-    problem = RadialProblem(
+    return RadialProblem(
         potential=lambda r: spring * r * r,
         centrifugal=ls * (ls + 1.0),
         mass=scales.mass,
@@ -49,7 +49,11 @@ def solve_tower_level(m, k_nodes):
         hbar=scales.hbar,
         origin_exponent=ls + 1.0,
     )
-    return solve_eigen(problem, k_nodes).energy
+
+
+def solve_tower_level(m, k_nodes):
+    """Shooting eigenvalue of the shifted tower ``m`` with ``k_nodes`` nodes."""
+    return solve_eigen(tower_problem(m), k_nodes).energy
 
 
 class TestModelValidation:
@@ -140,10 +144,10 @@ class TestDefectEnergies:
 
     def test_matches_shooting_solver(self):
         m = model(l=0, i=0, delta=0.3)
-        for k in range(3):
+        for k, res in enumerate(solve_eigens([tower_problem(m)] * 3, range(3))):
             n_s = 2 * k
             want = defect_energy(m, n_s) - NAT.energy_offset
-            assert solve_tower_level(m, k) == pytest.approx(want, rel=1e-6)
+            assert res.energy == pytest.approx(want, rel=1e-6)
 
     def test_attractive_inverse_square_solver(self):
         # L* = -0.3 makes the centrifugal term attractive; the regular

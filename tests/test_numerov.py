@@ -1,11 +1,17 @@
 """Tests for the shooting eigen-solver, node counter, quadrature, and FD checks."""
 
+import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapspec import AccuracyError, BracketError, DomainError
+from trapspec import AccuracyError, BracketError, ConvergenceError, DomainError, numerov
+from trapspec.defect import recover_partner
 from trapspec.numerov import (
     EigenResult,
     RadialProblem,
@@ -13,8 +19,10 @@ from trapspec.numerov import (
     fd_check,
     overlap,
     solve_eigen,
+    solve_eigens,
 )
 from trapspec.oscillator3d import OscillatorScales, radial_wavefunction_3d
+from trapspec.susy import input_potential, partner_pair, superpotential
 
 NAT = OscillatorScales.natural()
 
@@ -60,6 +68,10 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             solve_eigen(oscillator_problem(0.0), -1)
 
+    def test_batch_lengths_must_agree(self):
+        with pytest.raises(DomainError):
+            solve_eigens([oscillator_problem(0.0)] * 2, [0])
+
     def test_exponent_from_centrifugal(self):
         assert oscillator_problem(0.0).exponent() == pytest.approx(1.0)
         assert oscillator_problem(6.0).exponent() == pytest.approx(3.0)  # L = 2
@@ -75,15 +87,19 @@ class TestOscillatorEigenvalues:
 
     def test_excited_ladder_3d(self):
         # E = 2k + L + 3/2 for the isotropic oscillator.
-        for l, k in ((0, 1), (0, 3), (2, 2), (5, 1)):
-            res = solve_eigen(oscillator_problem(l * (l + 1.0)), k)
+        cases = ((0, 1), (0, 3), (2, 2), (5, 1))
+        results = solve_eigens([oscillator_problem(l * (l + 1.0)) for l, _ in cases],
+                               [k for _, k in cases])
+        for (l, k), res in zip(cases, results):
             assert res.energy == pytest.approx(2 * k + l + 1.5, rel=1e-8)
             assert res.node_count == k
 
     def test_planar_ladder(self):
         # c = M^2 - 1/4 gives the 2D radial series E = 2k + |M| + 1.
-        for m, k in ((0, 0), (0, 2), (3, 1)):
-            res = solve_eigen(oscillator_problem(m * m - 0.25), k)
+        cases = ((0, 0), (0, 2), (3, 1))
+        results = solve_eigens([oscillator_problem(m * m - 0.25) for m, _ in cases],
+                               [k for _, k in cases])
+        for (m, k), res in zip(cases, results):
             assert res.energy == pytest.approx(2 * k + m + 1.0, rel=1e-8)
 
     def test_non_integer_angular_order(self):
@@ -115,7 +131,7 @@ class TestOscillatorEigenvalues:
             return 0.5 * r * r + 0.3 * r**4
 
         problem = RadialProblem(anharmonic, 2.0, 1.0, 1e-6, 8.0)
-        energies = [solve_eigen(problem, k).energy for k in range(6)]
+        energies = [res.energy for res in solve_eigens([problem] * 6, range(6))]
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_grid_doubling_convergence(self):
@@ -139,7 +155,30 @@ class TestOscillatorEigenvalues:
         assert d["count_evaluations"] > 0
         assert len(d["final_window"]) == 2
         assert d["residual"] < 1e-6
+        assert d["potential_sampling"] == "vectorized"
         assert res.radii[0] == pytest.approx(1e-6)
+
+    def test_scalar_potential_sampling_is_reported(self):
+        # math.log only takes scalars, so the mesh is sampled point by point.
+        def scalar_only(r):
+            return 0.5 * math.exp(2.0 * math.log(r))
+
+        res = solve_eigen(RadialProblem(scalar_only, 0.0, 1.0, 1e-6, 12.0), 0)
+        assert res.diagnostics["potential_sampling"] == "scalar"
+        assert res.energy == pytest.approx(1.5, rel=1e-8)
+
+    def test_mismatch_without_sign_change_raises(self, monkeypatch):
+        # A matching mismatch of one sign everywhere leaves no root to polish;
+        # the solver must say so instead of returning the window midpoint.
+        shoot = numerov._Batch.shoot
+
+        def one_signed(self, *args, **kwargs):
+            nodes, mismatch, sigma, inward_at_m = shoot(self, *args, **kwargs)
+            return nodes, np.abs(mismatch) + 1.0, sigma, inward_at_m
+
+        monkeypatch.setattr(numerov._Batch, "shoot", one_signed)
+        with pytest.raises(ConvergenceError, match=r"never changes sign for state 0 .*window"):
+            solve_eigen(oscillator_problem(0.0), 1)
 
     def test_unreachable_node_count_raises(self):
         # In a box this small the 50-node level sits far above any window
@@ -152,6 +191,215 @@ class TestOscillatorEigenvalues:
         heavy = RadialProblem(half_r_squared, 0.0, 4.0, 1e-6, 12.0)
         res = solve_eigen(heavy, 0)
         assert res.energy == pytest.approx(1.5 / 2.0, rel=1e-8)
+
+
+def _opposite(a, b):
+    return a != 0.0 and b != 0.0 and (a < 0.0) != (b < 0.0)
+
+
+def scalar_count(f, w0, w1):
+    """Reference: the one-column node count loop the batched sweep replaced."""
+    nodes, prev, cur = 0, w0, w1
+    for i in range(1, len(f) - 1):
+        nxt = ((12.0 - 10.0 * f[i]) * cur - f[i - 1] * prev) / f[i + 1]
+        if _opposite(nxt, cur if cur != 0.0 else prev):
+            nodes += 1
+        prev, cur = cur, nxt
+        if abs(cur) > 1e150:
+            if f[i] < 0.95:
+                break
+            prev, cur = prev / 1e200, cur / 1e200
+    return nodes
+
+
+def scalar_mismatch(f, w0, w1, m):
+    """Reference: outward and inward one-column loops matched at ``m``."""
+    n = len(f)
+    out = [w0, w1]
+    for i in range(1, m):
+        out.append(((12.0 - 10.0 * f[i]) * out[i] - f[i - 1] * out[i - 1]) / f[i + 1])
+    inner = {n - 1: 0.0, n - 2: 1e-30}
+    for i in range(n - 2, m, -1):
+        inner[i - 1] = ((12.0 - 10.0 * f[i]) * inner[i] - f[i + 1] * inner[i + 1]) / f[i - 1]
+    sigma = out[m] / inner[m]
+    t_in = f[m + 1] * inner[m + 1] * sigma
+    t_out = f[m - 1] * out[m - 1]
+    t_mid = (12.0 - 10.0 * f[m]) * out[m]
+    return (t_in + t_out - t_mid) / (abs(t_in) + abs(t_out) + abs(t_mid))
+
+
+def scalar_inputs(problem, energy):
+    """The f list and Frobenius start the scalar loops were given."""
+    r = problem.grid()
+    x = np.log(r)
+    h2_12 = (x[1] - x[0]) ** 2 / 12.0
+    pref = 2.0 * problem.mass / problem.hbar**2
+    v = problem.potential(r)
+    f = (1.0 + h2_12 * (pref * r * r * (energy - v) - (problem.centrifugal + 0.25))).tolist()
+    s = problem.exponent()
+    beta = pref * (v[0] - energy) / (4.0 * s + 2.0)
+    w0 = r[0] ** (s - 0.5) * (1.0 + beta * r[0] ** 2)
+    w1 = r[1] ** (s - 0.5) * (1.0 + beta * r[1] ** 2)
+    return f, w0, w1
+
+
+def sweep(problem, energies, m):
+    """Node counts and mismatches of one problem's columns from the batched sweep."""
+    batch = numerov._Batch([problem])
+    states = np.zeros(len(energies), dtype=np.intp)
+    matching = np.full(len(energies), m)
+    return batch.count(states, energies), batch.shoot(states, energies, matching)[1]
+
+
+class TestSweepKernel:
+    def test_columns_match_scalar_loops_exactly(self):
+        # The sweep keeps the scalar arithmetic operation for operation, so
+        # node counts and matching mismatches are bit-identical per column.
+        problem = oscillator_problem(6.0, n_points=2000)
+        energies = np.linspace(2.0, 30.0, 9)
+        for e, count, mismatch in zip(energies, *sweep(problem, energies, 1700)):
+            f, w0, w1 = scalar_inputs(problem, e)
+            assert count == scalar_count(f, w0, w1)
+            assert mismatch == scalar_mismatch(f, w0, w1, 1700)
+
+    def test_rescaled_columns_match_scalar_loops(self):
+        # A stiff trap in a wide box drives both marches far past 1e150: the
+        # counts must freeze where the step-by-step loop stops, and rescaling
+        # may only move the mismatch by round-off.
+        problem = RadialProblem(lambda r: 2.0 * r * r, 2.0, 1.0, 1e-6, 20.0, n_points=2000)
+        energies = np.linspace(1.0, 60.0, 12)
+        for e, count, mismatch in zip(energies, *sweep(problem, energies, 1800)):
+            f, w0, w1 = scalar_inputs(problem, e)
+            assert count == scalar_count(f, w0, w1)
+            assert mismatch == pytest.approx(scalar_mismatch(f, w0, w1, 1800), rel=1e-12, abs=1e-15)
+
+
+class TestBrent:
+    def test_matches_scipy_brentq_step_for_step(self):
+        # The batched root search replays scipy.optimize.brentq exactly: same
+        # trial points in the same order, same root, for every bracket at once.
+        from scipy.optimize import brentq
+
+        shapes = (
+            lambda x, a, b: math.tanh(x - a) + 0.3 * b * (x - a) ** 3,
+            lambda x, a, b: (x - a) * math.exp(b * x) + 1e-3 * (x - a) ** 2,
+            lambda x, a, b: math.sin(3.0 * (x - a)) + 0.1 * b,
+            lambda x, a, b: (x - a) ** 5,
+            lambda x, a, b: math.atan(50.0 * (x - a)) + 1e-9 * b,
+        )
+        rng = np.random.default_rng(1)
+        functions = []
+        for i in range(100):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            lo, hi = a - rng.uniform(0.1, 4.0), a + rng.uniform(0.1, 4.0)
+            g = functools.partial(shapes[i % len(shapes)], a=a, b=b)
+            if g(lo) * g(hi) < 0.0:
+                functions.append((g, lo, hi))
+        xtol = [1e-14 * (abs(a) + abs(b) + 1e-300) + 5e-324 for _, a, b in functions]
+        expected_roots, expected_trials = [], []
+        for (g, a, b), tol in zip(functions, xtol):
+            seen = []
+            expected_roots.append(brentq(lambda x: seen.append(x) or g(x), a, b,
+                                         xtol=tol, rtol=1e-12, maxiter=200))
+            expected_trials.append(seen[2:])  # brentq starts by evaluating both ends
+
+        trials = [[] for _ in functions]
+
+        def evaluate(x, k):
+            for xi, ki in zip(x, k):
+                trials[ki].append(float(xi))
+            return np.array([functions[ki][0](xi) for xi, ki in zip(x, k)])
+
+        lo, hi, f_lo, f_hi = (np.array(col) for col in
+                              zip(*[(a, b, g(a), g(b)) for g, a, b in functions]))
+        roots, converged = numerov._brent(evaluate, lo, hi, f_lo, f_hi, np.array(xtol), 1e-12, 200)
+        assert converged.all()
+        assert list(roots) == expected_roots
+        assert trials == expected_trials
+
+
+SEED_ENERGIES = Path(__file__).parent / "data" / "numerov_seed_energies.json"
+
+
+def seed_potential(spec):
+    """Regular part of the potential a recorded state was solved with."""
+    kind = spec["potential"]
+    if kind == "harmonic":
+        coef = spec["coef"]
+        return lambda r: coef * r * r
+    if kind == "anharmonic":
+        return lambda r: 0.5 * r * r + 0.3 * r**4
+    if kind == "susy-plus":
+        full = partner_pair(superpotential(spec["l"], NAT.r0), NAT).plus_potential
+    elif kind == "susy-minus":
+        full = partner_pair(superpotential(spec["l"], NAT.r0), NAT).minus_potential
+    elif kind == "input":
+        full = input_potential(spec["l"], NAT)
+    elif kind == "recovered":
+        full = recover_partner(0, 2, 0, NAT).potential
+    else:
+        raise ValueError(f"unknown potential {kind!r}")
+    c = spec["centrifugal"]
+    return lambda r: full(r) - 0.5 * c / (r * r)
+
+
+class TestSeedEnergies:
+    """Energies recorded with the scalar solver that the batched one replaced.
+
+    ``numerov_seed_energies.json`` holds every state the verify suites solve
+    and every state the tests solve, each with the problem, the node target,
+    the window hint and the energy (repr floats) that the one-state-at-a-time
+    solver (node bisection, then Brent's method) returned.
+    """
+
+    def test_batched_solver_matches_recorded_energies(self):
+        entries = json.loads(SEED_ENERGIES.read_text())["entries"]
+        problems = [
+            RadialProblem(
+                potential=seed_potential(e), centrifugal=e["centrifugal"], mass=e["mass"],
+                r_min=e["r_min"], r_max=e["r_max"], n_points=e["n_points"], hbar=e["hbar"],
+                origin_exponent=e["origin_exponent"],
+            )
+            for e in entries
+        ]
+        windows = [None if e["energy_window"] is None else tuple(e["energy_window"])
+                   for e in entries]
+        results = solve_eigens(problems, [e["node_target"] for e in entries], windows)
+        for e, res in zip(entries, results):
+            # 1e-12 relative, or 1e-12 absolute for the levels near zero.
+            assert abs(res.energy - e["energy"]) <= 1e-12 * max(abs(e["energy"]), 1.0), e["source"]
+
+
+def coarse_problem(l):
+    # The coarsest mesh allowed keeps these solves cheap; batching does not
+    # depend on the mesh size.
+    return oscillator_problem(l * (l + 1.0), n_points=2000)
+
+
+@pytest.fixture(scope="module")
+def lone_energy():
+    cache = {}
+
+    def energy(l, k):
+        if (l, k) not in cache:
+            cache[l, k] = solve_eigen(coarse_problem(l), k).energy
+        return cache[l, k]
+
+    return energy
+
+
+class TestBatching:
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_batch_energy_equals_lone_energy(self, lone_energy, data):
+        # Each state takes the same bisection and Brent steps in any batch,
+        # so its energy is the lone one exactly, not just to the tolerance.
+        states = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)),
+                                    min_size=1, max_size=4))
+        batch = data.draw(st.permutations(states + states[:1]))  # one duplicate at least
+        results = solve_eigens([coarse_problem(l) for l, _ in batch], [k for _, k in batch])
+        for (l, k), res in zip(batch, results):
+            assert res.energy == lone_energy(l, k), (l, k, batch)
 
 
 class TestCountNodes:

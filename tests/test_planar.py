@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from trapspec import DomainError, ExcludedLevelError, StabilityError
-from trapspec.numerov import RadialProblem, overlap, solve_eigen
+from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
 from trapspec.planar import (
     PaulFrequencies,
     PaulParams,
@@ -54,9 +54,9 @@ def si_paul_params():
     )
 
 
-def radial_oracle(omega, abs_m, n_nodes, mass=1.0):
-    """Shooting eigenvalue of the 2D radial equation with the M^2-1/4 barrier."""
-    problem = RadialProblem(
+def radial_problem(omega, abs_m, mass=1.0):
+    """The 2D radial equation with the M^2-1/4 barrier."""
+    return RadialProblem(
         potential=lambda r: 0.5 * mass * omega**2 * r * r,
         centrifugal=abs_m * abs_m - 0.25,
         mass=mass,
@@ -64,7 +64,18 @@ def radial_oracle(omega, abs_m, n_nodes, mass=1.0):
         r_max=12.0 / math.sqrt(mass * omega),
         origin_exponent=abs_m + 0.5,
     )
-    return solve_eigen(problem, n_nodes).energy
+
+
+def radial_oracle(omega, abs_m, n_nodes, mass=1.0):
+    """Shooting eigenvalue of the 2D radial equation with the M^2-1/4 barrier."""
+    return solve_eigen(radial_problem(omega, abs_m, mass), n_nodes).energy
+
+
+def radial_oracles(omega, cases):
+    """Shooting eigenvalues for (N, M, K) cases, from one batched solve."""
+    results = solve_eigens([radial_problem(omega, abs(m)) for _, m, _ in cases],
+                           [(n - abs(m)) // 2 for n, m, _ in cases])
+    return [res.energy for res in results]
 
 
 class TestPaulFrequencies:
@@ -177,8 +188,8 @@ class TestPaulEnergies:
 
     def test_separation_against_radial_oracle(self):
         # 2D radial eigenvalue + hbar w_p (2K + 1) axial offset = E_{N,K}.
-        for n, m, k in ((0, 0, 0), (2, 2, 1), (3, 1, 0)):
-            e2d = radial_oracle(PAUL.secular, m, (n - m) // 2)
+        cases = ((0, 0, 0), (2, 2, 1), (3, 1, 0))
+        for (n, m, k), e2d in zip(cases, radial_oracles(PAUL.secular, cases)):
             total = e2d + PAUL.quantum * (2 * k + 1)
             assert total == pytest.approx(paul_energy(PAUL, n, k), rel=1e-6)
 
@@ -383,8 +394,8 @@ class TestPenningEnergies:
         np.testing.assert_allclose(gaps, -PENNING.cyclotron, rtol=1e-12)
 
     def test_matches_radial_oracle(self):
-        for n, m, k in ((0, 0, 0), (2, -2, 1), (3, 1, 2)):
-            e_radial = radial_oracle(0.5 * PENNING.hybrid, abs(m), (n - abs(m)) // 2)
+        cases = ((0, 0, 0), (2, -2, 1), (3, 1, 2))
+        for (n, m, k), e_radial in zip(cases, radial_oracles(0.5 * PENNING.hybrid, cases)):
             want = (
                 e_radial
                 - 0.5 * PENNING.cyclotron * m

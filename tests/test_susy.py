@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 from trapspec import DomainError, ExcludedLevelError
-from trapspec.numerov import RadialProblem, fd_check, overlap, solve_eigen
+from trapspec.numerov import RadialProblem, fd_check, overlap, solve_eigen, solve_eigens
 from trapspec.oscillator3d import (
     OscillatorScales,
     radial_wavefunction_3d,
@@ -26,14 +26,14 @@ NAT = OscillatorScales.natural()
 SI = OscillatorScales(mass=1.44e-25, omega0=19.97912070075072)
 
 
-def solve_ground(full_potential, centrifugal, scales, nodes=0):
-    """Shooting-solver eigenvalue with the singular 1/r^2 part split off."""
+def regular_problem(full_potential, centrifugal, scales):
+    """Radial problem with the singular 1/r^2 part split off."""
     pref = scales.hbar**2 / (2.0 * scales.mass)
 
     def regular(r):
         return full_potential(r) - pref * centrifugal / (r * r)
 
-    problem = RadialProblem(
+    return RadialProblem(
         potential=regular,
         centrifugal=centrifugal,
         mass=scales.mass,
@@ -41,7 +41,11 @@ def solve_ground(full_potential, centrifugal, scales, nodes=0):
         r_max=12.0 * scales.r0,
         hbar=scales.hbar,
     )
-    return solve_eigen(problem, nodes).energy
+
+
+def solve_ground(full_potential, centrifugal, scales, nodes=0):
+    """Shooting-solver eigenvalue with the singular 1/r^2 part split off."""
+    return solve_eigen(regular_problem(full_potential, centrifugal, scales), nodes).energy
 
 
 class TestSuperpotential:
@@ -99,10 +103,10 @@ class TestInputPotential:
         assert v(r) == pytest.approx(0.5 * 1.5 - 1.5, rel=1e-14)
 
     def test_ground_energy_is_zero(self):
-        for l in (0, 2):
-            v = input_potential(l, NAT)
-            e = solve_ground(v, float(l * (l + 1)), NAT)
-            assert abs(e) < 1e-8
+        problems = [regular_problem(input_potential(l, NAT), float(l * (l + 1)), NAT)
+                    for l in (0, 2)]
+        for res in solve_eigens(problems, [0, 0]):
+            assert abs(res.energy) < 1e-8
 
     def test_si_scaling(self):
         v = input_potential(1, SI)
