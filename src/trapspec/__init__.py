@@ -26,7 +26,6 @@ from .special import (
     hermite,
     laguerre_gen,
     laguerre_gen_derivative,
-    radial_norm_2d,
     radial_norm_3d,
 )
 from .oscillator3d import (
@@ -62,14 +61,13 @@ from .fields import (
     biot_savart_field,
     ip_field_cartesian,
     ip_field_series,
-    ip_isotropy_residual,
     ip_potential,
     ip_scales,
+    isotropy_residual,
     oscillator_scales,
     solve_bar_current,
     solve_quad_current,
     top_field_series,
-    top_isotropy_residual,
     top_scales,
     top_time_average_numeric,
     top_time_avg_potential,
@@ -99,8 +97,6 @@ from .planar import (
     PenningFrequencies,
     PenningParams,
     PenningState,
-    PlanarPartnerPair,
-    PlanarRadialState,
     paul_effective_potential,
     paul_energy,
     paul_frequencies,

@@ -16,18 +16,17 @@ import numpy as np
 
 from . import exports
 from .config import RunConfig, load_config
-from .defect import EffectiveModel, defect_energy, recover_partner
+from .defect import EffectiveModel, defect_energy
 from .errors import ConfigError, DomainError, OracleError
 from .fields import (
     biot_savart_field,
     ip_field_cartesian,
-    ip_isotropy_residual,
     ip_scales,
+    isotropy_residual,
     oscillator_scales,
     solve_bar_current,
     solve_quad_current,
     top_field_series,
-    top_isotropy_residual,
     top_scales,
     TrapAssembly,
 )
@@ -39,16 +38,18 @@ from .oscillator3d import (
     shell_capacity,
 )
 from .planar import (
-    PlanarPartnerPair,
     paul_energy,
     paul_frequencies,
     paul_shell_count,
+    paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
     penning_state_count,
+    penning_susy_partner,
     penning_wavefunction,
 )
+from .susy import partner_pair, superpotential, tower_potential
 from .verification import SUITE_ORDER, run_suite
 
 # An Ioffe-Pritchard or TOP potential is only a single isotropic oscillator
@@ -172,11 +173,9 @@ def _natural_mode(cfg: RunConfig, args) -> bool:
 
 def _magnetic_scales(cfg: RunConfig):
     """Derived field scales plus residual for an ip/top configuration."""
-    if cfg.trap == "ioffe_pritchard":
-        scales = ip_scales(cfg.build_geometry())
-        return scales, ip_isotropy_residual(scales)
-    scales = top_scales(cfg.build_geometry())
-    return scales, top_isotropy_residual(scales)
+    derive = ip_scales if cfg.trap == "ioffe_pritchard" else top_scales
+    scales = derive(cfg.build_geometry())
+    return scales, isotropy_residual(scales)
 
 
 def _oscillator(cfg: RunConfig) -> OscillatorScales:
@@ -423,37 +422,28 @@ def _cmd_susy(args) -> int:
     if args.levels < 1 or args.samples < 2:
         raise DomainError("susy needs at least one level and two potential samples")
 
+    # The pair after i0 ladder steps sits at tower index L + i0 (3D) or
+    # |M| + i0 - 1/2 (planar); its tower label lam + 2j is the base-tower
+    # label removed + 2j.
     if cfg.trap in MAGNETIC:
         osc = _oscillator(cfg)
-        plus = recover_partner(0, i0, tower, osc)
-        minus = recover_partner(1, i0, tower, osc)
-        length, quantum = osc.r0, osc.quantum
-        plus_pot, minus_pot = plus.potential, minus.potential
-        removed = plus.tower_start
-        labels = [removed + 2 * j for j in range(args.levels)]
-        spectrum_rows = [
-            (n_s, plus.spectrum(n_s), None if n_s == removed else minus.spectrum(n_s))
-            for n_s in labels
-        ]
+        pair = partner_pair(superpotential(tower + i0, osc.r0), osc)
+    elif cfg.trap == "paul":
+        pair = paul_susy_partner(_planar_frequencies(cfg), tower + i0)
     else:
-        freqs = _planar_frequencies(cfg)
-        omega = freqs.secular if cfg.trap == "paul" else 0.5 * freqs.hybrid
-        pair = PlanarPartnerPair(abs_m=tower + i0, omega=omega,
-                                 mass=freqs.mass, hbar=freqs.hbar)
-        length, quantum = pair.length, pair.quantum
-        plus_pot, minus_pot = pair.plus_potential, pair.minus_potential
-        removed = tower + 2 * i0
-        # Zero-referenced spectra relabeled to the base tower: after i0 steps
-        # the |M|+i0 tower level N carries the original label N + i0.
-        labels = [removed + 2 * j for j in range(args.levels)]
-        spectrum_rows = [
-            (
-                n_s,
-                pair.plus_spectrum(n_s - i0),
-                None if n_s == removed else pair.minus_spectrum(n_s - i0),
-            )
-            for n_s in labels
-        ]
+        pair = penning_susy_partner(_planar_frequencies(cfg), tower + i0)
+    lam, length, quantum = pair.l_angular, pair.scales.r0, pair.scales.quantum
+    plus_pot = tower_potential(lam, pair.scales, quantum * (lam + 1.5))
+    minus_pot = tower_potential(lam + 1.0, pair.scales, quantum * (lam + 0.5))
+    removed = tower + 2 * i0
+    spectrum_rows = [
+        (
+            removed + 2 * j,
+            pair.plus_spectrum(lam + 2 * j),
+            None if j == 0 else pair.minus_spectrum(lam + 2 * j),
+        )
+        for j in range(args.levels)
+    ]
 
     radii = np.geomspace(0.1, 6.0, args.samples) * length
     plus_samples = np.asarray(plus_pot(radii), dtype=float)

@@ -156,7 +156,13 @@ def _check_record(record, required, record_name, trap):
             raise ConfigError(
                 f"field '{name}' in {record_name} record must be a number, got {value!r}"
             )
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(
+                f"field '{name}' in {record_name} record is too large for a float"
+            ) from None
+        if not finite:
             raise ConfigError(f"field '{name}' in {record_name} record must be finite")
     extra = sorted(set(record) - set(required))
     if extra:
@@ -173,7 +179,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object at top level")

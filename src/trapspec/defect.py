@@ -30,8 +30,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExcludedLevelError, NormalizabilityError
-from .oscillator3d import OscillatorScales, RadialEigenstate
-from .special import radial_norm_3d
+from .oscillator3d import OscillatorScales, RadialEigenstate, _tower_level, tower_state
+from .special import tower_degree
+from .susy import tower_potential
 
 __all__ = [
     "EffectiveModel",
@@ -41,6 +42,11 @@ __all__ = [
     "RecoveredPartner",
     "recover_partner",
 ]
+
+
+def _check_integer_label(n_spectroscopic) -> None:
+    if int(n_spectroscopic) != n_spectroscopic:
+        raise DomainError(f"N_s must be an integer, got {n_spectroscopic!r}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +87,8 @@ class EffectiveModel:
 
     def tower_check(self, n_spectroscopic) -> None:
         """Reject labels outside the tower ``{L + 2I, L + 2I + 2, ...}``."""
-        start = self.l_angular + 2 * self.iterations
-        n = n_spectroscopic
-        if int(n) != n or n < start or (n - start) % 2 != 0:
-            raise DomainError(
-                f"N_s must lie in {{{start}, {start + 2}, ...}} for this tower, got {n!r}"
-            )
+        _check_integer_label(n_spectroscopic)
+        tower_degree(n_spectroscopic, self.l_angular + 2 * self.iterations, "N_s")
 
 
 def effective_potential(model: EffectiveModel) -> Callable[[float], float]:
@@ -114,8 +116,7 @@ def effective_potential(model: EffectiveModel) -> Callable[[float], float]:
 def defect_energy(model: EffectiveModel, n_spectroscopic: int) -> float:
     """Level energy ``E0 + hbar w0 (N* + 3/2)`` with ``N* = N_s - I - delta``."""
     model.tower_check(n_spectroscopic)
-    n_star = n_spectroscopic - model.iterations - model.delta
-    return model.scales.energy_offset + model.scales.quantum * (n_star + 1.5)
+    return _tower_level(model.scales, n_spectroscopic - model.iterations - model.delta)
 
 
 def defect_wavefunction(model: EffectiveModel, n_spectroscopic: int) -> RadialEigenstate:
@@ -126,14 +127,7 @@ def defect_wavefunction(model: EffectiveModel, n_spectroscopic: int) -> RadialEi
     """
     model.tower_check(n_spectroscopic)
     n_star = n_spectroscopic - model.iterations - model.delta
-    r0 = model.scales.r0
-    return RadialEigenstate(
-        n_principal=n_star,
-        l_angular=model.l_star,
-        r0=r0,
-        norm=radial_norm_3d(n_star, model.l_star, r0),
-        energy=defect_energy(model, n_spectroscopic),
-    )
+    return tower_state(model.scales, n_star, model.l_star)
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,8 @@ class RecoveredPartner:
         labels outside the original tower raise :class:`DomainError`.
         """
         n, l = n_spectroscopic, self.model.l_angular
-        if int(n) != n or n < l or (n - l) % 2 != 0:
-            raise DomainError(f"N_s must lie in {{{l}, {l + 2}, ...}}, got {n!r}")
+        _check_integer_label(n)
+        tower_degree(n, l, "N_s")
         if n < self.tower_start:
             raise ExcludedLevelError(
                 f"level N_s = {n} was removed by the partner construction "
@@ -201,18 +195,10 @@ def recover_partner(
         scales=scales,
     )
     ls = model.l_star  # integer-valued here: L + I0 + S
-    pref = scales.hbar**2 / (2.0 * scales.mass)
-    spring = 0.5 * scales.mass * scales.omega0**2
     shift = scales.quantum * (ls + 1.5 - 2.0 * model.selector)
-
-    def potential(r):
-        r = np.asarray(r, dtype=float)
-        value = pref * ls * (ls + 1.0) / (r * r) + spring * r * r - shift
-        return float(value) if value.ndim == 0 else value
-
     return RecoveredPartner(
         model=model,
-        potential=potential,
+        potential=tower_potential(ls, scales, shift),
         subtracted_constant=scales.energy_offset + shift,
         level_offset=scales.energy_offset + scales.quantum * (l_angular + 2 * iterations + 1.5),
     )

@@ -43,12 +43,11 @@ __all__ = [
     "ip_field_series",
     "ip_field_cartesian",
     "ip_potential",
-    "ip_isotropy_residual",
+    "isotropy_residual",
     "solve_bar_current",
     "top_scales",
     "top_field_series",
     "top_time_avg_potential",
-    "top_isotropy_residual",
     "solve_quad_current",
     "top_time_average_numeric",
     "oscillator_scales",
@@ -301,16 +300,8 @@ def top_time_avg_potential(particle: DipoleParticle, scales: DerivedScales, rho,
     return float(u) if u.ndim == 0 else u
 
 
-def ip_isotropy_residual(scales: DerivedScales) -> float:
-    """Relative distance of gradient^2/field^2 from the isotropic IP tuning."""
-    _check_kind(scales, "ip")
-    target = scales.isotropy_target
-    return ((scales.gradient / scales.field) ** 2 - target) / target
-
-
-def top_isotropy_residual(scales: DerivedScales) -> float:
-    """Relative distance of gradient^2/field^2 from the isotropic TOP tuning."""
-    _check_kind(scales, "top")
+def isotropy_residual(scales: DerivedScales) -> float:
+    """Relative distance of gradient^2/field^2 from the isotropic tuning of its trap kind."""
     target = scales.isotropy_target
     return ((scales.gradient / scales.field) ** 2 - target) / target
 

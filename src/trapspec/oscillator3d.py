@@ -17,12 +17,13 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DomainError
-from .special import laguerre_gen, laguerre_gen_derivative, radial_norm_3d
+from .special import laguerre_gen, laguerre_gen_derivative, radial_norm_3d, tower_degree
 
 __all__ = [
     "OscillatorScales",
     "RadialEigenstate",
     "ShellRow",
+    "tower_state",
     "validate_quantum_numbers_3d",
     "allowed_angular",
     "energy_3d",
@@ -78,10 +79,7 @@ def validate_quantum_numbers_3d(n_principal: int, l_angular: int, m_angular: int
             raise DomainError(f"{name} must be an integer, got {value!r}")
     if n_principal < 0 or l_angular < 0:
         raise DomainError(f"N and L must be nonnegative, got N={n_principal}, L={l_angular}")
-    if l_angular > n_principal or (n_principal - l_angular) % 2 != 0:
-        raise DomainError(
-            f"L must satisfy L <= N with N - L even; got N={n_principal}, L={l_angular}"
-        )
+    tower_degree(n_principal, l_angular, "N")
     if abs(m_angular) > l_angular:
         raise DomainError(f"|M| must not exceed L; got L={l_angular}, M={m_angular}")
 
@@ -97,6 +95,11 @@ def energy_3d(scales: OscillatorScales, n_principal: int) -> float:
     """Level energy ``E_N = E0 + hbar w0 (N + 3/2)``."""
     if int(n_principal) != n_principal or n_principal < 0:
         raise DomainError(f"N must be a nonnegative integer, got {n_principal!r}")
+    return _tower_level(scales, n_principal)
+
+
+def _tower_level(scales: OscillatorScales, n_principal: float) -> float:
+    """Tower level ``E0 + hbar w0 (n + 3/2)`` at any real label ``n``."""
     return scales.energy_offset + scales.quantum * (n_principal + 1.5)
 
 
@@ -104,9 +107,11 @@ def energy_3d(scales: OscillatorScales, n_principal: int) -> float:
 class RadialEigenstate:
     """Radial profile ``W_{N,L}(r) = C (r/r0)^{L+1} e^{-r^2/2r0^2} L_n^{L+1/2}(r^2/r0^2)``.
 
-    ``n = (N - L)/2`` is the Laguerre degree.  ``n_principal`` and
-    ``l_angular`` may be non-integer (quantum-defect towers); their difference
-    must be a nonnegative even integer.  The full 3D state is
+    ``n = (N - L)/2`` is the Laguerre degree.  ``l_angular`` is the tower
+    index: ``L`` for the 3D oscillator, ``|M| - 1/2`` for the planar radial
+    factor ``X = sqrt(rho) R(rho)`` (with ``n_principal = N - 1/2``) and the
+    non-integer ``L*`` of a quantum-defect tower; ``n_principal -
+    l_angular`` must be a nonnegative even integer.  The full 3D state is
     ``psi = (r0/r) W(r) Y_{LM}``; with the normalization constant used here
     ``int_0^inf W^2 dr = 1``.
     """
@@ -147,17 +152,25 @@ class RadialEigenstate:
         return val if np.asarray(r).ndim else float(val)
 
 
+def tower_state(scales: OscillatorScales, n_principal: float, l_angular: float) -> RadialEigenstate:
+    """Unit-normalized tower profile ``W_{n, lam}`` of the oscillator ``scales``.
+
+    Every radial family is built here, on the length ``scales.r0`` and at
+    the tower level ``E0 + hbar w0 (n + 3/2)``.
+    """
+    return RadialEigenstate(
+        n_principal=n_principal,
+        l_angular=l_angular,
+        r0=scales.r0,
+        norm=radial_norm_3d(n_principal, l_angular, scales.r0),
+        energy=_tower_level(scales, n_principal),
+    )
+
+
 def radial_wavefunction_3d(scales: OscillatorScales, n_principal: int, l_angular: int) -> RadialEigenstate:
     """Unit-normalized radial profile of the ``(N, L)`` oscillator state."""
     validate_quantum_numbers_3d(n_principal, l_angular)
-    r0 = scales.r0
-    return RadialEigenstate(
-        n_principal=float(n_principal),
-        l_angular=float(l_angular),
-        r0=r0,
-        norm=radial_norm_3d(n_principal, l_angular, r0),
-        energy=energy_3d(scales, n_principal),
-    )
+    return tower_state(scales, float(n_principal), float(l_angular))
 
 
 def degeneracy(n_principal: int) -> int:

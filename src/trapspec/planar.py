@@ -14,10 +14,14 @@ cylindrical coordinates, with the half-integer-shifted barrier
   ``Omega = sqrt(w_c^2 - 2 w_z^2)`` (real only on the stable side), and
   ``E = hbar (Omega N + 2 w_z K - w_c M + Omega + w_z)/2``.
 
-The fixed-``(M, K)`` towers admit the same supersymmetric partner step as
-the 3D traps; both cases share one pair type here because the Penning radial
-problem is an oscillator of frequency ``Omega/2``.  Shell counts double for
-spin, unlike the magnetic traps (charged particles of either spin are held).
+The planar radial problem is the 3D oscillator tower at index
+``lam = |M| - 1/2``: the barrier ``(M^2 - 1/4)/rho^2`` is ``lam(lam+1)/rho^2``
+and ``X_{N,M}`` is the tower profile ``W_{N-1/2, |M|-1/2}``, so the radial
+factors are :class:`~trapspec.oscillator3d.RadialEigenstate` objects and the
+fixed-``(M, K)`` partner step is the 3D :class:`~trapspec.susy.PartnerPair`
+(radial frequency ``w_p`` for Paul, ``Omega/2`` for Penning), whose labels
+are the tower labels ``N - 1/2``.  Shell counts double for spin, unlike the
+magnetic traps (charged particles of either spin are held).
 """
 
 from __future__ import annotations
@@ -29,17 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .errors import DomainError, ExcludedLevelError, StabilityError
-from .special import hermite, laguerre_gen, laguerre_gen_derivative, radial_norm_2d
+from .errors import DomainError, StabilityError
+from .oscillator3d import OscillatorScales, RadialEigenstate, tower_state
+from .special import hermite, tower_degree
+from .susy import PartnerPair, partner_pair, superpotential
 
 __all__ = [
     "PaulParams",
     "PaulFrequencies",
     "PenningParams",
     "PenningFrequencies",
-    "PlanarRadialState",
     "AxialState",
-    "PlanarPartnerPair",
     "validate_planar_numbers",
     "paul_frequencies",
     "static_quadrupole_potential",
@@ -109,6 +113,11 @@ class PaulFrequencies:
         """Radial level spacing ``hbar w_p``."""
         return self.hbar * self.secular
 
+    @property
+    def radial_scales(self) -> OscillatorScales:
+        """The radial oscillator: frequency ``w_p``, zero energy offset."""
+        return OscillatorScales(mass=self.mass, omega0=self.secular, hbar=self.hbar)
+
 
 def paul_frequencies(params: PaulParams, hbar: float = HBAR) -> PaulFrequencies:
     """Secular-approximation scales; warns when the drive is not fast enough."""
@@ -161,57 +170,13 @@ def validate_planar_numbers(n_radial: int, m_azimuthal: int, k_axial: int) -> No
             raise DomainError(f"{name} must be an integer, got {value!r}")
     if k_axial < 0:
         raise DomainError(f"K must be nonnegative, got {k_axial}")
-    if n_radial < abs(m_azimuthal) or (n_radial - abs(m_azimuthal)) % 2 != 0:
-        raise DomainError(
-            f"N must lie in {{|M|, |M|+2, ...}}; got N={n_radial}, M={m_azimuthal}"
-        )
+    tower_degree(n_radial, abs(m_azimuthal), "N")
 
 
 def paul_energy(freqs: PaulFrequencies, n_radial: int, k_axial: int) -> float:
     """Level energy ``hbar w_p (N + 2K + 2)``; the azimuthal M drops out."""
     validate_planar_numbers(n_radial, n_radial % 2, k_axial)
     return freqs.quantum * (n_radial + 2 * k_axial + 2)
-
-
-@dataclass(frozen=True)
-class PlanarRadialState:
-    """Planar radial profile ``X = C u^{|M|+1/2} e^{-u^2/2} L_n^{|M|}(u^2)``.
-
-    ``u = rho/scale`` and ``n = (N - |M|)/2``; the constant makes
-    ``int_0^inf X^2 drho = 1``.  The full wavefunction divides out
-    ``sqrt(rho)``, putting the node structure entirely in X.
-    """
-
-    n_radial: int
-    abs_m: int
-    scale: float
-    norm: float
-
-    @property
-    def degree(self) -> int:
-        return (self.n_radial - self.abs_m) // 2
-
-    def __call__(self, rho):
-        u = np.asarray(rho, dtype=float) / self.scale
-        x = u * u
-        poly = laguerre_gen(self.degree, float(self.abs_m), x)
-        with np.errstate(divide="ignore"):
-            val = self.norm * u ** (self.abs_m + 0.5) * np.exp(-0.5 * x) * poly
-        return val if np.asarray(rho).ndim else float(val)
-
-    def derivative(self, rho):
-        """Analytic ``dX/drho`` via the Laguerre derivative identity."""
-        u = np.asarray(rho, dtype=float) / self.scale
-        x = u * u
-        a = self.abs_m + 0.5
-        poly = laguerre_gen(self.degree, float(self.abs_m), x)
-        dpoly = laguerre_gen_derivative(self.degree, float(self.abs_m), x)
-        with np.errstate(divide="ignore"):
-            val = (
-                self.norm / self.scale * u ** (self.abs_m - 0.5) * np.exp(-0.5 * x)
-                * (a * poly - x * poly + 2.0 * x * dpoly)
-            )
-        return val if np.asarray(rho).ndim else float(val)
 
 
 @dataclass(frozen=True)
@@ -246,23 +211,14 @@ def _axial_norm(z_scale: float, k_axial: int) -> float:
     return math.exp(log_n)
 
 
-def _radial_state(n_radial: int, abs_m: int, scale: float) -> PlanarRadialState:
-    return PlanarRadialState(
-        n_radial=n_radial,
-        abs_m=abs_m,
-        scale=scale,
-        norm=radial_norm_2d(n_radial, abs_m, scale),
-    )
-
-
 def paul_wavefunctions(
     freqs: PaulFrequencies, n_radial: int, m_azimuthal: int, k_axial: int
-) -> tuple[AxialState, PlanarRadialState]:
+) -> tuple[AxialState, RadialEigenstate]:
     """Axial/azimuthal factor and radial factor of the ``(N, M, K)`` state.
 
     The axial factor is unit-normalized along z (call with ``(z, phi)`` to
     include the azimuthal phase); the radial factor satisfies
-    ``int X^2 drho = 1``.
+    ``int X^2 drho = 1`` and carries the radial energy ``hbar w_p (N + 1)``.
     """
     validate_planar_numbers(n_radial, m_azimuthal, k_axial)
     z0 = freqs.length / math.sqrt(2.0)
@@ -272,99 +228,23 @@ def paul_wavefunctions(
         z_scale=z0,
         norm=_axial_norm(z0, int(k_axial)),
     )
-    return axial, _radial_state(int(n_radial), abs(int(m_azimuthal)), freqs.length)
+    lam = abs(int(m_azimuthal)) - 0.5
+    return axial, tower_state(freqs.radial_scales, n_radial - 0.5, lam)
 
 
-@dataclass(frozen=True)
-class PlanarPartnerPair:
-    """Supersymmetric pair for one fixed-``|M|`` planar tower.
+def _tower_pair(abs_m: int, scales: OscillatorScales) -> PartnerPair:
+    if int(abs_m) != abs_m or abs_m < 0:
+        raise DomainError(f"|M| must be a nonnegative integer, got {abs_m!r}")
+    return partner_pair(superpotential(abs_m - 0.5, scales.r0), scales)
 
-    The input side is the ground-referenced radial potential
 
-        ``V+ = (hbar^2/2m)(M^2 - 1/4)/rho^2 + (1/2) m w^2 rho^2
-              - hbar w (|M| + 1)``
+def paul_susy_partner(freqs: PaulFrequencies, abs_m: int) -> PartnerPair:
+    """Partner pair of the Paul ``|M|`` tower (radial frequency ``w_p``).
 
-    and the partner is the index-shifted tower ``V- = V+(|M|+1) + 2 hbar w``.
-    The pair factorizes through ``A = d/drho + U'`` with
-    ``U' = rho/length^2 - (|M| + 1/2)/rho``; ``A`` annihilates the radial
-    ground profile and maps ``X_{N_s,|M|}`` onto the ``|M|+1`` tower.
-    ``omega`` is the radial oscillator frequency (Paul: the secular
-    frequency; Penning: half the hybrid frequency).
+    Labels are tower labels ``N - 1/2``; the partner is the ``|M| + 1``
+    tower shifted up by ``2 hbar w_p``.
     """
-
-    abs_m: int
-    omega: float
-    mass: float
-    hbar: float = HBAR
-
-    def __post_init__(self):
-        if int(self.abs_m) != self.abs_m or self.abs_m < 0:
-            raise DomainError(f"|M| must be a nonnegative integer, got {self.abs_m!r}")
-        _positive("omega", self.omega)
-        _positive("mass", self.mass)
-
-    @property
-    def length(self) -> float:
-        return math.sqrt(self.hbar / (self.mass * self.omega))
-
-    @property
-    def quantum(self) -> float:
-        return self.hbar * self.omega
-
-    def _tower_potential(self, rho, abs_m: int):
-        rho = np.asarray(rho, dtype=float)
-        pref = self.hbar**2 / (2.0 * self.mass)
-        out = (
-            pref * (abs_m * abs_m - 0.25) / (rho * rho)
-            + 0.5 * self.mass * self.omega**2 * rho * rho
-            - self.quantum * (abs_m + 1.0)
-        )
-        return float(out) if out.ndim == 0 else out
-
-    def plus_potential(self, rho):
-        return self._tower_potential(rho, self.abs_m)
-
-    def minus_potential(self, rho):
-        return self._tower_potential(rho, self.abs_m + 1) + 2.0 * self.quantum
-
-    def superpotential_derivative(self, rho):
-        """``U'`` of the factorization; its sign change marks the ground peak."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
-            raise DomainError("superpotential derivative needs rho > 0")
-        out = rho / self.length**2 - (self.abs_m + 0.5) / rho
-        return float(out) if out.ndim == 0 else out
-
-    def _check_label(self, n_spectroscopic: int) -> None:
-        n, m = n_spectroscopic, self.abs_m
-        if int(n) != n or n < m or (n - m) % 2 != 0:
-            raise DomainError(f"N_s must lie in {{{m}, {m + 2}, ...}}, got {n!r}")
-        if n == m:
-            raise ExcludedLevelError(
-                f"N_s = |M| = {m} is the level the partner construction removes"
-            )
-
-    def plus_spectrum(self, n_radial: int) -> float:
-        """Ground-referenced tower energies ``hbar w (N - |M|)``, N = |M|, |M|+2, ..."""
-        n, m = n_radial, self.abs_m
-        if int(n) != n or n < m or (n - m) % 2 != 0:
-            raise DomainError(f"N must lie in {{{m}, {m + 2}, ...}}, got {n!r}")
-        return self.quantum * (n - m)
-
-    def minus_spectrum(self, n_spectroscopic: int) -> float:
-        """Partner energies, identical except the absent ground label."""
-        self._check_label(n_spectroscopic)
-        return self.quantum * (n_spectroscopic - self.abs_m)
-
-    def partner_wavefunction(self, n_spectroscopic: int) -> PlanarRadialState:
-        """Minus-side radial profile: the index map ``X_{N_s-1, |M|+1}``."""
-        self._check_label(n_spectroscopic)
-        return _radial_state(int(n_spectroscopic) - 1, self.abs_m + 1, self.length)
-
-
-def paul_susy_partner(freqs: PaulFrequencies, abs_m: int) -> PlanarPartnerPair:
-    """Partner pair of the Paul ``|M|`` tower (radial frequency ``w_p``)."""
-    return PlanarPartnerPair(abs_m=abs_m, omega=freqs.secular, mass=freqs.mass, hbar=freqs.hbar)
+    return _tower_pair(abs_m, freqs.radial_scales)
 
 
 def paul_shell_count(e_tilde: int) -> int:
@@ -451,6 +331,11 @@ class PenningFrequencies:
         """Radial oscillator length ``rho_0 sqrt(2/k) = sqrt(hbar/(m Omega/2))``."""
         return math.sqrt(2.0 * self.hbar / (self.mass * self.hybrid))
 
+    @property
+    def radial_scales(self) -> OscillatorScales:
+        """The radial oscillator: frequency ``Omega/2``, zero energy offset."""
+        return OscillatorScales(mass=self.mass, omega0=0.5 * self.hybrid, hbar=self.hbar)
+
 
 def penning_frequencies(params: PenningParams, hbar: float = HBAR) -> PenningFrequencies:
     """Mode frequencies; rejects tunings where the radial motion is unbound."""
@@ -507,7 +392,7 @@ class PenningState:
     radial factor on the ``Omega/2`` oscillator length; complex-valued.
     """
 
-    radial: PlanarRadialState
+    radial: RadialEigenstate
     axial: AxialState
     m_azimuthal: int
     energy: float
@@ -538,7 +423,7 @@ def penning_wavefunction(
     _check_magnetron(n_radial, m_azimuthal, magnetron_cap)
     z0 = freqs.axial_length
     return PenningState(
-        radial=_radial_state(int(n_radial), abs(int(m_azimuthal)), freqs.radial_length),
+        radial=tower_state(freqs.radial_scales, n_radial - 0.5, abs(int(m_azimuthal)) - 0.5),
         axial=AxialState(
             k_axial=int(k_axial), m_azimuthal=int(m_azimuthal),
             z_scale=z0, norm=_axial_norm(z0, int(k_axial)),
@@ -548,16 +433,15 @@ def penning_wavefunction(
     )
 
 
-def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PlanarPartnerPair:
+def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PartnerPair:
     """Partner pair of the Penning ``|M|`` tower.
 
     The radial problem is an oscillator of frequency ``Omega/2``, so the
     Paul-trap partner structure carries over with ``Omega`` in place of
-    ``2 w_p``; the level spacing within a tower is ``hbar Omega``.
+    ``2 w_p``; the level spacing within a tower is ``hbar Omega``.  Labels
+    are tower labels ``N - 1/2``.
     """
-    return PlanarPartnerPair(
-        abs_m=abs_m, omega=0.5 * freqs.hybrid, mass=freqs.mass, hbar=freqs.hbar
-    )
+    return _tower_pair(abs_m, freqs.radial_scales)
 
 
 def penning_state_count(

@@ -2,8 +2,11 @@
 
 The three-term recurrences are the production evaluation path; the test suite
 checks them against explicit series summation and quadrature.  Orders may be
-non-integer (the quantum-defect towers need Laguerre orders like L* + 1/2 with
-non-integer L*), so everything is written for real ``alpha > -1``.
+non-integer, so everything is written for real ``alpha > -1``: every radial
+family is the one tower ``u^{lam+1} e^{-u^2/2} L_n^{lam+1/2}(u^2)`` at an index
+``lam`` that is ``L`` in 3D, ``|M| - 1/2`` in the planar traps and a
+non-integer ``L*`` in the quantum-defect towers, so :func:`radial_norm_3d`
+normalizes all of them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["laguerre_gen", "hermite", "radial_norm_3d", "radial_norm_2d"]
+__all__ = ["laguerre_gen", "hermite", "tower_degree", "radial_norm_3d"]
 
 
 def laguerre_gen(n: int, alpha: float, x):
@@ -79,16 +82,21 @@ def hermite(k: int, x):
     return cur if arr.ndim else float(cur)
 
 
-def _even_gap(n_principal: float, l_angular: float) -> int:
-    """Check that ``n - l`` is a nonnegative even integer and return ``(n-l)/2``."""
-    diff = n_principal - l_angular
-    deg = int(round(diff / 2.0))
-    if deg < 0 or abs(diff - 2.0 * deg) > 1e-9:
+def tower_degree(label: float, start: float, name: str) -> int:
+    """Laguerre degree ``(label - start)/2`` of a label in the tower ``{start, start+2, ...}``.
+
+    Labels and starts may be non-integer (shifted towers); their difference
+    must be a nonnegative even integer to within 1e-9, otherwise
+    :class:`DomainError` names the tower.  ``name`` is the label's symbol in
+    the message.
+    """
+    gap = label - start
+    degree = round(gap / 2.0) if math.isfinite(gap) else -1
+    if degree < 0 or abs(gap - 2.0 * degree) > 1e-9:
         raise DomainError(
-            f"principal/angular pair must differ by a nonnegative even integer, "
-            f"got N={n_principal!r}, L={l_angular!r}"
+            f"{name} must lie in {{{start:g}, {start + 2:g}, ...}}, got {label!r}"
         )
-    return deg
+    return degree
 
 
 def radial_norm_3d(n_principal: float, l_angular: float, r0: float) -> float:
@@ -107,33 +115,11 @@ def radial_norm_3d(n_principal: float, l_angular: float, r0: float) -> float:
         raise DomainError(f"r0 must be positive and finite, got {r0!r}")
     if not l_angular > -1.5:
         raise DomainError(f"angular parameter must exceed -3/2, got {l_angular!r}")
-    deg = _even_gap(n_principal, l_angular)
+    deg = tower_degree(n_principal, l_angular, "N")
     log_c2 = (
         math.log(2.0)
         + math.lgamma(deg + 1.0)
         - math.lgamma(deg + l_angular + 1.5)
         - math.log(r0)
-    )
-    return math.exp(0.5 * log_c2)
-
-
-def radial_norm_2d(n_principal: float, abs_m: float, rho_scale: float) -> float:
-    """Normalization constant for the planar radial profile.
-
-    ``X(rho) = C (rho/s)^{|M|+1/2} exp(-rho^2/2 s^2) L_n^{|M|}(rho^2/s^2)`` with
-    ``n = (N - |M|)/2`` satisfies ``int_0^inf X^2 drho = 1`` when
-
-        ``C = sqrt(2 n! / (s Gamma(n + |M| + 1)))``.
-    """
-    if rho_scale <= 0.0 or not math.isfinite(rho_scale):
-        raise DomainError(f"radial scale must be positive and finite, got {rho_scale!r}")
-    if not abs_m > -1.0:
-        raise DomainError(f"|M| parameter must exceed -1, got {abs_m!r}")
-    deg = _even_gap(n_principal, abs_m)
-    log_c2 = (
-        math.log(2.0)
-        + math.lgamma(deg + 1.0)
-        - math.lgamma(deg + abs_m + 1.0)
-        - math.log(rho_scale)
     )
     return math.exp(0.5 * log_c2)

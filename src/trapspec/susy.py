@@ -1,19 +1,22 @@
-"""Supersymmetric partner construction for the isotropic-trap radial problem.
+"""Supersymmetric partner construction for the oscillator tower.
 
-For a fixed angular momentum ``L`` the radial hamiltonian, referenced to its
-ground level, factorizes through a superpotential ``U``:
+Every radial family here is one centrifugal-plus-harmonic tower at a real
+index ``lam > -3/2``: ``L`` for the isotropic 3D traps, ``|M| - 1/2`` for the
+planar (Paul, Penning) radial problems.  Referenced to its ground level, the
+tower hamiltonian factorizes through a superpotential ``U``:
 
     H+ = A† A ,   H- = A A† ,   A = d/dr + U'(r) ,
 
-    V± = (hbar^2/2m) (U'^2 ∓ U'') ,   U = r^2/2r0^2 - (L+1) ln(r/r0) .
+    V± = (hbar^2/2m) (U'^2 ∓ U'') ,   U = r^2/2r0^2 - (lam+1) ln(r/r0) .
 
 The two hamiltonians share their spectrum except for the ground state of
-``H+``, which ``A`` annihilates and which is absent from ``H-``.  For the
-oscillator tower this pairing is exact and closed-form: ``H-`` is again a
-centrifugal-plus-harmonic problem with ``L + 1``, the spectra are
-``E+ = hbar w0 (N - L)`` over ``N = L, L+2, ...`` and the same values for
-``H-`` starting at ``N_s = L + 2``, and the partner eigenfunctions are index
-maps of the conventional ones, ``W-_{N_s,L} = W_{N_s-1,L+1}``.
+``H+``, which ``A`` annihilates and which is absent from ``H-``.  This is
+the shape invariance of the oscillator: ``H-`` is again the tower, at
+``lam + 1``; the spectra are ``E+ = hbar w0 (n - lam)`` over the tower labels
+``n = lam, lam+2, ...`` and the same values for ``H-`` from ``n = lam + 2``,
+and the partner eigenfunctions are index maps of the conventional ones,
+``W-_{n,lam} = W_{n-1,lam+1}``.  In 3D the labels are ``N_s``; a planar
+level ``N`` has tower label ``N - 1/2``.
 
 Removing the lowest tower level models a closed shell plus one valence
 particle; iterating the construction steps through the magic filling
@@ -31,13 +34,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExcludedLevelError
-from .oscillator3d import OscillatorScales, RadialEigenstate, radial_wavefunction_3d, shell_capacity
+from .oscillator3d import OscillatorScales, RadialEigenstate, shell_capacity, tower_state
+from .special import tower_degree
 
 __all__ = [
     "Superpotential",
     "PartnerPair",
     "superpotential",
     "input_potential",
+    "tower_potential",
     "partner_pair",
     "partner_spectrum",
     "partner_wavefunction",
@@ -54,14 +59,14 @@ def _positive_radii(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superpotential:
-    """Generating function ``U(r) = r^2/2r0^2 - (L+1) ln(r/r0)``.
+    """Generating function ``U(r) = r^2/2r0^2 - (lam+1) ln(r/r0)``.
 
-    Its derivative vanishes only at ``r = r0 sqrt(L+1)`` (the ground-state
-    probability peak), and ``exp(-U)`` is the unnormalized nodeless ground
-    profile of the ``L`` tower.
+    ``l_angular`` is the tower index ``lam``.  The derivative vanishes only
+    at ``r = r0 sqrt(lam+1)`` (the ground-state probability peak), and
+    ``exp(-U)`` is the unnormalized nodeless ground profile of the tower.
     """
 
-    l_angular: int
+    l_angular: float
     r0: float
 
     def value(self, r):
@@ -83,23 +88,37 @@ class Superpotential:
         return float(out) if out.ndim == 0 else out
 
 
-def superpotential(l_angular: int, r0: float) -> Superpotential:
-    """Superpotential of the fixed-``L`` tower with oscillator length ``r0``."""
-    if int(l_angular) != l_angular or l_angular < 0:
-        raise DomainError(f"L must be a nonnegative integer, got {l_angular!r}")
+def superpotential(l_angular: float, r0: float) -> Superpotential:
+    """Superpotential of the tower ``lam = l_angular > -3/2`` with length ``r0``."""
+    if not (l_angular > -1.5 and math.isfinite(l_angular)):
+        raise DomainError(f"tower index must be finite and exceed -3/2, got {l_angular!r}")
     if not (r0 > 0.0 and math.isfinite(r0)):
         raise DomainError(f"r0 must be positive and finite, got {r0!r}")
-    return Superpotential(l_angular=int(l_angular), r0=r0)
+    return Superpotential(l_angular=float(l_angular), r0=r0)
+
+
+def _check_l(l_angular: int) -> None:
+    if int(l_angular) != l_angular or l_angular < 0:
+        raise DomainError(f"L must be a nonnegative integer, got {l_angular!r}")
+
+
+def _pair_3d(l_angular: int, n_spectroscopic: int, scales: OscillatorScales) -> PartnerPair:
+    """Pair of the 3D ``L`` tower, after the integer checks its labels need."""
+    _check_l(l_angular)
+    if int(n_spectroscopic) != n_spectroscopic:
+        raise DomainError(f"N_s must be an integer, got {n_spectroscopic!r}")
+    return partner_pair(superpotential(l_angular, scales.r0), scales)
 
 
 def input_potential(l_angular: int, scales: OscillatorScales) -> Callable[[float], float]:
     """Ground-referenced radial potential of the ``L`` tower.
 
     ``V+(r) = (hbar^2/2m) L(L+1)/r^2 + (1/2) m w0^2 r^2 - hbar w0 (L + 3/2)``,
-    whose lowest eigenvalue is exactly zero.
+    whose lowest eigenvalue is exactly zero.  Written out here rather than
+    through :func:`tower_potential`, so that comparing the two checks the
+    recovery path.
     """
-    if int(l_angular) != l_angular or l_angular < 0:
-        raise DomainError(f"L must be a nonnegative integer, got {l_angular!r}")
+    _check_l(l_angular)
     pref = scales.hbar**2 / (2.0 * scales.mass)
     spring = 0.5 * scales.mass * scales.omega0**2
     shift = scales.quantum * (l_angular + 1.5)
@@ -113,6 +132,26 @@ def input_potential(l_angular: int, scales: OscillatorScales) -> Callable[[float
     return v_plus
 
 
+def tower_potential(
+    l_angular: float, scales: OscillatorScales, shift: float
+) -> Callable[[float], float]:
+    """Closed-form tower ``(hbar^2/2m) lam(lam+1)/r^2 + (1/2) m w0^2 r^2 - shift``.
+
+    ``l_angular`` is the tower index ``lam``; the zero-referenced members
+    of the pair at ``lam`` subtract ``hbar w0 (lam + 3/2)`` (plus side) and,
+    at index ``lam + 1``, ``hbar w0 (lam + 1/2)`` (minus side).
+    """
+    pref = scales.hbar**2 / (2.0 * scales.mass)
+    spring = 0.5 * scales.mass * scales.omega0**2
+
+    def potential(r):
+        r = np.asarray(r, dtype=float)
+        value = pref * l_angular * (l_angular + 1.0) / (r * r) + spring * r * r - shift
+        return float(value) if value.ndim == 0 else value
+
+    return potential
+
+
 @dataclass(frozen=True)
 class PartnerPair:
     """The two partner potentials generated by one superpotential.
@@ -121,13 +160,14 @@ class PartnerPair:
     ``(hbar^2/2m)(U'^2 ∓ U'')`` — not from the simplified closed forms — so
     algebraic identities about them are genuine checks.  The pair shares all
     eigenvalues except the zero ground level, present only on the plus side.
+    Spectra and partner states take tower labels ``n = lam, lam+2, ...``.
     """
 
     generator: Superpotential
     scales: OscillatorScales
 
     @property
-    def l_angular(self) -> int:
+    def l_angular(self) -> float:
         return self.generator.l_angular
 
     def _combo(self, r, sign: float):
@@ -143,9 +183,33 @@ class PartnerPair:
     def minus_potential(self, r):
         return self._combo(r, +1.0)
 
+    def plus_spectrum(self, n_label: float) -> float:
+        """Ground-referenced tower energies ``hbar w0 (n - lam)``, n = lam, lam+2, ..."""
+        tower_degree(n_label, self.l_angular, "n")
+        return self.scales.quantum * (n_label - self.l_angular)
+
+    def minus_spectrum(self, n_label: float) -> float:
+        """Partner energies, identical except the absent ground label ``n = lam``."""
+        if tower_degree(n_label, self.l_angular, "n") == 0:
+            raise ExcludedLevelError(
+                f"n = {n_label!r} is the tower ground level the partner construction removes"
+            )
+        return self.plus_spectrum(n_label)
+
+    def partner_wavefunction(self, n_label: float) -> RadialEigenstate:
+        """Minus-side eigenfunction: the index-mapped profile ``W_{n-1, lam+1}``.
+
+        This is *not* the conventional ``W_{n,lam}`` state: the ladder
+        operator shifts both indices, which lowers the node count by one.
+        The returned state's ``energy`` is its absolute trap energy; the
+        zero-referenced partner eigenvalue is :meth:`minus_spectrum`.
+        """
+        self.minus_spectrum(n_label)
+        return tower_state(self.scales, n_label - 1.0, self.l_angular + 1.0)
+
 
 def partner_pair(generator: Superpotential, scales: OscillatorScales) -> PartnerPair:
-    """Pair ``(V+, V-)`` generated by ``U``; ``V-`` carries ``(L+1)(L+2)``."""
+    """Pair ``(V+, V-)`` generated by ``U``; ``V-`` carries ``(lam+1)(lam+2)``."""
     if not math.isclose(generator.r0, scales.r0, rel_tol=1e-12):
         raise DomainError(
             f"superpotential length {generator.r0!r} does not match the trap "
@@ -154,40 +218,20 @@ def partner_pair(generator: Superpotential, scales: OscillatorScales) -> Partner
     return PartnerPair(generator=generator, scales=scales)
 
 
-def _check_partner_label(l_angular: int, n_spectroscopic: int) -> None:
-    if int(l_angular) != l_angular or l_angular < 0:
-        raise DomainError(f"L must be a nonnegative integer, got {l_angular!r}")
-    n, l = n_spectroscopic, l_angular
-    if int(n) != n or n < l or (n - l) % 2 != 0:
-        raise DomainError(f"N_s must lie in {{{l}, {l + 2}, ...}}, got {n!r}")
-    if n == l:
-        raise ExcludedLevelError(
-            f"N_s = L = {l} is the level the partner construction removes"
-        )
-
-
 def partner_spectrum(l_angular: int, n_spectroscopic: int, scales: OscillatorScales) -> float:
     """Minus-side eigenvalue ``hbar w0 (N_s - L)`` for ``N_s = L+2, L+4, ...``.
 
     Identical to the plus-side value at the same label; the ``N_s = L``
     ground level is absent and raises :class:`ExcludedLevelError`.
     """
-    _check_partner_label(l_angular, n_spectroscopic)
-    return scales.quantum * (n_spectroscopic - l_angular)
+    return _pair_3d(l_angular, n_spectroscopic, scales).minus_spectrum(n_spectroscopic)
 
 
 def partner_wavefunction(
     n_spectroscopic: int, l_angular: int, scales: OscillatorScales
 ) -> RadialEigenstate:
-    """Minus-side eigenfunction: the index-mapped profile ``W_{N_s-1, L+1}``.
-
-    This is *not* the conventional ``W_{N_s,L}`` state: the ladder operator
-    shifts both indices, which lowers the node count by one.  The returned
-    state's ``energy`` is its absolute trap energy; the zero-referenced
-    partner eigenvalue is :func:`partner_spectrum`.
-    """
-    _check_partner_label(l_angular, n_spectroscopic)
-    return radial_wavefunction_3d(scales, n_spectroscopic - 1, l_angular + 1)
+    """Minus-side eigenfunction of the 3D ``L`` tower: ``W_{N_s-1, L+1}``."""
+    return _pair_3d(l_angular, n_spectroscopic, scales).partner_wavefunction(n_spectroscopic)
 
 
 def related_systems_3d(l_angular: int, count: int) -> list[int]:

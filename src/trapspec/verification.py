@@ -45,10 +45,10 @@ from .oscillator3d import (
 from .planar import (
     PaulFrequencies,
     PenningFrequencies,
-    PlanarPartnerPair,
     paul_energy,
     paul_related_systems,
     paul_shell_count,
+    paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_wavefunction,
@@ -158,6 +158,26 @@ def _problem(potential, centrifugal, r_max=12.0, origin_exponent=None) -> Radial
     )
 
 
+def _well(omega: float):
+    """Harmonic well ``w^2 r^2 / 2``."""
+    return lambda r: 0.5 * omega**2 * np.asarray(r, float) ** 2
+
+
+def _tower_problem(lam: float, omega: float, well) -> RadialProblem:
+    """Radial problem of tower ``lam``, ``lam(lam+1)/r^2 + well``, in natural units.
+
+    ``well`` is :func:`_well` at ``omega``; a suite builds one per frequency
+    and shares it, so a batched solve samples it once.  The origin exponent
+    ``lam + 1`` is the closed forms' ``r^(lam+1)``: the principal indicial
+    root for every ``lam >= -1/2`` (all 3D and planar towers), the other,
+    still regular, root for shifted towers below that.
+    """
+    return _problem(
+        well, lam * (lam + 1.0),
+        r_max=12.0 / math.sqrt(omega), origin_exponent=lam + 1.0,
+    )
+
+
 def _solve_energies(problems, node_targets) -> list[float]:
     """Eigenvalues of all states of a suite from one batched solve."""
     return [res.energy for res in solve_eigens(problems, node_targets)]
@@ -171,13 +191,10 @@ def check_spectrum_oracle(max_n: int = 16, max_l: int = 6) -> CheckResult:
     scales = _natural()
     start = time.perf_counter()
     worst, worst_label, n_states = 0.0, "", 0
-
-    def potential(r):
-        return 0.5 * r * r
-
     states = [(n, l) for n in range(max_n + 1) for l in allowed_angular(n) if l <= max_l]
+    well = _well(1.0)
     numeric = _solve_energies(
-        [_problem(potential, l * (l + 1.0)) for _, l in states],
+        [_tower_problem(l, 1.0, well) for _, l in states],
         [(n - l) // 2 for n, l in states],
     )
     for (n, l), energy in zip(states, numeric):
@@ -485,9 +502,7 @@ def check_defect_model() -> CheckResult:
             worst_point = max(worst_point, float(dev))
 
     model = EffectiveModel(l_angular=0, iterations=0, selector=0, delta=0.3, scales=scales)
-    ls = model.l_star
-    tower = _problem(lambda r: 0.5 * np.asarray(r, float) ** 2, ls * (ls + 1.0),
-                     origin_exponent=ls + 1.0)
+    tower = _tower_problem(model.l_star, 1.0, _well(1.0))
     worst_spec = 0.0
     for k, numeric in enumerate(_solve_energies([tower] * 5, range(5))):
         exact = defect_energy(model, 2 * k)
@@ -549,28 +564,16 @@ def _planar_reference() -> tuple[PaulFrequencies, PenningFrequencies]:
     return paul, penning
 
 
-def _radial_oracle(omega: float, abs_m: int) -> RadialProblem:
-    """2D radial problem of tower ``|M|`` in a planar trap of frequency ``omega``."""
-
-    def potential(rho):
-        return 0.5 * omega**2 * np.asarray(rho, float) ** 2
-
-    return _problem(
-        potential, abs_m * abs_m - 0.25,
-        r_max=12.0 / math.sqrt(omega), origin_exponent=abs_m + 0.5,
-    )
-
-
 def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> CheckResult:
     paul, penning = _planar_reference()
     thr = tolerance("planar_energy_relative")
     worst, worst_label = 0.0, ""
 
     levels = [(n, m) for m in range(max_abs_m + 1) for n in range(m, max_n + 1, 2)]
-    omegas = (paul.secular, penning.hybrid / 2.0)
+    wells = [(omega, _well(omega)) for omega in (paul.secular, penning.hybrid / 2.0)]
     energies = _solve_energies(
-        [_radial_oracle(omega, m) for omega in omegas for _, m in levels],
-        [(n - m) // 2 for n, m in levels] * len(omegas),
+        [_tower_problem(m - 0.5, omega, well) for omega, well in wells for _, m in levels],
+        [(n - m) // 2 for n, m in levels] * len(wells),
     )
     radial_paul = dict(zip(levels, energies[: len(levels)]))
     radial_penning = dict(zip(levels, energies[len(levels) :]))
@@ -602,11 +605,11 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
     grid = np.linspace(1e-3, 12.0, 4001)
     worst_map = 0.0
     for m in range(3):
-        pair = PlanarPartnerPair(abs_m=m, omega=1.0, mass=1.0, hbar=1.0)
+        pair = paul_susy_partner(paul, m)
         for n_s in (m + 2, m + 4):
             state = paul_wavefunctions(paul, n_s, m, 0)[1]
-            lowered = state.derivative(grid) + pair.superpotential_derivative(grid) * state(grid)
-            target = pair.partner_wavefunction(n_s)(grid)
+            lowered = state.derivative(grid) + pair.generator.derivative(grid) * state(grid)
+            target = pair.partner_wavefunction(n_s - 0.5)(grid)
             lowered /= math.sqrt(np.trapezoid(lowered**2, grid))
             target /= math.sqrt(np.trapezoid(target**2, grid))
             if float(lowered @ target) < 0.0:

@@ -541,6 +541,16 @@ class TestErrorWiring:
         assert code == 2
         assert err.startswith("config error: cannot read config file")
 
+    def test_oversized_config_number_exits_2(self, tmp_path, capsys):
+        geometry = dict(IP_GEOMETRY, coil_current_A=10**400)
+        path = write_config(tmp_path, "big.json", "ioffe_pritchard", geometry, PARTICLE)
+        code, out, err = run(capsys, "scales", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "config error: field 'coil_current_A' in geometry record is too large for a float\n"
+        )
+
     def test_oracle_failures_exit_4(self, monkeypatch, capsys):
         def boom(args):
             raise OracleError("integrator stalled")

@@ -81,6 +81,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="must be finite"):
             make("paul", geom)
 
+    def test_oversized_integer_rejected(self):
+        # A JSON integer past the float range must not escape as OverflowError.
+        geom = dict(PAUL_GEOMETRY, voltage_V=10**400)
+        with pytest.raises(ConfigError, match="voltage_V.*too large for a float"):
+            make("paul", geom)
+
     def test_magnetic_trap_needs_particle(self):
         with pytest.raises(ConfigError, match="missing required field"):
             make("top", TOP_GEOMETRY)
@@ -161,6 +167,13 @@ class TestFileRoundTrip:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(path))
+
+    def test_integer_past_digit_limit(self, tmp_path):
+        # json.load raises a plain ValueError beyond the interpreter's digit limit.
+        path = tmp_path / "run.json"
+        path.write_text('{"trap": "paul", "geometry": {"voltage_V": ' + "9" * 5000 + "}}")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(path))
 

@@ -141,6 +141,8 @@ class TestDefectEnergies:
             defect_energy(m, 0)
         with pytest.raises(DomainError):
             defect_energy(m, 3)
+        with pytest.raises(DomainError):
+            defect_energy(m, 2 + 1e-10)
 
     def test_matches_shooting_solver(self):
         m = model(l=0, i=0, delta=0.3)
@@ -291,6 +293,8 @@ class TestRecovery:
             rec.spectrum(0)
         with pytest.raises(DomainError):
             rec.spectrum(3)
+        with pytest.raises(DomainError):
+            rec.spectrum(2 + 1e-10)
 
     def test_bookkeeping_constants(self):
         rec = recover_partner(1, 1, 0, SI)

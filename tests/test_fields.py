@@ -18,14 +18,13 @@ from trapspec.fields import (
     biot_savart_field,
     ip_field_cartesian,
     ip_field_series,
-    ip_isotropy_residual,
     ip_potential,
     ip_scales,
+    isotropy_residual,
     oscillator_scales,
     solve_bar_current,
     solve_quad_current,
     top_field_series,
-    top_isotropy_residual,
     top_scales,
     top_time_average_numeric,
     top_time_avg_potential,
@@ -236,7 +235,7 @@ class TestIpPotential:
 
 class TestIpTuning:
     def test_solved_current_zeroes_residual(self):
-        assert abs(ip_isotropy_residual(ip_scales(tuned_ip_geometry()))) < 1e-12
+        assert abs(isotropy_residual(ip_scales(tuned_ip_geometry()))) < 1e-12
 
     def test_doubled_current_residual_three(self):
         g = tuned_ip_geometry()
@@ -247,14 +246,14 @@ class TestIpTuning:
             g.bar_distance,
             2.0 * g.bar_current,
         )
-        assert ip_isotropy_residual(ip_scales(doubled)) == pytest.approx(
+        assert isotropy_residual(ip_scales(doubled)) == pytest.approx(
             3.0, rel=1e-12
         )
 
     def test_unconfining_geometry_rejected(self):
         g = IoffePritchardGeometry(0.05, 0.02, 10.0, 0.01, 5.0)
         with pytest.raises(ConfinementError):
-            ip_isotropy_residual(ip_scales(g))
+            isotropy_residual(ip_scales(g))
         with pytest.raises(ConfinementError):
             solve_bar_current(g)
 
@@ -355,7 +354,7 @@ class TestTopPotential:
 
 class TestTopTuning:
     def test_solved_current_zeroes_residual(self):
-        assert abs(top_isotropy_residual(top_scales(tuned_top_geometry()))) < 1e-12
+        assert abs(isotropy_residual(top_scales(tuned_top_geometry()))) < 1e-12
 
     def test_doubled_current_residual_three(self):
         g = tuned_top_geometry()
@@ -368,14 +367,14 @@ class TestTopTuning:
             g.bias_current,
             g.bias_frequency,
         )
-        assert top_isotropy_residual(top_scales(doubled)) == pytest.approx(
+        assert isotropy_residual(top_scales(doubled)) == pytest.approx(
             3.0, rel=1e-12
         )
 
     def test_flat_bias_pair_rejected(self):
         g = TopGeometry(0.02, 0.02, 8.0, 0.03, 0.01, 20.0, 1e4)  # 2A_b < R_b
         with pytest.raises(ConfinementError):
-            top_isotropy_residual(top_scales(g))
+            isotropy_residual(top_scales(g))
 
 
 class TestConductorOracle:

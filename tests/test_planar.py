@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import eval_genlaguerre
 
 from trapspec import DomainError, ExcludedLevelError, StabilityError
 from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
@@ -14,7 +17,6 @@ from trapspec.planar import (
     PaulParams,
     PenningFrequencies,
     PenningParams,
-    PlanarPartnerPair,
     paul_effective_potential,
     paul_energy,
     paul_frequencies,
@@ -237,6 +239,9 @@ class TestPaulWavefunctions:
 
 
 class TestPlanarPartner:
+    # The pairs are the 3D PartnerPair at lam = |M| - 1/2; their labels are
+    # tower labels N - 1/2.
+
     def test_minus_is_shifted_next_tower(self):
         pair = paul_susy_partner(PAUL, 1)
         upper = paul_susy_partner(PAUL, 2)
@@ -255,13 +260,13 @@ class TestPlanarPartner:
 
     def test_tower_spectra(self):
         pair = paul_susy_partner(PAUL, 2)
-        assert pair.plus_spectrum(2) == 0.0
-        assert pair.plus_spectrum(6) == pytest.approx(4.0)
-        assert pair.minus_spectrum(4) == pytest.approx(2.0)
+        assert pair.plus_spectrum(2 - 0.5) == 0.0
+        assert pair.plus_spectrum(6 - 0.5) == pytest.approx(4.0)
+        assert pair.minus_spectrum(4 - 0.5) == pytest.approx(2.0)
         with pytest.raises(ExcludedLevelError):
-            pair.minus_spectrum(2)
+            pair.minus_spectrum(2 - 0.5)
         with pytest.raises(DomainError):
-            pair.minus_spectrum(3)
+            pair.minus_spectrum(3 - 0.5)
 
     def test_minus_ground_energy_numeric(self):
         # Lowest minus-side level (two quanta above the removed ground).
@@ -270,11 +275,11 @@ class TestPlanarPartner:
         e = radial_oracle(PAUL.secular, m_up, 0)  # inner tower |M|+1
         # V- = V+(|M|+1) + 2 hbar w; ground-referencing shifts cancel:
         e_minus = e - PAUL.quantum * (m_up + 1) + 2.0 * PAUL.quantum
-        assert e_minus == pytest.approx(pair.minus_spectrum(2), rel=1e-6)
+        assert e_minus == pytest.approx(pair.minus_spectrum(2 - 0.5), rel=1e-6)
 
     def test_wavefunction_index_map(self):
         pair = paul_susy_partner(PAUL, 1)
-        mapped = pair.partner_wavefunction(3)
+        mapped = pair.partner_wavefunction(3 - 0.5)
         _, direct = paul_wavefunctions(PAUL, 2, 2, 0)
         rho = np.linspace(0.05, 7.0, 40)
         np.testing.assert_allclose(mapped(rho), direct(rho), rtol=1e-12)
@@ -282,27 +287,73 @@ class TestPlanarPartner:
     def test_lowest_partner_state_nodeless(self):
         pair = paul_susy_partner(PAUL, 2)
         rho = np.linspace(1e-3, 9.0, 4001)
-        assert np.all(pair.partner_wavefunction(4)(rho) > 0.0)
+        assert np.all(pair.partner_wavefunction(4 - 0.5)(rho) > 0.0)
 
     def test_annihilation_of_ground(self):
         pair = paul_susy_partner(PAUL, 1)
         _, ground = paul_wavefunctions(PAUL, 1, 1, 0)
         rho = np.linspace(0.02, 9.0, 20001)
-        lowered = ground.derivative(rho) + pair.superpotential_derivative(rho) * ground(rho)
+        lowered = ground.derivative(rho) + pair.generator.derivative(rho) * ground(rho)
         norm = math.sqrt(integrate.simpson(lowered**2, x=rho))
         assert norm < 1e-8
 
     def test_superpotential_stationary_at_ground_peak(self):
         pair = paul_susy_partner(PAUL, 3)
-        peak = pair.length * math.sqrt(3.5)
-        assert pair.superpotential_derivative(peak) == pytest.approx(0.0, abs=1e-13)
+        peak = pair.generator.r0 * math.sqrt(3.5)
+        assert pair.generator.derivative(peak) == pytest.approx(0.0, abs=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            PlanarPartnerPair(abs_m=-1, omega=1.0, mass=1.0, hbar=1.0)
+            paul_susy_partner(PAUL, -1)
         pair = paul_susy_partner(PAUL, 0)
         with pytest.raises(DomainError):
-            pair.superpotential_derivative(0.0)
+            pair.generator.derivative(0.0)
+
+
+def planar_profile_reference(n_radial, abs_m, length, rho):
+    """X = sqrt(2 n!/(s Gamma(n+|M|+1))) u^{|M|+1/2} e^{-u^2/2} L_n^{|M|}(u^2), n = (N-|M|)/2."""
+    n = (n_radial - abs_m) // 2
+    log_c2 = math.log(2.0) + math.lgamma(n + 1.0) - math.log(length) - math.lgamma(n + abs_m + 1.0)
+    u = rho / length
+    return (
+        math.exp(0.5 * log_c2) * u ** (abs_m + 0.5) * np.exp(-0.5 * u * u)
+        * eval_genlaguerre(n, abs_m, u * u)
+    )
+
+
+class TestRadialFactorProperty:
+    # The Paul and Penning radial factors are the 3D tower at lam = |M| - 1/2;
+    # an inline planar formula evaluated through scipy is the independent route.
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        abs_m=st.integers(0, 30),
+        degree=st.integers(0, 30),
+        length=st.floats(1e-7, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    def test_paul_and_penning_match_planar_formula(self, abs_m, degree, length):
+        n = abs_m + 2 * degree
+        # Out to the classical turning point s sqrt(2N + 2), plus six lengths.
+        rho = np.linspace(0.0, length * (math.sqrt(2.0 * n + 2.0) + 6.0), 400)
+        want = planar_profile_reference(n, abs_m, length, rho)
+        tol = 1e-12 * np.max(np.abs(want))
+
+        secular = 1.0 / length**2  # length = sqrt(hbar/(m w)) with hbar = m = 1
+        paul = PaulFrequencies(
+            quadrupole=20.0 * secular, secular=secular, length=length,
+            drive=400.0 * secular, drive_ratio=20.0, mass=1.0, hbar=1.0,
+        )
+        hybrid = 2.0 * secular  # the Penning radial frequency is hybrid / 2
+        penning = PenningFrequencies(
+            axial=secular, cyclotron=math.sqrt(hybrid**2 + 2.0 * secular**2),
+            hybrid=hybrid, mass=1.0, hbar=1.0,
+        )
+        factors = (
+            paul_wavefunctions(paul, n, abs_m, 0)[1],
+            penning_wavefunction(penning, n, 0, -abs_m).radial,
+        )
+        for got in factors:
+            assert np.max(np.abs(got(rho) - want)) <= tol
 
 
 class TestPaulShellCounts:
@@ -451,7 +502,7 @@ class TestPenningStates:
 
     def test_radial_factor_matches_partner_map(self):
         pair = penning_susy_partner(PENNING, 1)
-        mapped = pair.partner_wavefunction(3)
+        mapped = pair.partner_wavefunction(3 - 0.5)
         direct = penning_wavefunction(PENNING, 2, 0, 2).radial
         rho = np.linspace(0.05, 6.0, 30)
         np.testing.assert_allclose(mapped(rho), direct(rho), rtol=1e-12)
@@ -459,8 +510,8 @@ class TestPenningStates:
     def test_partner_tower_spacing(self):
         # Penning partner towers step by hbar Omega (twice the radial quantum).
         pair = penning_susy_partner(PENNING, 0)
-        assert pair.omega == pytest.approx(0.5 * PENNING.hybrid, rel=1e-14)
-        step = pair.minus_spectrum(4) - pair.minus_spectrum(2)
+        assert pair.scales.omega0 == pytest.approx(0.5 * PENNING.hybrid, rel=1e-14)
+        step = pair.minus_spectrum(4 - 0.5) - pair.minus_spectrum(2 - 0.5)
         assert step == pytest.approx(PENNING.hybrid, rel=1e-13)
 
 

@@ -12,7 +12,6 @@ from trapspec.special import (
     hermite,
     laguerre_gen,
     laguerre_gen_derivative,
-    radial_norm_2d,
     radial_norm_3d,
 )
 
@@ -235,16 +234,23 @@ class TestRadialNorm3d:
 
 
 class TestRadialNorm2d:
+    # The planar profile X_{N,M} is the tower profile at lam = |M| - 1/2 with
+    # label N - 1/2, so its constant is radial_norm_3d(N - 1/2, |M| - 1/2, s).
+
+    @staticmethod
+    def norm_2d(n, abs_m, scale):
+        return radial_norm_3d(n - 0.5, abs_m - 0.5, scale)
+
     def test_ground_state_closed_form(self):
         # integral C^2 (rho/s) exp(-rho^2/s^2) drho = C^2 s/2, so C = sqrt(2/s).
         for scale in (1.0, 0.62):
             want = math.sqrt(2.0 / scale)
-            assert radial_norm_2d(0, 0, scale) == pytest.approx(want, rel=1e-13)
+            assert self.norm_2d(0, 0, scale) == pytest.approx(want, rel=1e-13)
 
     def test_unit_norm_by_quadrature(self):
         scale = 1.0
         for n, m in ((0, 0), (2, 2), (4, 0), (6, 4), (8, 2)):
-            c = radial_norm_2d(n, m, scale)
+            c = self.norm_2d(n, m, scale)
             k = (n - m) // 2
 
             def x_profile(rho):
@@ -262,10 +268,10 @@ class TestRadialNorm2d:
             assert abs(val - 1.0) < 1e-10
 
     def test_scale_dependence(self):
-        assert radial_norm_2d(4, 2, 3.0) == pytest.approx(
-            radial_norm_2d(4, 2, 1.0) / math.sqrt(3.0), rel=1e-13
+        assert self.norm_2d(4, 2, 3.0) == pytest.approx(
+            self.norm_2d(4, 2, 1.0) / math.sqrt(3.0), rel=1e-13
         )
 
     def test_bad_parity_rejected(self):
         with pytest.raises(DomainError):
-            radial_norm_2d(3, 0, 1.0)
+            self.norm_2d(3, 0, 1.0)

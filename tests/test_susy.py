@@ -90,8 +90,9 @@ class TestSuperpotential:
             u.derivative(-1.0)
 
     def test_rejects_bad_construction(self):
+        # Any real tower index above -3/2 is valid (planar towers use |M| - 1/2).
         with pytest.raises(DomainError):
-            superpotential(-1, 1.0)
+            superpotential(-1.5, 1.0)
         with pytest.raises(DomainError):
             superpotential(0, 0.0)
 
@@ -186,6 +187,10 @@ class TestPartnerSpectrum:
             partner_spectrum(0, 1, NAT)
         with pytest.raises(DomainError):
             partner_spectrum(2, 0, NAT)
+        with pytest.raises(DomainError):
+            partner_spectrum(0, 2 + 1e-10, NAT)
+        with pytest.raises(DomainError):
+            partner_wavefunction(2 + 1e-10, 0, NAT)
 
 
 class TestPartnerWavefunctions:
