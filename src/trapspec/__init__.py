@@ -91,12 +91,11 @@ from .defect import (
     recover_partner,
 )
 from .planar import (
-    AxialState,
     PaulFrequencies,
     PaulParams,
     PenningFrequencies,
     PenningParams,
-    PenningState,
+    PlanarState,
     paul_effective_potential,
     paul_energy,
     paul_frequencies,

@@ -238,7 +238,7 @@ def _cmd_scales(args) -> int:
             ("secular_rad_per_s", freqs.secular),
             ("drive_rad_per_s", freqs.drive),
             ("drive_ratio", freqs.drive_ratio),
-            ("radial_length_m", freqs.length),
+            ("radial_length_m", freqs.radial_scales.r0),
             ("quantum_J", freqs.quantum),
         ]
     else:
@@ -248,8 +248,8 @@ def _cmd_scales(args) -> int:
             ("cyclotron_rad_per_s", freqs.cyclotron),
             ("hybrid_rad_per_s", freqs.hybrid),
             ("tuning_k", freqs.tuning),
-            ("radial_length_m", freqs.radial_length),
-            ("axial_length_m", freqs.axial_length),
+            ("radial_length_m", freqs.radial_scales.r0),
+            ("axial_length_m", freqs.axial_scales.r0),
         ]
     _print_pairs(pairs)
     return 0
@@ -372,42 +372,30 @@ def _cmd_wavefunction(args) -> int:
     if args.points < 2 or args.r_max <= 0.0:
         raise DomainError("wavefunction needs at least 2 points and a positive --r-max")
 
+    # One table for every factor, W(r), X(rho) or Z(z), on the factor's own r0.
     if cfg.trap in MAGNETIC:
-        osc = _oscillator(cfg)
-        state = radial_wavefunction_3d(osc, args.n_level, args.l_angular)
-        grid = np.linspace(0.0, args.r_max, args.points) * osc.r0
-        values = state(grid)
-        if natural:
-            text = exports.wavefunction_table(
-                "r_over_r0", ("W_times_sqrt_r0",),
-                grid / osc.r0, (values * math.sqrt(osc.r0),),
-            )
+        factor = radial_wavefunction_3d(_oscillator(cfg), args.n_level, args.l_angular)
+        start, name, column, scale = 0.0, "r", "W", "r0"
+    else:
+        freqs = _planar_frequencies(cfg)
+        if cfg.trap == "paul":
+            state = paul_wavefunctions(freqs, args.n_level, args.m_azimuthal, args.k_axial)
         else:
-            text = exports.wavefunction_table("r_m", ("W_per_sqrt_m",), grid, (values,))
-        _emit(args, text)
-        return 0
-
-    freqs = _planar_frequencies(cfg)
-    if cfg.trap == "paul":
-        axial, radial = paul_wavefunctions(freqs, args.n_level, args.m_azimuthal, args.k_axial)
-        radial_scale, axial_scale = freqs.length, freqs.length / math.sqrt(2.0)
-    else:
-        state = penning_wavefunction(freqs, args.n_level, args.k_axial, args.m_azimuthal)
-        axial, radial = state.axial, state.radial
-        radial_scale, axial_scale = freqs.radial_length, freqs.axial_length
-    if args.axis == "radial":
-        grid = np.linspace(0.0, args.r_max, args.points) * radial_scale
-        values, name, unit = radial(grid), "rho", radial_scale
-    else:
-        grid = np.linspace(-args.r_max, args.r_max, args.points) * axial_scale
-        values, name, unit = axial(grid), "z", axial_scale
+            state = penning_wavefunction(freqs, args.n_level, args.k_axial, args.m_azimuthal)
+        if args.axis == "axial":
+            factor, start, name = state.axial, -args.r_max, "z"
+        else:
+            factor, start, name = state.radial, 0.0, "rho"
+        column, scale = "X", "scale"
+    grid = np.linspace(start, args.r_max, args.points) * factor.r0
+    values = factor(grid)
     if natural:
         text = exports.wavefunction_table(
-            f"{name}_over_scale", ("X_times_sqrt_scale",),
-            grid / unit, (values * math.sqrt(unit),),
+            f"{name}_over_{scale}", (f"{column}_times_sqrt_{scale}",),
+            grid / factor.r0, (values * math.sqrt(factor.r0),),
         )
     else:
-        text = exports.wavefunction_table(f"{name}_m", ("X_per_sqrt_m",), grid, (values,))
+        text = exports.wavefunction_table(f"{name}_m", (f"{column}_per_sqrt_m",), grid, (values,))
     _emit(args, text)
     return 0
 
@@ -547,6 +535,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, value in vars(args).items():  # the models compute in floats
+            if type(value) is int and abs(value) > sys.float_info.max:
+                raise DomainError(f"option --{dest.replace('_', '-')} is too large for a float")
         return HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, MU0
+from .constants import MU0
 from .errors import AccuracyError, ConfinementError, DomainError, SingularityError
 from .oscillator3d import OscillatorScales
 
@@ -159,7 +159,6 @@ class DerivedScales:
     field: float
     gradient: float
     bias_frequency: float = 0.0
-    mu0: float = MU0
 
     @property
     def confining(self) -> bool:

@@ -109,11 +109,12 @@ class RadialEigenstate:
 
     ``n = (N - L)/2`` is the Laguerre degree.  ``l_angular`` is the tower
     index: ``L`` for the 3D oscillator, ``|M| - 1/2`` for the planar radial
-    factor ``X = sqrt(rho) R(rho)`` (with ``n_principal = N - 1/2``) and the
-    non-integer ``L*`` of a quantum-defect tower; ``n_principal -
+    factor ``X = sqrt(rho) R(rho)`` (with ``n_principal = N - 1/2``),
+    ``K mod 2 - 1`` for the planar axial factor (with ``n_principal = K - 1``)
+    and the non-integer ``L*`` of a quantum-defect tower; ``n_principal -
     l_angular`` must be a nonnegative even integer.  The full 3D state is
     ``psi = (r0/r) W(r) Y_{LM}``; with the normalization constant used here
-    ``int_0^inf W^2 dr = 1``.
+    ``int_0^inf W^2 dr = 1``.  The axial factor is called at signed ``z``.
     """
 
     n_principal: float
@@ -155,8 +156,9 @@ class RadialEigenstate:
 def tower_state(scales: OscillatorScales, n_principal: float, l_angular: float) -> RadialEigenstate:
     """Unit-normalized tower profile ``W_{n, lam}`` of the oscillator ``scales``.
 
-    Every radial family is built here, on the length ``scales.r0`` and at
-    the tower level ``E0 + hbar w0 (n + 3/2)``.
+    Every radial family and the planar axial factor are built here, on the
+    length ``scales.r0`` and at the tower level ``E0 + hbar w0 (n + 3/2)``
+    (for the axial factor, label ``K - 1``, that is ``hbar w (K + 1/2)``).
     """
     return RadialEigenstate(
         n_principal=n_principal,

@@ -20,22 +20,25 @@ and ``X_{N,M}`` is the tower profile ``W_{N-1/2, |M|-1/2}``, so the radial
 factors are :class:`~trapspec.oscillator3d.RadialEigenstate` objects and the
 fixed-``(M, K)`` partner step is the 3D :class:`~trapspec.susy.PartnerPair`
 (radial frequency ``w_p`` for Paul, ``Omega/2`` for Penning), whose labels
-are the tower labels ``N - 1/2``.  Shell counts double for spin, unlike the
-magnetic traps (charged particles of either spin are held).
+are the tower labels ``N - 1/2``.  The axial factor ``e^{-u^2/2} H_K(u)`` is
+the same tower at ``lam = K mod 2 - 1`` (DLMF 18.7.19-20) on the axial
+oscillator (``2 w_p`` for Paul, ``w_z`` for Penning), evaluated at signed z.
+Shell counts double for spin, unlike the magnetic traps (charged particles
+of either spin are held).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import DomainError, StabilityError
 from .oscillator3d import OscillatorScales, RadialEigenstate, tower_state
-from .special import hermite, tower_degree
+from .special import tower_degree
 from .susy import PartnerPair, partner_pair, superpotential
 
 __all__ = [
@@ -43,7 +46,7 @@ __all__ = [
     "PaulFrequencies",
     "PenningParams",
     "PenningFrequencies",
-    "AxialState",
+    "PlanarState",
     "validate_planar_numbers",
     "paul_frequencies",
     "static_quadrupole_potential",
@@ -56,7 +59,6 @@ __all__ = [
     "penning_frequencies",
     "penning_energy",
     "penning_wavefunction",
-    "PenningState",
     "penning_susy_partner",
     "penning_state_count",
 ]
@@ -91,22 +93,27 @@ class PaulParams:
 
 @dataclass(frozen=True)
 class PaulFrequencies:
-    """Derived Paul-trap scales.
+    """Paul-trap scales from the static quadrupole and the drive.
 
     ``quadrupole`` is the intrinsic frequency sqrt(sqrt(2)|qV|/m d^2) of the
-    static quadrupole, ``secular`` the effective-well frequency
-    quadrupole^2/(4 drive), ``length`` the radial oscillator length, and
-    ``drive_ratio`` = drive/quadrupole the validity figure of the
-    time-averaged description (questionable below ~10).
+    static quadrupole and ``drive`` the drive frequency; every other scale
+    follows from these two.
     """
 
     quadrupole: float
-    secular: float
-    length: float
     drive: float
-    drive_ratio: float
     mass: float
     hbar: float = HBAR
+
+    @property
+    def secular(self) -> float:
+        """Effective-well frequency ``w_p = quadrupole^2 / (4 drive)``."""
+        return self.quadrupole**2 / (4.0 * self.drive)
+
+    @property
+    def drive_ratio(self) -> float:
+        """``drive/quadrupole``: validity figure of the time-averaged well (questionable below ~10)."""
+        return self.drive / self.quadrupole
 
     @property
     def quantum(self) -> float:
@@ -118,29 +125,25 @@ class PaulFrequencies:
         """The radial oscillator: frequency ``w_p``, zero energy offset."""
         return OscillatorScales(mass=self.mass, omega0=self.secular, hbar=self.hbar)
 
+    @property
+    def axial_scales(self) -> OscillatorScales:
+        """The axial oscillator: frequency ``2 w_p``, zero energy offset."""
+        return OscillatorScales(mass=self.mass, omega0=2.0 * self.secular, hbar=self.hbar)
+
 
 def paul_frequencies(params: PaulParams, hbar: float = HBAR) -> PaulFrequencies:
     """Secular-approximation scales; warns when the drive is not fast enough."""
     quadrupole = math.sqrt(
         math.sqrt(2.0) * abs(params.charge * params.voltage) / (params.mass * params.size**2)
     )
-    secular = quadrupole**2 / (4.0 * params.drive)
-    ratio = params.drive / quadrupole
-    if ratio < DRIVE_RATIO_FLOOR:
+    freqs = PaulFrequencies(quadrupole=quadrupole, drive=params.drive, mass=params.mass, hbar=hbar)
+    if freqs.drive_ratio < DRIVE_RATIO_FLOOR:
         warnings.warn(
-            f"drive/quadrupole frequency ratio {ratio:.3g} is below {DRIVE_RATIO_FLOOR:g}; "
-            "the time-averaged potential is unreliable this slow",
+            f"drive/quadrupole frequency ratio {freqs.drive_ratio:.3g} is below "
+            f"{DRIVE_RATIO_FLOOR:g}; the time-averaged potential is unreliable this slow",
             stacklevel=2,
         )
-    return PaulFrequencies(
-        quadrupole=quadrupole,
-        secular=secular,
-        length=math.sqrt(hbar / (params.mass * secular)),
-        drive=params.drive,
-        drive_ratio=ratio,
-        mass=params.mass,
-        hbar=hbar,
-    )
+    return freqs
 
 
 def static_quadrupole_potential(params: PaulParams, rho, z):
@@ -180,56 +183,62 @@ def paul_energy(freqs: PaulFrequencies, n_radial: int, k_axial: int) -> float:
 
 
 @dataclass(frozen=True)
-class AxialState:
-    """Axial factor ``Z_K(z) = (z0 2^K K! sqrt(pi))^{-1/2} e^{-z^2/2z0^2} H_K(z/z0)``.
+class PlanarState:
+    """Separated Paul or Penning eigenfunction ``psi(rho, phi, z)``, unit 3D norm.
 
-    Unit-normalized along z.  For the Paul trap the axial frequency is twice
-    the radial one, so ``z0 = length/sqrt(2)``; may carry an azimuthal phase
-    factor ``exp(i M phi)`` when called with two arguments.
+    ``psi = X(rho)/sqrt(rho) * Z(z) * e^{iM phi}/sqrt(2 pi)``, complex-valued.
+    ``radial`` is ``X``, the tower at ``|M| - 1/2`` on the radial oscillator
+    (``int X^2 drho = 1``); ``axial`` is ``Z``, the tower at ``K mod 2 - 1``
+    on the axial oscillator, called at signed ``z`` (``int Z^2 dz = 1`` over
+    the whole line).  ``energy`` is the level energy of the full state.
     """
 
-    k_axial: int
+    radial: RadialEigenstate
+    axial: RadialEigenstate
     m_azimuthal: int
-    z_scale: float
-    norm: float
+    energy: float
 
-    def __call__(self, z, phi=None):
-        u = np.asarray(z, dtype=float) / self.z_scale
-        val = self.norm * np.exp(-0.5 * u * u) * hermite(self.k_axial, u)
-        if phi is not None:
-            val = val * np.exp(1j * self.m_azimuthal * np.asarray(phi, dtype=float))
-        if np.asarray(z).ndim or (phi is not None and np.asarray(phi).ndim):
-            return val
-        return complex(val) if phi is not None else float(val)
+    def __call__(self, rho, phi, z):
+        rho_arr = np.asarray(rho, dtype=float)
+        with np.errstate(divide="ignore"):
+            r_part = self.radial(rho_arr) / np.sqrt(rho_arr)
+        out = (
+            r_part
+            * self.axial(z)
+            * np.exp(1j * self.m_azimuthal * np.asarray(phi, dtype=float))
+            / math.sqrt(2.0 * math.pi)
+        )
+        scalars = not (np.asarray(rho).ndim or np.asarray(phi).ndim or np.asarray(z).ndim)
+        return complex(out) if scalars else out
 
 
-def _axial_norm(z_scale: float, k_axial: int) -> float:
-    log_n = -0.5 * (
-        math.log(z_scale) + k_axial * math.log(2.0) + math.lgamma(k_axial + 1.0)
-        + 0.5 * math.log(math.pi)
+def _planar_state(freqs, n_radial: int, m_azimuthal: int, k_axial: int, energy: float) -> PlanarState:
+    """The ``(N, M, K)`` state on ``freqs.radial_scales`` and ``freqs.axial_scales``."""
+    k = int(k_axial)
+    tower = tower_state(freqs.axial_scales, k - 1.0, k % 2 - 1.0)
+    # e^{-u^2/2} H_K(u) is (-1)^{floor(K/2)} times a positive multiple of the
+    # tower profile; the sign keeps H_K's and 1/sqrt(2) takes the half-line
+    # norm of the tower to the whole line.
+    axial = replace(tower, norm=(-1) ** (k // 2) * tower.norm / math.sqrt(2.0))
+    return PlanarState(
+        radial=tower_state(freqs.radial_scales, n_radial - 0.5, abs(int(m_azimuthal)) - 0.5),
+        axial=axial,
+        m_azimuthal=int(m_azimuthal),
+        energy=energy,
     )
-    return math.exp(log_n)
 
 
 def paul_wavefunctions(
     freqs: PaulFrequencies, n_radial: int, m_azimuthal: int, k_axial: int
-) -> tuple[AxialState, RadialEigenstate]:
-    """Axial/azimuthal factor and radial factor of the ``(N, M, K)`` state.
+) -> PlanarState:
+    """The ``(N, M, K)`` Paul eigenstate.
 
-    The axial factor is unit-normalized along z (call with ``(z, phi)`` to
-    include the azimuthal phase); the radial factor satisfies
-    ``int X^2 drho = 1`` and carries the radial energy ``hbar w_p (N + 1)``.
+    The radial factor carries the radial energy ``hbar w_p (N + 1)``, the
+    axial factor ``hbar w_p (2K + 1)`` and the state ``hbar w_p (N + 2K + 2)``.
     """
     validate_planar_numbers(n_radial, m_azimuthal, k_axial)
-    z0 = freqs.length / math.sqrt(2.0)
-    axial = AxialState(
-        k_axial=int(k_axial),
-        m_azimuthal=int(m_azimuthal),
-        z_scale=z0,
-        norm=_axial_norm(z0, int(k_axial)),
-    )
-    lam = abs(int(m_azimuthal)) - 0.5
-    return axial, tower_state(freqs.radial_scales, n_radial - 0.5, lam)
+    energy = paul_energy(freqs, n_radial, k_axial)
+    return _planar_state(freqs, n_radial, m_azimuthal, k_axial, energy)
 
 
 def _tower_pair(abs_m: int, scales: OscillatorScales) -> PartnerPair:
@@ -302,15 +311,26 @@ class PenningFrequencies:
     """Penning mode frequencies: axial ``w_z``, cyclotron ``w_c``, hybrid ``Omega``.
 
     ``hybrid = sqrt(w_c^2 - 2 w_z^2)`` is twice the radial oscillator
-    frequency and is real only for the stable tuning ``w_c^2 > 2 w_z^2``;
-    ``tuning`` is ``k = hybrid/cyclotron`` in (0, 1).
+    frequency and is real only for the stable tuning ``w_c^2 > 2 w_z^2``,
+    which construction enforces; ``tuning`` is ``k = hybrid/cyclotron`` in
+    (0, 1).
     """
 
     axial: float
     cyclotron: float
-    hybrid: float
     mass: float
     hbar: float = HBAR
+
+    def __post_init__(self):
+        if self.cyclotron**2 - 2.0 * self.axial**2 <= 0.0:
+            raise StabilityError(
+                f"unstable tuning: cyclotron^2 = {self.cyclotron**2:.6g} must exceed "
+                f"2 axial^2 = {2.0 * self.axial**2:.6g} for bound radial motion"
+            )
+
+    @property
+    def hybrid(self) -> float:
+        return math.sqrt(self.cyclotron**2 - 2.0 * self.axial**2)
 
     @property
     def tuning(self) -> float:
@@ -322,34 +342,23 @@ class PenningFrequencies:
         return math.sqrt(self.hbar / (self.mass * self.cyclotron))
 
     @property
-    def axial_length(self) -> float:
-        """``z_0 = sqrt(hbar/m w_z)``."""
-        return math.sqrt(self.hbar / (self.mass * self.axial))
-
-    @property
-    def radial_length(self) -> float:
-        """Radial oscillator length ``rho_0 sqrt(2/k) = sqrt(hbar/(m Omega/2))``."""
-        return math.sqrt(2.0 * self.hbar / (self.mass * self.hybrid))
-
-    @property
     def radial_scales(self) -> OscillatorScales:
         """The radial oscillator: frequency ``Omega/2``, zero energy offset."""
         return OscillatorScales(mass=self.mass, omega0=0.5 * self.hybrid, hbar=self.hbar)
 
+    @property
+    def axial_scales(self) -> OscillatorScales:
+        """The axial oscillator: frequency ``w_z``, zero energy offset."""
+        return OscillatorScales(mass=self.mass, omega0=self.axial, hbar=self.hbar)
+
 
 def penning_frequencies(params: PenningParams, hbar: float = HBAR) -> PenningFrequencies:
     """Mode frequencies; rejects tunings where the radial motion is unbound."""
-    axial = math.sqrt(abs(params.charge * params.voltage) / (params.mass * params.size**2))
-    cyclotron = abs(params.charge * params.axial_field) / params.mass
-    discriminant = cyclotron**2 - 2.0 * axial**2
-    if discriminant <= 0.0:
-        raise StabilityError(
-            f"unstable tuning: cyclotron^2 = {cyclotron**2:.6g} must exceed "
-            f"2 axial^2 = {2.0 * axial**2:.6g} for bound radial motion"
-        )
     return PenningFrequencies(
-        axial=axial, cyclotron=cyclotron, hybrid=math.sqrt(discriminant),
-        mass=params.mass, hbar=hbar,
+        axial=math.sqrt(abs(params.charge * params.voltage) / (params.mass * params.size**2)),
+        cyclotron=abs(params.charge * params.axial_field) / params.mass,
+        mass=params.mass,
+        hbar=hbar,
     )
 
 
@@ -384,53 +393,16 @@ def penning_energy(
     )
 
 
-@dataclass(frozen=True)
-class PenningState:
-    """Full Penning eigenfunction ``psi(rho, phi, z)``, unit 3D norm.
-
-    Built as ``X(rho)/sqrt(rho) * Z(z) * e^{iM phi}/sqrt(2 pi)`` with the
-    radial factor on the ``Omega/2`` oscillator length; complex-valued.
-    """
-
-    radial: RadialEigenstate
-    axial: AxialState
-    m_azimuthal: int
-    energy: float
-
-    def __call__(self, rho, phi, z):
-        rho_arr = np.asarray(rho, dtype=float)
-        with np.errstate(divide="ignore"):
-            r_part = self.radial(rho_arr) / np.sqrt(rho_arr)
-        out = (
-            r_part
-            * self.axial(z)
-            * np.exp(1j * self.m_azimuthal * np.asarray(phi, dtype=float))
-            / math.sqrt(2.0 * math.pi)
-        )
-        scalars = not (np.asarray(rho).ndim or np.asarray(phi).ndim or np.asarray(z).ndim)
-        return complex(out) if scalars else out
-
-
 def penning_wavefunction(
     freqs: PenningFrequencies,
     n_radial: int,
     k_axial: int,
     m_azimuthal: int,
     magnetron_cap: int = 50,
-) -> PenningState:
+) -> PlanarState:
     """Eigenstate ``(N, K, M)`` of the stable Penning hamiltonian."""
-    validate_planar_numbers(n_radial, m_azimuthal, k_axial)
-    _check_magnetron(n_radial, m_azimuthal, magnetron_cap)
-    z0 = freqs.axial_length
-    return PenningState(
-        radial=tower_state(freqs.radial_scales, n_radial - 0.5, abs(int(m_azimuthal)) - 0.5),
-        axial=AxialState(
-            k_axial=int(k_axial), m_azimuthal=int(m_azimuthal),
-            z_scale=z0, norm=_axial_norm(z0, int(k_axial)),
-        ),
-        m_azimuthal=int(m_azimuthal),
-        energy=penning_energy(freqs, n_radial, k_axial, m_azimuthal, magnetron_cap),
-    )
+    energy = penning_energy(freqs, n_radial, k_axial, m_azimuthal, magnetron_cap)
+    return _planar_state(freqs, n_radial, m_azimuthal, k_axial, energy)
 
 
 def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PartnerPair:

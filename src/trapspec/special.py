@@ -1,12 +1,13 @@
 """Generalized Laguerre / Hermite polynomials and radial normalization constants.
 
-The three-term recurrences are the production evaluation path; the test suite
-checks them against explicit series summation and quadrature.  Orders may be
+The Laguerre recurrence is the production evaluation path; the test suite
+checks it against explicit series summation and quadrature.  Orders may be
 non-integer, so everything is written for real ``alpha > -1``: every radial
 family is the one tower ``u^{lam+1} e^{-u^2/2} L_n^{lam+1/2}(u^2)`` at an index
 ``lam`` that is ``L`` in 3D, ``|M| - 1/2`` in the planar traps and a
-non-integer ``L*`` in the quantum-defect towers, so :func:`radial_norm_3d`
-normalizes all of them.
+non-integer ``L*`` in the quantum-defect towers (and ``K mod 2 - 1`` for the
+planar axial factor, so :func:`hermite` is only a public helper), so
+:func:`radial_norm_3d` normalizes all of them.
 """
 
 from __future__ import annotations

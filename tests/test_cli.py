@@ -551,6 +551,24 @@ class TestErrorWiring:
             "config error: field 'coil_current_A' in geometry record is too large for a float\n"
         )
 
+    @pytest.mark.parametrize(
+        "config, argv, option",
+        [
+            (ip_config, ("wavefunction", "--n-level", "B"), "--n-level"),
+            (paul_config, ("susy", "--l-angular", "B"), "--l-angular"),
+            (ip_config, ("defect", "--l-angular", "B", "--delta", "0.1"), "--l-angular"),
+            (paul_config, ("wavefunction", "--n-level", "0", "--k-axial", "B", "--axis", "axial"),
+             "--k-axial"),
+        ],
+    )
+    def test_oversized_integer_option_exits_3(self, tmp_path, capsys, config, argv, option):
+        # B is 1 followed by 400 zeros: a valid int that no float can hold.
+        argv = [str(10**400) if a == "B" else a for a in argv]
+        code, out, err = run(capsys, argv[0], "--config", config(tmp_path), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert err == f"validation error: option {option} is too large for a float\n"
+
     def test_oracle_failures_exit_4(self, monkeypatch, capsys):
         def boom(args):
             raise OracleError("integrator stalled")

@@ -1,6 +1,5 @@
 """Tests for the driven-quadrupole and crossed-field planar trap models."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, eval_hermite
 
 from trapspec import DomainError, ExcludedLevelError, StabilityError
 from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
@@ -33,15 +32,11 @@ from trapspec.planar import (
     validate_planar_numbers,
 )
 
-# Natural-unit fixtures: unit secular frequency for the driven trap and an
-# irrational frequency triple for the static one.
-PAUL = PaulFrequencies(
-    quadrupole=80.0, secular=1.0, length=1.0, drive=1600.0, drive_ratio=20.0,
-    mass=1.0, hbar=1.0,
-)
-PENNING = PenningFrequencies(
-    axial=1.0, cyclotron=math.sqrt(7.0), hybrid=math.sqrt(5.0), mass=1.0, hbar=1.0
-)
+# Natural-unit fixtures: unit secular frequency for the driven trap
+# (80^2 / (4 * 1600) = 1) and an irrational frequency triple for the static
+# one (hybrid sqrt(7 - 2) = sqrt(5)).
+PAUL = PaulFrequencies(quadrupole=80.0, drive=1600.0, mass=1.0, hbar=1.0)
+PENNING = PenningFrequencies(axial=1.0, cyclotron=math.sqrt(7.0), mass=1.0, hbar=1.0)
 
 E_CHARGE = 1.602176634e-19
 
@@ -105,7 +100,7 @@ class TestPaulFrequencies:
 
     def test_length_frequency_identity(self):
         f = paul_frequencies(si_paul_params())
-        assert f.length**2 * f.secular == pytest.approx(
+        assert f.radial_scales.r0**2 * f.secular == pytest.approx(
             f.hbar / f.mass, rel=1e-12
         )
 
@@ -198,42 +193,36 @@ class TestPaulEnergies:
 
 class TestPaulWavefunctions:
     def test_ground_radial_nodeless(self):
-        _, x = paul_wavefunctions(PAUL, 0, 0, 0)
+        x = paul_wavefunctions(PAUL, 0, 0, 0).radial
         rho = np.linspace(1e-3, 8.0, 3001)
         assert np.all(x(rho) > 0.0)
 
     def test_axial_norm(self):
         for k in (0, 1, 5, 12):
-            axial, _ = paul_wavefunctions(PAUL, 0, 0, k)
+            axial = paul_wavefunctions(PAUL, 0, 0, k).axial
             val, _ = integrate.quad(
                 lambda z: axial(z) ** 2, -np.inf, np.inf, limit=200
             )
             assert abs(val - 1.0) < 1e-10
 
     def test_axial_scale_is_double_frequency(self):
-        axial, _ = paul_wavefunctions(PAUL, 0, 0, 0)
-        assert axial.z_scale == pytest.approx(PAUL.length / math.sqrt(2.0), rel=1e-14)
+        axial = paul_wavefunctions(PAUL, 0, 0, 0).axial
+        assert axial.r0 == pytest.approx(PAUL.radial_scales.r0 / math.sqrt(2.0), rel=1e-14)
 
     def test_radial_orthonormality(self):
         for m in (0, 2):
             states = [
-                paul_wavefunctions(PAUL, m + 2 * j, m, 0)[1] for j in range(4)
+                paul_wavefunctions(PAUL, m + 2 * j, m, 0).radial for j in range(4)
             ]
             for i, a in enumerate(states):
                 for j, b in enumerate(states):
                     val = overlap(a, b, 0.0, np.inf)
                     assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
 
-    def test_azimuthal_phase(self):
-        axial, _ = paul_wavefunctions(PAUL, 2, 2, 0)
-        base = axial(0.3)
-        with_phase = axial(0.3, math.pi / 4.0)
-        assert with_phase == pytest.approx(base * np.exp(1j * math.pi / 2.0))
-
     def test_node_count(self):
         rho = np.linspace(1e-3, 10.0, 8001)
         for n, m in ((4, 0), (6, 2), (5, 1)):
-            vals = paul_wavefunctions(PAUL, n, m, 0)[1](rho)
+            vals = paul_wavefunctions(PAUL, n, m, 0).radial(rho)
             signs = np.sign(vals[np.abs(vals) > 1e-9 * np.max(np.abs(vals))])
             assert int(np.sum(signs[:-1] * signs[1:] < 0)) == (n - m) // 2
 
@@ -280,7 +269,7 @@ class TestPlanarPartner:
     def test_wavefunction_index_map(self):
         pair = paul_susy_partner(PAUL, 1)
         mapped = pair.partner_wavefunction(3 - 0.5)
-        _, direct = paul_wavefunctions(PAUL, 2, 2, 0)
+        direct = paul_wavefunctions(PAUL, 2, 2, 0).radial
         rho = np.linspace(0.05, 7.0, 40)
         np.testing.assert_allclose(mapped(rho), direct(rho), rtol=1e-12)
 
@@ -291,7 +280,7 @@ class TestPlanarPartner:
 
     def test_annihilation_of_ground(self):
         pair = paul_susy_partner(PAUL, 1)
-        _, ground = paul_wavefunctions(PAUL, 1, 1, 0)
+        ground = paul_wavefunctions(PAUL, 1, 1, 0).radial
         rho = np.linspace(0.02, 9.0, 20001)
         lowered = ground.derivative(rho) + pair.generator.derivative(rho) * ground(rho)
         norm = math.sqrt(integrate.simpson(lowered**2, x=rho))
@@ -339,21 +328,79 @@ class TestRadialFactorProperty:
         tol = 1e-12 * np.max(np.abs(want))
 
         secular = 1.0 / length**2  # length = sqrt(hbar/(m w)) with hbar = m = 1
-        paul = PaulFrequencies(
-            quadrupole=20.0 * secular, secular=secular, length=length,
-            drive=400.0 * secular, drive_ratio=20.0, mass=1.0, hbar=1.0,
-        )
+        # (40 w)^2 / (4 * 400 w) = w
+        paul = PaulFrequencies(quadrupole=40.0 * secular, drive=400.0 * secular, mass=1.0, hbar=1.0)
         hybrid = 2.0 * secular  # the Penning radial frequency is hybrid / 2
         penning = PenningFrequencies(
-            axial=secular, cyclotron=math.sqrt(hybrid**2 + 2.0 * secular**2),
-            hybrid=hybrid, mass=1.0, hbar=1.0,
+            axial=secular, cyclotron=math.sqrt(hybrid**2 + 2.0 * secular**2), mass=1.0, hbar=1.0,
         )
         factors = (
-            paul_wavefunctions(paul, n, abs_m, 0)[1],
+            paul_wavefunctions(paul, n, abs_m, 0).radial,
             penning_wavefunction(penning, n, 0, -abs_m).radial,
         )
         for got in factors:
             assert np.max(np.abs(got(rho) - want)) <= tol
+
+
+def axial_reference(k_axial, length, z):
+    """Z_K = (s 2^K K! sqrt(pi))^{-1/2} e^{-u^2/2} H_K(u), u = z/s, through scipy's H_K."""
+    log_norm = -0.5 * (
+        math.log(length) + k_axial * math.log(2.0) + math.lgamma(k_axial + 1.0)
+        + 0.5 * math.log(math.pi)
+    )
+    u = z / length
+    return math.exp(log_norm) * np.exp(-0.5 * u * u) * eval_hermite(k_axial, u)
+
+
+class TestAxialFactorProperty:
+    # The axial factor is the tower at lam = K mod 2 - 1 with a sign and a
+    # whole-line norm; the textbook Hermite form through scipy is the
+    # independent route.
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k_axial=st.integers(0, 120),
+        length=st.floats(1e-7, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    def test_paul_and_penning_match_hermite_formula(self, k_axial, length):
+        # Out to the classical turning point s sqrt(2K + 1), plus six lengths.
+        half = length * (math.sqrt(2.0 * k_axial + 1.0) + 6.0)
+        z = np.linspace(-half, half, 801)
+        want = axial_reference(k_axial, length, z)
+        tol = 1e-12 * np.max(np.abs(want))
+
+        omega = 1.0 / length**2  # length = sqrt(hbar/(m w)) with hbar = m = 1
+        # Paul: axial frequency 2 w_p, and (40 w)^2 / (4 * 400 w) = w.
+        w_p = 0.5 * omega
+        paul = PaulFrequencies(quadrupole=40.0 * w_p, drive=400.0 * w_p, mass=1.0, hbar=1.0)
+        penning = PenningFrequencies(axial=omega, cyclotron=2.0 * omega, mass=1.0, hbar=1.0)
+        factors = (
+            paul_wavefunctions(paul, 0, 0, k_axial).axial,
+            penning_wavefunction(penning, 0, k_axial, 0).axial,
+        )
+        for got in factors:
+            assert np.max(np.abs(got(z) - want)) <= tol
+
+
+class TestPlanarState:
+    def test_azimuthal_phase(self):
+        # psi = X(rho)/sqrt(rho) Z(z) e^{iM phi}/sqrt(2 pi) for both traps.
+        rho, phi, z = 0.7, math.pi / 4.0, 0.3
+        for state in (paul_wavefunctions(PAUL, 2, 2, 1), penning_wavefunction(PENNING, 2, 1, -2)):
+            base = state.radial(rho) / math.sqrt(rho) * state.axial(z) / math.sqrt(2.0 * math.pi)
+            assert state(rho, 0.0, z) == pytest.approx(base, rel=1e-14)
+            assert state(rho, phi, z) == pytest.approx(
+                base * np.exp(1j * state.m_azimuthal * phi), rel=1e-14
+            )
+
+    def test_high_axial_level_is_finite_and_normalized(self):
+        axial = paul_wavefunctions(PAUL, 0, 0, 300).axial
+        # The support ends a few lengths past the turning point sqrt(601).
+        half = axial.r0 * (math.sqrt(601.0) + 10.0)
+        z = np.linspace(-half, half, 40001)
+        values = axial(z)
+        assert np.all(np.isfinite(values))
+        assert abs(np.trapezoid(values**2, z) - 1.0) < 1e-8
 
 
 class TestPaulShellCounts:
@@ -424,11 +471,15 @@ class TestPenningFrequencies:
             f = penning_frequencies(params, hbar=1.0)
             assert 0.0 < f.tuning < 1.0
 
+    def test_unstable_record_rejected(self):
+        with pytest.raises(StabilityError):
+            PenningFrequencies(axial=1.0, cyclotron=1.0, mass=1.0)
+
     def test_characteristic_lengths(self):
         f = PENNING
         assert f.cyclotron_length == pytest.approx(7.0**-0.25, rel=1e-13)
-        assert f.axial_length == pytest.approx(1.0, rel=1e-13)
-        assert f.radial_length == pytest.approx(
+        assert f.axial_scales.r0 == pytest.approx(1.0, rel=1e-13)
+        assert f.radial_scales.r0 == pytest.approx(
             math.sqrt(2.0) * 5.0**-0.25, rel=1e-13
         )
 
