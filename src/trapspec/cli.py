@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import exports
-from .config import RunConfig, load_config
+from .config import MAGNETIC_TRAPS, TRAP_KINDS, TRAPS, RunConfig, load_config
 from .defect import EffectiveModel, defect_energy
 from .errors import ConfigError, DomainError, OracleError
 from .fields import (
@@ -28,6 +29,8 @@ from .fields import (
     solve_quad_current,
     top_field_series,
     top_scales,
+    IoffePritchardGeometry,
+    TopGeometry,
     TrapAssembly,
 )
 from .oscillator3d import (
@@ -38,6 +41,8 @@ from .oscillator3d import (
     shell_capacity,
 )
 from .planar import (
+    PaulParams,
+    PenningParams,
     paul_energy,
     paul_frequencies,
     paul_shell_count,
@@ -56,9 +61,6 @@ from .verification import SUITE_ORDER, run_suite
 # when the currents are tuned; beyond this residual the level structure the
 # spectrum/susy/defect commands tabulate does not apply.
 ISOTROPY_WINDOW = 1e-6
-
-MAGNETIC = ("ioffe_pritchard", "top")
-PLANAR = ("paul", "penning")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shells", help="cumulative state counts")
     p.add_argument("--trap", required=True,
-                   choices=("ioffe_pritchard", "top", "paul", "penning"))
+                   choices=TRAP_KINDS)
     p.add_argument("--max-n", "--max-N", dest="max_n", type=int, required=True,
                    help="largest shell index")
     p.add_argument("--config", help="run configuration (needed for penning counts)")
@@ -171,24 +173,6 @@ def _natural_mode(cfg: RunConfig, args) -> bool:
     return cfg.units == "natural" or getattr(args, "natural_units", False)
 
 
-def _magnetic_scales(cfg: RunConfig):
-    """Derived field scales plus residual for an ip/top configuration."""
-    derive = ip_scales if cfg.trap == "ioffe_pritchard" else top_scales
-    scales = derive(cfg.build_geometry())
-    return scales, isotropy_residual(scales)
-
-
-def _oscillator(cfg: RunConfig) -> OscillatorScales:
-    """Isotropic-oscillator scales of a tuned magnetic trap."""
-    scales, residual = _magnetic_scales(cfg)
-    if abs(residual) > ISOTROPY_WINDOW:
-        raise DomainError(
-            f"trap is anisotropic (isotropy residual {residual:.3e}); solve the "
-            "tuning current first (see the isotropy command)"
-        )
-    return oscillator_scales(cfg.build_particle(), scales.field, scales.isotropic_radius)
-
-
 def _require_trap(cfg: RunConfig, kinds, command: str) -> None:
     if cfg.trap not in kinds:
         raise DomainError(
@@ -197,22 +181,35 @@ def _require_trap(cfg: RunConfig, kinds, command: str) -> None:
         )
 
 
-def _planar_frequencies(cfg: RunConfig):
-    if cfg.trap == "paul":
-        return paul_frequencies(cfg.build_geometry())
-    return penning_frequencies(cfg.build_geometry())
-
-
 # --------------------------------------------------------------------------
-# Command handlers.
+# Trap objects: what the commands need from a configured trap, in one shape
+# for the magnetic traps and one for the planar traps.
 
 
-def _cmd_scales(args) -> int:
-    cfg = load_config(args.config)
-    pairs = [("trap", cfg.trap)]
-    if cfg.trap in MAGNETIC:
-        scales, residual = _magnetic_scales(cfg)
-        pairs += [
+class _Magnetic:
+    """An Ioffe-Pritchard or TOP trap, tuned or not."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.geometry = cfg.build_geometry()
+        self.scales = self.derive(self.geometry)
+        self.residual = isotropy_residual(self.scales)  # a coil pair too flat to confine raises
+
+    @property
+    def oscillator(self) -> OscillatorScales:
+        """Isotropic-oscillator scales; only a tuned trap has them."""
+        if abs(self.residual) > ISOTROPY_WINDOW:
+            raise DomainError(
+                f"trap is anisotropic (isotropy residual {self.residual:.3e}); solve the "
+                "tuning current first (see the isotropy command)"
+            )
+        return oscillator_scales(
+            self.cfg.build_particle(), self.scales.field, self.scales.isotropic_radius
+        )
+
+    def scale_rows(self):
+        scales, residual = self.scales, self.residual
+        rows = [
             ("length_m", scales.length),
             ("curvature_area_m2", scales.area),
             ("field_T", scales.field),
@@ -220,114 +217,28 @@ def _cmd_scales(args) -> int:
             ("isotropy_residual", residual),
             ("isotropic_radius_m", scales.isotropic_radius),
         ]
-        if cfg.trap == "top":
-            pairs.append(("bias_frequency_rad_per_s", scales.bias_frequency))
+        if scales.bias_frequency:  # a rotating bias only
+            rows.append(("bias_frequency_rad_per_s", scales.bias_frequency))
         if abs(residual) <= ISOTROPY_WINDOW:
-            osc = oscillator_scales(
-                cfg.build_particle(), scales.field, scales.isotropic_radius
-            )
-            pairs += [
+            osc = self.oscillator
+            rows += [
                 ("omega0_rad_per_s", osc.omega0),
                 ("oscillator_length_m", osc.r0),
                 ("energy_offset_J", osc.energy_offset),
             ]
-    elif cfg.trap == "paul":
-        freqs = _planar_frequencies(cfg)
-        pairs += [
-            ("quadrupole_rad_per_s", freqs.quadrupole),
-            ("secular_rad_per_s", freqs.secular),
-            ("drive_rad_per_s", freqs.drive),
-            ("drive_ratio", freqs.drive_ratio),
-            ("radial_length_m", freqs.radial_scales.r0),
-            ("quantum_J", freqs.quantum),
-        ]
-    else:
-        freqs = _planar_frequencies(cfg)
-        pairs += [
-            ("axial_rad_per_s", freqs.axial),
-            ("cyclotron_rad_per_s", freqs.cyclotron),
-            ("hybrid_rad_per_s", freqs.hybrid),
-            ("tuning_k", freqs.tuning),
-            ("radial_length_m", freqs.radial_scales.r0),
-            ("axial_length_m", freqs.axial_scales.r0),
-        ]
-    _print_pairs(pairs)
-    return 0
+        return rows
 
+    def field(self, points, t, oracle: bool):
+        """The series field at ``points`` and time ``t``, or the conductor-level sum."""
+        if not oracle:
+            return self.series(*points.T, t)
+        assembly = self.assembly(t)
+        return np.array([biot_savart_field(assembly, p) for p in points])
 
-def _cmd_field_map(args) -> int:
-    cfg = load_config(args.config)
-    _require_trap(cfg, MAGNETIC, "field-map")
-    if args.points < 2 or args.extent_fraction <= 0.0:
-        raise DomainError("field-map needs at least 2 points per axis and a positive extent")
-    scales, _ = _magnetic_scales(cfg)
-    half = args.extent_fraction * scales.length
-    axis = np.linspace(-half, half, args.points)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-
-    if cfg.trap == "top":
-        if args.time_samples < 1:
-            raise DomainError("field-map needs at least one time sample")
-        period = 2.0 * math.pi / scales.bias_frequency
-        times = np.arange(args.time_samples) * period / args.time_samples
-    else:
-        times = np.array([0.0])
-
-    all_points, all_times, all_fields = [], [], []
-    geometry = cfg.build_geometry()
-    for t in times:
-        if args.oracle:
-            assembly = (
-                TrapAssembly.ioffe_pritchard(geometry)
-                if cfg.trap == "ioffe_pritchard"
-                else TrapAssembly.top(geometry, t)
-            )
-            fields = np.array([biot_savart_field(assembly, p) for p in points])
-        elif cfg.trap == "ioffe_pritchard":
-            fields = ip_field_cartesian(scales, points[:, 0], points[:, 1], points[:, 2])
-        else:
-            fields = top_field_series(scales, points[:, 0], points[:, 1], points[:, 2], t)
-        all_points.append(points)
-        all_times.append(np.full(len(points), t))
-        all_fields.append(fields)
-
-    text = exports.field_map_table(
-        np.vstack(all_points), np.concatenate(all_times), np.vstack(all_fields)
-    )
-    _emit(args, text)
-    return 0
-
-
-def _cmd_isotropy(args) -> int:
-    cfg = load_config(args.config)
-    _require_trap(cfg, MAGNETIC, "isotropy")
-    scales, residual = _magnetic_scales(cfg)
-    geometry = cfg.build_geometry()
-    pairs = [
-        ("trap", cfg.trap),
-        ("isotropy_residual", residual),
-        ("gradient_target_T_per_m", scales.field * math.sqrt(scales.isotropy_target)),
-        ("isotropic_radius_m", scales.isotropic_radius),
-    ]
-    if cfg.trap == "ioffe_pritchard":
-        pairs.append(("tuned_bar_current_A", solve_bar_current(geometry)))
-    else:
-        pairs.append(("tuned_quad_current_A", solve_quad_current(geometry)))
-    _print_pairs(pairs)
-    return 0
-
-
-def _cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    natural = _natural_mode(cfg, args)
-    if args.max_n < 0:
-        raise DomainError("--max-n must be nonnegative")
-
-    if cfg.trap in MAGNETIC:
-        osc = _oscillator(cfg)
+    def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
+        osc = self.oscillator
         rows = []
-        for n in range(args.max_n + 1):
+        for n in range(max_n + 1):
             for l in allowed_angular(n):
                 # The last column is the trap-referenced level (E - mu B0) in
                 # quanta, which is exactly N + 3/2; recomputing it from the
@@ -335,58 +246,214 @@ def _cmd_spectrum(args) -> int:
                 rows.append((n, l, 2 * l + 1, energy_3d(osc, n), n + 1.5))
         if natural:
             header = ("N", "L", "degeneracy", "E_over_hbar_omega0")
-            text = exports.csv_text(header, [(n, l, g, e_nat) for n, l, g, _, e_nat in rows])
-        else:
-            text = exports.spectrum_table_3d(rows)
-        _emit(args, text)
-        return 0
+            return exports.csv_text(header, [(n, l, g, e_nat) for n, l, g, _, e_nat in rows])
+        return exports.spectrum_table_3d(rows)
 
-    freqs = _planar_frequencies(cfg)
-    if args.max_k < 0:
-        raise DomainError("--max-k must be nonnegative")
-    rows = []
-    for n in range(args.max_n + 1):
-        for m in range(-n, n + 1):
-            if (n - abs(m)) % 2 != 0:
-                continue
-            for k in range(args.max_k + 1):
-                if cfg.trap == "paul":
-                    energy = paul_energy(freqs, n, k)
-                else:
-                    energy = penning_energy(freqs, n, k, m)
-                rows.append((n, m, k, energy))
-    rows.sort(key=lambda row: (row[3], row[0], row[2], row[1]))
-    if natural:
-        quantum = freqs.quantum if cfg.trap == "paul" else freqs.hbar * freqs.hybrid
-        header = ("N", "M", "K", "E_over_quantum")
-        text = exports.csv_text(header, [(n, m, k, e / quantum) for n, m, k, e in rows])
-    else:
-        text = exports.spectrum_table_planar(rows)
+    def wavefunction(self, args):
+        factor = radial_wavefunction_3d(self.oscillator, args.n_level, args.l_angular)
+        return factor, 0.0, "r", "W", "r0"
+
+    def partner(self, tower: int):
+        osc = self.oscillator
+        return partner_pair(superpotential(tower, osc.r0), osc)
+
+
+class _IoffePritchard(_Magnetic):
+    derive = staticmethod(ip_scales)
+    solve = staticmethod(solve_bar_current)
+    tuned_row = "tuned_bar_current_A"
+
+    def drive_times(self, samples: int):
+        return np.array([0.0])
+
+    def series(self, x, y, z, t):
+        return ip_field_cartesian(self.scales, x, y, z)
+
+    def assembly(self, t):
+        return TrapAssembly.ioffe_pritchard(self.geometry)
+
+
+class _Top(_Magnetic):
+    derive = staticmethod(top_scales)
+    solve = staticmethod(solve_quad_current)
+    tuned_row = "tuned_quad_current_A"
+
+    def drive_times(self, samples: int):
+        if samples < 1:
+            raise DomainError("field-map needs at least one time sample")
+        period = 2.0 * math.pi / self.scales.bias_frequency
+        return np.arange(samples) * period / samples
+
+    def series(self, x, y, z, t):
+        return top_field_series(self.scales, x, y, z, t)
+
+    def assembly(self, t):
+        return TrapAssembly.top(self.geometry, t)
+
+
+class _Planar:
+    """A Paul or Penning trap; its states are labeled (N, M, K) in that order."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.freqs = self.frequencies(cfg.build_geometry())
+
+    def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
+        if max_k < 0:
+            raise DomainError("--max-k must be nonnegative")
+        rows = []
+        for n in range(max_n + 1):
+            for m in range(-n, n + 1, 2):  # N - |M| even
+                for k in range(max_k + 1):
+                    rows.append((n, m, k, self.energy(n, m, k)))
+        rows.sort(key=lambda row: (row[3], row[0], row[2], row[1]))
+        if natural:
+            header = ("N", "M", "K", "E_over_quantum")
+            quantum = self.quantum
+            return exports.csv_text(header, [(n, m, k, e / quantum) for n, m, k, e in rows])
+        return exports.spectrum_table_planar(rows)
+
+    def wavefunction(self, args):
+        state = self.state(args.n_level, args.m_azimuthal, args.k_axial)
+        if args.axis == "axial":
+            return state.axial, -args.r_max, "z", "X", "scale"
+        return state.radial, 0.0, "rho", "X", "scale"
+
+
+class _Paul(_Planar):
+    frequencies = staticmethod(paul_frequencies)
+
+    @property
+    def quantum(self) -> float:
+        return self.freqs.quantum
+
+    def energy(self, n: int, m: int, k: int) -> float:
+        return paul_energy(self.freqs, n, k)
+
+    def state(self, n: int, m: int, k: int):
+        return paul_wavefunctions(self.freqs, n, m, k)
+
+    def partner(self, abs_m: int):
+        return paul_susy_partner(self.freqs, abs_m)
+
+    def scale_rows(self):
+        f = self.freqs
+        return [
+            ("quadrupole_rad_per_s", f.quadrupole),
+            ("secular_rad_per_s", f.secular),
+            ("drive_rad_per_s", f.drive),
+            ("drive_ratio", f.drive_ratio),
+            ("radial_length_m", f.radial_scales.r0),
+            ("quantum_J", f.quantum),
+        ]
+
+
+class _Penning(_Planar):
+    frequencies = staticmethod(penning_frequencies)
+
+    @property
+    def quantum(self) -> float:
+        return self.freqs.hbar * self.freqs.hybrid
+
+    def energy(self, n: int, m: int, k: int) -> float:
+        return penning_energy(self.freqs, n, k, m)
+
+    def state(self, n: int, m: int, k: int):
+        return penning_wavefunction(self.freqs, n, k, m)
+
+    def partner(self, abs_m: int):
+        return penning_susy_partner(self.freqs, abs_m)
+
+    def scale_rows(self):
+        f = self.freqs
+        return [
+            ("axial_rad_per_s", f.axial),
+            ("cyclotron_rad_per_s", f.cyclotron),
+            ("hybrid_rad_per_s", f.hybrid),
+            ("tuning_k", f.tuning),
+            ("radial_length_m", f.radial_scales.r0),
+            ("axial_length_m", f.axial_scales.r0),
+        ]
+
+
+# The trap object of each kind, by its geometry record.
+_TRAP_OBJECTS = {
+    IoffePritchardGeometry: _IoffePritchard,
+    TopGeometry: _Top,
+    PaulParams: _Paul,
+    PenningParams: _Penning,
+}
+
+
+# Commands that only apply to a magnetic trap.
+MAGNETIC_COMMANDS = ("field-map", "isotropy", "defect")
+
+
+def _load_trap(args):
+    """Load ``--config`` and build the trap object of its kind."""
+    cfg = load_config(args.config)
+    if args.command in MAGNETIC_COMMANDS:
+        _require_trap(cfg, MAGNETIC_TRAPS, args.command)
+    return _TRAP_OBJECTS[TRAPS[cfg.trap][0]](cfg)
+
+
+# --------------------------------------------------------------------------
+# Command handlers.
+
+
+def _cmd_scales(args) -> int:
+    trap = _load_trap(args)
+    _print_pairs([("trap", trap.cfg.trap), *trap.scale_rows()])
+    return 0
+
+
+def _cmd_field_map(args) -> int:
+    trap = _load_trap(args)
+    if args.points < 2 or args.extent_fraction <= 0.0:
+        raise DomainError("field-map needs at least 2 points per axis and a positive extent")
+    half = args.extent_fraction * trap.scales.length
+    axis = np.linspace(-half, half, args.points)
+    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
+    points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
+    times = trap.drive_times(args.time_samples)
+    fields = [trap.field(points, t, args.oracle) for t in times]
+    text = exports.field_map_table(
+        np.vstack([points] * len(times)), np.repeat(times, len(points)), np.vstack(fields)
+    )
     _emit(args, text)
     return 0
 
 
+def _cmd_isotropy(args) -> int:
+    trap = _load_trap(args)
+    scales = trap.scales
+    _print_pairs([
+        ("trap", trap.cfg.trap),
+        ("isotropy_residual", trap.residual),
+        ("gradient_target_T_per_m", scales.field * math.sqrt(scales.isotropy_target)),
+        ("isotropic_radius_m", scales.isotropic_radius),
+        (trap.tuned_row, trap.solve(trap.geometry)),
+    ])
+    return 0
+
+
+def _cmd_spectrum(args) -> int:
+    trap = _load_trap(args)
+    natural = _natural_mode(trap.cfg, args)
+    if args.max_n < 0:
+        raise DomainError("--max-n must be nonnegative")
+    _emit(args, trap.spectrum_table(args.max_n, args.max_k, natural))
+    return 0
+
+
 def _cmd_wavefunction(args) -> int:
-    cfg = load_config(args.config)
-    natural = _natural_mode(cfg, args)
+    trap = _load_trap(args)
+    natural = _natural_mode(trap.cfg, args)
     if args.points < 2 or args.r_max <= 0.0:
         raise DomainError("wavefunction needs at least 2 points and a positive --r-max")
 
     # One table for every factor, W(r), X(rho) or Z(z), on the factor's own r0.
-    if cfg.trap in MAGNETIC:
-        factor = radial_wavefunction_3d(_oscillator(cfg), args.n_level, args.l_angular)
-        start, name, column, scale = 0.0, "r", "W", "r0"
-    else:
-        freqs = _planar_frequencies(cfg)
-        if cfg.trap == "paul":
-            state = paul_wavefunctions(freqs, args.n_level, args.m_azimuthal, args.k_axial)
-        else:
-            state = penning_wavefunction(freqs, args.n_level, args.k_axial, args.m_azimuthal)
-        if args.axis == "axial":
-            factor, start, name = state.axial, -args.r_max, "z"
-        else:
-            factor, start, name = state.radial, 0.0, "rho"
-        column, scale = "X", "scale"
+    factor, start, name, column, scale = trap.wavefunction(args)
     grid = np.linspace(start, args.r_max, args.points) * factor.r0
     values = factor(grid)
     if natural:
@@ -401,8 +468,8 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_susy(args) -> int:
-    cfg = load_config(args.config)
-    natural = _natural_mode(cfg, args)
+    trap = _load_trap(args)
+    natural = _natural_mode(trap.cfg, args)
     tower = args.l_angular
     i0 = args.iterations
     if tower < 0 or i0 < 0:
@@ -413,13 +480,7 @@ def _cmd_susy(args) -> int:
     # The pair after i0 ladder steps sits at tower index L + i0 (3D) or
     # |M| + i0 - 1/2 (planar); its tower label lam + 2j is the base-tower
     # label removed + 2j.
-    if cfg.trap in MAGNETIC:
-        osc = _oscillator(cfg)
-        pair = partner_pair(superpotential(tower + i0, osc.r0), osc)
-    elif cfg.trap == "paul":
-        pair = paul_susy_partner(_planar_frequencies(cfg), tower + i0)
-    else:
-        pair = penning_susy_partner(_planar_frequencies(cfg), tower + i0)
+    pair = trap.partner(tower + i0)
     lam, length, quantum = pair.l_angular, pair.scales.r0, pair.scales.quantum
     plus_pot = tower_potential(lam, pair.scales, quantum * (lam + 1.5))
     minus_pot = tower_potential(lam + 1.0, pair.scales, quantum * (lam + 0.5))
@@ -453,12 +514,11 @@ def _cmd_susy(args) -> int:
 
 
 def _cmd_defect(args) -> int:
-    cfg = load_config(args.config)
-    _require_trap(cfg, MAGNETIC, "defect")
-    natural = _natural_mode(cfg, args)
+    trap = _load_trap(args)
+    natural = _natural_mode(trap.cfg, args)
     if args.levels < 1:
         raise DomainError("--levels must be positive")
-    osc = _oscillator(cfg)
+    osc = trap.oscillator
     model = EffectiveModel(
         l_angular=args.l_angular, iterations=args.iterations,
         selector=args.selector, delta=args.delta, scales=osc,
@@ -483,7 +543,7 @@ def _cmd_defect(args) -> int:
 def _cmd_shells(args) -> int:
     if args.max_n < 0:
         raise DomainError("--max-n must be nonnegative")
-    if args.trap in MAGNETIC:
+    if args.trap in MAGNETIC_TRAPS:
         counts = [shell_capacity(n) for n in range(args.max_n + 1)]
     elif args.trap == "paul":
         counts = [paul_shell_count(e) for e in range(2, args.max_n + 3)]
@@ -494,7 +554,7 @@ def _cmd_shells(args) -> int:
             )
         cfg = load_config(args.config)
         _require_trap(cfg, ("penning",), "shells --trap penning")
-        freqs = _planar_frequencies(cfg)
+        freqs = penning_frequencies(cfg.build_geometry())
         ground = 0.5 * freqs.hbar * (freqs.hybrid + freqs.axial)
         counts = [
             penning_state_count(freqs, ground + k * freqs.hbar * freqs.axial)
@@ -531,14 +591,21 @@ HANDLERS = {
 }
 
 
+def _print_warning(message, *_) -> None:
+    """Show a warning as one ``warning:`` line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for dest, value in vars(args).items():  # the models compute in floats
-            if type(value) is int and abs(value) > sys.float_info.max:
-                raise DomainError(f"option --{dest.replace('_', '-')} is too large for a float")
-        return HANDLERS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            for dest, value in vars(args).items():  # the models compute in floats
+                if type(value) is int and abs(value) > sys.float_info.max:
+                    raise DomainError(f"option --{dest.replace('_', '-')} is too large for a float")
+            return HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,48 +16,30 @@ from .exports import write_text_atomic
 from .fields import DipoleParticle, IoffePritchardGeometry, TopGeometry
 from .planar import PaulParams, PenningParams
 
-TRAP_KINDS = ("ioffe_pritchard", "top", "paul", "penning")
 UNIT_MODES = ("si", "natural")
 
-# Required geometry fields per trap kind, in canonical output order.
-GEOMETRY_FIELDS = {
-    "ioffe_pritchard": (
-        "coil_radius_m",
-        "coil_halfspacing_m",
-        "coil_current_A",
-        "bar_distance_m",
+# One row per trap kind: the record it builds and its JSON geometry fields,
+# listed in the record's field order.
+TRAPS = {
+    "ioffe_pritchard": (IoffePritchardGeometry, (
+        "coil_radius_m", "coil_halfspacing_m", "coil_current_A", "bar_distance_m",
         "bar_current_A",
-    ),
-    "top": (
-        "quad_radius_m",
-        "quad_halfspacing_m",
-        "quad_current_A",
-        "bias_radius_m",
-        "bias_halfspacing_m",
-        "bias_current_A",
-        "bias_frequency_rad_per_s",
-    ),
-    "paul": (
-        "voltage_V",
-        "size_m",
-        "drive_rad_per_s",
-        "charge_C",
-        "mass_kg",
-    ),
-    "penning": (
-        "voltage_V",
-        "size_m",
-        "axial_field_T",
-        "charge_C",
-        "mass_kg",
-    ),
+    )),
+    "top": (TopGeometry, (
+        "quad_radius_m", "quad_halfspacing_m", "quad_current_A", "bias_radius_m",
+        "bias_halfspacing_m", "bias_current_A", "bias_frequency_rad_per_s",
+    )),
+    "paul": (PaulParams, ("voltage_V", "size_m", "drive_rad_per_s", "charge_C", "mass_kg")),
+    "penning": (PenningParams, ("voltage_V", "size_m", "axial_field_T", "charge_C", "mass_kg")),
 }
+TRAP_KINDS = tuple(TRAPS)
+GEOMETRY_FIELDS = {kind: names for kind, (_, names) in TRAPS.items()}
 
 PARTICLE_FIELDS = ("magnetic_moment_J_per_T", "mass_kg")
 
 # Magnetic traps need a dipole particle record; the planar traps carry the
 # charge and mass inside the geometry record instead.
-MAGNETIC_TRAPS = ("ioffe_pritchard", "top")
+MAGNETIC_TRAPS = tuple(kind for kind, names in GEOMETRY_FIELDS.items() if "mass_kg" not in names)
 
 
 @dataclass(frozen=True)
@@ -88,41 +70,9 @@ class RunConfig:
             )
 
     def build_geometry(self):
-        """Construct the geometry object for the magnetic traps."""
-        g = self.geometry
-        if self.trap == "ioffe_pritchard":
-            return IoffePritchardGeometry(
-                coil_radius=g["coil_radius_m"],
-                coil_halfspacing=g["coil_halfspacing_m"],
-                coil_current=g["coil_current_A"],
-                bar_distance=g["bar_distance_m"],
-                bar_current=g["bar_current_A"],
-            )
-        if self.trap == "top":
-            return TopGeometry(
-                quad_radius=g["quad_radius_m"],
-                quad_halfspacing=g["quad_halfspacing_m"],
-                quad_current=g["quad_current_A"],
-                bias_radius=g["bias_radius_m"],
-                bias_halfspacing=g["bias_halfspacing_m"],
-                bias_current=g["bias_current_A"],
-                bias_frequency=g["bias_frequency_rad_per_s"],
-            )
-        if self.trap == "paul":
-            return PaulParams(
-                voltage=g["voltage_V"],
-                size=g["size_m"],
-                drive=g["drive_rad_per_s"],
-                charge=g["charge_C"],
-                mass=g["mass_kg"],
-            )
-        return PenningParams(
-            voltage=g["voltage_V"],
-            size=g["size_m"],
-            axial_field=g["axial_field_T"],
-            charge=g["charge_C"],
-            mass=g["mass_kg"],
-        )
+        """Construct the geometry record of this trap kind."""
+        record, names = TRAPS[self.trap]
+        return record(*(self.geometry[name] for name in names))
 
     def build_particle(self) -> DipoleParticle:
         if self.trap not in MAGNETIC_TRAPS:

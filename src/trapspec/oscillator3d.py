@@ -143,13 +143,12 @@ class RadialEigenstate:
         poly = laguerre_gen(self.degree, self.l_angular + 0.5, x)
         dpoly = laguerre_gen_derivative(self.degree, self.l_angular + 0.5, x)
         with np.errstate(divide="ignore"):
-            val = (
-                self.norm
-                / self.r0
-                * u ** (self.l_angular)
-                * np.exp(-0.5 * x)
-                * (a * poly - x * poly + 2.0 * x * dpoly)
-            )
+            if a == 0.0:
+                # The bracket is x (2L' - L) here; u**-1 times it would be 0 * inf at u = 0.
+                power, bracket = u, 2.0 * dpoly - poly
+            else:
+                power, bracket = u ** (self.l_angular), a * poly - x * poly + 2.0 * x * dpoly
+            val = self.norm / self.r0 * power * np.exp(-0.5 * x) * bracket
         return val if np.asarray(r).ndim else float(val)
 
 

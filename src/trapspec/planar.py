@@ -337,11 +337,6 @@ class PenningFrequencies:
         return self.hybrid / self.cyclotron
 
     @property
-    def cyclotron_length(self) -> float:
-        """``rho_0 = sqrt(hbar/m w_c)``."""
-        return math.sqrt(self.hbar / (self.mass * self.cyclotron))
-
-    @property
     def radial_scales(self) -> OscillatorScales:
         """The radial oscillator: frequency ``Omega/2``, zero energy offset."""
         return OscillatorScales(mass=self.mass, omega0=0.5 * self.hybrid, hbar=self.hbar)

@@ -139,6 +139,17 @@ class TestScales:
         assert pairs["drive_ratio"] > 10.0
         assert pairs["quantum_J"] > 0.0
 
+    def test_slow_drive_warning_is_one_line(self, tmp_path, capsys):
+        geometry = dict(PAUL_GEOMETRY, drive_rad_per_s=2e5)
+        path = write_config(tmp_path, "paul-slow.json", "paul", geometry)
+        code, out, err = run(capsys, "scales", "--config", path)
+        assert code == 0
+        assert parse_pairs(out)["drive_ratio"] < 10.0
+        assert err == (
+            "warning: drive/quadrupole frequency ratio 0.0484 is below 10; "
+            "the time-averaged potential is unreliable this slow\n"
+        )
+
     def test_penning(self, tmp_path, capsys):
         code, out, _ = run(capsys, "scales", "--config", penning_config(tmp_path))
         assert code == 0
@@ -393,6 +404,40 @@ class TestDefectCommand:
         )
         assert code == 3
         assert "supports trap kinds" in err
+
+
+CONFIG_COMMANDS = [
+    ("scales",),
+    ("field-map",),
+    ("isotropy",),
+    ("spectrum",),
+    ("wavefunction", "--n-level", "0"),
+    ("susy",),
+    ("defect", "--delta", "0.3"),
+]
+MAGNETIC_ONLY = ("field-map", "isotropy", "defect")
+CONFIG_OF_KIND = {
+    "ioffe_pritchard": ip_config,
+    "top": top_config,
+    "paul": paul_config,
+    "penning": penning_config,
+}
+
+
+@pytest.mark.parametrize("kind", CONFIG_OF_KIND)
+@pytest.mark.parametrize("argv", CONFIG_COMMANDS, ids=lambda a: a[0])
+def test_every_command_on_every_trap_kind(tmp_path, capsys, kind, argv):
+    path = CONFIG_OF_KIND[kind](tmp_path)
+    code, out, err = run(capsys, argv[0], "--config", path, *argv[1:])
+    if argv[0] in MAGNETIC_ONLY and kind in ("paul", "penning"):
+        assert (code, out) == (3, "")
+        assert err == (
+            f"validation error: command '{argv[0]}' supports trap kinds "
+            f"ioffe_pritchard, top; config declares '{kind}'\n"
+        )
+    else:
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestShellsCommand:

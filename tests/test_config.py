@@ -1,10 +1,12 @@
 """Tests for run-configuration parsing, validation, and round-tripping."""
 
+import dataclasses
 import json
 
 import pytest
 
 from trapspec import ConfigError, RunConfig, load_config, save_config
+from trapspec.config import MAGNETIC_TRAPS, TRAP_KINDS, TRAPS
 from trapspec.fields import IoffePritchardGeometry, TopGeometry
 from trapspec.planar import PaulParams, PenningParams
 
@@ -128,6 +130,18 @@ class TestBuilders:
         g = cfg.build_geometry()
         assert isinstance(g, PenningParams)
         assert g.axial_field == 5.0
+
+    @pytest.mark.parametrize("kind", TRAP_KINDS)
+    def test_table_lists_fields_in_record_order(self, kind):
+        record, names = TRAPS[kind]
+        fields = [f.name for f in dataclasses.fields(record)]
+        assert len(names) == len(fields)
+        for name, field in zip(names, fields):
+            assert name.startswith(field + "_"), (name, field)
+        geometry = {name: float(i + 1) for i, name in enumerate(names)}
+        cfg = make(kind, geometry, PARTICLE if kind in MAGNETIC_TRAPS else None)
+        g = cfg.build_geometry()
+        assert [getattr(g, f) for f in fields] == [float(i + 1) for i in range(len(names))]
 
 
 class TestFileRoundTrip:

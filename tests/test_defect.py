@@ -1,7 +1,5 @@
 """Tests for the shifted-tower model and the partner-hamiltonian recovery."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate

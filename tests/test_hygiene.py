@@ -1,0 +1,45 @@
+"""Source hygiene: no module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# The package __init__ imports names only to re-export them.
+SOURCES = sorted(
+    p for p in (ROOT / "src" / "trapspec").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import that are never referenced nor listed in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_unused_and_used_names():
+    source = (
+        "import math\nimport numpy as np\nfrom os import path, sep\n"
+        "__all__ = ['sep']\nprint(np.pi)\n"
+    )
+    assert unused_imports(source) == ["line 1: math", "line 3: path"]

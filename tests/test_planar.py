@@ -1,6 +1,7 @@
 """Tests for the driven-quadrupole and crossed-field planar trap models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ class TestPaulWavefunctions:
                 lambda z: axial(z) ** 2, -np.inf, np.inf, limit=200
             )
             assert abs(val - 1.0) < 1e-10
+
+    def test_even_axial_derivative_vanishes_at_center(self):
+        # Even K sits at tower index -1, where u**-1 meets a bracket that is 0 at u = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 2, 4, 10):
+                assert paul_wavefunctions(PAUL, 0, 0, k).axial.derivative(0.0) == 0.0
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 10, 11])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_axial_derivative_matches_central_difference(self, k, sign):
+        axial = paul_wavefunctions(PAUL, 0, 0, k).axial
+        z, h = sign * 1e-3 * axial.r0, 1e-6 * axial.r0
+        difference = (axial(z + h) - axial(z - h)) / (2.0 * h)
+        assert axial.derivative(z) == pytest.approx(difference, rel=1e-6, abs=1e-12 / axial.r0)
 
     def test_axial_scale_is_double_frequency(self):
         axial = paul_wavefunctions(PAUL, 0, 0, 0).axial
@@ -477,7 +493,6 @@ class TestPenningFrequencies:
 
     def test_characteristic_lengths(self):
         f = PENNING
-        assert f.cyclotron_length == pytest.approx(7.0**-0.25, rel=1e-13)
         assert f.axial_scales.r0 == pytest.approx(1.0, rel=1e-13)
         assert f.radial_scales.r0 == pytest.approx(
             math.sqrt(2.0) * 5.0**-0.25, rel=1e-13
