@@ -46,6 +46,7 @@ from .numerov import (
     RadialProblem,
     count_nodes,
     fd_check,
+    gram,
     overlap,
     solve_eigen,
     solve_eigens,

@@ -55,7 +55,7 @@ from .planar import (
     penning_wavefunction,
 )
 from .susy import partner_pair, superpotential, tower_potential
-from .verification import SUITE_ORDER, run_suite
+from .verification import SUITE_ORDER, run_suite, tolerance_scale
 
 # An Ioffe-Pritchard or TOP potential is only a single isotropic oscillator
 # when the currents are tuned; beyond this residual the level structure the
@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=TRAP_KINDS)
     p.add_argument("--max-n", "--max-N", dest="max_n", type=int, required=True,
                    help="largest shell index")
-    p.add_argument("--config", help="run configuration (needed for penning counts)")
+    p.add_argument("--config",
+                   help="run configuration, checked against --trap (needed for penning counts)")
 
     p = sub.add_parser("verify", help="run built-in verification suites")
     p.add_argument("--suite", default="all",
@@ -543,17 +544,16 @@ def _cmd_defect(args) -> int:
 def _cmd_shells(args) -> int:
     if args.max_n < 0:
         raise DomainError("--max-n must be nonnegative")
+    if args.config:
+        cfg = load_config(args.config)
+        _require_trap(cfg, (args.trap,), f"shells --trap {args.trap}")
+    elif args.trap == "penning":
+        raise ConfigError("penning shell counts depend on the frequency tuning; pass --config")
     if args.trap in MAGNETIC_TRAPS:
         counts = [shell_capacity(n) for n in range(args.max_n + 1)]
     elif args.trap == "paul":
         counts = [paul_shell_count(e) for e in range(2, args.max_n + 3)]
     else:
-        if not args.config:
-            raise ConfigError(
-                "penning shell counts depend on the frequency tuning; pass --config"
-            )
-        cfg = load_config(args.config)
-        _require_trap(cfg, ("penning",), "shells --trap penning")
         freqs = penning_frequencies(cfg.build_geometry())
         ground = 0.5 * freqs.hbar * (freqs.hybrid + freqs.axial)
         counts = [
@@ -570,6 +570,9 @@ def _cmd_verify(args) -> int:
         if args.suite != "susy":
             raise ConfigError("--l-angular only applies to the susy suite")
         kwargs["l_values"] = (args.l_angular,)
+    scale = tolerance_scale()
+    if scale != 1.0:
+        warnings.warn(f"TRAPSPEC_TOL_SCALE={scale:g} scales every numeric tolerance")
     results = run_suite(args.suite, **kwargs)
     for result in results:
         print(result.line())

@@ -3,8 +3,10 @@
 This module is the numerical cross-check for every analytic spectrum in the
 package, so it deliberately avoids the analytic results: eigenvalues come
 from node-counted shooting (Numerov propagation from both ends, matched at
-the outermost classical turning point), overlaps from adaptive quadrature,
-and derivative claims from Richardson-extrapolated central differences.
+the outermost classical turning point), overlaps from adaptive quadrature
+(``overlap`` for one pair; ``gram`` for a whole family, in one vectorized
+Gauss-Kronrod call over every upper-triangle product), and derivative claims
+from Richardson-extrapolated central differences.
 
 The radial problem solved is
 
@@ -33,6 +35,9 @@ advances a matrix whose columns are (state, trial energy) pairs, with the
 same per-column arithmetic a scalar loop would do.  Node-count bisection
 samples several levels of its tree per sweep, so a batch of many states, or
 a lone state with many trial energies, costs one to two dozen sweeps in all.
+
+scipy is imported inside the functions that use it, so importing this module
+(and the command-line interface) does not load it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
 
@@ -408,6 +412,8 @@ class _Batch:
         ``index`` gives each problem's position in the caller's list, for
         error messages.
         """
+        from scipy.integrate import simpson
+
         problems = self.problems
         size = len(problems)
         states = np.arange(size)
@@ -739,6 +745,8 @@ def overlap(
     Raises :class:`AccuracyError` when the quadrature error estimate stays
     above ``1e-8`` (non-convergent refinement).
     """
+    from scipy.integrate import quad
+
     if weight is None:
         integrand = lambda x: f(x) * g(x)
     else:
@@ -747,6 +755,44 @@ def overlap(
     if err > 1e-8:
         raise AccuracyError(f"overlap quadrature error estimate {err:.3g} exceeds 1e-8")
     return value
+
+
+def gram(
+    states: Sequence[Callable[[np.ndarray], np.ndarray]],
+    lo: float,
+    hi: float,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """Symmetric Gram matrix ``G[i, j] = int f_i f_j dr`` of a family.
+
+    One adaptive Gauss-Kronrod (21-point) integration covers every
+    upper-triangle product at once: each state is evaluated once on the whole
+    vector of nodes of a subinterval, and refinement goes on until every
+    entry meets ``tol`` absolute or ``1e-10`` relative accuracy.  Raises
+    :class:`AccuracyError` when refinement does not converge or an entry's
+    error estimate stays above ``1e-8``, the gate of :func:`overlap`.
+    """
+    from scipy.integrate import cubature
+
+    n = len(states)
+    if n == 0:
+        raise DomainError("gram needs at least one state")
+    rows, cols = np.triu_indices(n)
+
+    def products(x):
+        values = np.array([np.asarray(f(x[:, 0]), dtype=float) for f in states])
+        return (values[rows] * values[cols]).T
+
+    result = cubature(products, [lo], [hi], rule="gk21", atol=tol, rtol=1e-10,
+                      max_subdivisions=400)
+    err = float(np.max(result.error))
+    if result.status != "converged" or err > 1e-8:
+        raise AccuracyError(
+            f"Gram quadrature {result.status} with error estimate {err:.3g} (gate 1e-8)")
+    matrix = np.empty((n, n))
+    matrix[rows, cols] = result.estimate
+    matrix[cols, rows] = result.estimate
+    return matrix
 
 
 def fd_check(

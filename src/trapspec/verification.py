@@ -33,7 +33,7 @@ from .fields import (
     top_time_average_numeric,
     top_time_avg_potential,
 )
-from .numerov import RadialProblem, count_nodes, overlap, solve_eigens
+from .numerov import RadialProblem, count_nodes, gram, solve_eigens
 from .oscillator3d import (
     OscillatorScales,
     allowed_angular,
@@ -518,10 +518,7 @@ def check_defect_model() -> CheckResult:
         )
         for k in range(4)
     ]
-    mixing = max(
-        abs(overlap(mixed[i], mixed[j], 0.0, 14.0 * scales.r0))
-        for i in range(4) for j in range(i + 1, 4)
-    )
+    mixing = float(np.max(np.abs(gram(mixed, 0.0, 14.0 * scales.r0)[np.triu_indices(4, 1)])))
 
     passed = worst_point <= thr_point and worst_spec <= thr_spec and mixing > MIXING_FLOOR
     return CheckResult(
@@ -616,12 +613,10 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
 # 10. Orthonormality of every analytic family by quadrature.
 
 
-def check_orthonormality(max_n: int = 12) -> CheckResult:
+def orthonormality_families(max_n: int = 12) -> list[tuple[str, list, tuple[float, float]]]:
+    """The families the orthonormality suite checks: (label, states, interval)."""
     scales = _natural()
     paul, penning = _planar_reference()
-    thr = tolerance("orthonormality")
-    worst, worst_label = 0.0, ""
-
     families = []
     for l in range(3):
         families.append((
@@ -659,16 +654,22 @@ def check_orthonormality(max_n: int = 12) -> CheckResult:
         [defect_wavefunction(model, n_s) for n_s in range(0, max_n + 1, 2)],
         (0.0, 14.0),
     ))
+    return families
 
+
+def check_orthonormality(max_n: int = 12) -> CheckResult:
+    thr = tolerance("orthonormality")
+    worst, worst_label = 0.0, ""
+    families = orthonormality_families(max_n)
     n_pairs = 0
     for label, states, (lo, hi) in families:
-        for i, a in enumerate(states):
-            for j in range(i, len(states)):
-                val = overlap(a, states[j], lo, hi)
-                dev = abs(val - (1.0 if i == j else 0.0))
-                n_pairs += 1
-                if dev > worst:
-                    worst, worst_label = dev, f"{label} pair ({i},{j})"
+        # Upper triangle only: the first worst pair in row order, as a
+        # pair-by-pair scan would name it.
+        deviation = np.triu(np.abs(gram(states, lo, hi) - np.eye(len(states))))
+        i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
+        n_pairs += len(states) * (len(states) + 1) // 2
+        if deviation[i, j] > worst:
+            worst, worst_label = float(deviation[i, j]), f"{label} pair ({i},{j})"
 
     return CheckResult(
         name="orthonormality",

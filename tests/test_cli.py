@@ -478,6 +478,40 @@ class TestShellsCommand:
         assert code == 3
         assert err.startswith("validation error:")
 
+    @pytest.mark.parametrize("kind", ["ioffe_pritchard", "top", "paul"])
+    def test_missing_config_is_read(self, tmp_path, capsys, kind):
+        code, out, err = run(
+            capsys, "shells", "--trap", kind, "--max-N", "2",
+            "--config", str(tmp_path / "missing.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("kind,config", [
+        ("ioffe_pritchard", top_config),
+        ("top", paul_config),
+        ("paul", ip_config),
+        ("penning", paul_config),
+    ])
+    def test_config_kind_must_match_trap(self, tmp_path, capsys, kind, config):
+        code, out, err = run(
+            capsys, "shells", "--trap", kind, "--max-N", "2", "--config", config(tmp_path)
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(f"validation error: command 'shells --trap {kind}' supports")
+
+    @pytest.mark.parametrize("kind,config", [
+        ("ioffe_pritchard", ip_config),
+        ("top", top_config),
+        ("paul", paul_config),
+    ])
+    def test_matching_config_leaves_counts_unchanged(self, tmp_path, capsys, kind, config):
+        _, bare, _ = run(capsys, "shells", "--trap", kind, "--max-N", "4")
+        code, out, err = run(
+            capsys, "shells", "--trap", kind, "--max-N", "4", "--config", config(tmp_path)
+        )
+        assert (code, out, err) == (0, bare, "")
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
@@ -507,6 +541,15 @@ class TestVerifyCommand:
         assert code == 3
         assert "FAIL pauli-gap:" in out
         assert "0/1 suites passed" in out
+
+    def test_loose_tolerance_scale_warns_once(self, monkeypatch, capsys):
+        _, plain, plain_err = run(capsys, "verify", "--suite", "pauli-gap")
+        monkeypatch.setenv("TRAPSPEC_TOL_SCALE", "1e6")
+        code, out, err = run(capsys, "verify", "--suite", "pauli-gap")
+        assert (code, plain_err) == (0, "")
+        assert err == "warning: TRAPSPEC_TOL_SCALE=1e+06 scales every numeric tolerance\n"
+        assert "PASS pauli-gap:" in out
+        assert out.replace("(tol 1.0e-06)", "(tol 1.0e-12)") == plain  # only the tol moves
 
     def test_bad_tolerance_scale(self, monkeypatch, capsys):
         monkeypatch.setenv("TRAPSPEC_TOL_SCALE", "banana")

@@ -1,6 +1,9 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and start-up loads no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,18 @@ def test_check_sees_unused_and_used_names():
         "__all__ = ['sep']\nprint(np.pi)\n"
     )
     assert unused_imports(source) == ["line 1: math", "line 3: path"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where the quadrature runs; importing the package and
+    # its command line must not pay for it.
+    probe = (
+        "import sys, trapspec, trapspec.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.stdout == "[]\n"

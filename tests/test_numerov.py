@@ -17,12 +17,14 @@ from trapspec.numerov import (
     RadialProblem,
     count_nodes,
     fd_check,
+    gram,
     overlap,
     solve_eigen,
     solve_eigens,
 )
 from trapspec.oscillator3d import OscillatorScales, radial_wavefunction_3d
 from trapspec.susy import input_potential, partner_pair, superpotential
+from trapspec.verification import orthonormality_families
 
 NAT = OscillatorScales.natural()
 
@@ -445,6 +447,61 @@ class TestOverlap:
         wild = lambda x: math.sin(1e7 * x * x)
         with pytest.raises(AccuracyError):
             overlap(wild, wild, 0.0, 50.0)
+
+
+FAMILIES = orthonormality_families()
+AXIAL = [label for label, _, _ in FAMILIES].index("axial")
+AXIAL_SIZE = len(FAMILIES[AXIAL][1])
+
+
+@functools.cache
+def full_gram(index):
+    _, states, (lo, hi) = FAMILIES[index]
+    return gram(states, lo, hi)
+
+
+class TestGram:
+    @pytest.mark.parametrize("index", range(len(FAMILIES)), ids=[f[0] for f in FAMILIES])
+    def test_matches_pairwise_overlap(self, index):
+        _, states, (lo, hi) = FAMILIES[index]
+        pairwise = np.array([[overlap(a, b, lo, hi) for b in states] for a in states])
+        assert np.max(np.abs(full_gram(index) - pairwise)) <= 1e-13
+
+    def test_symmetric(self):
+        for index in range(len(FAMILIES)):
+            matrix = full_gram(index)
+            assert np.array_equal(matrix, matrix.T)
+
+    def test_one_state_is_its_norm(self):
+        matrix = gram([radial_wavefunction_3d(NAT, 0, 0)], 0.0, 14.0)
+        assert matrix.shape == (1, 1)
+        assert matrix[0, 0] == pytest.approx(1.0, abs=1e-13)
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(DomainError):
+            gram([], 0.0, 1.0)
+
+    def test_nonconvergent_refinement_raises(self):
+        wild = lambda x: np.sin(1e7 * x * x)
+        with pytest.raises(AccuracyError, match="not_converged"):
+            gram([wild, wild], 0.0, 50.0)
+
+    def test_error_estimate_above_gate_raises(self):
+        # Converges at the requested 1e-6 with an error estimate of ~7e-7,
+        # which the fixed 1e-8 gate must still refuse.
+        with pytest.raises(AccuracyError, match="quadrature converged"):
+            gram([lambda x: np.sin(20.0 * x)], 0.0, 1.0, tol=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(range(AXIAL_SIZE)), size=st.integers(1, AXIAL_SIZE))
+    def test_subfamily_entries_match_full_family(self, order, size):
+        # The axial family (signed interval): any subset in any order gives
+        # the same entries as the whole family.
+        _, states, (lo, hi) = FAMILIES[AXIAL]
+        chosen = order[:size]
+        sub = gram([states[k] for k in chosen], lo, hi)
+        full = full_gram(AXIAL)
+        assert np.max(np.abs(sub - full[np.ix_(chosen, chosen)])) <= 1e-13
 
 
 class TestFdCheck:
