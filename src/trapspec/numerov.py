@@ -53,7 +53,7 @@ from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
 
 __all__ = [
     "RadialProblem", "EigenResult", "solve_eigen", "solve_eigens", "count_nodes", "overlap",
-    "fd_check",
+    "gram", "fd_check",
 ]
 
 _RENORM = 1e200
@@ -65,6 +65,7 @@ _CHECK = 16
 _CHUNK = 16 * _CHECK  # mesh rows of f built, and node signs tallied, at once
 _MIN_COLUMNS = 64  # trial energies per sweep, summed over the batch
 _MAX_ROUNDS = 200
+_GRAM_ATOL = 1e-12  # absolute accuracy asked of every Gram entry, as overlap's default
 
 
 @dataclass(frozen=True)
@@ -761,14 +762,13 @@ def gram(
     states: Sequence[Callable[[np.ndarray], np.ndarray]],
     lo: float,
     hi: float,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Symmetric Gram matrix ``G[i, j] = int f_i f_j dr`` of a family.
 
     One adaptive Gauss-Kronrod (21-point) integration covers every
     upper-triangle product at once: each state is evaluated once on the whole
     vector of nodes of a subinterval, and refinement goes on until every
-    entry meets ``tol`` absolute or ``1e-10`` relative accuracy.  Raises
+    entry meets ``1e-12`` absolute or ``1e-10`` relative accuracy.  Raises
     :class:`AccuracyError` when refinement does not converge or an entry's
     error estimate stays above ``1e-8``, the gate of :func:`overlap`.
     """
@@ -783,7 +783,7 @@ def gram(
         values = np.array([np.asarray(f(x[:, 0]), dtype=float) for f in states])
         return (values[rows] * values[cols]).T
 
-    result = cubature(products, [lo], [hi], rule="gk21", atol=tol, rtol=1e-10,
+    result = cubature(products, [lo], [hi], rule="gk21", atol=_GRAM_ATOL, rtol=1e-10,
                       max_subdivisions=400)
     err = float(np.max(result.error))
     if result.status != "converged" or err > 1e-8:

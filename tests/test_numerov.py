@@ -464,8 +464,9 @@ class TestGram:
     @pytest.mark.parametrize("index", range(len(FAMILIES)), ids=[f[0] for f in FAMILIES])
     def test_matches_pairwise_overlap(self, index):
         _, states, (lo, hi) = FAMILIES[index]
-        pairwise = np.array([[overlap(a, b, lo, hi) for b in states] for a in states])
-        assert np.max(np.abs(full_gram(index) - pairwise)) <= 1e-13
+        matrix = full_gram(index)
+        for i, j in zip(*np.triu_indices(len(states))):
+            assert abs(matrix[i, j] - overlap(states[i], states[j], lo, hi)) <= 1e-13
 
     def test_symmetric(self):
         for index in range(len(FAMILIES)):
@@ -487,12 +488,12 @@ class TestGram:
             gram([wild, wild], 0.0, 50.0)
 
     def test_error_estimate_above_gate_raises(self):
-        # Converges at the requested 1e-6 with an error estimate of ~7e-7,
-        # which the fixed 1e-8 gate must still refuse.
+        # The integral is ~5e3, so the 1e-10 relative accuracy is met with an
+        # error estimate of ~1.6e-7, which the 1e-8 gate must still refuse.
         with pytest.raises(AccuracyError, match="quadrature converged"):
-            gram([lambda x: np.sin(20.0 * x)], 0.0, 1.0, tol=1e-6)
+            gram([lambda x: 1e2 * np.sin(20.0 * x)], 0.0, 1.0)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(order=st.permutations(range(AXIAL_SIZE)), size=st.integers(1, AXIAL_SIZE))
     def test_subfamily_entries_match_full_family(self, order, size):
         # The axial family (signed interval): any subset in any order gives
