@@ -233,8 +233,7 @@ class _Magnetic:
         """The series field at ``points`` and time ``t``, or the conductor-level sum."""
         if not oracle:
             return self.series(*points.T, t)
-        assembly = self.assembly(t)
-        return np.array([biot_savart_field(assembly, p) for p in points])
+        return biot_savart_field(self.assembly(t), points)
 
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         osc = self.oscillator

@@ -30,12 +30,18 @@ def _cell(value) -> str:
 
 
 def csv_text(header, rows) -> str:
-    """Render a table; integer cells print bare, float cells via fmt17."""
+    """Render a table; integer cells print bare, float cells via fmt17.
+
+    A plain Python float is formatted in place (what fmt17 does to it);
+    every other cell goes through the type checks of ``_cell``.
+    """
+    width = len(header)
     lines = [",".join(header)]
     for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(_cell(v) for v in row))
+        if len(row) != width:
+            raise ValueError(f"row width {len(row)} != header width {width}")
+        lines.append(",".join([format(v, ".17g") if type(v) is float else _cell(v)
+                               for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -88,10 +94,7 @@ def field_map_table(points, times, fields) -> str:
     fields = np.asarray(fields, dtype=float)
     if fields.shape != points.shape or points.shape[0] != times.shape[0]:
         raise ValueError("points, times and fields must align row-for-row")
-    rows = [
-        (p[0], p[1], p[2], t, b[0], b[1], b[2])
-        for p, t, b in zip(points, times, fields)
-    ]
+    rows = np.column_stack([points, times, fields]).tolist()
     return csv_text(FIELD_MAP_HEADER, rows)
 
 
@@ -109,8 +112,11 @@ def spectrum_table_planar(rows) -> str:
 
 def wavefunction_table(abscissa_name, column_names, abscissa, columns) -> str:
     header = (abscissa_name,) + tuple(column_names)
+    # Float arrays enter as Python floats, which csv_text formats directly.
+    columns = [c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind == "f" else c
+               for c in (abscissa, *columns)]
     try:
-        rows = list(zip(abscissa, *columns, strict=True))
+        rows = list(zip(*columns, strict=True))
     except ValueError as exc:
         raise ValueError(f"columns must match the abscissa length: {exc}") from None
     return csv_text(header, rows)

@@ -16,8 +16,9 @@ carry everything needed to express the tuning condition and the isotropic
 trap radius.  Series expressions are truncated forms (quadratic potentials,
 field error growing as the fourth power of distance over the coil scale),
 and this module also provides the two slow-but-independent checks used to
-certify them: direct Biot-Savart summation of the conductors and direct
-time averaging of the rotating-field magnitude.
+certify them: direct Biot-Savart summation of the conductors (at one point
+or over a whole (n, 3) array of points) and direct time averaging of the
+rotating-field magnitude.
 
 Everything is SI.  Potentials are for dipoles anti-aligned with the local
 field (the trappable orientation), so U = mu |B| with mu > 0.
@@ -341,12 +342,32 @@ def oscillator_scales(
 # Conductor-level oracle: direct Biot-Savart summation.
 
 
+# Periodic-trapezoid panels double until a point's field changes by at most
+# this much relative to its largest component.
+_LOOP_RTOL = 1e-13
+# Largest number of (point, panel) pairs a loop evaluates in one numpy block.
+# Points are taken in chunks of this many pairs, so a (pairs, 3) temporary
+# stays near 1.5 MB whatever the batch size.  One point's panels are never
+# split (its panel sum stays one numpy mean, as when it is evaluated alone),
+# so above this many panels a block holds a single point.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _rows(points) -> np.ndarray:
+    """``points`` as an (n, 3) float array; one point of shape (3,) is one row."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise DomainError(f"points must have shape (3,) or (n, 3), got {p.shape}")
+    return p.reshape(-1, 3)
+
+
 @dataclass(frozen=True)
 class CircularLoop:
     """Circular current loop: center point, unit axis, radius, current (SI).
 
     The current sense is right-handed about the axis, so a positive current
-    produces field along +axis at the center.
+    produces field along +axis at the center.  Every method takes one point
+    of shape (3,) or an (n, 3) array of points and returns the matching shape.
     """
 
     center: tuple[float, float, float]
@@ -360,61 +381,76 @@ class CircularLoop:
         if norm == 0.0:
             raise DomainError("loop axis must be a nonzero vector")
         object.__setattr__(self, "axis", tuple(c / norm for c in self.axis))
-
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = np.asarray(self.axis)
         seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
         e1 = np.cross(n, seed)
         e1 /= np.linalg.norm(e1)
-        return e1, np.cross(n, e1), n
+        # Orthonormal frame (e1, e2, axis) of the loop plane, built once.
+        object.__setattr__(self, "_frame", (e1, np.cross(n, e1), n))
 
-    def min_distance(self, point) -> float:
-        p = np.asarray(point, float) - np.asarray(self.center)
-        e1, e2, n = self._frame()
-        radial = math.hypot(float(p @ e1), float(p @ e2))
-        return math.hypot(radial - self.radius, float(p @ n))
+    def min_distance(self, points):
+        """Distance from each point to the loop wire."""
+        p = _rows(points) - np.asarray(self.center)
+        e1, e2, n = self._frame
+        radial = np.hypot(np.vecdot(p, e1), np.vecdot(p, e2))
+        dist = np.hypot(radial - self.radius, np.vecdot(p, n))
+        return dist.reshape(np.shape(points)[:-1])[()]
 
-    def field(self, point, rtol: float = 1e-13) -> np.ndarray:
+    def _integral(self, p: np.ndarray, n_panels: int) -> np.ndarray:
+        # Trapezoid sum of the Biot-Savart integrand over n_panels, for every
+        # row of p, in blocks of at most _BLOCK_PAIRS (point, panel) pairs.
+        e1, e2, _ = self._frame
+        theta = np.linspace(0.0, 2.0 * math.pi, n_panels, endpoint=False)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        pts = np.asarray(self.center) + self.radius * (np.outer(cos_t, e1) + np.outer(sin_t, e2))
+        dl = self.radius * (np.outer(-sin_t, e1) + np.outer(cos_t, e2))
+        mean = np.empty_like(p)
+        step = max(1, _BLOCK_PAIRS // n_panels)
+        for lo in range(0, len(p), step):
+            sep = p[lo:lo + step, None, :] - pts
+            dist = np.linalg.norm(sep, axis=2)
+            mean[lo:lo + step] = (np.cross(dl, sep) / dist[..., None] ** 3).mean(axis=1)
+        pref = MU0 * self.current / (4.0 * math.pi)
+        return pref * mean * 2.0 * math.pi
+
+    def field(self, points) -> np.ndarray:
         """Biot-Savart line integral by periodic-trapezoid panel doubling.
 
         The integrand is smooth and periodic, so the trapezoid rule converges
-        geometrically; panels double until the change is within rtol (floored
-        at machine noise) or an AccuracyError is raised.
+        geometrically.  Each point stops at the first doubling whose change
+        is within ``_LOOP_RTOL`` (or stalls below 1e-10); only the points
+        still moving go on to the next doubling.  A point still moving at
+        2**20 panels raises AccuracyError.
         """
-        p = np.asarray(point, dtype=float)
-        e1, e2, n = self._frame()
-        center = np.asarray(self.center)
-        pref = MU0 * self.current / (4.0 * math.pi)
-
-        def integral(n_panels: int) -> np.ndarray:
-            theta = np.linspace(0.0, 2.0 * math.pi, n_panels, endpoint=False)
-            cos_t, sin_t = np.cos(theta), np.sin(theta)
-            pts = center + self.radius * (np.outer(cos_t, e1) + np.outer(sin_t, e2))
-            dl = self.radius * (np.outer(-sin_t, e1) + np.outer(cos_t, e2))
-            sep = p - pts
-            dist = np.linalg.norm(sep, axis=1)
-            contrib = np.cross(dl, sep) / dist[:, None] ** 3
-            return pref * contrib.mean(axis=0) * 2.0 * math.pi
-
-        floor = max(rtol, 5e-16)
-        prev = integral(64)
-        prev_diff = math.inf
+        p = _rows(points)
+        out = np.empty_like(p)
+        floor = max(_LOOP_RTOL, 5e-16)
+        active = np.arange(len(p))
+        prev = self._integral(p, 64)
+        prev_diff = np.full(len(p), math.inf)
         n_panels = 128
         while n_panels <= 1 << 20:
-            cur = integral(n_panels)
-            scale = float(np.max(np.abs(cur))) + 1e-300
-            diff = float(np.max(np.abs(cur - prev))) / scale
-            if diff <= floor or (diff >= prev_diff and diff <= 1e-10):
-                return cur
-            prev, prev_diff, n_panels = cur, diff, n_panels * 2
+            cur = self._integral(p[active], n_panels)
+            scale = np.max(np.abs(cur), axis=1) + 1e-300
+            diff = np.max(np.abs(cur - prev), axis=1) / scale
+            done = (diff <= floor) | ((diff >= prev_diff) & (diff <= 1e-10))
+            out[active[done]] = cur[done]
+            moving = ~done
+            active, prev, prev_diff = active[moving], cur[moving], diff[moving]
+            if active.size == 0:
+                return out.reshape(np.shape(points))
+            n_panels *= 2
         raise AccuracyError(
-            f"loop field quadrature did not reach rtol {rtol:g} by {1 << 20} panels"
+            f"loop field quadrature did not reach rtol {_LOOP_RTOL:g} by {1 << 20} panels"
         )
 
 
 @dataclass(frozen=True)
 class StraightWire:
-    """Infinite straight wire through a point, along a unit direction."""
+    """Infinite straight wire through a point, along a unit direction.
+
+    Methods take one point (3,) or an (n, 3) array, like :class:`CircularLoop`.
+    """
 
     point_on: tuple[float, float, float]
     direction: tuple[float, float, float]
@@ -426,18 +462,21 @@ class StraightWire:
             raise DomainError("wire direction must be a nonzero vector")
         object.__setattr__(self, "direction", tuple(c / norm for c in self.direction))
 
-    def _perp(self, point) -> np.ndarray:
+    def _perp(self, p: np.ndarray) -> np.ndarray:
         d = np.asarray(self.direction)
-        rel = np.asarray(point, float) - np.asarray(self.point_on)
-        return rel - (rel @ d) * d
+        rel = p - np.asarray(self.point_on)
+        return rel - np.vecdot(rel, d)[:, None] * d
 
-    def min_distance(self, point) -> float:
-        return float(np.linalg.norm(self._perp(point)))
+    def min_distance(self, points):
+        """Distance from each point to the wire."""
+        s = self._perp(_rows(points))
+        return np.sqrt(np.vecdot(s, s)).reshape(np.shape(points)[:-1])[()]
 
-    def field(self, point) -> np.ndarray:
-        s = self._perp(point)
-        d_sq = float(s @ s)
-        return MU0 * self.current / (2.0 * math.pi * d_sq) * np.cross(self.direction, s)
+    def field(self, points) -> np.ndarray:
+        s = self._perp(_rows(points))
+        d_sq = np.vecdot(s, s)
+        b = (MU0 * self.current / (2.0 * math.pi * d_sq))[:, None] * np.cross(self.direction, s)
+        return b.reshape(np.shape(points))
 
 
 @dataclass(frozen=True)
@@ -492,26 +531,32 @@ class TrapAssembly:
         return cls(loops=tuple(loops))
 
 
-def biot_savart_field(
-    assembly: TrapAssembly, point, clearance: float = 1e-9, rtol: float = 1e-13
-) -> np.ndarray:
-    """Total field of the assembly at a point, by direct summation.
+def biot_savart_field(assembly: TrapAssembly, points, clearance: float = 1e-9) -> np.ndarray:
+    """Total field of the assembly by direct summation, at one point or many.
 
-    Raises SingularityError when the point lies within ``clearance`` (meters)
-    of any conductor, where the line-current model diverges.
+    ``points`` is one point of shape (3,) or an (n, 3) array; the result has
+    the same shape.  Each conductor handles all the points at once, and the
+    conductors are summed in order (loops, then wires), so every row equals
+    the field of that point evaluated alone.
+
+    Raises SingularityError, naming the first such point, when a point lies
+    within ``clearance`` (meters) of any conductor, where the line-current
+    model diverges.
     """
-    p = np.asarray(point, dtype=float)
-    total = np.zeros(3)
-    for conductor in (*assembly.loops, *assembly.wires):
-        if conductor.min_distance(p) < clearance:
-            raise SingularityError(
-                f"evaluation point {p.tolist()} is within {clearance:g} m of a conductor"
-            )
-        if isinstance(conductor, CircularLoop):
-            total += conductor.field(p, rtol=rtol)
-        else:
-            total += conductor.field(p)
-    return total
+    p = _rows(points)
+    conductors = (*assembly.loops, *assembly.wires)
+    near = np.zeros(len(p), dtype=bool)
+    for conductor in conductors:
+        near |= conductor.min_distance(p) < clearance
+    if near.any():
+        raise SingularityError(
+            f"evaluation point {p[np.argmax(near)].tolist()} is within {clearance:g} m "
+            "of a conductor"
+        )
+    total = np.zeros_like(p)
+    for conductor in conductors:
+        total += conductor.field(p)
+    return total.reshape(np.shape(points))
 
 
 def top_time_average_numeric(

@@ -54,6 +54,15 @@ class TestCsvText:
         with pytest.raises(ValueError):
             csv_text(("a", "b"), [(1, 2), (3,)])
 
+    def test_python_and_numpy_cells_print_alike(self):
+        # Python floats take a fast path; every cell type must print as
+        # fmt17 (floats) or bare (integers) would print it.
+        values = [0.1, -0.0, 1e-300, 2.0**60, 1 / 3, math.inf, math.nan]
+        rows = [(v, np.float64(v), np.float32(v), 7, np.int64(-7)) for v in values]
+        lines = csv_text(("a", "b", "c", "d", "e"), rows).splitlines()[1:]
+        for line, (v, _, f32, _, _) in zip(lines, rows):
+            assert line == f"{fmt17(v)},{fmt17(v)},{fmt17(f32)},7,-7"
+
     def test_parse_back(self):
         rows = [(k, k * math.pi) for k in range(5)]
         lines = csv_text(("k", "v"), rows).splitlines()
@@ -156,6 +165,13 @@ class TestWavefunctionTable:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="abscissa length"):
             wavefunction_table("r", ("W",), np.zeros(3), (np.zeros(4),))
+
+    def test_array_columns_print_as_their_elements(self):
+        r = np.geomspace(1e-9, 40.0, 50)
+        w = np.sin(r) * np.exp(-r)
+        k = np.arange(50)
+        want = csv_text(("r", "W", "k"), [(a, b, c) for a, b, c in zip(r, w, k)])
+        assert wavefunction_table("r", ("W", "k"), r, (w, k)) == want
 
 
 class TestDocBuilders:

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
-from trapspec import ConfinementError, DomainError, SingularityError
+from trapspec import AccuracyError, ConfinementError, DomainError, SingularityError
+from trapspec import fields
 from trapspec.constants import MU0
 from trapspec.fields import (
     CircularLoop,
@@ -435,6 +438,175 @@ class TestConductorOracle:
             CircularLoop((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.05, 3.0)
         with pytest.raises(DomainError):
             StraightWire((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
+
+
+# Scalar reference for the batched oracle: the one-point loop, wire and sum
+# code the batched arrays replaced, kept operation for operation.
+
+
+def scalar_loop_field(loop, point):
+    n = np.asarray(loop.axis)
+    seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(n, seed)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    p = np.asarray(point, dtype=float)
+    center = np.asarray(loop.center)
+    pref = MU0 * loop.current / (4.0 * math.pi)
+
+    def integral(n_panels):
+        theta = np.linspace(0.0, 2.0 * math.pi, n_panels, endpoint=False)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        pts = center + loop.radius * (np.outer(cos_t, e1) + np.outer(sin_t, e2))
+        dl = loop.radius * (np.outer(-sin_t, e1) + np.outer(cos_t, e2))
+        sep = p - pts
+        dist = np.linalg.norm(sep, axis=1)
+        contrib = np.cross(dl, sep) / dist[:, None] ** 3
+        return pref * contrib.mean(axis=0) * 2.0 * math.pi
+
+    prev, prev_diff, n_panels = integral(64), math.inf, 128
+    while n_panels <= 1 << 20:
+        cur = integral(n_panels)
+        scale = float(np.max(np.abs(cur))) + 1e-300
+        diff = float(np.max(np.abs(cur - prev))) / scale
+        if diff <= 1e-13 or (diff >= prev_diff and diff <= 1e-10):
+            return cur, n_panels
+        prev, prev_diff, n_panels = cur, diff, n_panels * 2
+    raise AssertionError("reference loop quadrature did not converge")
+
+
+def scalar_wire_field(wire, point):
+    d = np.asarray(wire.direction)
+    rel = np.asarray(point, float) - np.asarray(wire.point_on)
+    s = rel - (rel @ d) * d
+    d_sq = float(s @ s)
+    return MU0 * wire.current / (2.0 * math.pi * d_sq) * np.cross(wire.direction, s)
+
+
+def scalar_biot_savart(assembly, point):
+    total = np.zeros(3)
+    for loop in assembly.loops:
+        total += scalar_loop_field(loop, point)[0]
+    for wire in assembly.wires:
+        total += scalar_wire_field(wire, point)
+    return total
+
+
+def cube_grid(half, n):
+    axis = np.linspace(-half, half, n)
+    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
+
+
+def points_near_wire(loop, angles, log_distances, tilts):
+    """Points at 10**log_distance loop radii from the wire, around it by tilt."""
+    e1, e2, n = loop._frame
+    radial = np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2
+    on_wire = np.asarray(loop.center) + loop.radius * radial
+    offset = np.cos(tilts)[:, None] * radial + np.sin(tilts)[:, None] * n
+    return on_wire + (loop.radius * 10.0 ** np.asarray(log_distances))[:, None] * offset
+
+
+TILTED = CircularLoop((0.01, -0.004, 0.02), (0.3, -0.5, 0.8), 0.05, 3.0)
+
+
+class TestBatchedOracle:
+    """Every row of a batched evaluation is bit-identical to that point alone."""
+
+    def test_ip_grid_matches_scalar_reference(self):
+        g = tuned_ip_geometry()
+        asm = TrapAssembly.ioffe_pritchard(g)
+        points = cube_grid(0.05 * ip_scales(g).length, 9)
+        want = np.array([scalar_biot_savart(asm, p) for p in points])
+        np.testing.assert_array_equal(biot_savart_field(asm, points), want)
+
+    def test_top_grid_matches_scalar_reference_at_each_drive_time(self):
+        g = tuned_top_geometry()
+        points = cube_grid(0.05 * top_scales(g).length, 5)
+        period = 2.0 * math.pi / g.bias_frequency
+        for t in np.arange(8) * period / 8:
+            asm = TrapAssembly.top(g, t)
+            want = np.array([scalar_biot_savart(asm, p) for p in points])
+            np.testing.assert_array_equal(biot_savart_field(asm, points), want)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda a: math.hypot(*a) > 0.1),
+        radius=st.floats(0.01, 0.1),
+        near=st.lists(
+            st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-3.5, -1.0),
+                      st.floats(0.0, 2.0 * math.pi)),
+            min_size=1, max_size=6),
+    )
+    def test_tilted_loop_mixed_stop_levels(self, axis, radius, near):
+        loop = CircularLoop((0.002, 0.0, -0.001), axis, radius, -2.0)
+        points = points_near_wire(loop, *np.array(near).T)
+        want = np.array([scalar_loop_field(loop, p)[0] for p in points])
+        np.testing.assert_array_equal(loop.field(points), want)
+
+    def test_stop_levels_differ_within_one_batch(self):
+        # The batch the chunk tests below rely on really mixes stop levels.
+        points = points_near_wire(TILTED, [0.3, 1.9, 4.0, 5.5], [-1.0, -2.0, -2.8, -3.4],
+                                  [0.0, 1.0, 2.0, 3.0])
+        levels = {scalar_loop_field(TILTED, p)[1] for p in points}
+        assert len(levels) == 4
+
+    def test_batch_larger_than_one_block(self):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-0.03, 0.03, (1200, 3))
+        assert len(points) * 128 > fields._BLOCK_PAIRS
+        want = np.array([scalar_loop_field(TILTED, p)[0] for p in points])
+        np.testing.assert_array_equal(TILTED.field(points), want)
+
+    def test_small_blocks_cross_chunk_edges_at_every_level(self, monkeypatch):
+        monkeypatch.setattr(fields, "_BLOCK_PAIRS", 300)
+        points = points_near_wire(TILTED, np.linspace(0.0, 6.0, 7),
+                                  np.linspace(-3.0, -1.0, 7), np.linspace(0.0, 3.0, 7))
+        want = np.array([scalar_loop_field(TILTED, p)[0] for p in points])
+        np.testing.assert_array_equal(TILTED.field(points), want)
+
+    def test_wires_match_scalar_reference(self):
+        wire = StraightWire((0.01, 0.02, 0.0), (0.2, 0.1, 1.0), 4.0)
+        points = np.random.default_rng(6).normal(0.0, 0.05, (300, 3))
+        want = np.array([scalar_wire_field(wire, p) for p in points])
+        np.testing.assert_array_equal(wire.field(points), want)
+
+    def test_one_point_inside_clearance_rejects_the_batch(self):
+        loop = CircularLoop((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.05, 3.0)
+        asm = TrapAssembly(loops=(loop,))
+        points = np.array([[0.01, 0.0, 0.0], [0.0, 0.05, 2e-10], [0.0, 0.0, 0.02],
+                           [0.05, 0.0, 0.0]])
+        with pytest.raises(SingularityError, match=r"point \[0\.0, 0\.05, 2e-10\]"):
+            biot_savart_field(asm, points)
+
+    def test_one_non_converging_point_fails_the_batch(self):
+        # 1e-8 m from the wire: outside the clearance, but the trapezoid sum
+        # would need far more than 2**20 panels there.
+        points = np.vstack([
+            [[0.0, 0.0, 0.03], [0.01, 0.02, 0.0]],
+            points_near_wire(TILTED, [1.0], [math.log10(1e-8 / TILTED.radius)], [0.5]),
+        ])
+        with pytest.raises(AccuracyError, match="by 1048576 panels"):
+            biot_savart_field(TrapAssembly(loops=(TILTED,)), points)
+
+    def test_shapes(self):
+        g = tuned_ip_geometry()
+        asm = TrapAssembly.ioffe_pritchard(g)
+        point = (0.001, -0.002, 0.0005)
+        one = biot_savart_field(asm, point)
+        assert one.shape == (3,)
+        many = biot_savart_field(asm, [point] * 4)
+        assert many.shape == (4, 3)
+        np.testing.assert_array_equal(many, np.tile(one, (4, 1)))
+        assert biot_savart_field(asm, np.empty((0, 3))).shape == (0, 3)
+        wire = asm.wires[0]
+        assert wire.field(point).shape == (3,)
+        assert np.ndim(TILTED.min_distance(point)) == 0
+        assert TILTED.min_distance(np.zeros((5, 3))).shape == (5,)
+        for bad in ((1.0, 2.0), np.zeros((2, 4)), np.zeros((2, 2, 3))):
+            with pytest.raises(DomainError):
+                biot_savart_field(asm, bad)
 
 
 class TestOscillatorScalesFromTrap:
