@@ -237,19 +237,19 @@ class _Magnetic:
 
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         osc = self.oscillator
-        rows = []
-        for n in range(max_n + 1):
-            for l in allowed_angular(n):
-                # The last column is the trap-referenced level (E - mu B0) in
-                # quanta, which is exactly N + 3/2; recomputing it from the
-                # joule value would shed seven digits to cancellation.
-                rows.append((n, l, 2 * l + 1, energy_3d(osc, n), n + 1.5))
+        n, l = np.array([(n, l) for n in range(max_n + 1) for l in allowed_angular(n)]).T
+        # The trap-referenced level (E - mu B0) in quanta is exactly N + 3/2;
+        # recomputing it from the joule value would shed seven digits to
+        # cancellation.
         if natural:
-            header = ("N", "L", "degeneracy", "E_over_hbar_omega0")
-            return exports.csv_text(header, [(n, l, g, e_nat) for n, l, g, _, e_nat in rows])
-        return exports.spectrum_table_3d(rows)
+            return exports.csv_text(("N", "L", "degeneracy", "E_over_hbar_omega0"),
+                                    n, l, 2 * l + 1, n + 1.5)
+        return exports.csv_text(("N", "L", "degeneracy", "E_joules", "E_over_hbar_omega0"),
+                                n, l, 2 * l + 1, [energy_3d(osc, k) for k in n.tolist()], n + 1.5)
 
     def wavefunction(self, args):
+        if args.axis == "axial":
+            raise DomainError("--axis axial applies to Paul and Penning traps")
         factor = radial_wavefunction_3d(self.oscillator, args.n_level, args.l_angular)
         return factor, 0.0, "r", "W", "r0"
 
@@ -307,11 +307,11 @@ class _Planar:
                 for k in range(max_k + 1):
                     rows.append((n, m, k, self.energy(n, m, k)))
         rows.sort(key=lambda row: (row[3], row[0], row[2], row[1]))
+        n, m, k, e = zip(*rows)
         if natural:
-            header = ("N", "M", "K", "E_over_quantum")
-            quantum = self.quantum
-            return exports.csv_text(header, [(n, m, k, e / quantum) for n, m, k, e in rows])
-        return exports.spectrum_table_planar(rows)
+            return exports.csv_text(("N", "M", "K", "E_over_quantum"),
+                                    n, m, k, np.divide(e, self.quantum))
+        return exports.csv_text(("N", "M", "K", "E_joules"), n, m, k, e)
 
     def wavefunction(self, args):
         state = self.state(args.n_level, args.m_azimuthal, args.k_axial)
@@ -416,11 +416,11 @@ def _cmd_field_map(args) -> int:
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
     times = trap.drive_times(args.time_samples)
-    fields = [trap.field(points, t, args.oracle) for t in times]
-    text = exports.field_map_table(
-        np.vstack([points] * len(times)), np.repeat(times, len(points)), np.vstack(fields)
-    )
-    _emit(args, text)
+    fields = np.vstack([trap.field(points, t, args.oracle) for t in times])
+    _emit(args, exports.csv_text(
+        ("x_m", "y_m", "z_m", "t_s", "Bx_T", "By_T", "Bz_T"),
+        *np.tile(points, (len(times), 1)).T, np.repeat(times, len(points)), *fields.T,
+    ))
     return 0
 
 
@@ -457,12 +457,10 @@ def _cmd_wavefunction(args) -> int:
     grid = np.linspace(start, args.r_max, args.points) * factor.r0
     values = factor(grid)
     if natural:
-        text = exports.wavefunction_table(
-            f"{name}_over_{scale}", (f"{column}_times_sqrt_{scale}",),
-            grid / factor.r0, (values * math.sqrt(factor.r0),),
-        )
+        text = exports.csv_text((f"{name}_over_{scale}", f"{column}_times_sqrt_{scale}"),
+                                grid / factor.r0, values * math.sqrt(factor.r0))
     else:
-        text = exports.wavefunction_table(f"{name}_m", (f"{column}_per_sqrt_m",), grid, (values,))
+        text = exports.csv_text((f"{name}_m", f"{column}_per_sqrt_m"), grid, values)
     _emit(args, text)
     return 0
 
@@ -499,12 +497,15 @@ def _cmd_susy(args) -> int:
     minus_samples = np.asarray(minus_pot(radii), dtype=float)
     if natural:
         radii = radii / length
-        plus_samples = plus_samples / quantum
-        minus_samples = minus_samples / quantum
+        with np.errstate(over="ignore"):  # an overflow is reported below, as one error
+            plus_samples = plus_samples / quantum
+            minus_samples = minus_samples / quantum
         spectrum_rows = [
             (n, ep / quantum, None if em is None else em / quantum)
             for n, ep, em in spectrum_rows
         ]
+    if not (np.isfinite(plus_samples).all() and np.isfinite(minus_samples).all()):
+        raise DomainError(f"tower index {tower:.3g} overflows the partner potentials")
     doc = exports.susy_report_doc(
         tower, i0, removed, radii, plus_samples, minus_samples, spectrum_rows
     )
@@ -605,8 +606,11 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             for dest, value in vars(args).items():  # the models compute in floats
+                option = f"--{dest.replace('_', '-')}"
                 if type(value) is int and abs(value) > sys.float_info.max:
-                    raise DomainError(f"option --{dest.replace('_', '-')} is too large for a float")
+                    raise DomainError(f"option {option} is too large for a float")
+                if type(value) is float and not math.isfinite(value):
+                    raise DomainError(f"option {option} must be finite")
             return HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

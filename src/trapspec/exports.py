@@ -1,15 +1,19 @@
 """Deterministic text output: CSV/JSON formatting and atomic file writes.
 
-Identical inputs must produce byte-identical files, so floats are printed
-with 17 significant digits (enough to round-trip IEEE doubles), CSV always
-carries a header row, uses '.' for decimals and ',' as separator, and JSON
-keys are sorted.  Files are written to a temp name and renamed into place.
+Identical inputs must produce byte-identical files.  A table is a header
+plus its columns.  ``csv_text`` picks one printf format per column from the
+column's dtype, ``%d`` for integers and ``%.17g`` (enough to round-trip IEEE
+doubles) for everything else, joins them into one row template, and applies
+that template to each row; no cell is inspected on its own.  CSV always
+carries a header row, uses '.' for decimals and ',' as separator.  JSON goes
+straight through ``json.dumps`` with sorted keys; numpy scalars and arrays
+become their Python values, and a non-finite number is refused.  Files are
+written to a temp name and renamed into place.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
@@ -21,53 +25,39 @@ def fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean cells are ambiguous; use 0/1 integers")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return fmt17(value)
+def csv_text(header, *columns) -> str:
+    """Render a table from its header and one sequence per column.
 
-
-def csv_text(header, rows) -> str:
-    """Render a table; integer cells print bare, float cells via fmt17.
-
-    A plain Python float is formatted in place (what fmt17 does to it);
-    every other cell goes through the type checks of ``_cell``.
+    Integer columns print bare, every other column as ``%.17g``.  A boolean
+    column is ambiguous and raises TypeError; columns of unequal length, or a
+    column count that differs from the header's, raise ValueError.
     """
-    width = len(header)
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row width {len(row)} != header width {width}")
-        lines.append(",".join([format(v, ".17g") if type(v) is float else _cell(v)
-                               for v in row]))
-    return "\n".join(lines) + "\n"
-
-
-def _rounded(obj):
-    # Pass floats through fmt17 so emitted JSON numbers never carry more
-    # than 17 significant digits regardless of how they were computed.
-    if isinstance(obj, dict):
-        return {k: _rounded(obj[k]) for k in obj}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        out = float(fmt17(obj))
-        if not math.isfinite(out):
-            raise ValueError(f"non-finite value {obj!r} cannot be exported as JSON")
-        return out
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_rounded(v) for v in obj.tolist()]
-    raise TypeError(f"cannot export {type(obj).__name__} value {obj!r}")
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for a header of {len(header)} names")
+    arrays = [np.asarray(c) for c in columns]
+    formats = []
+    for name, a in zip(header, arrays):
+        if a.dtype.kind == "b":
+            raise TypeError(f"boolean column {name!r} is ambiguous; use 0/1 integers")
+        if len(a) != len(arrays[0]):
+            raise ValueError(
+                f"column {name!r} has {len(a)} values; column {header[0]!r} has {len(arrays[0])}"
+            )
+        formats.append("%d" if a.dtype.kind in "iu" else "%.17g")
+    template = ",".join(formats)
+    rows = map(template.__mod__, zip(*[a.tolist() for a in arrays]))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def json_text(doc) -> str:
-    return json.dumps(_rounded(doc), indent=2, sort_keys=True) + "\n"
+    """Sorted-key JSON; numpy values print as their Python equivalents."""
+
+    def plain(value):
+        if isinstance(value, (np.generic, np.ndarray)):
+            return value.tolist()
+        raise TypeError(f"cannot export {type(value).__name__} value {value!r}")
+
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=plain) + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -82,44 +72,6 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-FIELD_MAP_HEADER = ("x_m", "y_m", "z_m", "t_s", "Bx_T", "By_T", "Bz_T")
-
-
-def field_map_table(points, times, fields) -> str:
-    """CSV for sampled field values: one row per (point, time)."""
-    points = np.asarray(points, dtype=float)
-    times = np.asarray(times, dtype=float)
-    fields = np.asarray(fields, dtype=float)
-    if fields.shape != points.shape or points.shape[0] != times.shape[0]:
-        raise ValueError("points, times and fields must align row-for-row")
-    rows = np.column_stack([points, times, fields]).tolist()
-    return csv_text(FIELD_MAP_HEADER, rows)
-
-
-def spectrum_table_3d(rows) -> str:
-    """CSV of isotropic-trap levels: N, L, degeneracy, E, E/(hbar*omega0)."""
-    header = ("N", "L", "degeneracy", "E_joules", "E_over_hbar_omega0")
-    return csv_text(header, rows)
-
-
-def spectrum_table_planar(rows) -> str:
-    """CSV of planar-trap levels keyed by the three mode quantum numbers."""
-    header = ("N", "M", "K", "E_joules")
-    return csv_text(header, rows)
-
-
-def wavefunction_table(abscissa_name, column_names, abscissa, columns) -> str:
-    header = (abscissa_name,) + tuple(column_names)
-    # Float arrays enter as Python floats, which csv_text formats directly.
-    columns = [c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind == "f" else c
-               for c in (abscissa, *columns)]
-    try:
-        rows = list(zip(*columns, strict=True))
-    except ValueError as exc:
-        raise ValueError(f"columns must match the abscissa length: {exc}") from None
-    return csv_text(header, rows)
 
 
 def susy_report_doc(l_angular, sequence_index, removed_level, radii,
@@ -181,5 +133,5 @@ def eigen_diagnostics_doc(result) -> dict:
         "n_points": int(result.radii.size),
         "r_min": float(result.radii[0]),
         "r_max": float(result.radii[-1]),
-        "diagnostics": _rounded(diag),
+        "diagnostics": diag,
     }

@@ -345,6 +345,9 @@ def oscillator_scales(
 # Periodic-trapezoid panels double until a point's field changes by at most
 # this much relative to its largest component.
 _LOOP_RTOL = 1e-13
+# A point closer than this (meters) to any conductor, where the line-current
+# model diverges, is rejected.
+_CLEARANCE = 1e-9
 # Largest number of (point, panel) pairs a loop evaluates in one numpy block.
 # Points are taken in chunks of this many pairs, so a (pairs, 3) temporary
 # stays near 1.5 MB whatever the batch size.  One point's panels are never
@@ -531,7 +534,7 @@ class TrapAssembly:
         return cls(loops=tuple(loops))
 
 
-def biot_savart_field(assembly: TrapAssembly, points, clearance: float = 1e-9) -> np.ndarray:
+def biot_savart_field(assembly: TrapAssembly, points) -> np.ndarray:
     """Total field of the assembly by direct summation, at one point or many.
 
     ``points`` is one point of shape (3,) or an (n, 3) array; the result has
@@ -540,17 +543,17 @@ def biot_savart_field(assembly: TrapAssembly, points, clearance: float = 1e-9) -
     the field of that point evaluated alone.
 
     Raises SingularityError, naming the first such point, when a point lies
-    within ``clearance`` (meters) of any conductor, where the line-current
+    within ``_CLEARANCE`` (1e-9 m) of any conductor, where the line-current
     model diverges.
     """
     p = _rows(points)
     conductors = (*assembly.loops, *assembly.wires)
     near = np.zeros(len(p), dtype=bool)
     for conductor in conductors:
-        near |= conductor.min_distance(p) < clearance
+        near |= conductor.min_distance(p) < _CLEARANCE
     if near.any():
         raise SingularityError(
-            f"evaluation point {p[np.argmax(near)].tolist()} is within {clearance:g} m "
+            f"evaluation point {p[np.argmax(near)].tolist()} is within {_CLEARANCE:g} m "
             "of a conductor"
         )
     total = np.zeros_like(p)

@@ -66,6 +66,7 @@ _CHUNK = 16 * _CHECK  # mesh rows of f built, and node signs tallied, at once
 _MIN_COLUMNS = 64  # trial energies per sweep, summed over the batch
 _MAX_ROUNDS = 200
 _GRAM_ATOL = 1e-12  # absolute accuracy asked of every Gram entry, as overlap's default
+_TAIL_FRACTION = 1e-8  # count_nodes treats smaller samples, relative to the largest, as zero
 
 
 @dataclass(frozen=True)
@@ -714,10 +715,10 @@ def solve_eigen(
     return solve_eigens([problem], [node_target], windows)[0]
 
 
-def count_nodes(samples: np.ndarray, tail_fraction: float = 1e-8) -> int:
+def count_nodes(samples: np.ndarray) -> int:
     """Count strict sign changes, ignoring samples in the decaying tails.
 
-    Samples with ``|W| <= tail_fraction * max|W|`` are treated as zero so that
+    Samples with ``|W| <= _TAIL_FRACTION * max|W|`` are treated as zero so that
     round-off wiggle in the classically forbidden regions does not register.
     """
     w = np.asarray(samples, dtype=float)
@@ -726,7 +727,7 @@ def count_nodes(samples: np.ndarray, tail_fraction: float = 1e-8) -> int:
     amax = float(np.max(np.abs(w)))
     if amax == 0.0:
         return 0
-    kept = w[np.abs(w) > tail_fraction * amax]
+    kept = w[np.abs(w) > _TAIL_FRACTION * amax]
     if kept.size < 2:
         return 0
     signs = np.sign(kept)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -657,6 +658,47 @@ class TestErrorWiring:
         assert out == ""
         assert err == f"validation error: option {option} is too large for a float\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("field-map", "--points", "2"), "--extent-fraction"),
+            (("wavefunction", "--n-level", "0"), "--r-max"),
+            (("defect",), "--delta"),
+        ],
+    )
+    def test_non_finite_float_option_exits_3(self, tmp_path, capsys, argv, option, value):
+        code, out, err = run(
+            capsys, argv[0], "--config", ip_config(tmp_path), *argv[1:], f"{option}={value}"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"validation error: option {option} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "config, exponent, units",
+        [(ip_config, 200, ()), (paul_config, 200, ()), (ip_config, 160, ("--natural-units",))],
+    )
+    def test_overflowing_partner_exits_3(self, tmp_path, capsys, config, exponent, units):
+        # An integer tower index a float holds, whose lam(lam+1) does not (in
+        # joules at 1e200, in quanta at 1e160).
+        code, out, err = run(
+            capsys, "susy", "--config", config(tmp_path), "--l-angular", str(10**exponent),
+            "--levels", "1", "--samples", "2", *units,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"validation error: tower index 1e+{exponent} overflows the partner potentials\n"
+        )
+
+    @pytest.mark.parametrize("config", [ip_config, top_config])
+    def test_axial_axis_needs_planar_trap(self, tmp_path, capsys, config):
+        code, out, err = run(
+            capsys, "wavefunction", "--config", config(tmp_path), "--n-level", "2",
+            "--axis", "axial",
+        )
+        assert (code, out) == (3, "")
+        assert err == "validation error: --axis axial applies to Paul and Penning traps\n"
+
     def test_oracle_failures_exit_4(self, monkeypatch, capsys):
         def boom(args):
             raise OracleError("integrator stalled")
@@ -665,3 +707,18 @@ class TestErrorWiring:
         code, _, err = run(capsys, "shells", "--trap", "top", "--max-n", "1")
         assert code == 4
         assert err.startswith("oracle failure: integrator stalled")
+
+
+# Frozen stdout of small commands on the four reference configs, in SI and
+# natural units; a refactor of the output path must reproduce every byte.
+GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_golden_stdout(tmp_path, capsys, monkeypatch, case):
+    for name, doc in GOLDEN["configs"].items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]
