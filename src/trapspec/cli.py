@@ -411,12 +411,18 @@ def _cmd_field_map(args) -> int:
     trap = _load_trap(args)
     if args.points < 2 or args.extent_fraction <= 0.0:
         raise DomainError("field-map needs at least 2 points per axis and a positive extent")
-    half = args.extent_fraction * trap.scales.length
-    axis = np.linspace(-half, half, args.points)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
     times = trap.drive_times(args.time_samples)
-    fields = np.vstack([trap.field(points, t, args.oracle) for t in times])
+    # A huge extent overflows the coordinates or the field; say so instead
+    # of printing inf and nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = args.extent_fraction * trap.scales.length
+        axis = np.linspace(-half, half, args.points)
+        xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
+        points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
+        fields = np.vstack([trap.field(points, t, args.oracle) for t in times])
+    if not (np.isfinite(points).all() and np.isfinite(fields).all()):
+        raise DomainError(f"--extent-fraction {args.extent_fraction:g} gives non-finite "
+                          "field-map coordinates or fields")
     _emit(args, exports.csv_text(
         ("x_m", "y_m", "z_m", "t_s", "Bx_T", "By_T", "Bz_T"),
         *np.tile(points, (len(times), 1)).T, np.repeat(times, len(points)), *fields.T,

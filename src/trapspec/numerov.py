@@ -30,11 +30,11 @@ A uniform mesh in ``r`` loses several orders of accuracy for attractive
 centrifugal terms (``c < 0``); the log mesh keeps the full Numerov order for
 every tower handled here.
 
-Propagation is vectorized across states and trial energies: one numpy sweep
-advances a matrix whose columns are (state, trial energy) pairs, with the
-same per-column arithmetic a scalar loop would do.  Node-count bisection
-samples several levels of its tree per sweep, so a batch of many states, or
-a lone state with many trial energies, costs one to two dozen sweeps in all.
+One numpy sweep advances every (state, trial energy) pair as a column, by
+Johnson's renormalized Numerov form (node counts, inward solution), which
+cannot overflow, or the three-term recurrence (outward solution).  Node-count
+bisection samples several tree levels per sweep, so a batch of many states,
+or a lone state with many trial energies, costs one to two dozen sweeps.
 
 scipy is imported inside the functions that use it, so importing this module
 (and the command-line interface) does not load it.
@@ -56,13 +56,15 @@ __all__ = [
     "gram", "fd_check",
 ]
 
-_RENORM = 1e200
-_BLOWUP = 1e150
-# Steps between overflow checks.  Between checks a column can grow from
-# _BLOWUP by a factor of up to 1e158 before it overflows; where f > 0.95 a
-# step multiplies it by at most ~2.2.
-_CHECK = 16
-_CHUNK = 16 * _CHECK  # mesh rows of f built, and node signs tallied, at once
+# The three-term node-count loop the ratio march replaced (``scalar_count`` in
+# the tests) divided |w| by 1e200 whenever it passed 1e150 where f >= 0.95,
+# and stopped counting at the first such pass where f < 0.95: past there the
+# growing exponential dominates, and steps where f < 0 alias into spurious
+# sign changes.  The ratio march keeps those counts by following log |w|.
+_LOG_FREEZE = math.log(1e150)
+_LOG_RESCALE = math.log(1e200)
+_LOG_MARGIN = math.log(1e50)  # block ends this far under the freeze need no row-by-row scan
+_CHUNK = 256  # mesh rows whose f and U are built, and whose ratios are tallied, at once
 _MIN_COLUMNS = 64  # trial energies per sweep, summed over the batch
 _MAX_ROUNDS = 200
 _GRAM_ATOL = 1e-12  # absolute accuracy asked of every Gram entry, as overlap's default
@@ -115,7 +117,11 @@ class RadialProblem:
 
 @dataclass
 class EigenResult:
-    """Converged eigenvalue with the sampled, unit-normalized eigenfunction."""
+    """Converged eigenvalue with the sampled, unit-normalized eigenfunction.
+
+    ``residual``: the Numerov recurrence at the matching point, the outward solution
+    continued by the inward one, over the sum of its terms' magnitudes (0 to 1).
+    """
 
     energy: float
     radii: np.ndarray
@@ -267,101 +273,143 @@ class _Batch:
             raise BracketError("trial energy lies below the whole effective potential")
         return min(max(int(inside[-1]), 2), self.n - 3)
 
-    def _f(self, states, energies, rows):
+    def _f(self, states, energies, rows, out=None):
         """``f = 1 + h^2/12 [(pref r) r (E - V) - (c + 1/4)]`` on mesh ``rows``.
 
-        ``rows`` is a slice (one row per mesh point) or one index per column.
+        ``rows`` is a slice (one row per mesh point) or one index per column;
+        ``out``, if given, receives the result.
         """
-        g = energies - self.v[rows, self.vcol[states]]
+        g = np.subtract(energies, self.v[rows, self.vcol[states]], out=out)
         g *= self.r2p[rows, self.rcol[states]]
         g -= self.langer[states]
         g *= self.h2_12[states]
         g += 1.0
         return g
 
-    def _march(self, states, energies, w0, w1, inward, last, record=None, store=None):
-        """Advance every column across the mesh and count its nodes.
+    def _march(self, states, energies, last, inward=False, record=None, store=None):
+        """Advance the ratio ``R[k] = y[k+1] / y[k]``, ``y = f w``, to march index ``last``.
 
-        The recurrence is ``w[i+1] = ((12 - 10 f[i]) w[i] - f[i-1] w[i-1]) / f[i+1]``.
-        An inward march starts at the wall, so its step ``j`` is mesh row
-        ``n - 1 - j``.  The march stops once march index ``last`` is reached.
-        Returns the node counts and, if ``record`` is given, the pair
-        ``(w[k-1], w[k])`` of each column at its march index ``k = record``.  With
-        ``store = (dest, keep)`` the march also writes ``w[0..keep]`` of each
-        column into its row of ``dest`` (indexed in march order).
+        The recurrence ``f[k+1] w[k+1] = (12 - 10 f[k]) w[k] - f[k-1] w[k-1]``
+        is ``y[k+1] = U[k] y[k] - y[k-1]``, ``U = (12 - 10 f) / f``, so
+        ``R[k] = U[k] - 1 / R[k-1]`` (Johnson's renormalized Numerov method):
+        two ufunc calls a step, and nothing to overflow.  Outward it returns
+        each column's sign changes of ``w`` from march index 1 on.  Inward it
+        starts from ``y = 0`` at the wall (step ``k`` at mesh row ``n - 1 - k``)
+        and returns each column's ratio at march index ``record``; with
+        ``store = (dest, keep)`` it also writes ``R[0..keep]`` of each column
+        into its row of ``dest`` (indexed in march order).
 
-        Every ``_CHECK`` steps a column past ``_BLOWUP`` is rescaled.  Its node
-        count freezes if that happens deep in a classically forbidden stretch:
-        past that point the growing exponential dominates and produces no
-        further sign changes (discrete steps there can alias into spurious ones).
+        A count stops where the three-term loop stopped (see ``_LOG_FREEZE``).
+        ``log |w|`` moves by the log of each block's ratio product, and is
+        followed row by row only in a column that starts or ends the block
+        within ``_LOG_MARGIN`` of the limit: ``|w|`` has no interior maximum
+        in a forbidden stretch, and in an allowed one tops both block ends by
+        that margin only if both lie within 1e-50 (relative) of a node.
         """
-        n = self.n
-        columns = len(states)
-        w = np.empty((_CHUNK + 2, columns))
-        w[0], w[1] = w0, w1
-        rows = list(w)
-        t, u = np.empty(columns), np.empty(columns)
-        mul, sub, div = np.multiply, np.subtract, np.divide
-        nodes = np.zeros(columns, dtype=np.int64)
-        live = np.ones(columns, dtype=bool)
-        rec_prev, rec_cur = np.full(columns, np.nan), np.full(columns, np.nan)
-        # A chunk starting at step c0 holds w[c0-1 .. c0+_CHUNK].
-        due = {}
-        if record is not None:
-            chunk_of = (record - 2) // _CHUNK
-            due = {int(q): np.flatnonzero(chunk_of == q) for q in np.unique(chunk_of)}
-        if store is not None:
-            dest, keep = store
-            dest[:, 0], dest[:, 1] = w0, w1
-        for c0 in range(1, last, _CHUNK):
-            steps = min(_CHUNK, last - c0)
-            # f rows c0-1 .. c0+steps in march order, aligned with the rows of w
-            if inward:
-                f = self._f(states, energies, slice(n - 1 - c0 - steps, n - c0 + 1))[::-1]
-            else:
-                f = self._f(states, energies, slice(c0 - 1, c0 + steps + 1))
-            a = 12.0 - 10.0 * f
-            fr, ar = list(f), list(a)
-            stored = 1
-            for b in range(1, steps + 1, _CHECK):
-                e = min(b + _CHECK, steps + 1)
-                for k in range(b, e):
+        n, columns = self.n, len(states)
+        f_buf, u_buf = np.empty((_CHUNK + 1, columns)), np.empty((_CHUNK, columns))
+        ratio, t = np.empty((_CHUNK + 1, columns)), np.empty(columns)
+        rows, u_rows = list(ratio), list(u_buf)
+        rec, sub = np.reciprocal, np.subtract
+        if inward:
+            recorded = np.empty(columns)
+            ratio[0] = np.inf
+            if store is not None:
+                dest, keep = store
+                dest[:, 0] = np.inf
+        else:
+            turns, held = np.zeros(columns, dtype=np.int64), np.full(columns, -1)
+            offset = np.zeros(columns)
+            w0, w1 = self._outward_start(states, energies)
+            ratio[0] = self._f(states, energies, 1) * w1 / (self._f(states, energies, 0) * w0)
+            level = np.log(np.abs(w1))
+        with np.errstate(divide="ignore", over="ignore"):
+            for c0 in range(1, last, _CHUNK):
+                steps = min(_CHUNK, last - c0)
+                # f rows c0 .. c0+steps in march order; ratio row j+1 is R[c0+j]
+                f = f_buf[: steps + 1]
+                if inward:
+                    self._f(states, energies, slice(n - 1 - c0 - steps, n - c0), f[::-1])
+                else:
+                    self._f(states, energies, slice(c0, c0 + steps + 1), f)
+                u = np.multiply(f[:-1], -10.0, out=u_buf[:steps])
+                u += 12.0
+                u /= f[:-1]
+                for k in range(steps):
                     # Positional out arguments: at a few columns the call
                     # overhead is the whole cost of a step.
-                    mul(ar[k], rows[k], t)
-                    mul(fr[k - 1], rows[k - 1], u)
-                    sub(t, u, t)
-                    div(t, fr[k + 1], rows[k + 1])
-                # rows 0..e hold w[c0-1 .. c0-1+e]
-                if store is not None:
-                    np.copyto(dest[:, c0 + stored : c0 + e], w[stored + 1 : e + 1].T,
-                              where=np.arange(c0 + stored, c0 + e) <= keep[:, None])
-                    stored = e
-                if np.abs(w[e]).max() > _BLOWUP:
-                    big = np.abs(w[e]) > _BLOWUP
-                    # The count freezes at the first step past _BLOWUP, as a
-                    # step-by-step check would have it.
-                    first = b + 1 + np.argmax(np.abs(w[b + 1 : e + 1]) > _BLOWUP, axis=0)
-                    frozen = big & live & (f[first - 1, np.arange(columns)] < 0.95)
-                    if frozen.any():
-                        neg = w[1 : e + 1, frozen] < 0.0
-                        upto = np.arange(2, e + 1)[:, None] <= first[frozen]
-                        nodes[frozen] += np.count_nonzero((neg[1:] != neg[:-1]) & upto, axis=0)
-                        live &= ~frozen
-                    w[: e + 1, big] /= _RENORM
+                    rec(rows[k], t)
+                    sub(u_rows[k], t, rows[k + 1])
+                r = ratio[1 : steps + 1]
+                ratio[0] = ratio[steps]
+                if inward:
+                    at = record - c0
+                    sel = np.flatnonzero((at >= 0) & (at < steps))
+                    recorded[sel] = r[at[sel], sel]
                     if store is not None:
-                        for col in np.flatnonzero(big & (c0 - 1 + e <= keep)):
-                            dest[col, : c0 + e] /= _RENORM
-            neg = w[1 : steps + 2] < 0.0
-            flips = np.count_nonzero(neg[1:] != neg[:-1], axis=0)
-            np.add(nodes, flips, out=nodes, where=live)
-            sel = due.get((c0 - 1) // _CHUNK)
-            if sel is not None:
-                at = record[sel] - c0
-                rec_prev[sel] = w[at, sel]
-                rec_cur[sel] = w[at + 1, sel]
+                        np.copyto(dest[:, c0 : c0 + steps], r.T,
+                                  where=np.arange(c0, c0 + steps) <= keep[:, None])
+                    continue
+                flips = r < 0.0
+                if f.min() < 0.0:  # w = y / f also changes sign where f does
+                    f_negative = f < 0.0
+                    flips ^= f_negative[:-1]
+                    flips ^= f_negative[1:]
+                grown = level + np.log(np.abs(np.multiply.reduce(r, axis=0) * (f[0] / f[-1])))
+                top = np.maximum(level, grown) - offset
+                near = (held < 0) & ~(top <= _LOG_FREEZE - _LOG_MARGIN)
+                for i in np.flatnonzero(near):
+                    # log |w| at march indices c0+1 .. c0+steps
+                    path = level[i] + np.cumsum(np.log(np.abs(r[:, i] * f[:-1, i] / f[1:, i])))
+                    grown[i] = path[-1]
+                    for j in np.flatnonzero(path - offset[i] > _LOG_FREEZE):
+                        if path[j] - offset[i] > _LOG_FREEZE:  # not back under after a rescale
+                            if f[j, i] < 0.95:
+                                held[i] = turns[i] + np.count_nonzero(flips[: j + 1, i])
+                                break
+                            offset[i] += _LOG_RESCALE
+                turns += np.count_nonzero(flips, axis=0)
+                level = grown
+        return recorded if inward else np.where(held < 0, turns, held)
+
+    def _outward(self, states, energies, m, store=None):
+        """``(w[m-1], w[m])`` of each column's outward solution; ``w[0..m]`` into ``store``.
+
+        Round-off here moves a level by up to ~1e-11 where the indicial roots
+        nearly coincide (``c + 1/4`` near 0), so this march keeps the three-term
+        recurrence, and energies their values: a call for both products, a
+        subtraction and a division per step, as in a scalar loop.
+        """
+        columns, last = len(states), int(m.max())
+        w = np.empty((_CHUNK + 2, columns))
+        w[:2] = self._outward_start(states, energies)
+        f_buf, pair = np.empty((_CHUNK + 2, columns)), np.empty((_CHUNK + 1, 2, columns))
+        products, t = np.empty((2, columns)), np.empty(columns)
+        rows, f_rows, pairs = list(w), list(f_buf), list(pair)
+        p_lo, p_mid = products
+        w_pairs = [w[k - 1 : k + 1] for k in range(1, _CHUNK + 1)]
+        mul, sub, div = np.multiply, np.subtract, np.divide
+        rec_prev, rec_cur = np.full(columns, np.nan), np.full(columns, np.nan)
+        for c0 in range(1, last, _CHUNK):
+            steps = min(_CHUNK, last - c0)
+            # w and f rows hold mesh rows c0-1 .. c0+steps; pair row k holds
+            # (f[k-1], 12 - 10 f[k])
+            f = self._f(states, energies, slice(c0 - 1, c0 + steps + 1), f_buf[: steps + 2])
+            pair[1 : steps + 1, 0] = f[:steps]
+            np.multiply(f[1 : steps + 1], -10.0, out=pair[1 : steps + 1, 1])
+            pair[1 : steps + 1, 1] += 12.0
+            for k in range(1, steps + 1):
+                mul(pairs[k], w_pairs[k - 1], products)
+                sub(p_mid, p_lo, t)
+                div(t, f_rows[k + 1], rows[k + 1])
+            if store is not None:
+                np.copyto(store[:, c0 - 1 : c0 + steps + 1], w[: steps + 2].T,
+                          where=np.arange(c0 - 1, c0 + steps + 1) <= m[:, None])
+            at = m - c0  # w[m] is row at + 1
+            sel = np.flatnonzero((at >= 1) & (at <= steps))
+            rec_prev[sel], rec_cur[sel] = w[at[sel], sel], w[at[sel] + 1, sel]
             w[0], w[1] = w[steps], w[steps + 1]
-        return nodes, rec_prev, rec_cur
+        return rec_prev, rec_cur
 
     def _outward_start(self, states, energies):
         # Two-term Frobenius start W = r^s (1 + beta r^2), i.e.
@@ -370,41 +418,34 @@ class _Batch:
         return (self.p0[states] * (1.0 + beta * self.q0[states]),
                 self.p1[states] * (1.0 + beta * self.q1[states]))
 
-    def count(self, states, energies) -> np.ndarray:
-        """Sturm node count of the outward solution of each column."""
-        w0, w1 = self._outward_start(states, energies)
-        return self._march(states, energies, w0, w1, False, self.n - 1)[0]
+    def shoot(self, states, energies, m, phi=None):
+        """Matching mismatches at ``m`` of each column.
 
-    def shoot(self, states, energies, m, phi=None, count=False):
-        """Matching mismatches at ``m`` of each column, and node counts if ``count``.
-
-        The outward solution is matched at ``m`` to the inward one (Dirichlet
-        at the wall).  Each march stops at ``m`` unless the outward one must
-        count nodes over the whole mesh.  With ``phi`` (one row per column) the
-        two pieces are written into it: ``w[0..m]`` outward and ``w[m+1..]``
-        inward, unscaled.  Also returns ``sigma`` and the inward value at ``m``.
+        The outward solution meets the inward one (Dirichlet at the wall) in
+        the recurrence at ``m``, ``y[m+1] + y[m-1] - U[m] y[m]``, with
+        ``y[m+1] / y[m]`` from the inward ratios; the mismatch is that sum over
+        its terms' magnitudes, 0 where either solution vanishes at ``m``.  Each
+        march stops at ``m``.  With ``phi`` (one row per column) the outward
+        ``w[0..m]`` is written into it, and past ``m`` the inward ratios:
+        ``phi[:, k]`` is ``y[k-1] / y[k]`` for ``k > m``.
         """
         n = self.n
-        w0, w1 = self._outward_start(states, energies)
-        store_out = store_in = None
-        if phi is not None:
-            store_out, store_in = (phi, m), (phi[:, ::-1], n - 2 - m)
-        last = n - 1 if count else int(m.max())
-        nodes, out_prev, out_m = self._march(states, energies, w0, w1, False, last, m, store_out)
-        _, in_next, in_m = self._march(states, energies, np.zeros(len(states)), 1e-30, True,
-                                       n - 1 - int(m.min()), n - 1 - m, store_in)
-        f_lo = self._f(states, energies, m - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out_prev, out_m = self._outward(states, energies, m, phi)
+        if not np.isfinite(out_m).all():
+            raise ConvergenceError("the outward solution overflowed before the matching point")
+        store = None if phi is None else (phi[:, ::-1], n - 2 - m)
+        in_m = self._march(states, energies, n - 1 - int(m.min()), True, n - 2 - m, store)
         f_m = self._f(states, energies, m)
-        f_hi = self._f(states, energies, m + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = out_m / in_m
-            t_in = f_hi * in_next * sigma
-            t_out = f_lo * out_prev
+            b = 1.0 / in_m  # y[m+1] / y[m]
+            t_in = f_m * out_m * b
+            t_out = self._f(states, energies, m - 1) * out_prev
             t_mid = (12.0 - 10.0 * f_m) * out_m
             scale = np.abs(t_in) + np.abs(t_out) + np.abs(t_mid)
             mismatch = (t_in + t_out - t_mid) / scale
-        mismatch[(out_m == 0.0) | (in_m == 0.0) | (scale == 0.0)] = 0.0
-        return nodes, mismatch, sigma, in_m
+        mismatch[(out_m == 0.0) | ~np.isfinite(b) | (scale == 0.0)] = 0.0
+        return mismatch
 
     # ---- the solve ----------------------------------------------------------
 
@@ -468,11 +509,10 @@ class _Batch:
             if shoot:
                 if not ends:
                     d[:, 0], d[:, -1] = d_lo[todo], d_hi[todo]
-                nodes, mis = self.shoot(idx, x[:, cols].ravel(), m[idx], count=True)[:2]
+                mis = self.shoot(idx, x[:, cols].ravel(), m[idx])
                 d[:, cols] = mis.reshape(len(todo), -1)
                 matched[todo] += x[:, cols].shape[1]
-            else:
-                nodes = self.count(idx, x[:, cols].ravel())
+            nodes = self._march(idx, x[:, cols].ravel(), self.n - 1)
             counts[:, cols] = nodes.reshape(len(todo), -1)
             counted[todo] += x[:, cols].shape[1]
             return x, counts, d
@@ -585,7 +625,7 @@ class _Batch:
 
         def mismatch(x, k):
             matched[done[k]] += 1
-            return self.shoot(done[k], x, m[done[k]])[1]
+            return self.shoot(done[k], x, m[done[k]])
 
         scale = np.abs(lo[done]) + np.abs(hi[done]) + 1e-300
         energy[done], converged = _brent(mismatch, lo[done], hi[done], d_lo[done], d_hi[done],
@@ -599,16 +639,24 @@ class _Batch:
 
         # --- assemble, normalize, verify ----------------------------------------
         phi = np.empty((size, self.n))
-        _, residual, sigma, in_m = self.shoot(states, energy, m, phi)
+        residual = self.shoot(states, energy, m, phi)
         matched += 1
         results = []
         for i in states:
-            if in_m[i] == 0.0:
-                raise ConvergenceError(
-                    f"matching point fell on a node for {label(i)}; re-run with a different grid")
             r = self.radii[i]
             w = phi[i]
-            w[m[i] + 1 :] *= sigma[i]
+            # The inward piece from its ratios y[k-1] / y[k], k = m+1 .. n-1:
+            # cumulative log-ratios and signs, continuing the outward y[m].
+            j = m[i]
+            ratios = w[j + 1 :]
+            if ratios[0] == 0.0:
+                raise ConvergenceError(
+                    f"matching point fell on a node for {label(i)}; re-run with a different grid")
+            with np.errstate(divide="ignore"):
+                y = np.exp(-np.cumsum(np.log(np.abs(ratios))))
+            y *= self._f(i, energy[i], j) * w[j]
+            np.negative(y, out=y, where=np.logical_xor.accumulate(ratios < 0.0))
+            w[j + 1 :] = y / self._f(i, energy[i], slice(j + 1, None))
             w *= np.sqrt(r)
             norm = math.sqrt(simpson(w * w, x=r))
             if not (norm > 0.0 and math.isfinite(norm)):

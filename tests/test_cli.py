@@ -61,9 +61,9 @@ def write_config(tmp_path, name, trap, geometry, particle=None, units="si"):
     return str(path)
 
 
-def ip_config(tmp_path, bar_current=IP_BAR_TUNED):
+def ip_config(tmp_path, bar_current=IP_BAR_TUNED, units="si"):
     geometry = dict(IP_GEOMETRY, bar_current_A=bar_current)
-    return write_config(tmp_path, "ip.json", "ioffe_pritchard", geometry, PARTICLE)
+    return write_config(tmp_path, "ip.json", "ioffe_pritchard", geometry, PARTICLE, units)
 
 
 def top_config(tmp_path, quad_current=TOP_QUAD_TUNED):
@@ -620,6 +620,34 @@ class TestFieldMapCommand:
         )
         assert code == 3
         assert err.startswith("validation error:")
+
+    @pytest.mark.parametrize("units", ["si", "natural"])
+    @pytest.mark.parametrize("extent", ["1e300", "1e200"])
+    def test_huge_extent_overflowing_series_exits_3(self, tmp_path, capsys, extent, units):
+        # The series squares coordinates near 1e298 (1e198): no inf or nan
+        # table and no floating-point warnings, one validation error instead.
+        code, out, err = run(
+            capsys, "field-map", "--config", ip_config(tmp_path, units=units),
+            "--points", "2", "--extent-fraction", extent,
+        )
+        assert (code, out) == (3, "")
+        assert err == (f"validation error: --extent-fraction {float(extent):g} gives non-finite "
+                       "field-map coordinates or fields\n")
+
+    @pytest.mark.parametrize("units", ["si", "natural"])
+    @pytest.mark.parametrize("extent", ["1e300", "1e200"])
+    def test_huge_extent_oracle_is_finite_and_quiet(self, tmp_path, capsys, extent, units):
+        # Far from every conductor the Biot-Savart sum underflows to zero: a
+        # finite table, printed without floating-point warnings.
+        code, out, err = run(
+            capsys, "field-map", "--config", ip_config(tmp_path, units=units),
+            "--points", "2", "--extent-fraction", extent, "--oracle",
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 8
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert all(row[4:] == (0.0, 0.0, 0.0) for row in rows)
 
 
 class TestErrorWiring:

@@ -175,8 +175,7 @@ class TestOscillatorEigenvalues:
         shoot = numerov._Batch.shoot
 
         def one_signed(self, *args, **kwargs):
-            nodes, mismatch, sigma, inward_at_m = shoot(self, *args, **kwargs)
-            return nodes, np.abs(mismatch) + 1.0, sigma, inward_at_m
+            return np.abs(shoot(self, *args, **kwargs)) + 1.0
 
         monkeypatch.setattr(numerov._Batch, "shoot", one_signed)
         with pytest.raises(ConvergenceError, match=r"never changes sign for state 0 .*window"):
@@ -215,7 +214,7 @@ def scalar_count(f, w0, w1):
 
 
 def scalar_mismatch(f, w0, w1, m):
-    """Reference: outward and inward one-column loops matched at ``m``."""
+    """Reference: outward and inward three-term loops matched at ``m``."""
     n = len(f)
     out = [w0, w1]
     for i in range(1, m):
@@ -227,6 +226,23 @@ def scalar_mismatch(f, w0, w1, m):
     t_in = f[m + 1] * inner[m + 1] * sigma
     t_out = f[m - 1] * out[m - 1]
     t_mid = (12.0 - 10.0 * f[m]) * out[m]
+    return (t_in + t_out - t_mid) / (abs(t_in) + abs(t_out) + abs(t_mid))
+
+
+def ratio_mismatch(f, w0, w1, m):
+    """Reference: the outward three-term loop matched at ``m`` to the inward
+    ratio loop ``R[k] = U[k] - 1 / R[k-1]``, ``U = (12 - 10 f) / f``, over
+    ``y = f w`` from the wall, where ``y = 0``."""
+    n = len(f)
+    prev, cur = w0, w1
+    for i in range(1, m):
+        prev, cur = cur, ((12.0 - 10.0 * f[i]) * cur - f[i - 1] * prev) / f[i + 1]
+    inverse = 0.0  # y[n-1] / y[n-2]
+    for i in range(n - 2, m, -1):
+        inverse = 1.0 / ((12.0 - 10.0 * f[i]) / f[i] - inverse)
+    t_in = f[m] * cur * inverse
+    t_out = f[m - 1] * prev
+    t_mid = (12.0 - 10.0 * f[m]) * cur
     return (t_in + t_out - t_mid) / (abs(t_in) + abs(t_out) + abs(t_mid))
 
 
@@ -250,30 +266,68 @@ def sweep(problem, energies, m):
     batch = numerov._Batch([problem])
     states = np.zeros(len(energies), dtype=np.intp)
     matching = np.full(len(energies), m)
-    return batch.count(states, energies), batch.shoot(states, energies, matching)[1]
+    counts = batch._march(states, energies, batch.n - 1)
+    return counts, batch.shoot(states, energies, matching)
 
 
 class TestSweepKernel:
     def test_columns_match_scalar_loops_exactly(self):
-        # The sweep keeps the scalar arithmetic operation for operation, so
-        # node counts and matching mismatches are bit-identical per column.
+        # Node counts are the three-term loop's exactly, and the mismatch is
+        # the ratio-form loop's operation for operation; it agrees with the
+        # three-term inward loop to round-off.
         problem = oscillator_problem(6.0, n_points=2000)
         energies = np.linspace(2.0, 30.0, 9)
         for e, count, mismatch in zip(energies, *sweep(problem, energies, 1700)):
             f, w0, w1 = scalar_inputs(problem, e)
             assert count == scalar_count(f, w0, w1)
-            assert mismatch == scalar_mismatch(f, w0, w1, 1700)
+            assert mismatch == ratio_mismatch(f, w0, w1, 1700)
+            three_term = scalar_mismatch(f, w0, w1, 1700)
+            assert mismatch == pytest.approx(three_term, rel=1e-12, abs=1e-15)
 
     def test_rescaled_columns_match_scalar_loops(self):
-        # A stiff trap in a wide box drives both marches far past 1e150: the
-        # counts must freeze where the step-by-step loop stops, and rescaling
-        # may only move the mismatch by round-off.
+        # A stiff trap in a wide box drives w far past 1e150 (f < 0 at the
+        # wall): the counts must freeze where the step-by-step loop stops,
+        # and the ratio loop, which never rescales, agrees to round-off.
         problem = RadialProblem(lambda r: 2.0 * r * r, 2.0, 1.0, 1e-6, 20.0, n_points=2000)
         energies = np.linspace(1.0, 60.0, 12)
         for e, count, mismatch in zip(energies, *sweep(problem, energies, 1800)):
             f, w0, w1 = scalar_inputs(problem, e)
+            assert min(f) < 0.0
             assert count == scalar_count(f, w0, w1)
+            assert mismatch == ratio_mismatch(f, w0, w1, 1800)
             assert mismatch == pytest.approx(scalar_mismatch(f, w0, w1, 1800), rel=1e-12, abs=1e-15)
+
+    def test_rescaled_then_frozen_counts_match_scalar_loop(self):
+        # On a fine mesh |w| passes 1e150 where f >= 0.95, so the loop rescales
+        # and goes on; a steep wall past r = 28 then turns f negative, and the
+        # loop counts aliased sign changes until |w| passes 1e150 again.
+        potential = lambda r: 0.5 * r * r + 1e5 * np.maximum(r - 28.0, 0.0) ** 2
+        problem = RadialProblem(potential, 2.0, 1.0, 1e-6, 30.0, n_points=20000)
+        energies = np.array([1.0, 6.0, 11.0])
+        for e, count, mismatch in zip(energies, *sweep(problem, energies, 15000)):
+            f, w0, w1 = scalar_inputs(problem, e)
+            assert count == scalar_count(f, w0, w1) > 60
+            assert mismatch == ratio_mismatch(f, w0, w1, 15000)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        coef=st.floats(0.05, 3.0),
+        centrifugal=st.floats(-0.25, 30.0),
+        r_max=st.floats(6.0, 30.0),
+        n_points=st.integers(2000, 6000),
+        energies=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=4),
+        where=st.floats(0.5, 0.95),
+    )
+    def test_random_columns_match_scalar_loops(self, coef, centrifugal, r_max, n_points,
+                                               energies, where):
+        # Counts over random traps, from gentle to stiff enough to freeze.
+        problem = RadialProblem(lambda r: coef * r * r, centrifugal, 1.0, 1e-6, r_max,
+                                n_points=n_points)
+        m = int(where * n_points)
+        for e, count, mismatch in zip(energies, *sweep(problem, np.array(energies), m)):
+            f, w0, w1 = scalar_inputs(problem, e)
+            assert count == scalar_count(f, w0, w1)
+            assert mismatch == ratio_mismatch(f, w0, w1, m)
 
 
 class TestBrent:
