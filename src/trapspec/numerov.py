@@ -31,8 +31,10 @@ centrifugal terms (``c < 0``); the log mesh keeps the full Numerov order for
 every tower handled here.
 
 One numpy sweep advances every (state, trial energy) pair as a column, by
-Johnson's renormalized Numerov form (node counts, inward solution), which
-cannot overflow, or the three-term recurrence (outward solution).  Node-count
+Johnson's renormalized Numerov form: the ratio of successive values, outward
+from the origin and inward from the wall, which cannot overflow.  One outward
+march gives a column's node count and its ratio at the matching point, and
+the mismatch there is a scale-free difference of ratios.  Node-count
 bisection samples several tree levels per sweep, so a batch of many states,
 or a lone state with many trial energies, costs one to two dozen sweeps.
 
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -93,6 +96,14 @@ class RadialProblem:
     origin_exponent: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("mass", "hbar", "r_min", "r_max", "centrifugal", "origin_exponent"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+        try:
+            operator.index(self.n_points)
+        except TypeError:
+            raise DomainError(f"n_points must be an integer, got {self.n_points!r}") from None
         if self.mass <= 0.0 or self.hbar <= 0.0:
             raise DomainError("mass and hbar must be positive")
         if not 0.0 < self.r_min < self.r_max:
@@ -292,12 +303,17 @@ class _Batch:
         The recurrence ``f[k+1] w[k+1] = (12 - 10 f[k]) w[k] - f[k-1] w[k-1]``
         is ``y[k+1] = U[k] y[k] - y[k-1]``, ``U = (12 - 10 f) / f``, so
         ``R[k] = U[k] - 1 / R[k-1]`` (Johnson's renormalized Numerov method):
-        two ufunc calls a step, and nothing to overflow.  Outward it returns
-        each column's sign changes of ``w`` from march index 1 on.  Inward it
-        starts from ``y = 0`` at the wall (step ``k`` at mesh row ``n - 1 - k``)
-        and returns each column's ratio at march index ``record``; with
-        ``store = (dest, keep)`` it also writes ``R[0..keep]`` of each column
-        into its row of ``dest`` (indexed in march order).
+        two ufunc calls a step, and nothing to overflow.  Outward the march
+        starts from the Frobenius ``w[0], w[1]``; inward from ``y = 0`` at the
+        wall, step ``k`` at mesh row ``n - 1 - k``.  ``record`` (one march index
+        per column) picks the ratio each column reports; with ``store`` each
+        column's ``R[0..record]`` is also written into its row of that array,
+        indexed in march order.
+
+        Inward the march returns the recorded ratios.  Outward it returns each
+        column's sign changes of ``w`` from march index 1 on, the recorded
+        ratios, and whether ``w`` is negative at march index ``record + 1``:
+        the sign of ``w[1]``, flipped once per sign change up to there.
 
         A count stops where the three-term loop stopped (see ``_LOG_FREEZE``).
         ``log |w|`` moves by the log of each block's ratio product, and is
@@ -311,18 +327,18 @@ class _Batch:
         ratio, t = np.empty((_CHUNK + 1, columns)), np.empty(columns)
         rows, u_rows = list(ratio), list(u_buf)
         rec, sub = np.reciprocal, np.subtract
+        recorded = np.full(columns, np.nan)
         if inward:
-            recorded = np.empty(columns)
             ratio[0] = np.inf
-            if store is not None:
-                dest, keep = store
-                dest[:, 0] = np.inf
         else:
             turns, held = np.zeros(columns, dtype=np.int64), np.full(columns, -1)
             offset = np.zeros(columns)
             w0, w1 = self._outward_start(states, energies)
             ratio[0] = self._f(states, energies, 1) * w1 / (self._f(states, energies, 0) * w0)
             level = np.log(np.abs(w1))
+            negative = w1 < 0.0
+        if store is not None:
+            store[:, 0] = ratio[0]
         with np.errstate(divide="ignore", over="ignore"):
             for c0 in range(1, last, _CHUNK):
                 steps = min(_CHUNK, last - c0)
@@ -342,19 +358,23 @@ class _Batch:
                     sub(u_rows[k], t, rows[k + 1])
                 r = ratio[1 : steps + 1]
                 ratio[0] = ratio[steps]
-                if inward:
+                if record is not None:
                     at = record - c0
                     sel = np.flatnonzero((at >= 0) & (at < steps))
                     recorded[sel] = r[at[sel], sel]
-                    if store is not None:
-                        np.copyto(dest[:, c0 : c0 + steps], r.T,
-                                  where=np.arange(c0, c0 + steps) <= keep[:, None])
+                if store is not None:
+                    np.copyto(store[:, c0 : c0 + steps], r.T,
+                              where=np.arange(c0, c0 + steps) <= record[:, None])
+                if inward:
                     continue
                 flips = r < 0.0
                 if f.min() < 0.0:  # w = y / f also changes sign where f does
                     f_negative = f < 0.0
                     flips ^= f_negative[:-1]
                     flips ^= f_negative[1:]
+                if record is not None:
+                    upto = flips[:, sel] & (np.arange(steps)[:, None] <= at[sel])
+                    negative[sel] ^= (turns[sel] + np.count_nonzero(upto, axis=0)) % 2 == 1
                 grown = level + np.log(np.abs(np.multiply.reduce(r, axis=0) * (f[0] / f[-1])))
                 top = np.maximum(level, grown) - offset
                 near = (held < 0) & ~(top <= _LOG_FREEZE - _LOG_MARGIN)
@@ -370,46 +390,9 @@ class _Batch:
                             offset[i] += _LOG_RESCALE
                 turns += np.count_nonzero(flips, axis=0)
                 level = grown
-        return recorded if inward else np.where(held < 0, turns, held)
-
-    def _outward(self, states, energies, m, store=None):
-        """``(w[m-1], w[m])`` of each column's outward solution; ``w[0..m]`` into ``store``.
-
-        Round-off here moves a level by up to ~1e-11 where the indicial roots
-        nearly coincide (``c + 1/4`` near 0), so this march keeps the three-term
-        recurrence, and energies their values: a call for both products, a
-        subtraction and a division per step, as in a scalar loop.
-        """
-        columns, last = len(states), int(m.max())
-        w = np.empty((_CHUNK + 2, columns))
-        w[:2] = self._outward_start(states, energies)
-        f_buf, pair = np.empty((_CHUNK + 2, columns)), np.empty((_CHUNK + 1, 2, columns))
-        products, t = np.empty((2, columns)), np.empty(columns)
-        rows, f_rows, pairs = list(w), list(f_buf), list(pair)
-        p_lo, p_mid = products
-        w_pairs = [w[k - 1 : k + 1] for k in range(1, _CHUNK + 1)]
-        mul, sub, div = np.multiply, np.subtract, np.divide
-        rec_prev, rec_cur = np.full(columns, np.nan), np.full(columns, np.nan)
-        for c0 in range(1, last, _CHUNK):
-            steps = min(_CHUNK, last - c0)
-            # w and f rows hold mesh rows c0-1 .. c0+steps; pair row k holds
-            # (f[k-1], 12 - 10 f[k])
-            f = self._f(states, energies, slice(c0 - 1, c0 + steps + 1), f_buf[: steps + 2])
-            pair[1 : steps + 1, 0] = f[:steps]
-            np.multiply(f[1 : steps + 1], -10.0, out=pair[1 : steps + 1, 1])
-            pair[1 : steps + 1, 1] += 12.0
-            for k in range(1, steps + 1):
-                mul(pairs[k], w_pairs[k - 1], products)
-                sub(p_mid, p_lo, t)
-                div(t, f_rows[k + 1], rows[k + 1])
-            if store is not None:
-                np.copyto(store[:, c0 - 1 : c0 + steps + 1], w[: steps + 2].T,
-                          where=np.arange(c0 - 1, c0 + steps + 1) <= m[:, None])
-            at = m - c0  # w[m] is row at + 1
-            sel = np.flatnonzero((at >= 1) & (at <= steps))
-            rec_prev[sel], rec_cur[sel] = w[at[sel], sel], w[at[sel] + 1, sel]
-            w[0], w[1] = w[steps], w[steps + 1]
-        return rec_prev, rec_cur
+        if inward:
+            return recorded
+        return np.where(held < 0, turns, held), recorded, negative
 
     def _outward_start(self, states, energies):
         # Two-term Frobenius start W = r^s (1 + beta r^2), i.e.
@@ -418,33 +401,41 @@ class _Batch:
         return (self.p0[states] * (1.0 + beta * self.q0[states]),
                 self.p1[states] * (1.0 + beta * self.q1[states]))
 
-    def shoot(self, states, energies, m, phi=None):
+    def shoot(self, states, energies, m, outward=None, phi=None):
         """Matching mismatches at ``m`` of each column.
 
         The outward solution meets the inward one (Dirichlet at the wall) in
-        the recurrence at ``m``, ``y[m+1] + y[m-1] - U[m] y[m]``, with
-        ``y[m+1] / y[m]`` from the inward ratios; the mismatch is that sum over
-        its terms' magnitudes, 0 where either solution vanishes at ``m``.  Each
-        march stops at ``m``.  With ``phi`` (one row per column) the outward
-        ``w[0..m]`` is written into it, and past ``m`` the inward ratios:
-        ``phi[:, k]`` is ``y[k-1] / y[k]`` for ``k > m``.
+        the recurrence at ``m``, ``y[m+1] + y[m-1] - U[m] y[m]``.  Over
+        ``y[m]`` its terms are the inward ratio ``y[m+1] / y[m]``, the outward
+        ``y[m-1] / y[m]`` and ``U[m]``, so the mismatch, that sum over its
+        terms' magnitudes, needs no values of ``w``.  It carries the sign of
+        ``y[m]``, which keeps it continuous in the energy, and is 0 where
+        either solution vanishes at ``m``.
+
+        ``outward`` holds each column's ``R[m-1]`` and whether ``w[m] < 0``,
+        as a count sweep with ``record = m - 1`` returns them; without it the
+        outward march stops at ``m``, as the inward one does.  With ``phi``
+        (one row per column) each row receives the ratios toward ``m``,
+        ``y[k+1] / y[k]`` for ``k < m`` and ``y[k-1] / y[k]`` for ``k > m``,
+        and the sign of ``y[m]`` at ``m``.
         """
         n = self.n
-        with np.errstate(over="ignore", invalid="ignore"):
-            out_prev, out_m = self._outward(states, energies, m, phi)
-        if not np.isfinite(out_m).all():
-            raise ConvergenceError("the outward solution overflowed before the matching point")
-        store = None if phi is None else (phi[:, ::-1], n - 2 - m)
-        in_m = self._march(states, energies, n - 1 - int(m.min()), True, n - 2 - m, store)
+        if outward is None:
+            _, ratio, negative = self._march(states, energies, int(m.max()), record=m - 1, store=phi)
+        else:
+            ratio, negative = outward
+        back = None if phi is None else phi[:, ::-1]
+        in_m = self._march(states, energies, n - 1 - int(m.min()), True, n - 2 - m, back)
         f_m = self._f(states, energies, m)
+        negative = negative != (f_m < 0.0)  # now the sign of y[m]
         with np.errstate(divide="ignore", invalid="ignore"):
-            b = 1.0 / in_m  # y[m+1] / y[m]
-            t_in = f_m * out_m * b
-            t_out = self._f(states, energies, m - 1) * out_prev
-            t_mid = (12.0 - 10.0 * f_m) * out_m
-            scale = np.abs(t_in) + np.abs(t_out) + np.abs(t_mid)
-            mismatch = (t_in + t_out - t_mid) / scale
-        mismatch[(out_m == 0.0) | ~np.isfinite(b) | (scale == 0.0)] = 0.0
+            t_in, t_out = 1.0 / in_m, 1.0 / ratio
+            u_m = (12.0 - 10.0 * f_m) / f_m
+            mismatch = (t_in + t_out - u_m) / (np.abs(t_in) + np.abs(t_out) + np.abs(u_m))
+        mismatch[(in_m == 0.0) | (ratio == 0.0)] = 0.0
+        np.negative(mismatch, out=mismatch, where=negative)
+        if phi is not None:
+            phi[np.arange(len(states)), m] = np.where(negative, -1.0, 1.0)
         return mismatch
 
     # ---- the solve ----------------------------------------------------------
@@ -506,14 +497,17 @@ class _Batch:
             d = np.empty(x.shape)
             if not ends:
                 counts[:, 0], counts[:, -1] = c_lo[todo], c_hi[todo]
+            energies = x[:, cols].ravel()
+            # One outward march gives the counts and, for the mismatch, R[m-1].
+            nodes, *outward = self._march(idx, energies, self.n - 1,
+                                          record=m[idx] - 1 if shoot else None)
+            counts[:, cols] = nodes.reshape(len(todo), -1)
             if shoot:
                 if not ends:
                     d[:, 0], d[:, -1] = d_lo[todo], d_hi[todo]
-                mis = self.shoot(idx, x[:, cols].ravel(), m[idx])
+                mis = self.shoot(idx, energies, m[idx], outward)
                 d[:, cols] = mis.reshape(len(todo), -1)
                 matched[todo] += x[:, cols].shape[1]
-            nodes = self._march(idx, x[:, cols].ravel(), self.n - 1)
-            counts[:, cols] = nodes.reshape(len(todo), -1)
             counted[todo] += x[:, cols].shape[1]
             return x, counts, d
 
@@ -639,24 +633,24 @@ class _Batch:
 
         # --- assemble, normalize, verify ----------------------------------------
         phi = np.empty((size, self.n))
-        residual = self.shoot(states, energy, m, phi)
+        residual = self.shoot(states, energy, m, phi=phi)
         matched += 1
         results = []
         for i in states:
             r = self.radii[i]
             w = phi[i]
-            # The inward piece from its ratios y[k-1] / y[k], k = m+1 .. n-1:
-            # cumulative log-ratios and signs, continuing the outward y[m].
+            # y on each side of m from its ratios toward m: cumulative
+            # log-ratios and signs, continuing y[m] = +-1.
             j = m[i]
-            ratios = w[j + 1 :]
-            if ratios[0] == 0.0:
+            if w[j - 1] == 0.0 or w[j + 1] == 0.0:
                 raise ConvergenceError(
                     f"matching point fell on a node for {label(i)}; re-run with a different grid")
-            with np.errstate(divide="ignore"):
-                y = np.exp(-np.cumsum(np.log(np.abs(ratios))))
-            y *= self._f(i, energy[i], j) * w[j]
-            np.negative(y, out=y, where=np.logical_xor.accumulate(ratios < 0.0))
-            w[j + 1 :] = y / self._f(i, energy[i], slice(j + 1, None))
+            for ratios in (w[j - 1 :: -1], w[j + 1 :]):
+                with np.errstate(divide="ignore"):
+                    y = np.exp(-np.cumsum(np.log(np.abs(ratios))))
+                np.negative(y, out=y, where=np.logical_xor.accumulate(ratios < 0.0))
+                ratios[:] = y * w[j]
+            w /= self._f(i, energy[i], slice(None))
             w *= np.sqrt(r)
             norm = math.sqrt(simpson(w * w, x=r))
             if not (norm > 0.0 and math.isfinite(norm)):

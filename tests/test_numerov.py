@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,21 @@ class TestProblemValidation:
     def test_positive_scales(self):
         with pytest.raises(DomainError):
             RadialProblem(half_r_squared, 0.0, -1.0, 1e-6, 12.0)
+
+    @pytest.mark.parametrize("field", ["mass", "hbar", "r_min", "r_max", "centrifugal",
+                                       "origin_exponent"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = dict(potential=half_r_squared, centrifugal=0.0, mass=1.0, r_min=1e-6,
+                      r_max=12.0)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=field):
+            RadialProblem(**kwargs)
+
+    @pytest.mark.parametrize("n_points", [3000.5, 3000.0, math.nan, "3000"])
+    def test_non_integer_grid_rejected(self, n_points):
+        with pytest.raises(DomainError, match="n_points"):
+            RadialProblem(half_r_squared, 0.0, 1.0, 1e-6, 12.0, n_points=n_points)
 
     def test_strongly_attractive_centrifugal_needs_exponent(self):
         with pytest.raises(DomainError):
@@ -213,37 +229,53 @@ def scalar_count(f, w0, w1):
     return nodes
 
 
-def scalar_mismatch(f, w0, w1, m):
-    """Reference: outward and inward three-term loops matched at ``m``."""
-    n = len(f)
+def three_term_outward(f, c, w0, w1, m):
+    """Reference: ``w[0..m]`` from the outward three-term loop; ``c`` is ``12 - 10 f``."""
     out = [w0, w1]
     for i in range(1, m):
-        out.append(((12.0 - 10.0 * f[i]) * out[i] - f[i - 1] * out[i - 1]) / f[i + 1])
-    inner = {n - 1: 0.0, n - 2: 1e-30}
+        out.append((c[i] * out[i] - f[i - 1] * out[i - 1]) / f[i + 1])
+    return out
+
+
+def scalar_mismatch(f, w0, w1, m, number=float):
+    """Reference: outward and inward three-term loops matched at ``m``.
+
+    The loops run in ``number`` arithmetic (``Decimal`` for an
+    extended-precision reference) over ``f`` and ``12 - 10 f`` as doubles, the
+    coefficients a double-precision march works with.
+    """
+    n = len(f)
+    c = [number(12.0 - 10.0 * x) for x in f]
+    f = [number(x) for x in f]
+    out = three_term_outward(f, c, number(w0), number(w1), m)
+    inner = {n - 1: number(0.0), n - 2: number(1e-30)}
     for i in range(n - 2, m, -1):
-        inner[i - 1] = ((12.0 - 10.0 * f[i]) * inner[i] - f[i + 1] * inner[i + 1]) / f[i - 1]
+        inner[i - 1] = (c[i] * inner[i] - f[i + 1] * inner[i + 1]) / f[i - 1]
     sigma = out[m] / inner[m]
     t_in = f[m + 1] * inner[m + 1] * sigma
     t_out = f[m - 1] * out[m - 1]
-    t_mid = (12.0 - 10.0 * f[m]) * out[m]
-    return (t_in + t_out - t_mid) / (abs(t_in) + abs(t_out) + abs(t_mid))
+    t_mid = c[m] * out[m]
+    return float((t_in + t_out - t_mid) / (abs(t_in) + abs(t_out) + abs(t_mid)))
 
 
 def ratio_mismatch(f, w0, w1, m):
-    """Reference: the outward three-term loop matched at ``m`` to the inward
-    ratio loop ``R[k] = U[k] - 1 / R[k-1]``, ``U = (12 - 10 f) / f``, over
-    ``y = f w`` from the wall, where ``y = 0``."""
+    """Reference: Johnson's ratio loops ``R[k] = U[k] - 1 / R[k-1]``,
+    ``U = (12 - 10 f) / f``, over ``y = f w``, outward from the Frobenius start
+    and inward from the wall, where ``y = 0``, matched at ``m``.  The sign of
+    ``y[m]`` is that of ``y[0]``, flipped at each negative outward ratio."""
     n = len(f)
-    prev, cur = w0, w1
+    ratio = f[1] * w1 / (f[0] * w0)  # y[1] / y[0]
+    negative = (f[0] * w0 < 0.0) != (ratio < 0.0)
     for i in range(1, m):
-        prev, cur = cur, ((12.0 - 10.0 * f[i]) * cur - f[i - 1] * prev) / f[i + 1]
+        ratio = (12.0 - 10.0 * f[i]) / f[i] - 1.0 / ratio
+        negative ^= ratio < 0.0
     inverse = 0.0  # y[n-1] / y[n-2]
     for i in range(n - 2, m, -1):
         inverse = 1.0 / ((12.0 - 10.0 * f[i]) / f[i] - inverse)
-    t_in = f[m] * cur * inverse
-    t_out = f[m - 1] * prev
-    t_mid = (12.0 - 10.0 * f[m]) * cur
-    return (t_in + t_out - t_mid) / (abs(t_in) + abs(t_out) + abs(t_mid))
+    t_out = 1.0 / ratio
+    u = (12.0 - 10.0 * f[m]) / f[m]
+    mismatch = (inverse + t_out - u) / (abs(inverse) + abs(t_out) + abs(u))
+    return -mismatch if negative else mismatch
 
 
 def scalar_inputs(problem, energy):
@@ -262,26 +294,32 @@ def scalar_inputs(problem, energy):
 
 
 def sweep(problem, energies, m):
-    """Node counts and mismatches of one problem's columns from the batched sweep."""
+    """Node counts and mismatches of one problem's columns from the batched sweep.
+
+    The mismatch from a count sweep's recorded outward ratio must be, bit for
+    bit, the one a shoot that marches outward itself (a Brent round) gives.
+    """
     batch = numerov._Batch([problem])
     states = np.zeros(len(energies), dtype=np.intp)
     matching = np.full(len(energies), m)
-    counts = batch._march(states, energies, batch.n - 1)
-    return counts, batch.shoot(states, energies, matching)
+    counts, *outward = batch._march(states, energies, batch.n - 1, record=matching - 1)
+    mismatch = batch.shoot(states, energies, matching, outward)
+    assert np.array_equal(mismatch, batch.shoot(states, energies, matching))
+    return counts, mismatch
 
 
 class TestSweepKernel:
     def test_columns_match_scalar_loops_exactly(self):
         # Node counts are the three-term loop's exactly, and the mismatch is
-        # the ratio-form loop's operation for operation; it agrees with the
-        # three-term inward loop to round-off.
+        # the ratio-form loops' operation for operation; it agrees to
+        # round-off with the three-term loops run in decimal arithmetic.
         problem = oscillator_problem(6.0, n_points=2000)
         energies = np.linspace(2.0, 30.0, 9)
         for e, count, mismatch in zip(energies, *sweep(problem, energies, 1700)):
             f, w0, w1 = scalar_inputs(problem, e)
             assert count == scalar_count(f, w0, w1)
             assert mismatch == ratio_mismatch(f, w0, w1, 1700)
-            three_term = scalar_mismatch(f, w0, w1, 1700)
+            three_term = scalar_mismatch(f, w0, w1, 1700, Decimal)
             assert mismatch == pytest.approx(three_term, rel=1e-12, abs=1e-15)
 
     def test_rescaled_columns_match_scalar_loops(self):
@@ -295,7 +333,8 @@ class TestSweepKernel:
             assert min(f) < 0.0
             assert count == scalar_count(f, w0, w1)
             assert mismatch == ratio_mismatch(f, w0, w1, 1800)
-            assert mismatch == pytest.approx(scalar_mismatch(f, w0, w1, 1800), rel=1e-12, abs=1e-15)
+            assert mismatch == pytest.approx(scalar_mismatch(f, w0, w1, 1800, Decimal),
+                                             rel=1e-12, abs=1e-15)
 
     def test_rescaled_then_frozen_counts_match_scalar_loop(self):
         # On a fine mesh |w| passes 1e150 where f >= 0.95, so the loop rescales
@@ -308,6 +347,35 @@ class TestSweepKernel:
             f, w0, w1 = scalar_inputs(problem, e)
             assert count == scalar_count(f, w0, w1) > 60
             assert mismatch == ratio_mismatch(f, w0, w1, 15000)
+
+    def test_sign_of_w_across_negative_f(self):
+        # A tall narrow barrier at r = 1 turns f negative for a few mesh rows
+        # before m, where w = y / f changes sign with f: the count and the
+        # sign of the mismatch must still be the three-term loops'.
+        potential = lambda r: 0.5 * r * r + 1e6 * np.exp(-(((r - 1.0) / 0.1) ** 2))
+        problem = RadialProblem(potential, 2.0, 1.0, 1e-6, 12.0, n_points=2000)
+        energies = np.array([3.0, 7.5, 20.0])
+        for e, count, mismatch in zip(energies, *sweep(problem, energies, 1790)):
+            f, w0, w1 = scalar_inputs(problem, e)
+            assert min(f[:1790]) < 0.0
+            assert count == scalar_count(f, w0, w1)
+            assert mismatch == ratio_mismatch(f, w0, w1, 1790)
+            assert mismatch == pytest.approx(scalar_mismatch(f, w0, w1, 1790, Decimal),
+                                             rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("centrifugal, nodes", [(2.0, 1), (30.0, 4)])
+    def test_rebuilt_outward_piece_matches_three_term_loop(self, centrifugal, nodes):
+        # The eigenfunction up to the matching point is rebuilt from the
+        # outward ratios; it is the three-term loop's w up to one factor.
+        problem = oscillator_problem(centrifugal)
+        res = solve_eigen(problem, nodes)
+        m = res.diagnostics["matching_index"]
+        f, w0, w1 = scalar_inputs(problem, res.energy)
+        c = [12.0 - 10.0 * x for x in f]
+        w = np.array(three_term_outward(f, c, w0, w1, m)) * np.sqrt(res.radii[: m + 1])
+        peak = int(np.argmax(np.abs(w)))
+        w *= res.samples[peak] / w[peak]
+        assert np.max(np.abs(res.samples[: m + 1] - w)) <= 1e-12 * np.max(np.abs(w))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -399,31 +467,52 @@ def seed_potential(spec):
     return lambda r: full(r) - 0.5 * c / (r * r)
 
 
+def seed_problem(entry):
+    return RadialProblem(
+        potential=seed_potential(entry), centrifugal=entry["centrifugal"], mass=entry["mass"],
+        r_min=entry["r_min"], r_max=entry["r_max"], n_points=entry["n_points"],
+        hbar=entry["hbar"], origin_exponent=entry["origin_exponent"],
+    )
+
+
 class TestSeedEnergies:
     """Energies recorded with the scalar solver that the batched one replaced.
 
     ``numerov_seed_energies.json`` holds every state the verify suites solve
     and every state the tests solve, each with the problem, the node target,
     the window hint and the energy (repr floats) that the one-state-at-a-time
-    solver (node bisection, then Brent's method) returned.
+    solver (node bisection, then Brent's method) returned.  The entries whose
+    indicial roots nearly coincide (``c + 1/4 <= 0.04``) that moved by more
+    than 1e-12 under the ratio-form outward march hold its energies instead.
     """
 
     def test_batched_solver_matches_recorded_energies(self):
         entries = json.loads(SEED_ENERGIES.read_text())["entries"]
-        problems = [
-            RadialProblem(
-                potential=seed_potential(e), centrifugal=e["centrifugal"], mass=e["mass"],
-                r_min=e["r_min"], r_max=e["r_max"], n_points=e["n_points"], hbar=e["hbar"],
-                origin_exponent=e["origin_exponent"],
-            )
-            for e in entries
-        ]
         windows = [None if e["energy_window"] is None else tuple(e["energy_window"])
                    for e in entries]
-        results = solve_eigens(problems, [e["node_target"] for e in entries], windows)
+        results = solve_eigens([seed_problem(e) for e in entries],
+                               [e["node_target"] for e in entries], windows)
         for e, res in zip(entries, results):
             # 1e-12 relative, or 1e-12 absolute for the levels near zero.
             assert abs(res.energy - e["energy"]) <= 1e-12 * max(abs(e["energy"]), 1.0), e["source"]
+
+    def test_near_degenerate_levels_bracket_the_extended_precision_level(self):
+        # Where c + 1/4 is near 0 (planar |M| = 0, L* = -0.3) a level moves by
+        # up to ~1e-10 with the last bits of the coefficients (12 - 10 f formed
+        # in double or in extended precision), so the recorded digits past
+        # that pin round-off.  Each such energy must still lie within 2e-10
+        # (relative) of the level of the three-term loops run in decimal
+        # arithmetic: their mismatch changes sign between E (1 -+ 2e-10).
+        entries = [e for e in json.loads(SEED_ENERGIES.read_text())["entries"]
+                   if e["centrifugal"] + 0.25 <= 0.04 + 1e-12]
+        assert len(entries) == 14
+        for e in entries:
+            problem = seed_problem(e)
+            f, _, _ = scalar_inputs(problem, e["energy"])
+            m = int(np.flatnonzero(np.array(f) >= 1.0)[-1])  # the outer turning point
+            below, above = (scalar_mismatch(*scalar_inputs(problem, e["energy"] * t), m, Decimal)
+                            for t in (1.0 - 2e-10, 1.0 + 2e-10))
+            assert (below < 0.0) != (above < 0.0), e["source"]
 
 
 def coarse_problem(l):
