@@ -35,8 +35,9 @@ Johnson's renormalized Numerov form: the ratio of successive values, outward
 from the origin and inward from the wall, which cannot overflow.  One outward
 march gives a column's node count and its ratio at the matching point, and
 the mismatch there is a scale-free difference of ratios.  Node-count
-bisection samples several tree levels per sweep, so a batch of many states,
-or a lone state with many trial energies, costs one to two dozen sweeps.
+bisection samples several tree levels per sweep, marching a tree that states
+of one problem share once; matching sweeps keep no counts, and a sweep of a
+few columns steps in Python floats rather than by two ufunc calls a step.
 
 scipy is imported inside the functions that use it, so importing this module
 (and the command-line interface) does not load it.
@@ -68,7 +69,8 @@ _LOG_FREEZE = math.log(1e150)
 _LOG_RESCALE = math.log(1e200)
 _LOG_MARGIN = math.log(1e50)  # block ends this far under the freeze need no row-by-row scan
 _CHUNK = 256  # mesh rows whose f and U are built, and whose ratios are tallied, at once
-_MIN_COLUMNS = 64  # trial energies per sweep, summed over the batch
+_MIN_COLUMNS = 64  # trial energies per sweep, summed over its distinct trees
+_FLOAT_COLUMNS = 8  # sweeps this narrow step each column in Python floats
 _MAX_ROUNDS = 200
 _GRAM_ATOL = 1e-12  # absolute accuracy asked of every Gram entry, as overlap's default
 _TAIL_FRACTION = 1e-8  # count_nodes treats smaller samples, relative to the largest, as zero
@@ -132,6 +134,8 @@ class EigenResult:
 
     ``residual``: the Numerov recurrence at the matching point, the outward solution
     continued by the inward one, over the sum of its terms' magnitudes (0 to 1).
+    ``diagnostics["count_evaluations"]`` counts the trial energies of the state's
+    bisection trees, whether marched for it or shared with a state of its problem.
     """
 
     energy: float
@@ -166,6 +170,21 @@ def _tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
         y[:, 1::2] = 0.5 * (x[:, :-1] + x[:, 1:])
         x = y
     return x
+
+
+def _float_steps(ratio, u) -> bool:
+    """The ufunc loop's steps ``R[k] = U[k] - 1 / R[k-1]``, ``ratio[0]`` on, in
+    Python floats: the same IEEE divides and subtracts at a fraction of the
+    per-call cost.  False where a ratio is +-0.0 (Python raises, numpy gives +-inf).
+    """
+    steps, columns = len(u), np.ascontiguousarray(u.T)
+    try:
+        for j, x in enumerate(ratio[0].tolist()):  # memoryview items are Python floats
+            ratio[1 : steps + 1, j] = np.fromiter(
+                (x := u_k - 1.0 / x for u_k in memoryview(columns[j])), float, steps)
+    except ZeroDivisionError:
+        return False
+    return True
 
 
 def _root_between(d, rows, ia, ib):
@@ -263,6 +282,9 @@ class _Batch:
             ))
             self.radii.append(r)
             self.sampling.append(mode)
+        # Problems with one scalar row march alike, so states of one share columns.
+        rows = {}
+        self.group = np.array([rows.setdefault(row, len(rows)) for row in scalars])
         self.v = np.column_stack(v_columns)
         self.r2p = np.column_stack(r2p_columns)
         table = np.array(scalars)
@@ -297,7 +319,7 @@ class _Batch:
         g += 1.0
         return g
 
-    def _march(self, states, energies, last, inward=False, record=None, store=None):
+    def _march(self, states, energies, last, inward=False, record=None, store=None, count=True):
         """Advance the ratio ``R[k] = y[k+1] / y[k]``, ``y = f w``, to march index ``last``.
 
         The recurrence ``f[k+1] w[k+1] = (12 - 10 f[k]) w[k] - f[k-1] w[k-1]``
@@ -314,6 +336,7 @@ class _Batch:
         column's sign changes of ``w`` from march index 1 on, the recorded
         ratios, and whether ``w`` is negative at march index ``record + 1``:
         the sign of ``w[1]``, flipped once per sign change up to there.
+        Without ``count`` (a matching march) only that sign is kept.
 
         A count stops where the three-term loop stopped (see ``_LOG_FREEZE``).
         ``log |w|`` moves by the log of each block's ratio product, and is
@@ -351,11 +374,12 @@ class _Batch:
                 u = np.multiply(f[:-1], -10.0, out=u_buf[:steps])
                 u += 12.0
                 u /= f[:-1]
-                for k in range(steps):
-                    # Positional out arguments: at a few columns the call
-                    # overhead is the whole cost of a step.
-                    rec(rows[k], t)
-                    sub(u_rows[k], t, rows[k + 1])
+                if columns > _FLOAT_COLUMNS or not _float_steps(ratio, u):
+                    for k in range(steps):
+                        # Positional out arguments: at a few dozen columns the
+                        # call overhead is most of the cost of a step.
+                        rec(rows[k], t)
+                        sub(u_rows[k], t, rows[k + 1])
                 r = ratio[1 : steps + 1]
                 ratio[0] = ratio[steps]
                 if record is not None:
@@ -375,21 +399,22 @@ class _Batch:
                 if record is not None:
                     upto = flips[:, sel] & (np.arange(steps)[:, None] <= at[sel])
                     negative[sel] ^= (turns[sel] + np.count_nonzero(upto, axis=0)) % 2 == 1
-                grown = level + np.log(np.abs(np.multiply.reduce(r, axis=0) * (f[0] / f[-1])))
-                top = np.maximum(level, grown) - offset
-                near = (held < 0) & ~(top <= _LOG_FREEZE - _LOG_MARGIN)
-                for i in np.flatnonzero(near):
-                    # log |w| at march indices c0+1 .. c0+steps
-                    path = level[i] + np.cumsum(np.log(np.abs(r[:, i] * f[:-1, i] / f[1:, i])))
-                    grown[i] = path[-1]
-                    for j in np.flatnonzero(path - offset[i] > _LOG_FREEZE):
-                        if path[j] - offset[i] > _LOG_FREEZE:  # not back under after a rescale
-                            if f[j, i] < 0.95:
-                                held[i] = turns[i] + np.count_nonzero(flips[: j + 1, i])
-                                break
-                            offset[i] += _LOG_RESCALE
+                if count:
+                    grown = level + np.log(np.abs(np.multiply.reduce(r, axis=0) * (f[0] / f[-1])))
+                    top = np.maximum(level, grown) - offset
+                    near = (held < 0) & ~(top <= _LOG_FREEZE - _LOG_MARGIN)
+                    for i in np.flatnonzero(near):
+                        # log |w| at march indices c0+1 .. c0+steps
+                        path = level[i] + np.cumsum(np.log(np.abs(r[:, i] * f[:-1, i] / f[1:, i])))
+                        grown[i] = path[-1]
+                        for j in np.flatnonzero(path - offset[i] > _LOG_FREEZE):
+                            if path[j] - offset[i] > _LOG_FREEZE:  # not back under after a rescale
+                                if f[j, i] < 0.95:
+                                    held[i] = turns[i] + np.count_nonzero(flips[: j + 1, i])
+                                    break
+                                offset[i] += _LOG_RESCALE
+                    level = grown
                 turns += np.count_nonzero(flips, axis=0)
-                level = grown
         if inward:
             return recorded
         return np.where(held < 0, turns, held), recorded, negative
@@ -421,7 +446,8 @@ class _Batch:
         """
         n = self.n
         if outward is None:
-            _, ratio, negative = self._march(states, energies, int(m.max()), record=m - 1, store=phi)
+            _, ratio, negative = self._march(states, energies, int(m.max()), record=m - 1,
+                                             store=phi, count=False)
         else:
             ratio, negative = outward
         back = None if phi is None else phi[:, ::-1]
@@ -452,11 +478,16 @@ class _Batch:
         size = len(problems)
         states = np.arange(size)
         targets = np.asarray(targets, dtype=np.int64)
-        # Bisection levels sampled per sweep: enough that every sweep carries
-        # at least _MIN_COLUMNS columns, so a lone state descends six levels.
-        depth = 1
-        while (2**depth + 1) * size < _MIN_COLUMNS:
-            depth += 1
+
+        def levels(trees):
+            # Bisection levels per sweep of that many trees: enough for at
+            # least _MIN_COLUMNS columns, so a lone tree descends six levels.
+            depth = 1
+            while (2**depth + 1) * trees < _MIN_COLUMNS:
+                depth += 1
+            return depth
+
+        depth = levels(size)  # of the matching sweeps, which march every state's tree
         counted = np.zeros(size, dtype=np.int64)
         matched = np.zeros(size, dtype=np.int64)
         history = [[] for _ in range(size)]
@@ -481,34 +512,36 @@ class _Batch:
         c_lo = np.empty(size, dtype=np.int64)
         c_hi = np.empty(size, dtype=np.int64)
         # matching points and mismatches at the window ends, set once isolated
-        m = np.empty(size, dtype=np.intp)
+        m = np.zeros(size, dtype=np.intp)
         d_lo, d_hi = np.empty(size), np.empty(size)
 
         def sample(todo, ends, shoot=False):
             """Counts (and mismatches) on the bisection tree of each window.
 
             With ``ends`` the window ends are evaluated too; otherwise their
-            known values fill the first and last columns.
+            known values fill the first and last columns.  Each distinct (problem,
+            window, matching point) tree is marched once, for all states that have it.
             """
-            x = _tree(lo[todo], hi[todo], depth)
+            key = np.column_stack([self.group[todo], lo[todo], hi[todo], m[todo]])
+            _, first, share = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            trees = todo[first]
+            x = _tree(lo[trees], hi[trees], depth if shoot else levels(len(trees)))
             cols = slice(None) if ends else slice(1, -1)
-            idx = np.repeat(todo, x[:, cols].shape[1])
-            counts = np.empty(x.shape, dtype=np.int64)
-            d = np.empty(x.shape)
-            if not ends:
-                counts[:, 0], counts[:, -1] = c_lo[todo], c_hi[todo]
+            idx = np.repeat(trees, x[:, cols].shape[1])
             energies = x[:, cols].ravel()
+            counts, d = np.empty(x.shape, dtype=np.int64), np.empty(x.shape)
             # One outward march gives the counts and, for the mismatch, R[m-1].
             nodes, *outward = self._march(idx, energies, self.n - 1,
                                           record=m[idx] - 1 if shoot else None)
-            counts[:, cols] = nodes.reshape(len(todo), -1)
+            counts[:, cols] = nodes.reshape(len(trees), -1)
             if shoot:
-                if not ends:
-                    d[:, 0], d[:, -1] = d_lo[todo], d_hi[todo]
-                mis = self.shoot(idx, energies, m[idx], outward)
-                d[:, cols] = mis.reshape(len(todo), -1)
+                d[:, cols] = self.shoot(idx, energies, m[idx], outward).reshape(len(trees), -1)
                 matched[todo] += x[:, cols].shape[1]
             counted[todo] += x[:, cols].shape[1]
+            x, counts, d = (a[share.reshape(-1)] for a in (x, counts, d))
+            if not ends:  # (d of a count-only sweep is never read)
+                counts[:, 0], counts[:, -1] = c_lo[todo], c_hi[todo]
+                d[:, 0], d[:, -1] = d_lo[todo], d_hi[todo]
             return x, counts, d
 
         def descend(todo, x, counts, stop, log=False):
@@ -696,14 +729,17 @@ def solve_eigens(
     ``problems[i]`` is solved for the level with ``node_targets[i]`` interior
     nodes; ``energy_windows[i]`` (or ``None``) is a search hint as in
     :func:`solve_eigen`.  Problems of equal ``n_points`` advance together:
-    each Numerov sweep carries one column per (state, trial energy).  Node
-    counts isolate every level by bisection, several tree levels per sweep,
-    then Brent's method drives all matching residuals to zero together.
-    Each state takes the same steps it would take alone, so its result does
-    not depend on what else is in the batch.
+    each Numerov sweep carries one column per (problem, trial energy), shared
+    by the states of that problem.  Node counts isolate every level by
+    bisection, several tree levels per sweep, then Brent's method drives all
+    matching residuals to zero together.  Each state takes the same steps it
+    would take alone, so its result does not depend on what else is in the batch.
 
     Raises
     ------
+    DomainError
+        If the lists differ in length, a node target is not a nonnegative
+        integer or a window end is not finite; the message names the state.
     BracketError
         If no valid search window can be established for some state.
     ConvergenceError
@@ -715,9 +751,11 @@ def solve_eigens(
     windows = [None] * len(problems) if energy_windows is None else list(energy_windows)
     if not len(problems) == len(targets) == len(windows):
         raise DomainError("problems, node_targets and energy_windows must have equal lengths")
-    for t in targets:
-        if int(t) != t or t < 0:
-            raise DomainError(f"node_target must be a nonnegative integer, got {t!r}")
+    for i, (t, window) in enumerate(zip(targets, windows)):
+        if not (math.isfinite(float(t)) and int(t) == t >= 0):
+            raise DomainError(f"node_target of state {i} must be a nonnegative integer, got {t!r}")
+        if window is not None and not all(math.isfinite(end) for end in window):
+            raise DomainError(f"energy window of state {i} must be finite, got {window!r}")
     targets = [int(t) for t in targets]
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(problems):
@@ -748,6 +786,8 @@ def solve_eigen(
 
     Raises
     ------
+    DomainError
+        If ``node_target`` is not a nonnegative integer or a window end not finite.
     BracketError
         If no valid search window can be established.
     ConvergenceError

@@ -5,6 +5,7 @@ import json
 import math
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,6 +86,23 @@ class TestProblemValidation:
     def test_negative_node_target(self):
         with pytest.raises(DomainError):
             solve_eigen(oscillator_problem(0.0), -1)
+
+    @pytest.mark.parametrize("target, window, match", [
+        (math.inf, None, "node_target of state 1"),
+        (math.nan, None, "node_target of state 1"),
+        (1, (0.0, math.inf), "energy window of state 1"),
+        (1, (-math.inf, 5.0), "energy window of state 1"),
+        (1, (0.0, math.nan), "energy window of state 1"),
+    ])
+    def test_non_finite_solver_inputs_rejected(self, target, window, match):
+        # Rejected before any sweep: not an OverflowError from int(inf), nor a
+        # BracketError on a [nan, nan] window after numpy warnings.
+        with pytest.raises(DomainError, match=match):
+            solve_eigens([oscillator_problem(0.0)] * 2, [0, target], [None, window])
+
+    def test_huge_finite_window_is_a_hint(self):
+        res = solve_eigen(oscillator_problem(0.0, n_points=2000), 1, energy_window=(0.0, 1e6))
+        assert res.energy == pytest.approx(3.5, rel=1e-6)
 
     def test_batch_lengths_must_agree(self):
         with pytest.raises(DomainError):
@@ -296,16 +314,60 @@ def scalar_inputs(problem, energy):
 def sweep(problem, energies, m):
     """Node counts and mismatches of one problem's columns from the batched sweep.
 
-    The mismatch from a count sweep's recorded outward ratio must be, bit for
-    bit, the one a shoot that marches outward itself (a Brent round) gives.
+    The counts, ratios and signs must be the same bit for bit whether the
+    march steps in Python floats or by ufunc calls, and the counts those of a
+    count-only sweep.  The mismatch from a count sweep's recorded outward
+    ratio must be, bit for bit, the one a shoot that marches outward itself
+    (a Brent round, which keeps no counts) gives.
     """
     batch = numerov._Batch([problem])
     states = np.zeros(len(energies), dtype=np.intp)
     matching = np.full(len(energies), m)
-    counts, *outward = batch._march(states, energies, batch.n - 1, record=matching - 1)
+    marched = []
+    for width in (0, 10**6):  # every column by ufunc calls, then in floats
+        with mock.patch.object(numerov, "_FLOAT_COLUMNS", width):
+            marched.append(batch._march(states, energies, batch.n - 1, record=matching - 1))
+    for by_ufunc, in_floats in zip(*marched):
+        assert by_ufunc.tobytes() == in_floats.tobytes()
+    counts, *outward = marched[0]
+    assert np.array_equal(batch._march(states, energies, batch.n - 1)[0], counts)
     mismatch = batch.shoot(states, energies, matching, outward)
     assert np.array_equal(mismatch, batch.shoot(states, energies, matching))
     return counts, mismatch
+
+
+def ufunc_steps(ratio, u):
+    """Reference: the march's ufunc loop, ``R[k] = U[k] - 1 / R[k-1]`` a row at a time."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(len(u)):
+            np.subtract(u[k], np.reciprocal(ratio[k]), out=ratio[k + 1])
+
+
+class TestFloatSteps:
+    def test_random_rows_match_ufunc_steps_bit_for_bit(self):
+        # Starts: the inward march's inf, -inf, a subnormal whose reciprocal
+        # overflows, a nan, ordinary ratios; U rows with nan, +-inf and U < 2,
+        # where ratios change sign.
+        rng = np.random.default_rng(12)
+        u = rng.normal(2.0, 1.5, (256, 8))
+        u[7, 5], u[30, 6], u[31, 7] = math.nan, math.inf, -math.inf
+        start = np.array([math.inf, -math.inf, 1e-310, math.nan, 1.5, -0.3, 2.0, 0.7])
+        floats, ufuncs = (np.vstack([start, np.zeros_like(u)]) for _ in range(2))
+        assert numerov._float_steps(floats, u)
+        ufunc_steps(ufuncs, u)
+        assert floats.tobytes() == ufuncs.tobytes()
+        assert np.isnan(floats[1:, 3]).all() and np.isnan(floats[8:, 5]).all()
+
+    @pytest.mark.parametrize("start, first_u", [(0.0, 2.0), (-0.0, 2.0), (0.5, 2.0)])
+    def test_exact_zero_ratio_leaves_the_block_to_ufuncs(self, start, first_u):
+        # A ratio of +-0.0, at the start or reached in the block (2 - 1 / 0.5),
+        # makes Python raise where numpy gives +-inf: the block falls back.
+        u = np.array([[first_u, 1.0], [3.0, 1.0], [2.5, 1.0]])
+        ratio = np.array([[start, 1.0]] + [[7.0, 7.0]] * 3)
+        assert not numerov._float_steps(ratio, u)
+        assert ratio[0].tobytes() == np.array([start, 1.0]).tobytes()
+        ufunc_steps(ratio, u)
+        assert np.isinf(ratio[1 if start == 0.0 else 2, 0])
 
 
 class TestSweepKernel:
@@ -522,29 +584,67 @@ def coarse_problem(l):
 
 
 @pytest.fixture(scope="module")
-def lone_energy():
+def lone():
     cache = {}
 
-    def energy(l, k):
+    def result(l, k):
         if (l, k) not in cache:
-            cache[l, k] = solve_eigen(coarse_problem(l), k).energy
+            cache[l, k] = solve_eigen(coarse_problem(l), k)
         return cache[l, k]
 
-    return energy
+    return result
+
+
+def same_result(res, alone):
+    """Bit for bit the lone solve's result; only the evaluation counts, which
+    follow the sweep width, may differ."""
+    def kept(d):
+        return {key: value for key, value in d.items() if not key.endswith("_evaluations")}
+
+    return (res.energy == alone.energy and np.array_equal(res.samples, alone.samples)
+            and res.node_count == alone.node_count and res.residual == alone.residual
+            and kept(res.diagnostics) == kept(alone.diagnostics))
 
 
 class TestBatching:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
-    def test_batch_energy_equals_lone_energy(self, lone_energy, data):
+    def test_batch_energy_equals_lone_energy(self, lone, data):
         # Each state takes the same bisection and Brent steps in any batch,
-        # so its energy is the lone one exactly, not just to the tolerance.
+        # so its energy and eigenfunction are the lone ones exactly, not just
+        # to the tolerance.
         states = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)),
                                     min_size=1, max_size=4))
         batch = data.draw(st.permutations(states + states[:1]))  # one duplicate at least
         results = solve_eigens([coarse_problem(l) for l, _ in batch], [k for _, k in batch])
         for (l, k), res in zip(batch, results):
-            assert res.energy == lone_energy(l, k), (l, k, batch)
+            assert res.energy == lone(l, k).energy, (l, k, batch)
+            assert np.array_equal(res.samples, lone(l, k).samples), (l, k, batch)
+
+    def test_shared_problem_and_repeats_equal_lone_solves(self, lone):
+        # Node counts of one problem are marched once for all its states (one
+        # problem object with several targets, and equal problems built apart).
+        shared = coarse_problem(1)
+        cases = [(1, 0), (1, 3), (1, 1), (1, 3), (1, 2), (4, 0), (4, 0), (4, 5)]
+        problems = [shared] * 5 + [coarse_problem(4) for _ in range(3)]
+        results = solve_eigens(problems, [k for _, k in cases])
+        for (l, k), res in zip(cases, results):
+            assert same_result(res, lone(l, k)), (l, k)
+
+    @pytest.mark.parametrize("min_columns", [8, 512])
+    def test_sweep_width_moves_no_result(self, monkeypatch, min_columns):
+        # The tree depth sets how many bisection levels a sweep samples, never
+        # which window bisection keeps.
+        problems = [coarse_problem(l) for l in (0, 0, 0, 2, 5)]
+        targets = [0, 4, 2, 1, 2]
+
+        def solve():
+            return [(r.energy, r.diagnostics["final_window"], r.diagnostics["bracket_history_tail"])
+                    for r in solve_eigens(problems, targets)]
+
+        expected = solve()
+        monkeypatch.setattr(numerov, "_MIN_COLUMNS", min_columns)
+        assert solve() == expected
 
 
 class TestCountNodes:
