@@ -1,14 +1,20 @@
 """Deterministic text output: CSV/JSON formatting and atomic file writes.
 
 Identical inputs must produce byte-identical files.  A table is a header
-plus its columns.  ``csv_text`` picks one printf format per column from the
-column's dtype, ``%d`` for integers and ``%.17g`` (enough to round-trip IEEE
-doubles) for everything else, joins them into one row template, and applies
-that template to each row; no cell is inspected on its own.  CSV always
-carries a header row, uses '.' for decimals and ',' as separator.  JSON goes
-straight through ``json.dumps`` with sorted keys; numpy scalars and arrays
-become their Python values, and a non-finite number is refused.  Files are
-written to a temp name and renamed into place.
+plus its columns.  CSV always carries a header row, uses '.' for decimals
+and ',' as separator; integer columns print as ``%d`` and every other
+column as ``%.17g`` (enough to round-trip IEEE doubles).  JSON goes straight
+through ``json.dumps`` with sorted keys; numpy scalars and arrays become
+their Python values, and a non-finite number is refused.  Files are written
+to a temp name and renamed into place.
+
+``csv_text`` prints a float column as a whole array (``_cells``), byte for
+byte as the per-cell ``%.17g``; cells outside that kernel's window (tiny,
+subnormal or huge values) and columns of Python objects keep the per-cell
+``%``.  Each cell is four 8-byte words with its unused bytes NUL; rows go
+through in blocks of ``_BLOCK_ROWS``, so the scratch arrays stay a few
+hundred kilobytes whatever the table's length.  A non-finite cell raises
+``DomainError``, naming its column and row: no table prints ``nan``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,12 @@ import os
 import tempfile
 
 import numpy as np
+
+from .errors import DomainError
+
+_BLOCK_ROWS = 2048
+
+_NON_FINITE = {"nan", "inf", "-inf"}
 
 
 def fmt17(value: float) -> str:
@@ -30,12 +42,12 @@ def csv_text(header, *columns) -> str:
 
     Integer columns print bare, every other column as ``%.17g``.  A boolean
     column is ambiguous and raises TypeError; columns of unequal length, or a
-    column count that differs from the header's, raise ValueError.
+    column count that differs from the header's, raise ValueError; a ``nan``
+    or infinite cell raises DomainError naming its column and row.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)} names")
     arrays = [np.asarray(c) for c in columns]
-    formats = []
     for name, a in zip(header, arrays):
         if a.dtype.kind == "b":
             raise TypeError(f"boolean column {name!r} is ambiguous; use 0/1 integers")
@@ -43,10 +55,39 @@ def csv_text(header, *columns) -> str:
             raise ValueError(
                 f"column {name!r} has {len(a)} values; column {header[0]!r} has {len(arrays[0])}"
             )
-        formats.append("%d" if a.dtype.kind in "iu" else "%.17g")
-    template = ",".join(formats)
-    rows = map(template.__mod__, zip(*[a.tolist() for a in arrays]))
-    return "\n".join([",".join(header), *rows]) + "\n"
+    from ._cells import float_cells  # here, so commands that print no table never compile it
+
+    rows = len(arrays[0]) if arrays else 0
+    text = [",".join(header) + "\n"]
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = np.empty((min(_BLOCK_ROWS, rows - start), 4 * len(arrays)), dtype=np.uint64)
+        bad = []
+        for j, a in enumerate(arrays):
+            a = a[start:start + len(block)]
+            cells = block[:, 4 * j:4 * j + 4]
+            if a.dtype.kind in "iu":
+                cells[:] = _words(a.astype("S32"))
+            else:
+                if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+                    a = a.astype(np.float64, copy=False)
+                    slow = float_cells(a, cells)
+                else:
+                    slow = np.arange(len(a))
+                printed = ["%.17g" % (v,) for v in a[slow].tolist()]
+                cells[slow] = _words(np.array(printed, dtype="S32"))
+                bad += [(i, j, s) for i, s in zip(slow, printed) if s in _NON_FINITE]
+            cells[:, 3] |= np.uint64(ord("\n" if j == len(arrays) - 1 else ",") << 56)
+        if bad:
+            i, j, s = min(bad)
+            raise DomainError(f"non-finite value {s} in column {header[j]!r}, "
+                              f"row {start + i + 1} of {rows}")
+        text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
+
+
+def _words(cells):
+    """Fixed 32-byte strings as rows of four 8-byte words."""
+    return cells.view(np.uint64).reshape(-1, 4)
 
 
 def json_text(doc) -> str:

@@ -507,7 +507,22 @@ class _Batch:
             if not hi[i] > lo[i]:
                 lo[i] = float(veff.min())
                 hi[i] = lo[i] + abs(lo[i]) + 1.0
-        span0 = hi - lo
+        # The last doubling reaches 16 spans either side of the center; a
+        # window whose march cannot even start there is no hint.
+        with np.errstate(over="ignore", invalid="ignore"):
+            span0 = hi - lo
+            center, reach = 0.5 * (lo + hi), 16.0 * span0
+            ends = np.concatenate([center - reach, center + reach])
+            both = np.concatenate([states, states])
+            w0, w1 = self._outward_start(both, ends)
+            first = self._f(both, ends, 1) * w1 / (self._f(both, ends, 0) * w0)
+        wide = np.flatnonzero(~np.isfinite(first).reshape(2, size).all(axis=0))
+        if wide.size:
+            i = wide[0]
+            raise DomainError(
+                f"energy window [{lo[i]:.6g}, {hi[i]:.6g}] of {label(i)} is too wide: "
+                f"widened to [{ends[i]:.6g}, {ends[size + i]:.6g}] it overflows the Numerov start"
+            )
         widenings = np.zeros(size, dtype=np.int64)
         c_lo = np.empty(size, dtype=np.int64)
         c_hi = np.empty(size, dtype=np.int64)
@@ -739,7 +754,9 @@ def solve_eigens(
     ------
     DomainError
         If the lists differ in length, a node target is not a nonnegative
-        integer or a window end is not finite; the message names the state.
+        integer, a window end is not finite, or a window is so wide that,
+        widened five times, the march overflows at its first step; the
+        message names the state.
     BracketError
         If no valid search window can be established for some state.
     ConvergenceError
@@ -787,7 +804,8 @@ def solve_eigen(
     Raises
     ------
     DomainError
-        If ``node_target`` is not a nonnegative integer or a window end not finite.
+        If ``node_target`` is not a nonnegative integer, a window end is not
+        finite, or the window is too wide to widen.
     BracketError
         If no valid search window can be established.
     ConvergenceError

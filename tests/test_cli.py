@@ -718,6 +718,16 @@ class TestErrorWiring:
             f"validation error: tower index 1e+{exponent} overflows the partner potentials\n"
         )
 
+    def test_non_finite_table_exits_3(self, tmp_path, capsys):
+        # The tower still overflows at N = 400 (a known defect); the table
+        # must refuse its nan cells rather than print them and exit 0.
+        code, out, err = run(capsys, "wavefunction", "--config", ip_config(tmp_path),
+                             "--n-level", "400", "--r-max", "60", "--natural-units")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == (
+            "validation error: non-finite value nan in column 'W_times_sqrt_r0', row 438 of 501")
+        assert sum(line.startswith("validation error:") for line in err.splitlines()) == 1
+
     @pytest.mark.parametrize("config", [ip_config, top_config])
     def test_axial_axis_needs_planar_trap(self, tmp_path, capsys, config):
         code, out, err = run(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspec import cli
+from trapspec import cli, exports
+from trapspec.errors import DomainError
 from trapspec.exports import (
     csv_text,
     defect_model_doc,
@@ -90,7 +92,7 @@ class TestCsvText:
     def test_python_and_numpy_cells_print_alike(self):
         # Every column type must print as fmt17 (floats) or bare (integers)
         # would print its elements.
-        values = [0.1, -0.0, 1e-300, 2.0**60, 1 / 3, math.inf, math.nan]
+        values = [0.1, -0.0, 1e-300, 2.0**60, 1 / 3, 5e-324, -1.5]
         lines = csv_text(
             ("a", "b", "c", "d", "e"),
             values, np.array(values), np.array(values, dtype=np.float32),
@@ -98,6 +100,28 @@ class TestCsvText:
         ).splitlines()[1:]
         for line, v in zip(lines, values):
             assert line == f"{fmt17(v)},{fmt17(v)},{fmt17(np.float32(v))},7,-7"
+
+    @pytest.mark.parametrize("value, text", [(math.nan, "nan"), (math.inf, "inf"),
+                                             (-math.inf, "-inf")])
+    @pytest.mark.parametrize("column", [list, np.array, lambda v: np.array(v, dtype=np.float32),
+                                        lambda v: np.array(v, dtype=object)])
+    def test_non_finite_cell_raises(self, column, value, text):
+        # The first non-finite cell in row order is named, by its column and
+        # its 1-based row, wherever in the block it sits.
+        rows = exports._BLOCK_ROWS + 5
+        a, b = [0.5] * rows, [0.25] * rows
+        a[rows - 2] = b[rows - 3] = value
+        with pytest.raises(DomainError, match=rf"^non-finite value {text} in column 'b', "
+                                              rf"row {rows - 2} of {rows}$"):
+            csv_text(("k", "a", "b"), np.arange(rows), column(a), column(b))
+
+    def test_object_cell_holding_a_tuple_rejected(self):
+        # A cell is one value: a tuple in an object column is not unpacked
+        # into the format's arguments.
+        cells = np.empty(1, dtype=object)
+        cells[0] = (0.5,)
+        with pytest.raises(TypeError):
+            csv_text(("v",), cells)
 
     def test_parse_back(self):
         ks = range(5)
@@ -111,31 +135,117 @@ class TestCsvText:
     def test_no_rows(self):
         assert csv_text(("a", "b"), [], np.zeros(0)) == "a,b\n"
 
-    _SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 5e-324,
-                2.0**60, 2.0**53 + 2, 1.7976931348623157e308]
+    _SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 2.0**60, 2.0**53 + 2,
+                1.7976931348623157e308, 1e-6, 9.99e16]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_the_per_cell_reference(self, data):
         n = data.draw(st.integers(0, 12), label="rows")
-        floats = st.one_of(st.sampled_from(self._SPECIAL), st.floats(width=64))
+        floats = st.one_of(st.sampled_from(self._SPECIAL),
+                           st.floats(width=64, allow_nan=False, allow_infinity=False))
         kinds = {
             "int": lambda: data.draw(st.lists(
                 st.one_of(st.sampled_from([0, -1, 2**60, -(2**62)]),
                           st.integers(-(2**63), 2**63 - 1)), min_size=n, max_size=n)),
             "int64": lambda: np.array(data.draw(st.lists(
                 st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64),
+            "uint64": lambda: np.array(data.draw(st.lists(
+                st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+                min_size=n, max_size=n)), dtype=np.uint64),
+            "object": lambda: np.array(data.draw(st.lists(floats, min_size=n, max_size=n)),
+                                       dtype=object),
             "float": lambda: data.draw(st.lists(floats, min_size=n, max_size=n)),
             "float64": lambda: np.array(data.draw(st.lists(floats, min_size=n, max_size=n))),
             "float32": lambda: np.array(
-                data.draw(st.lists(st.one_of(st.sampled_from(self._SPECIAL[:7]),
-                                             st.floats(width=32)), min_size=n, max_size=n)),
+                data.draw(st.lists(st.one_of(st.sampled_from(self._SPECIAL[:5]),
+                                             st.floats(width=32, allow_nan=False,
+                                                       allow_infinity=False)),
+                                   min_size=n, max_size=n)),
                 dtype=np.float32),
         }
         names = data.draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6),
                           label="columns")
         columns = [kinds[name]() for name in names]
         header = tuple(f"{name}{i}" for i, name in enumerate(names))
+        assert csv_text(header, *columns) == reference_csv(header, list(zip(*columns)))
+
+
+def finite_doubles(bits):
+    """The finite doubles among raw 64-bit patterns."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+class TestExactCells:
+    """Whole-column cells against the per-cell ``%.17g`` reference, byte for byte."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert csv_text(("v", "w"), values, -values) == reference_csv(
+            ("v", "w"), [(v, -v) for v in values.tolist()])
+
+    _EDGES = [0, 1, 2**63, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**64 - 1)),
+                    min_size=1, max_size=64))
+    def test_bit_patterns(self, bits):
+        self.check(finite_doubles(bits))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0x3EA, 0x438),
+                              st.integers(0, 2**52 - 1)), min_size=1, max_size=64))
+    def test_bit_patterns_near_the_window(self, fields):
+        # Exponents 2^-21 .. 2^57, the vectorized window and a step beyond it.
+        self.check(finite_doubles([s << 63 | e << 52 | m for s, e, m in fields]))
+
+    def test_powers_of_ten_and_window_edges(self):
+        anchors = [float(f"1e{k}") for k in range(-7, 18)] + [9.99e16, 2.0**53, 2.0**56]
+        values = [np.nextafter(a, direction) for a in anchors for direction in (0.0, np.inf)]
+        values += [np.nextafter(np.nextafter(a, 0.0), 0.0) for a in anchors]
+        self.check(anchors + values)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_half_even_ties(self, data):
+        # v = m / 2^(d+1) with m odd makes v * 10^d an odd multiple of 1/2:
+        # the 17-digit mantissa of v in [10^(16-d), 10^(17-d)) is a tie.
+        d = data.draw(st.integers(1, 22), label="d")
+        decade = Fraction(10) ** (16 - d), Fraction(10) ** (17 - d)
+        low = math.ceil(decade[0] * 2 ** (d + 1))
+        high = min(2**53, decade[1] * 2 ** (d + 1))
+        m = data.draw(st.integers(low // 2, math.ceil(high) // 2 - 1), label="m") * 2 + 1
+        v = math.ldexp(m, -(d + 1))
+        assert decade[0] <= Fraction(v) < decade[1]
+        assert (Fraction(v) * 10**d).denominator == 2
+        self.check([v])
+
+    @pytest.mark.parametrize("error", [-2.0, -1.0, 1.0, 2.0])
+    def test_a_wrong_exponent_estimate_costs_only_speed(self, monkeypatch, error):
+        # Off by one, the estimate is stepped; off by two, the cell goes to
+        # the per-cell formatter.  Either way it prints exactly.  (Significands
+        # below 9 keep a mantissa two digits too long within int64.)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+        rng = np.random.default_rng(5)
+        signs = rng.choice([-1.0, 1.0], 200)
+        self.check(signs * rng.uniform(1.0, 9.0, 200) * 10.0 ** rng.integers(-5, 17, 200))
+
+    def test_a_tie_rounds_to_even(self):
+        assert csv_text(("v",), np.array([1234567890123456.75, 1234567890123456.25])) == (
+            "v\n1234567890123456.8\n1234567890123456.2\n")
+
+    @pytest.mark.parametrize("rows", [0, 1, exports._BLOCK_ROWS - 1, exports._BLOCK_ROWS,
+                                      exports._BLOCK_ROWS + 1])
+    def test_row_counts_around_a_block(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-12, 20, rows)
+        x[::7] = 0.0
+        columns = (x, rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True),
+                   x.astype(np.float32), x.astype(object), np.arange(rows, dtype=np.uint64))
+        header = ("x", "k", "f", "o", "u")
         assert csv_text(header, *columns) == reference_csv(header, list(zip(*columns)))
 
 

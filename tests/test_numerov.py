@@ -104,6 +104,13 @@ class TestProblemValidation:
         res = solve_eigen(oscillator_problem(0.0, n_points=2000), 1, energy_window=(0.0, 1e6))
         assert res.energy == pytest.approx(3.5, rel=1e-6)
 
+    @pytest.mark.parametrize("window", [(0.0, 1e300), (-1e200, 5.0), (-1e308, 1e308)])
+    def test_overflowing_window_rejected(self, window):
+        # Widened to its last doubling, the window overflows the march's
+        # first ratio: refused before any sweep, with no numpy warning.
+        with pytest.raises(DomainError, match=r"^energy window .* of state 1 .* is too wide"):
+            solve_eigens([oscillator_problem(0.0, n_points=2000)] * 2, [0, 1], [None, window])
+
     def test_batch_lengths_must_agree(self):
         with pytest.raises(DomainError):
             solve_eigens([oscillator_problem(0.0)] * 2, [0])
