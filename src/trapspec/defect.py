@@ -23,13 +23,12 @@ supersymmetric partner hamiltonians of any iteration order in closed form;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ExcludedLevelError, NormalizabilityError
+from .errors import DomainError, ExcludedLevelError, NormalizabilityError, finite, integer
 from .oscillator3d import OscillatorScales, RadialEigenstate, _tower_level, tower_state
 from .special import tower_degree
 from .susy import tower_potential
@@ -42,11 +41,6 @@ __all__ = [
     "RecoveredPartner",
     "recover_partner",
 ]
-
-
-def _check_integer_label(n_spectroscopic) -> None:
-    if int(n_spectroscopic) != n_spectroscopic:
-        raise DomainError(f"N_s must be an integer, got {n_spectroscopic!r}")
 
 
 @dataclass(frozen=True)
@@ -66,13 +60,11 @@ class EffectiveModel:
     scales: OscillatorScales
 
     def __post_init__(self):
-        for name, value in (("l_angular", self.l_angular), ("iterations", self.iterations)):
-            if int(value) != value or value < 0:
-                raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+        integer("l_angular", self.l_angular, 0)
+        integer("iterations", self.iterations, 0)
         if self.selector not in (0, 1):
             raise DomainError(f"selector must be 0 or 1, got {self.selector!r}")
-        if not math.isfinite(self.delta):
-            raise DomainError(f"delta must be finite, got {self.delta!r}")
+        finite("delta", self.delta)
         bound = self.l_angular + self.iterations + 1.5
         if not self.delta < bound:
             raise NormalizabilityError(
@@ -87,7 +79,7 @@ class EffectiveModel:
 
     def tower_check(self, n_spectroscopic) -> None:
         """Reject labels outside the tower ``{L + 2I, L + 2I + 2, ...}``."""
-        _check_integer_label(n_spectroscopic)
+        integer("N_s", n_spectroscopic)
         tower_degree(n_spectroscopic, self.l_angular + 2 * self.iterations, "N_s")
 
 
@@ -164,7 +156,7 @@ class RecoveredPartner:
         labels outside the original tower raise :class:`DomainError`.
         """
         n, l = n_spectroscopic, self.model.l_angular
-        _check_integer_label(n)
+        integer("N_s", n)
         tower_degree(n, l, "N_s")
         if n < self.tower_start:
             raise ExcludedLevelError(
@@ -189,7 +181,7 @@ def recover_partner(
     """
     model = EffectiveModel(
         l_angular=l_angular,
-        iterations=iterations + (1 if selector else 0),
+        iterations=integer("iterations", iterations, 0) + (1 if selector else 0),
         selector=selector,
         delta=0.0,
         scales=scales,

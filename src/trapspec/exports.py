@@ -162,17 +162,3 @@ def defect_model_doc(scales, l_angular, iterations, selector, delta,
         ]
     return doc
 
-
-def eigen_diagnostics_doc(result) -> dict:
-    """Solver provenance for one converged eigenvalue."""
-    diag = dict(result.diagnostics)
-    diag.pop("boundary_samples", None)
-    return {
-        "energy": float(result.energy),
-        "node_count": int(result.node_count),
-        "residual": float(result.residual),
-        "n_points": int(result.radii.size),
-        "r_min": float(result.radii[0]),
-        "r_max": float(result.radii[-1]),
-        "diagnostics": diag,
-    }

@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MU0
-from .errors import AccuracyError, ConfinementError, DomainError, SingularityError
+from .errors import (
+    AccuracyError, ConfinementError, DomainError, SingularityError, nonzero, positive,
+)
 from .oscillator3d import OscillatorScales
 
 __all__ = [
@@ -59,16 +61,6 @@ __all__ = [
 ]
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _require_current(name: str, value: float) -> None:
-    if value == 0.0 or not math.isfinite(value):
-        raise DomainError(f"{name} must be finite and nonzero, got {value!r}")
-
-
 @dataclass(frozen=True)
 class IoffePritchardGeometry:
     """Coil pair (radius, half-spacing, current) plus four bars.
@@ -86,11 +78,11 @@ class IoffePritchardGeometry:
     bar_current: float
 
     def __post_init__(self):
-        _require_positive("coil_radius", self.coil_radius)
-        _require_positive("coil_halfspacing", self.coil_halfspacing)
-        _require_positive("bar_distance", self.bar_distance)
-        _require_current("coil_current", self.coil_current)
-        _require_current("bar_current", self.bar_current)
+        positive("coil_radius", self.coil_radius)
+        positive("coil_halfspacing", self.coil_halfspacing)
+        positive("bar_distance", self.bar_distance)
+        nonzero("coil_current", self.coil_current)
+        nonzero("bar_current", self.bar_current)
 
 
 @dataclass(frozen=True)
@@ -112,13 +104,13 @@ class TopGeometry:
     bias_frequency: float
 
     def __post_init__(self):
-        _require_positive("quad_radius", self.quad_radius)
-        _require_positive("quad_halfspacing", self.quad_halfspacing)
-        _require_positive("bias_radius", self.bias_radius)
-        _require_positive("bias_halfspacing", self.bias_halfspacing)
-        _require_positive("bias_frequency", self.bias_frequency)
-        _require_current("quad_current", self.quad_current)
-        _require_current("bias_current", self.bias_current)
+        positive("quad_radius", self.quad_radius)
+        positive("quad_halfspacing", self.quad_halfspacing)
+        positive("bias_radius", self.bias_radius)
+        positive("bias_halfspacing", self.bias_halfspacing)
+        positive("bias_frequency", self.bias_frequency)
+        nonzero("quad_current", self.quad_current)
+        nonzero("bias_current", self.bias_current)
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,7 @@ class DipoleParticle:
                 "only dipoles anti-aligned with the field are trapped: "
                 f"magnetic_moment must be > 0, got {self.magnetic_moment!r}"
             )
-        _require_positive("mass", self.mass)
+        positive("mass", self.mass)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -331,8 +323,8 @@ def oscillator_scales(
     The returned scales carry the trap bottom mu B0 as the energy offset, so
     absolute level energies include it.
     """
-    _require_positive("field_at_center", field_at_center)
-    _require_positive("isotropic_radius", isotropic_radius)
+    positive("field_at_center", field_at_center)
+    positive("isotropic_radius", isotropic_radius)
     bottom = particle.magnetic_moment * field_at_center
     omega0 = math.sqrt(2.0 * bottom / (particle.mass * isotropic_radius**2))
     return OscillatorScales(mass=particle.mass, omega0=omega0, energy_offset=bottom)
@@ -379,7 +371,7 @@ class CircularLoop:
     current: float
 
     def __post_init__(self):
-        _require_positive("radius", self.radius)
+        positive("radius", self.radius)
         norm = math.sqrt(sum(c * c for c in self.axis))
         if norm == 0.0:
             raise DomainError("loop axis must be a nonzero vector")

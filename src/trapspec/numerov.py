@@ -53,7 +53,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
+from .errors import (
+    AccuracyError, BracketError, ConvergenceError, DomainError, finite, integer, positive,
+)
 
 __all__ = [
     "RadialProblem", "EigenResult", "solve_eigen", "solve_eigens", "count_nodes", "overlap",
@@ -98,16 +100,15 @@ class RadialProblem:
     origin_exponent: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("mass", "hbar", "r_min", "r_max", "centrifugal", "origin_exponent"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        positive("mass", self.mass)
+        positive("hbar", self.hbar)
+        for name in ("r_min", "r_max", "centrifugal", "origin_exponent"):
+            if getattr(self, name) is not None:
+                finite(name, getattr(self, name))
         try:
             operator.index(self.n_points)
         except TypeError:
             raise DomainError(f"n_points must be an integer, got {self.n_points!r}") from None
-        if self.mass <= 0.0 or self.hbar <= 0.0:
-            raise DomainError("mass and hbar must be positive")
         if not 0.0 < self.r_min < self.r_max:
             raise DomainError("need 0 < r_min < r_max")
         if self.n_points < 2000:
@@ -768,12 +769,10 @@ def solve_eigens(
     windows = [None] * len(problems) if energy_windows is None else list(energy_windows)
     if not len(problems) == len(targets) == len(windows):
         raise DomainError("problems, node_targets and energy_windows must have equal lengths")
-    for i, (t, window) in enumerate(zip(targets, windows)):
-        if not (math.isfinite(float(t)) and int(t) == t >= 0):
-            raise DomainError(f"node_target of state {i} must be a nonnegative integer, got {t!r}")
+    for i, window in enumerate(windows):
+        targets[i] = integer(f"node_target of state {i}", targets[i], 0)
         if window is not None and not all(math.isfinite(end) for end in window):
             raise DomainError(f"energy window of state {i} must be finite, got {window!r}")
-    targets = [int(t) for t in targets]
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(problems):
         groups.setdefault(p.n_points, []).append(i)

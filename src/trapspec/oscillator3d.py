@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .errors import DomainError
+from .errors import DomainError, finite, integer, positive
 from .special import laguerre_gen, laguerre_gen_derivative, radial_norm_3d, tower_degree
 
 __all__ = [
@@ -49,8 +49,10 @@ class OscillatorScales:
     hbar: float = HBAR
 
     def __post_init__(self):
-        if self.mass <= 0.0 or self.omega0 <= 0.0 or self.hbar <= 0.0:
-            raise DomainError("mass, omega0, and hbar must all be positive")
+        positive("mass", self.mass)
+        positive("omega0", self.omega0)
+        positive("hbar", self.hbar)
+        finite("energy_offset", self.energy_offset)
 
     @property
     def r0(self) -> float:
@@ -74,11 +76,9 @@ def validate_quantum_numbers_3d(n_principal: int, l_angular: int, m_angular: int
     Valid states have integer ``N >= 0``, ``0 <= L <= N`` with ``N - L``
     even, and ``|M| <= L``.
     """
-    for name, value in (("N", n_principal), ("L", l_angular), ("M", m_angular)):
-        if int(value) != value:
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if n_principal < 0 or l_angular < 0:
-        raise DomainError(f"N and L must be nonnegative, got N={n_principal}, L={l_angular}")
+    integer("N", n_principal, 0)
+    integer("L", l_angular, 0)
+    integer("M", m_angular)
     tower_degree(n_principal, l_angular, "N")
     if abs(m_angular) > l_angular:
         raise DomainError(f"|M| must not exceed L; got L={l_angular}, M={m_angular}")
@@ -86,15 +86,13 @@ def validate_quantum_numbers_3d(n_principal: int, l_angular: int, m_angular: int
 
 def allowed_angular(n_principal: int) -> list[int]:
     """Angular momenta present in level ``N``: ``N, N-2, ..., 1 or 0``."""
-    if int(n_principal) != n_principal or n_principal < 0:
-        raise DomainError(f"N must be a nonnegative integer, got {n_principal!r}")
-    return list(range(n_principal % 2, n_principal + 1, 2))
+    n = integer("N", n_principal, 0)
+    return list(range(n % 2, n + 1, 2))
 
 
 def energy_3d(scales: OscillatorScales, n_principal: int) -> float:
     """Level energy ``E_N = E0 + hbar w0 (N + 3/2)``."""
-    if int(n_principal) != n_principal or n_principal < 0:
-        raise DomainError(f"N must be a nonnegative integer, got {n_principal!r}")
+    integer("N", n_principal, 0)
     return _tower_level(scales, n_principal)
 
 
@@ -176,17 +174,13 @@ def radial_wavefunction_3d(scales: OscillatorScales, n_principal: int, l_angular
 
 def degeneracy(n_principal: int) -> int:
     """Orbital count of level ``N``: ``(N+1)(N+2)/2``."""
-    if int(n_principal) != n_principal or n_principal < 0:
-        raise DomainError(f"N must be a nonnegative integer, got {n_principal!r}")
-    n = int(n_principal)
+    n = integer("N", n_principal, 0)
     return (n + 1) * (n + 2) // 2
 
 
 def shell_capacity(n_principal: int) -> int:
     """Total capacity through level ``N``: ``(N+1)(N+2)(N+3)/6``; zero for N = -1."""
-    if int(n_principal) != n_principal or n_principal < -1:
-        raise DomainError(f"N must be an integer >= -1, got {n_principal!r}")
-    n = int(n_principal)
+    n = integer("N", n_principal, -1)
     if n == -1:
         return 0
     return (n + 1) * (n + 2) * (n + 3) // 6
@@ -200,11 +194,12 @@ def valence_total(n_valence: int, d_occupancy: int) -> int:
     """
     cap_below = shell_capacity(n_valence)
     d_max = degeneracy(n_valence + 1)
-    if int(d_occupancy) != d_occupancy or not 1 <= d_occupancy <= d_max:
+    d = integer("occupancy", d_occupancy)
+    if not 1 <= d <= d_max:
         raise DomainError(
             f"occupancy must lie in 1..{d_max} for the level above N={n_valence}, got {d_occupancy!r}"
         )
-    return int(d_occupancy) + cap_below
+    return d + cap_below
 
 
 @dataclass(frozen=True)
@@ -218,9 +213,7 @@ class ShellRow:
 
 def shell_table(max_n: int) -> list[ShellRow]:
     """Degeneracies and cumulative capacities for ``N = 0..max_n``."""
-    if int(max_n) != max_n or max_n < 0:
-        raise DomainError(f"max_n must be a nonnegative integer, got {max_n!r}")
     return [
         ShellRow(shell_index=n, degeneracy=degeneracy(n), cumulative=shell_capacity(n))
-        for n in range(int(max_n) + 1)
+        for n in range(integer("max_n", max_n, 0) + 1)
     ]

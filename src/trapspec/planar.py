@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR
-from .errors import DomainError, StabilityError
+from .errors import DomainError, StabilityError, finite, integer, nonzero, positive
 from .oscillator3d import OscillatorScales, RadialEigenstate, tower_state
 from .special import tower_degree
 from .susy import PartnerPair, partner_pair, superpotential
@@ -66,11 +66,6 @@ __all__ = [
 DRIVE_RATIO_FLOOR = 10.0
 
 
-def _positive(name, value):
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PaulParams:
     """Driven-quadrupole trap: voltage, size, drive frequency, charge, mass."""
@@ -82,13 +77,11 @@ class PaulParams:
     mass: float
 
     def __post_init__(self):
-        _positive("size", self.size)
-        _positive("drive", self.drive)
-        _positive("mass", self.mass)
-        if self.voltage == 0.0 or not math.isfinite(self.voltage):
-            raise DomainError(f"voltage must be finite and nonzero, got {self.voltage!r}")
-        if self.charge == 0.0 or not math.isfinite(self.charge):
-            raise DomainError(f"charge must be finite and nonzero, got {self.charge!r}")
+        positive("size", self.size)
+        positive("drive", self.drive)
+        positive("mass", self.mass)
+        nonzero("voltage", self.voltage)
+        nonzero("charge", self.charge)
 
 
 @dataclass(frozen=True)
@@ -104,6 +97,10 @@ class PaulFrequencies:
     drive: float
     mass: float
     hbar: float = HBAR
+
+    def __post_init__(self):
+        for name in ("quadrupole", "drive", "mass", "hbar"):
+            positive(name, getattr(self, name))
 
     @property
     def secular(self) -> float:
@@ -168,17 +165,16 @@ def paul_effective_potential(freqs: PaulFrequencies, rho, z):
 
 def validate_planar_numbers(n_radial: int, m_azimuthal: int, k_axial: int) -> None:
     """Reject invalid ``(N, M, K)``: need ``N in {|M|, |M|+2, ...}`` and ``K >= 0``."""
-    for name, value in (("N", n_radial), ("M", m_azimuthal), ("K", k_axial)):
-        if int(value) != value:
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if k_axial < 0:
-        raise DomainError(f"K must be nonnegative, got {k_axial}")
+    integer("N", n_radial)
+    integer("M", m_azimuthal)
+    integer("K", k_axial, 0)
     tower_degree(n_radial, abs(m_azimuthal), "N")
 
 
 def paul_energy(freqs: PaulFrequencies, n_radial: int, k_axial: int) -> float:
     """Level energy ``hbar w_p (N + 2K + 2)``; the azimuthal M drops out."""
-    validate_planar_numbers(n_radial, n_radial % 2, k_axial)
+    integer("N", n_radial, 0)
+    integer("K", k_axial, 0)
     return freqs.quantum * (n_radial + 2 * k_axial + 2)
 
 
@@ -242,8 +238,7 @@ def paul_wavefunctions(
 
 
 def _tower_pair(abs_m: int, scales: OscillatorScales) -> PartnerPair:
-    if int(abs_m) != abs_m or abs_m < 0:
-        raise DomainError(f"|M| must be a nonnegative integer, got {abs_m!r}")
+    integer("|M|", abs_m, 0)
     return partner_pair(superpotential(abs_m - 0.5, scales.r0), scales)
 
 
@@ -263,9 +258,7 @@ def paul_shell_count(e_tilde: int) -> int:
     ``(e_tilde^2-1)(2e_tilde+3)/12`` for odd; defined for ``e_tilde >= 2``
     (the ground level).
     """
-    if int(e_tilde) != e_tilde or e_tilde < 2:
-        raise DomainError(f"scaled energy must be an integer >= 2, got {e_tilde!r}")
-    e = int(e_tilde)
+    e = integer("scaled energy", e_tilde, 2)
     if e % 2 == 0:
         return e * (e + 2) * (2 * e - 1) // 12
     return (e * e - 1) * (2 * e + 3) // 12
@@ -276,8 +269,7 @@ def paul_related_systems(count: int) -> list[int]:
 
     A lone particle, then every closed shell plus one: 1, 3, 7, 15, 27, ...
     """
-    if int(count) != count or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
+    count = integer("count", count, 1)
     out = [1]
     e = 2
     while len(out) < count:
@@ -297,13 +289,11 @@ class PenningParams:
     mass: float
 
     def __post_init__(self):
-        _positive("size", self.size)
-        _positive("mass", self.mass)
-        _positive("charge", self.charge)
-        if self.voltage == 0.0 or not math.isfinite(self.voltage):
-            raise DomainError(f"voltage must be finite and nonzero, got {self.voltage!r}")
-        if self.axial_field == 0.0 or not math.isfinite(self.axial_field):
-            raise DomainError(f"axial_field must be finite and nonzero, got {self.axial_field!r}")
+        positive("size", self.size)
+        positive("mass", self.mass)
+        positive("charge", self.charge)
+        nonzero("voltage", self.voltage)
+        nonzero("axial_field", self.axial_field)
 
 
 @dataclass(frozen=True)
@@ -322,6 +312,8 @@ class PenningFrequencies:
     hbar: float = HBAR
 
     def __post_init__(self):
+        for name in ("axial", "cyclotron", "mass", "hbar"):
+            positive(name, getattr(self, name))
         if self.cyclotron**2 - 2.0 * self.axial**2 <= 0.0:
             raise StabilityError(
                 f"unstable tuning: cyclotron^2 = {self.cyclotron**2:.6g} must exceed "
@@ -420,8 +412,8 @@ def penning_state_count(
     tuning — and the magnetron cap is what keeps the count finite at all,
     since energies decrease without bound along the drift ladder.
     """
-    if int(magnetron_cap) != magnetron_cap or magnetron_cap < 0:
-        raise DomainError(f"magnetron_cap must be a nonnegative integer, got {magnetron_cap!r}")
+    integer("magnetron_cap", magnetron_cap, 0)
+    finite("energy_cap", energy_cap)
     base = 0.5 * freqs.hbar * (freqs.hybrid + freqs.axial)
     axial_step = freqs.hbar * freqs.axial
     count = 0

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer, positive
 
 __all__ = ["laguerre_gen", "hermite", "tower_degree", "radial_norm_3d"]
 
@@ -38,11 +38,9 @@ def laguerre_gen(n: int, alpha: float, x):
     float or ndarray
         Polynomial value(s); scalar in, scalar out.
     """
-    if int(n) != n or n < 0:
-        raise DomainError(f"Laguerre degree must be a nonnegative integer, got {n!r}")
+    n = integer("Laguerre degree", n, 0)
     if not alpha > -1.0:
         raise DomainError(f"Laguerre order must exceed -1, got {alpha!r}")
-    n = int(n)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("Laguerre argument must be nonnegative")
@@ -70,9 +68,7 @@ def hermite(k: int, x):
 
     ``H_0 = 1``, ``H_1 = 2x``, ``H_{k+1} = 2 x H_k - 2 k H_{k-1}``.
     """
-    if int(k) != k or k < 0:
-        raise DomainError(f"Hermite index must be a nonnegative integer, got {k!r}")
-    k = int(k)
+    k = integer("Hermite index", k, 0)
     arr = np.asarray(x, dtype=float)
     prev = np.ones_like(arr)
     if k == 0:
@@ -112,8 +108,7 @@ def radial_norm_3d(n_principal: float, l_angular: float, r0: float) -> float:
     ``x^{L+1/2} e^{-x}``.  ``L`` may be non-integer (``L > -3/2``); ``N - L``
     must be a nonnegative even integer.
     """
-    if r0 <= 0.0 or not math.isfinite(r0):
-        raise DomainError(f"r0 must be positive and finite, got {r0!r}")
+    positive("r0", r0)
     if not l_angular > -1.5:
         raise DomainError(f"angular parameter must exceed -3/2, got {l_angular!r}")
     deg = tower_degree(n_principal, l_angular, "N")

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ExcludedLevelError
+from .errors import DomainError, ExcludedLevelError, integer, positive
 from .oscillator3d import OscillatorScales, RadialEigenstate, shell_capacity, tower_state
 from .special import tower_degree
 
@@ -92,21 +92,14 @@ def superpotential(l_angular: float, r0: float) -> Superpotential:
     """Superpotential of the tower ``lam = l_angular > -3/2`` with length ``r0``."""
     if not (l_angular > -1.5 and math.isfinite(l_angular)):
         raise DomainError(f"tower index must be finite and exceed -3/2, got {l_angular!r}")
-    if not (r0 > 0.0 and math.isfinite(r0)):
-        raise DomainError(f"r0 must be positive and finite, got {r0!r}")
+    positive("r0", r0)
     return Superpotential(l_angular=float(l_angular), r0=r0)
-
-
-def _check_l(l_angular: int) -> None:
-    if int(l_angular) != l_angular or l_angular < 0:
-        raise DomainError(f"L must be a nonnegative integer, got {l_angular!r}")
 
 
 def _pair_3d(l_angular: int, n_spectroscopic: int, scales: OscillatorScales) -> PartnerPair:
     """Pair of the 3D ``L`` tower, after the integer checks its labels need."""
-    _check_l(l_angular)
-    if int(n_spectroscopic) != n_spectroscopic:
-        raise DomainError(f"N_s must be an integer, got {n_spectroscopic!r}")
+    integer("L", l_angular, 0)
+    integer("N_s", n_spectroscopic)
     return partner_pair(superpotential(l_angular, scales.r0), scales)
 
 
@@ -118,7 +111,7 @@ def input_potential(l_angular: int, scales: OscillatorScales) -> Callable[[float
     through :func:`tower_potential`, so that comparing the two checks the
     recovery path.
     """
-    _check_l(l_angular)
+    integer("L", l_angular, 0)
     pref = scales.hbar**2 / (2.0 * scales.mass)
     spring = 0.5 * scales.mass * scales.omega0**2
     shift = scales.quantum * (l_angular + 1.5)
@@ -247,7 +240,5 @@ def related_systems_3d(l_angular: int, count: int) -> list[int]:
         raise DomainError(
             f"filling sequences are defined for towers L = 0 and L = 1, got {l_angular!r}"
         )
-    if int(count) != count or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
     start = -1 if l_angular == 0 else 0
-    return [1 + shell_capacity(start + 2 * k) for k in range(int(count))]
+    return [1 + shell_capacity(start + 2 * k) for k in range(integer("count", count, 1))]

@@ -399,10 +399,8 @@ def check_isotropy_tuning() -> CheckResult:
     worst, worst_label = 0.0, ""
 
     for label, scales, potential in (
-        ("ip", ip_scales(reference_ip_geometry()),
-         lambda p, s, rho, z: ip_potential(p, s, rho, z)),
-        ("top", top_scales(reference_top_geometry()),
-         lambda p, s, rho, z: top_time_avg_potential(p, s, rho, z)),
+        ("ip", ip_scales(reference_ip_geometry()), ip_potential),
+        ("top", top_scales(reference_top_geometry()), top_time_avg_potential),
     ):
         r_s = scales.isotropic_radius
         h = 0.3 * r_s
@@ -443,14 +441,10 @@ def check_field_oracle(n_points: int = 9) -> CheckResult:
 
     ip_geo = reference_ip_geometry()
     scales = ip_scales(ip_geo)
-    assembly = TrapAssembly.ioffe_pritchard(ip_geo)
-    errs = []
-    for frac in fractions:
-        point = direction * frac * scales.length
-        series = ip_field_cartesian(scales, *point)
-        exact = biot_savart_field(assembly, point)
-        errs.append(np.linalg.norm(series - exact) / scales.field)
-    ip_slope = _fitted_slope(fractions, np.asarray(errs))
+    points = direction * fractions[:, None] * scales.length
+    series = ip_field_cartesian(scales, *points.T)
+    exact = biot_savart_field(TrapAssembly.ioffe_pritchard(ip_geo), points)
+    ip_slope = _fitted_slope(fractions, np.linalg.norm(series - exact, axis=1) / scales.field)
 
     top_geo = reference_top_geometry()
     tscales = top_scales(top_geo)

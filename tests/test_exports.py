@@ -16,7 +16,6 @@ from trapspec.errors import DomainError
 from trapspec.exports import (
     csv_text,
     defect_model_doc,
-    eigen_diagnostics_doc,
     fmt17,
     json_text,
     susy_report_doc,
@@ -387,26 +386,3 @@ class TestDocBuilders:
         scales = OscillatorScales(mass=1.0, omega0=2.0)
         doc = defect_model_doc(scales, 0, 0, 0, 0.0)
         assert "spectrum" not in doc
-
-    def test_eigen_diagnostics_drops_samples(self):
-        from trapspec.numerov import RadialProblem, solve_eigen
-
-        problem = RadialProblem(
-            potential=lambda r: 0.5 * r * r,
-            centrifugal=0.0,
-            mass=1.0,
-            r_min=1e-6,
-            r_max=12.0,
-            n_points=2000,
-        )
-        result = solve_eigen(problem, node_target=0)
-        doc = eigen_diagnostics_doc(result)
-        assert doc["node_count"] == 0
-        assert doc["n_points"] == 2000
-        # Radii are regenerated from a uniform log mesh, so the endpoints
-        # match the requested bounds only to round-off.
-        assert doc["r_min"] == pytest.approx(1e-6, rel=1e-12)
-        assert doc["r_max"] == pytest.approx(12.0, rel=1e-12)
-        assert "boundary_samples" not in doc["diagnostics"]
-        assert "bracket_history_tail" in doc["diagnostics"]
-        json_text(doc)
