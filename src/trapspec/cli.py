@@ -36,20 +36,20 @@ from .fields import (
 from .oscillator3d import (
     OscillatorScales,
     allowed_angular,
-    energy_3d,
     radial_wavefunction_3d,
     shell_capacity,
+    tower_level,
 )
 from .planar import (
     PaulParams,
     PenningParams,
-    paul_energy,
     paul_frequencies,
     paul_shell_count,
+    paul_spectrum,
     paul_susy_partner,
     paul_wavefunctions,
-    penning_energy,
     penning_frequencies,
+    penning_spectrum,
     penning_state_count,
     penning_susy_partner,
     penning_wavefunction,
@@ -245,7 +245,7 @@ class _Magnetic:
             return exports.csv_text(("N", "L", "degeneracy", "E_over_hbar_omega0"),
                                     n, l, 2 * l + 1, n + 1.5)
         return exports.csv_text(("N", "L", "degeneracy", "E_joules", "E_over_hbar_omega0"),
-                                n, l, 2 * l + 1, [energy_3d(osc, k) for k in n.tolist()], n + 1.5)
+                                n, l, 2 * l + 1, tower_level(osc, n), n + 1.5)
 
     def wavefunction(self, args):
         if args.axis == "axial":
@@ -301,13 +301,7 @@ class _Planar:
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         if max_k < 0:
             raise DomainError("--max-k must be nonnegative")
-        rows = []
-        for n in range(max_n + 1):
-            for m in range(-n, n + 1, 2):  # N - |M| even
-                for k in range(max_k + 1):
-                    rows.append((n, m, k, self.energy(n, m, k)))
-        rows.sort(key=lambda row: (row[3], row[0], row[2], row[1]))
-        n, m, k, e = zip(*rows)
+        n, m, k, e = self.spectrum(self.freqs, max_n, max_k)
         if natural:
             return exports.csv_text(("N", "M", "K", "E_over_quantum"),
                                     n, m, k, np.divide(e, self.quantum))
@@ -322,13 +316,11 @@ class _Planar:
 
 class _Paul(_Planar):
     frequencies = staticmethod(paul_frequencies)
+    spectrum = staticmethod(paul_spectrum)
 
     @property
     def quantum(self) -> float:
         return self.freqs.quantum
-
-    def energy(self, n: int, m: int, k: int) -> float:
-        return paul_energy(self.freqs, n, k)
 
     def state(self, n: int, m: int, k: int):
         return paul_wavefunctions(self.freqs, n, m, k)
@@ -350,13 +342,11 @@ class _Paul(_Planar):
 
 class _Penning(_Planar):
     frequencies = staticmethod(penning_frequencies)
+    spectrum = staticmethod(penning_spectrum)
 
     @property
     def quantum(self) -> float:
         return self.freqs.hbar * self.freqs.hybrid
-
-    def energy(self, n: int, m: int, k: int) -> float:
-        return penning_energy(self.freqs, n, k, m)
 
     def state(self, n: int, m: int, k: int):
         return penning_wavefunction(self.freqs, n, k, m)

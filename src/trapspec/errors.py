@@ -12,6 +12,7 @@ its message is written once: :func:`integer` for quantum numbers and counts
 """
 
 import math
+import sys
 
 
 class TrapspecError(Exception):
@@ -69,12 +70,15 @@ def integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an ``int``; it must be integral and at least ``minimum``.
 
     nan, inf and non-numbers raise :class:`DomainError` too, not the
-    ``ValueError``/``OverflowError`` of ``int()``.
+    ``ValueError``/``OverflowError`` of ``int()``; so does an integer beyond
+    the float range, since the models compute in floats.
     """
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
+    if n is not None and abs(n) > sys.float_info.max:  # its repr may be too long to print
+        raise DomainError(f"{name} is too large for a float, got an integer of {n.bit_length()} bits")
     if n is None or n != value or (minimum is not None and n < minimum):
         kind = _INTEGER_KINDS.get(minimum) or f"an integer >= {minimum}"
         raise DomainError(f"{name} must be {kind}, got {value!r}")

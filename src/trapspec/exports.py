@@ -3,31 +3,34 @@
 Identical inputs must produce byte-identical files.  A table is a header
 plus its columns.  CSV always carries a header row, uses '.' for decimals
 and ',' as separator; integer columns print as ``%d`` and every other
-column as ``%.17g`` (enough to round-trip IEEE doubles).  JSON goes straight
-through ``json.dumps`` with sorted keys; numpy scalars and arrays become
-their Python values, and a non-finite number is refused.  Files are written
-to a temp name and renamed into place.
+column as ``%.17g`` (enough to round-trip IEEE doubles).  JSON is byte for
+byte what ``json.dumps`` prints with sorted keys and a two-space indent, but
+written here: there the indent selects the standard library's pure-Python
+encoder, and here a list of flat float records (a sampled curve) goes a
+column at a time, one ``float.__repr__`` map per key and one template per
+row.  Numpy scalars and arrays become their Python values, and a non-finite
+number is refused.  Files are written to a temp name and renamed into place.
 
 ``csv_text`` prints a float column as a whole array (``_cells``), byte for
 byte as the per-cell ``%.17g``; cells outside that kernel's window (tiny,
 subnormal or huge values) and columns of Python objects keep the per-cell
 ``%``.  Each cell is four 8-byte words with its unused bytes NUL; rows go
-through in blocks of ``_BLOCK_ROWS``, so the scratch arrays stay a few
-hundred kilobytes whatever the table's length.  A non-finite cell raises
+through in blocks of ``_BLOCK_ROWS`` (8192), so the scratch arrays stay
+about 0.26 MB a column whatever the table's length.  A non-finite cell raises
 ``DomainError``, naming its column and row: no table prints ``nan``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import DomainError
 
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 8192
 
 _NON_FINITE = {"nan", "inf", "-inf"}
 
@@ -91,14 +94,77 @@ def _words(cells):
 
 
 def json_text(doc) -> str:
-    """Sorted-key JSON; numpy values print as their Python equivalents."""
+    """Sorted-key JSON with a two-space indent, and a newline at the end.
 
-    def plain(value):
-        if isinstance(value, (np.generic, np.ndarray)):
-            return value.tolist()
-        raise TypeError(f"cannot export {type(value).__name__} value {value!r}")
+    Byte for byte ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"`` for string-keyed documents; numpy scalars and
+    arrays print as their Python values.  A non-finite float raises
+    ValueError, an unknown type or a key that is not a string TypeError.
+    """
+    return _json(doc, "\n") + "\n"
 
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=plain) + "\n"
+
+def _json(value, newline: str) -> str:
+    """``value`` as indented JSON, its nested lines starting with ``newline``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        if text in _NON_FINITE:
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return text
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = _float_records(value, inner) or [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (np.generic, np.ndarray)):
+        return _json(value.tolist(), newline)
+    raise TypeError(f"cannot export {type(value).__name__} value {value!r}")
+
+
+def _float_records(items, newline: str):
+    """A list of flat records with one key set and finite float values, a column at a time.
+
+    Returns each record's text, its lines starting with ``newline``, or
+    None for any other list.  Each column's floats print by one map of
+    ``float.__repr__`` and the rows by one template.
+    """
+    first = items[0]
+    if not (type(first) is dict and first):
+        return None
+    keys = first.keys()
+    if set(map(type, items)) != {dict} or not all(map(keys.__eq__, map(dict.keys, items))):
+        return None
+    names, columns = sorted(keys), []
+    for key in names:
+        column = [row[key] for row in items]
+        if set(map(type, column)) != {float}:
+            return None
+        column = list(map(float.__repr__, column))
+        if not _NON_FINITE.isdisjoint(column):
+            return None  # the caller raises for the first one, in document order
+        columns.append(column)
+    inner = newline + "  "
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in names
+    ) + newline + "}"
+    return [template % row for row in zip(*columns)]
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -24,6 +24,7 @@ __all__ = [
     "RadialEigenstate",
     "ShellRow",
     "tower_state",
+    "tower_level",
     "validate_quantum_numbers_3d",
     "allowed_angular",
     "energy_3d",
@@ -53,6 +54,15 @@ class OscillatorScales:
         positive("omega0", self.omega0)
         positive("hbar", self.hbar)
         finite("energy_offset", self.energy_offset)
+        try:
+            r0 = self.r0
+        except ZeroDivisionError:  # mass * omega0 underflows
+            r0 = math.inf
+        if not 0.0 < r0 < math.inf:
+            raise DomainError(
+                f"mass {self.mass!r}, omega0 {self.omega0!r} and hbar {self.hbar!r} put the "
+                "oscillator length beyond the float range"
+            )
 
     @property
     def r0(self) -> float:
@@ -93,11 +103,14 @@ def allowed_angular(n_principal: int) -> list[int]:
 def energy_3d(scales: OscillatorScales, n_principal: int) -> float:
     """Level energy ``E_N = E0 + hbar w0 (N + 3/2)``."""
     integer("N", n_principal, 0)
-    return _tower_level(scales, n_principal)
+    return tower_level(scales, n_principal)
 
 
-def _tower_level(scales: OscillatorScales, n_principal: float) -> float:
-    """Tower level ``E0 + hbar w0 (n + 3/2)`` at any real label ``n``."""
+def tower_level(scales: OscillatorScales, n_principal):
+    """Tower level ``E0 + hbar w0 (n + 3/2)`` at any real label ``n`` or array of labels.
+
+    The label is not checked; :func:`energy_3d` is the checked form.
+    """
     return scales.energy_offset + scales.quantum * (n_principal + 1.5)
 
 
@@ -162,7 +175,7 @@ def tower_state(scales: OscillatorScales, n_principal: float, l_angular: float) 
         l_angular=l_angular,
         r0=scales.r0,
         norm=radial_norm_3d(n_principal, l_angular, scales.r0),
-        energy=_tower_level(scales, n_principal),
+        energy=tower_level(scales, n_principal),
     )
 
 

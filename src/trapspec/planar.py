@@ -61,6 +61,8 @@ __all__ = [
     "penning_wavefunction",
     "penning_susy_partner",
     "penning_state_count",
+    "paul_spectrum",
+    "penning_spectrum",
 ]
 
 DRIVE_RATIO_FLOOR = 10.0
@@ -101,6 +103,15 @@ class PaulFrequencies:
     def __post_init__(self):
         for name in ("quadrupole", "drive", "mass", "hbar"):
             positive(name, getattr(self, name))
+        try:
+            secular = self.secular
+        except OverflowError:  # quadrupole**2
+            secular = math.inf
+        if secular == math.inf:
+            raise DomainError(
+                f"quadrupole {self.quadrupole!r} and drive {self.drive!r} put the secular "
+                "frequency beyond the float range"
+            )
 
     @property
     def secular(self) -> float:
@@ -175,7 +186,41 @@ def paul_energy(freqs: PaulFrequencies, n_radial: int, k_axial: int) -> float:
     """Level energy ``hbar w_p (N + 2K + 2)``; the azimuthal M drops out."""
     integer("N", n_radial, 0)
     integer("K", k_axial, 0)
+    return _paul_level(freqs, n_radial, k_axial)
+
+
+def _paul_level(freqs: PaulFrequencies, n_radial, k_axial):
+    """``hbar w_p (N + 2K + 2)`` at unchecked labels, numbers or int64 arrays alike."""
     return freqs.quantum * (n_radial + 2 * k_axial + 2)
+
+
+def _planar_labels(max_n: int, max_k: int):
+    """Every ``(N, M, K)`` with ``N <= max_n`` and ``K <= max_k``, as int64 arrays.
+
+    ``N`` ascends, ``M`` runs ``-N, -N + 2, ..., N`` within it and each
+    ``(N, M)`` pair is repeated over ``K = 0 .. max_k``.
+    """
+    counts = np.arange(1, max_n + 2)  # N + 1 values of M at each N
+    n = np.repeat(np.arange(max_n + 1), counts)
+    m = 2 * (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts)) - n
+    return np.repeat(n, max_k + 1), np.repeat(m, max_k + 1), np.tile(np.arange(max_k + 1), len(n))
+
+
+def _by_energy(n, m, k, energy):
+    """The table's rows sorted by ``(E, N, K, M)``, as arrays ``(N, M, K, E)``."""
+    order = np.lexsort((m, k, n, energy))
+    return n[order], m[order], k[order], energy[order]
+
+
+def paul_spectrum(freqs: PaulFrequencies, max_n: int, max_k: int):
+    """Every Paul state with ``N <= max_n`` and ``K <= max_k``, lowest level first.
+
+    Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
+    is bit for bit :func:`paul_energy` of its labels.
+    """
+    n, m, k = _planar_labels(integer("max_n", max_n, 0), integer("max_k", max_k, 0))
+    with np.errstate(over="ignore"):  # as in floats: an overflow is an inf level
+        return _by_energy(n, m, k, _paul_level(freqs, n, k))
 
 
 @dataclass(frozen=True)
@@ -314,7 +359,16 @@ class PenningFrequencies:
     def __post_init__(self):
         for name in ("axial", "cyclotron", "mass", "hbar"):
             positive(name, getattr(self, name))
-        if self.cyclotron**2 - 2.0 * self.axial**2 <= 0.0:
+        try:
+            spring = self.cyclotron**2 - 2.0 * self.axial**2
+        except OverflowError:
+            # The hybrid frequency and every level are built from these
+            # squares; an unsquared form would change their last bits.
+            raise DomainError(
+                f"cyclotron {self.cyclotron!r} and axial {self.axial!r} frequencies are too "
+                "large to square as floats"
+            ) from None
+        if spring <= 0.0:
             raise StabilityError(
                 f"unstable tuning: cyclotron^2 = {self.cyclotron**2:.6g} must exceed "
                 f"2 axial^2 = {2.0 * self.axial**2:.6g} for bound radial motion"
@@ -350,6 +404,7 @@ def penning_frequencies(params: PenningParams, hbar: float = HBAR) -> PenningFre
 
 
 def _check_magnetron(n_radial: int, m_azimuthal: int, cap: int) -> None:
+    integer("magnetron_cap", cap, 0)
     if (n_radial + m_azimuthal) // 2 > cap:
         raise DomainError(
             f"(N+M)/2 = {(n_radial + m_azimuthal) // 2} exceeds the magnetron cap {cap}: "
@@ -371,6 +426,11 @@ def penning_energy(
     """
     validate_planar_numbers(n_radial, m_azimuthal, k_axial)
     _check_magnetron(n_radial, m_azimuthal, magnetron_cap)
+    return _penning_level(freqs, n_radial, k_axial, m_azimuthal)
+
+
+def _penning_level(freqs: PenningFrequencies, n_radial, k_axial, m_azimuthal):
+    """``hbar (Omega N + 2 w_z K - w_c M + Omega + w_z)/2`` at unchecked labels or int64 arrays."""
     return 0.5 * freqs.hbar * (
         freqs.hybrid * n_radial
         + 2.0 * freqs.axial * k_axial
@@ -390,6 +450,24 @@ def penning_wavefunction(
     """Eigenstate ``(N, K, M)`` of the stable Penning hamiltonian."""
     energy = penning_energy(freqs, n_radial, k_axial, m_azimuthal, magnetron_cap)
     return _planar_state(freqs, n_radial, m_azimuthal, k_axial, energy)
+
+
+def penning_spectrum(
+    freqs: PenningFrequencies, max_n: int, max_k: int, magnetron_cap: int = 50
+):
+    """Every Penning state with ``N <= max_n`` and ``K <= max_k``, lowest level first.
+
+    Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
+    is bit for bit :func:`penning_energy` of its labels.  A ``max_n`` past
+    the magnetron cap raises its error for the first label past it in
+    ``(N, M)`` order, ``N = M = cap + 1``, before any array is built.
+    """
+    max_n = integer("max_n", max_n, 0)
+    top = min(max_n, integer("magnetron_cap", magnetron_cap, 0) + 1)
+    _check_magnetron(top, top, magnetron_cap)
+    n, m, k = _planar_labels(max_n, integer("max_k", max_k, 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in floats: inf or nan levels
+        return _by_energy(n, m, k, _penning_level(freqs, n, k, m))
 
 
 def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PartnerPair:

@@ -29,7 +29,7 @@ def laguerre_gen(n: int, alpha: float, x):
     n : int
         Degree, ``n >= 0``.
     alpha : float
-        Order, ``alpha > -1``; non-integer values allowed.
+        Order, finite and ``alpha > -1``; non-integer values allowed.
     x : float or array_like
         Argument(s), ``x >= 0``.
 
@@ -39,8 +39,8 @@ def laguerre_gen(n: int, alpha: float, x):
         Polynomial value(s); scalar in, scalar out.
     """
     n = integer("Laguerre degree", n, 0)
-    if not alpha > -1.0:
-        raise DomainError(f"Laguerre order must exceed -1, got {alpha!r}")
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"Laguerre order must be finite and exceed -1, got {alpha!r}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("Laguerre argument must be nonnegative")
@@ -87,7 +87,12 @@ def tower_degree(label: float, start: float, name: str) -> int:
     :class:`DomainError` names the tower.  ``name`` is the label's symbol in
     the message.
     """
-    gap = label - start
+    try:
+        gap = label - start
+    except OverflowError:  # an integer label beyond the float range
+        raise DomainError(
+            f"{name} is too large for a float, got an integer of {label.bit_length()} bits"
+        ) from None
     degree = round(gap / 2.0) if math.isfinite(gap) else -1
     if degree < 0 or abs(gap - 2.0 * degree) > 1e-9:
         raise DomainError(

@@ -1,13 +1,23 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapspec import cli
-from trapspec.errors import OracleError
+from trapspec.errors import DomainError, OracleError
+from trapspec.exports import csv_text
+from trapspec.oscillator3d import allowed_angular, energy_3d
+from trapspec.planar import paul_energy, penning_energy
 
 E_CHARGE = 1.602176634e-19
 
@@ -264,6 +274,101 @@ class TestSpectrumCommand:
         assert err.startswith(f"config error: cannot write {target}: ")
         assert len(err.strip().splitlines()) == 1
         assert not target.parent.exists()
+
+
+def per_row_spectrum(config, max_n, max_k, natural):
+    """The spectrum table built one energy call per row, as the command once did.
+
+    Returns the CSV text, or raises the DomainError of the first bad row.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a slow Paul drive warns; the command prints it
+        trap = cli._load_trap(argparse.Namespace(config=config, command="spectrum"))
+    if isinstance(trap, cli._Magnetic):
+        osc = trap.oscillator
+        n, l = np.array([(n, l) for n in range(max_n + 1) for l in allowed_angular(n)]).T
+        if natural:
+            return csv_text(("N", "L", "degeneracy", "E_over_hbar_omega0"),
+                            n, l, 2 * l + 1, n + 1.5)
+        return csv_text(("N", "L", "degeneracy", "E_joules", "E_over_hbar_omega0"),
+                        n, l, 2 * l + 1, [energy_3d(osc, k) for k in n.tolist()], n + 1.5)
+    if isinstance(trap, cli._Paul):
+        quantum = trap.freqs.quantum
+        rows = [(n, m, k, paul_energy(trap.freqs, n, k))
+                for n in range(max_n + 1) for m in range(-n, n + 1, 2) for k in range(max_k + 1)]
+    else:
+        quantum = trap.freqs.hbar * trap.freqs.hybrid
+        rows = [(n, m, k, penning_energy(trap.freqs, n, k, m))
+                for n in range(max_n + 1) for m in range(-n, n + 1, 2) for k in range(max_k + 1)]
+    rows.sort(key=lambda row: (row[3], row[0], row[2], row[1]))
+    n, m, k, e = zip(*rows)
+    if natural:
+        return csv_text(("N", "M", "K", "E_over_quantum"), n, m, k, np.divide(e, quantum))
+    return csv_text(("N", "M", "K", "E_joules"), n, m, k, e)
+
+
+def _scaled(geometry, names, factor):
+    return {name: value * factor if name in names else value
+            for name, value in geometry.items()}
+
+
+class TestSpectrumTableMatchesThePerRowLoop:
+    """The array-built tables print every byte of the per-row loop, errors included."""
+
+    @staticmethod
+    def check(config, max_n, max_k, natural):
+        argv = ["spectrum", "--config", config, "--max-n", str(max_n), "--max-k", str(max_k)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--natural-units"] * natural)
+        try:
+            expected = per_row_spectrum(config, max_n, max_k, natural)
+        except DomainError as exc:
+            assert (code, out.getvalue()) == (3, "")
+            assert err.getvalue().splitlines()[-1] == f"validation error: {exc}"
+        else:
+            assert (code, out.getvalue()) == (0, expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_drawn_tables(self, tmp_path_factory, data):
+        kind = data.draw(st.sampled_from(["ip", "top", "paul", "penning"]), label="kind")
+        decade = st.floats(-1.0, 1.0).map(lambda x: 10.0**x)
+        if kind in ("ip", "top"):
+            # Scaling every current keeps the trap tuned; the particle sets w0 and mu B0.
+            geometry, currents = {
+                "ip": (IP_GEOMETRY, ("coil_current_A", "bar_current_A")),
+                "top": (TOP_GEOMETRY, ("quad_current_A", "bias_current_A")),
+            }[kind]
+            geometry = _scaled(geometry, currents, data.draw(st.floats(0.5, 2.0)))
+            particle = {"magnetic_moment_J_per_T": 4.6e-24 * data.draw(decade),
+                        "mass_kg": 1.44e-25 * data.draw(decade)}
+            trap = {"ip": "ioffe_pritchard", "top": "top"}[kind]
+        elif kind == "paul":
+            geometry, particle, trap = dict(PAUL_GEOMETRY), None, "paul"
+            for name in ("voltage_V", "size_m", "drive_rad_per_s", "mass_kg"):
+                geometry = _scaled(geometry, (name,), data.draw(decade))
+        else:
+            # Within these factors w_c^2 stays above 2 w_z^2.
+            geometry, particle, trap = dict(PENNING_GEOMETRY), None, "penning"
+            for name in ("voltage_V", "size_m", "axial_field_T", "mass_kg"):
+                geometry = _scaled(geometry, (name,), data.draw(st.floats(0.7, 1.4)))
+        config = write_config(tmp_path_factory.mktemp(kind), "trap.json", trap, geometry,
+                              particle)
+        max_n = data.draw(st.integers(0, 60 if kind == "penning" else 30), label="max_n")
+        max_k = data.draw(st.integers(0, 6), label="max_k")
+        self.check(config, max_n, max_k, data.draw(st.booleans(), label="natural"))
+
+    @pytest.mark.parametrize("max_n", [50, 51, 60])
+    @pytest.mark.parametrize("natural", [False, True])
+    def test_magnetron_cap_row(self, tmp_path, max_n, natural):
+        self.check(penning_config(tmp_path), max_n, 2, natural)
+
+    def test_cap_error_names_the_first_row_past_it(self, tmp_path, capsys):
+        code, out, err = run(capsys, "spectrum", "--config", penning_config(tmp_path),
+                             "--max-n", "60", "--max-k", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: (N+M)/2 = 51 exceeds the magnetron cap 50")
 
 
 class TestWavefunctionCommand:
@@ -718,6 +823,9 @@ class TestErrorWiring:
             f"validation error: tower index 1e+{exponent} overflows the partner potentials\n"
         )
 
+    # The overflow's numpy warnings are printed as "warning:" lines, even where
+    # a run turns RuntimeWarning into an error.
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_non_finite_table_exits_3(self, tmp_path, capsys):
         # The tower still overflows at N = 400 (a known defect); the table
         # must refuse its nan cells rather than print them and exit 0.

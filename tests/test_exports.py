@@ -277,6 +277,94 @@ class TestJsonText:
         with pytest.raises(TypeError):
             json_text({"v": object()})
 
+    def test_non_string_key_rejected(self):
+        for doc in ({1: 2.0}, {"a": 1.0, 2: 3.0}, [{1: 2.0}, {1: 3.0}]):
+            with pytest.raises(TypeError):
+                json_text(doc)
+
+
+def reference_json(doc) -> str:
+    """The standard library's writer, which json_text must match byte for byte."""
+
+    def plain(value):
+        if isinstance(value, (np.generic, np.ndarray)):
+            return value.tolist()
+        raise TypeError(f"cannot export {type(value).__name__} value {value!r}")
+
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=plain) + "\n"
+
+
+_KEYS = st.one_of(  # non-ASCII, quotes, '%' and control characters too
+    st.sampled_from(["r", "plus", "%s", "50%", "\u00e9", '"q"', "\n", ""]), st.text(max_size=6))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FINITE, st.text(max_size=8),
+    _FINITE.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.booleans().map(np.bool_),
+    st.lists(_FINITE, max_size=4).map(np.array),
+    st.lists(st.integers(-5, 5), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+)
+
+
+@st.composite
+def _records(draw):
+    """A list of flat records: mostly one key set of floats, sometimes not."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: _FINITE for k in keys}), min_size=1,
+                         max_size=6))
+    spoil = draw(st.sampled_from(["none", "none", "drop key", "add key", "int value",
+                                  "numpy value", "None value"]))
+    if spoil != "none":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        key = draw(st.sampled_from(keys))
+        if spoil == "drop key":
+            del row[key]
+        elif spoil == "add key":
+            row[draw(_KEYS) + "+"] = 1.0
+        else:
+            row[key] = {"int value": 3, "numpy value": np.float64(0.5),
+                        "None value": None}[spoil]
+    return rows
+
+
+_DOCS = st.recursive(
+    st.one_of(_SCALARS, _records()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestJsonTextMatchesJsonDumps:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_DOCS)
+    def test_documents(self, doc):
+        assert json_text(doc) == reference_json(doc)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_non_finite_raises_as_json_dumps_does(self, data):
+        rows = data.draw(_records(), label="records")
+        bad = data.draw(st.sampled_from([math.nan, -math.inf, math.inf, np.float64("nan")]))
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.sampled_from(sorted(row) or ["v"]))] = bad
+        doc = data.draw(st.sampled_from([rows, {"samples": rows}, [rows, 1.0]]))
+        with pytest.raises(ValueError) as expected:
+            reference_json(doc)
+        with pytest.raises(ValueError) as got:
+            json_text(doc)
+        assert str(got.value) == str(expected.value)
+
+    def test_only_flat_float_records_go_by_columns(self):
+        rows = [{"r": 0.5 * i, "plus": 1.0 / (i + 1), "minus": -2.0**-i} for i in range(40)]
+        assert exports._float_records(rows, "\n    ") is not None
+        for spoiled in ([*rows, {"r": 1.0}], [*rows, {**rows[0], "r": 1}],
+                        [*rows, {**rows[0], "r": math.nan}], [*rows, [1.0]], [{}]):
+            assert exports._float_records(spoiled, "\n    ") is None
+        doc = susy_report_doc(0, 0, 0, [0.1, 0.2], [1.0, 2.0], [3.0, 4.0], [(0, 1.5, None)])
+        assert json_text(doc) == reference_json(doc)
+
 
 class TestWriteTextAtomic:
     def test_writes_and_replaces(self, tmp_path):

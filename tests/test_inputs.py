@@ -42,9 +42,11 @@ from trapspec.planar import (
     paul_energy,
     paul_related_systems,
     paul_shell_count,
+    paul_spectrum,
     paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
+    penning_spectrum,
     penning_state_count,
     penning_susy_partner,
     penning_wavefunction,
@@ -60,8 +62,9 @@ from trapspec.susy import (
 )
 
 NAN, INF = math.nan, math.inf
+HUGE = 10**400  # an integer no float can hold
 NON_FINITE = (NAN, INF, -INF)
-INTEGRAL = (*NON_FINITE, 2.5)  # labels that may be negative
+INTEGRAL = (*NON_FINITE, 2.5, HUGE)  # labels that may be negative
 LABEL = (*INTEGRAL, -1)  # labels and counts that must be nonnegative
 SCALE = (*NON_FINITE, 0.0, -1.0)  # masses, frequencies, lengths, hbar
 SIGNED = (*NON_FINITE, 0.0)  # voltages, currents, charges, fields
@@ -95,7 +98,8 @@ CASES = [
     (shell_table, dict(max_n=3), {"max_n": ("max_n", LABEL)}),
     (valence_total, dict(n_valence=1, d_occupancy=4),
      {"n_valence": ("N", (*INTEGRAL, -2)), "d_occupancy": ("occupancy", (*LABEL, 0, 7))}),
-    (laguerre_gen, dict(n=3, alpha=0.5, x=1.0), {"n": ("Laguerre degree", LABEL)}),
+    (laguerre_gen, dict(n=3, alpha=0.5, x=1.0),
+     {"n": ("Laguerre degree", LABEL), "alpha": ("Laguerre order", (*NON_FINITE, -1.0))}),
     (hermite, dict(k=3, x=0.5), {"k": ("Hermite index", LABEL)}),
     (radial_norm_3d, dict(n_principal=4.0, l_angular=2.0, r0=1.5),
      {"n_principal": ("N", LABEL), "r0": ("r0", SCALE)}),
@@ -106,9 +110,16 @@ CASES = [
     (paul_wavefunctions, dict(freqs=PAUL, n_radial=3, m_azimuthal=-1, k_axial=2),
      {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
     (penning_energy, dict(freqs=PENNING, n_radial=3, k_axial=2, m_azimuthal=-1),
-     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
+     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL),
+      "magnetron_cap": ("magnetron_cap", LABEL)}),
     (penning_wavefunction, dict(freqs=PENNING, n_radial=3, k_axial=2, m_azimuthal=-1),
-     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
+     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL),
+      "magnetron_cap": ("magnetron_cap", LABEL)}),
+    (paul_spectrum, dict(freqs=PAUL, max_n=3, max_k=2),
+     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
+    (penning_spectrum, dict(freqs=PENNING, max_n=3, max_k=2, magnetron_cap=5),
+     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL),
+      "magnetron_cap": ("magnetron_cap", LABEL)}),
     (paul_susy_partner, dict(freqs=PAUL, abs_m=1), {"abs_m": ("|M|", LABEL)}),
     (penning_susy_partner, dict(freqs=PENNING, abs_m=1), {"abs_m": ("|M|", LABEL)}),
     (paul_shell_count, dict(e_tilde=6), {"e_tilde": ("scaled energy", (*LABEL, 1))}),
@@ -176,8 +187,12 @@ def _name(func) -> str:
     return getattr(func, "__qualname__", func.__name__)
 
 
+def _show(value) -> str:
+    return "10**400" if value == HUGE else repr(value)
+
+
 PROBES = [
-    pytest.param(func, base, arg, start, value, id=f"{_name(func)}-{arg}={value!r}")
+    pytest.param(func, base, arg, start, value, id=f"{_name(func)}-{arg}={_show(value)}")
     for func, base, checked in CASES
     for arg, (start, values) in checked.items()
     for value in values
@@ -214,3 +229,29 @@ def _numbers(value):
 @pytest.mark.parametrize("func, base", [pytest.param(f, b, id=_name(f)) for f, b, _ in CASES])
 def test_valid_base_call_is_finite(func, base):
     assert all(math.isfinite(x) for x in _numbers(func(**base)))
+
+
+# Finite scales whose products, quotients or squares leave the float range.
+EXTREMES = [
+    (PenningFrequencies, dict(axial=1.0, cyclotron=1e200, mass=1.0)),
+    (PenningFrequencies, dict(axial=1e200, cyclotron=1.0, mass=1.0)),
+    (PenningFrequencies, dict(axial=1.0, cyclotron=1e150, mass=1.0)),
+    (PaulFrequencies, dict(quadrupole=1e200, drive=1.0, mass=1.0)),
+    (PaulFrequencies, dict(quadrupole=1e150, drive=1e-100, mass=1.0)),
+    (PaulFrequencies, dict(quadrupole=1e-200, drive=1.0, mass=1.0)),
+    (OscillatorScales, dict(mass=1e-200, omega0=1e-200)),
+    (OscillatorScales, dict(mass=1e200, omega0=1e200)),
+    (OscillatorScales, dict(mass=1e-300, omega0=1e-10, hbar=1.0)),
+]
+
+
+@pytest.mark.parametrize("func, kwargs", [
+    pytest.param(f, k, id=f"{_name(f)}-" + ",".join(f"{a}={v:g}" for a, v in k.items()))
+    for f, k in EXTREMES
+])
+def test_extreme_scale_gives_a_typed_error_or_finite_numbers(func, kwargs):
+    try:
+        numbers = list(_numbers(func(**kwargs)))
+    except DomainError:
+        return
+    assert all(math.isfinite(x) for x in numbers)

@@ -22,10 +22,12 @@ from trapspec.planar import (
     paul_frequencies,
     paul_related_systems,
     paul_shell_count,
+    paul_spectrum,
     paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
+    penning_spectrum,
     penning_state_count,
     penning_susy_partner,
     penning_wavefunction,
@@ -537,6 +539,55 @@ class TestPenningEnergies:
         energies.sort()
         gaps = np.diff(energies)
         assert np.min(gaps) > 1e-9
+
+
+def per_row_levels(energy, max_n, max_k):
+    """Arrays (N, M, K, E) from one ``energy(n, m, k)`` call a row, sorted by (E, N, K, M)."""
+    rows = sorted(
+        ((n, m, k, energy(n, m, k))
+         for n in range(max_n + 1) for m in range(-n, n + 1, 2) for k in range(max_k + 1)),
+        key=lambda row: (row[3], row[0], row[2], row[1]),
+    )
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestSpectrumArrays:
+    # w_c = 2 w_z: levels at one N tie whenever K - M does, so the key's order counts.
+    TIED = PenningFrequencies(axial=1.0, cyclotron=2.0, mass=1.0, hbar=1.0)
+
+    @staticmethod
+    def assert_same_rows(got, want):
+        for g, w in zip(got[:3], want[:3]):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+        assert got[3].view(np.int64).tolist() == want[3].view(np.int64).tolist()  # every bit
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["PENNING", "TIED"]), st.integers(0, 12), st.integers(0, 5))
+    def test_penning_matches_the_per_row_loop(self, which, max_n, max_k):
+        freqs = {"PENNING": PENNING, "TIED": self.TIED}[which]
+        self.assert_same_rows(
+            penning_spectrum(freqs, max_n, max_k),
+            per_row_levels(lambda n, m, k: penning_energy(freqs, n, k, m), max_n, max_k),
+        )
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(0, 12), st.integers(0, 5))
+    def test_paul_matches_the_per_row_loop(self, max_n, max_k):
+        self.assert_same_rows(
+            paul_spectrum(PAUL, max_n, max_k),
+            per_row_levels(lambda n, m, k: paul_energy(PAUL, n, k), max_n, max_k),
+        )
+
+    @pytest.mark.parametrize("max_n", [7, 40])
+    def test_cap_error_names_the_first_label_past_it(self, max_n):
+        with pytest.raises(DomainError, match=r"^\(N\+M\)/2 = 7 exceeds the magnetron cap 6"):
+            penning_spectrum(PENNING, max_n, 0, magnetron_cap=6)
+
+    def test_at_the_cap_every_row_is_present(self):
+        n, m, k, _ = penning_spectrum(PENNING, 6, 1, magnetron_cap=6)
+        assert len(n) == 7 * 8 // 2 * 2
+        assert ((n + m) // 2).max() == 6
 
 
 class TestPenningStates:
