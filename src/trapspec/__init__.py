@@ -102,12 +102,10 @@ from .planar import (
     paul_frequencies,
     paul_related_systems,
     paul_shell_count,
-    paul_spectrum,
     paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
-    penning_spectrum,
     penning_state_count,
     penning_susy_partner,
     penning_wavefunction,

@@ -35,10 +35,10 @@ from .fields import (
 )
 from .oscillator3d import (
     OscillatorScales,
+    _tower_level,
     allowed_angular,
     radial_wavefunction_3d,
     shell_capacity,
-    tower_level,
 )
 from .planar import (
     PaulParams,
@@ -245,7 +245,7 @@ class _Magnetic:
             return exports.csv_text(("N", "L", "degeneracy", "E_over_hbar_omega0"),
                                     n, l, 2 * l + 1, n + 1.5)
         return exports.csv_text(("N", "L", "degeneracy", "E_joules", "E_over_hbar_omega0"),
-                                n, l, 2 * l + 1, tower_level(osc, n), n + 1.5)
+                                n, l, 2 * l + 1, _tower_level(osc, n), n + 1.5)
 
     def wavefunction(self, args):
         if args.axis == "axial":

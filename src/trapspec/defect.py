@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExcludedLevelError, NormalizabilityError, finite, integer
-from .oscillator3d import OscillatorScales, RadialEigenstate, tower_level, tower_state
+from .oscillator3d import OscillatorScales, RadialEigenstate, _tower_level, tower_state
 from .special import tower_degree
 from .susy import tower_potential
 
@@ -108,7 +108,7 @@ def effective_potential(model: EffectiveModel) -> Callable[[float], float]:
 def defect_energy(model: EffectiveModel, n_spectroscopic: int) -> float:
     """Level energy ``E0 + hbar w0 (N* + 3/2)`` with ``N* = N_s - I - delta``."""
     model.tower_check(n_spectroscopic)
-    return tower_level(model.scales, n_spectroscopic - model.iterations - model.delta)
+    return _tower_level(model.scales, n_spectroscopic - model.iterations - model.delta)
 
 
 def defect_wavefunction(model: EffectiveModel, n_spectroscopic: int) -> RadialEigenstate:

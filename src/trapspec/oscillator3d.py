@@ -24,7 +24,6 @@ __all__ = [
     "RadialEigenstate",
     "ShellRow",
     "tower_state",
-    "tower_level",
     "validate_quantum_numbers_3d",
     "allowed_angular",
     "energy_3d",
@@ -103,10 +102,10 @@ def allowed_angular(n_principal: int) -> list[int]:
 def energy_3d(scales: OscillatorScales, n_principal: int) -> float:
     """Level energy ``E_N = E0 + hbar w0 (N + 3/2)``."""
     integer("N", n_principal, 0)
-    return tower_level(scales, n_principal)
+    return _tower_level(scales, n_principal)
 
 
-def tower_level(scales: OscillatorScales, n_principal):
+def _tower_level(scales: OscillatorScales, n_principal):
     """Tower level ``E0 + hbar w0 (n + 3/2)`` at any real label ``n`` or array of labels.
 
     The label is not checked; :func:`energy_3d` is the checked form.
@@ -175,7 +174,7 @@ def tower_state(scales: OscillatorScales, n_principal: float, l_angular: float) 
         l_angular=l_angular,
         r0=scales.r0,
         norm=radial_norm_3d(n_principal, l_angular, scales.r0),
-        energy=tower_level(scales, n_principal),
+        energy=_tower_level(scales, n_principal),
     )
 
 

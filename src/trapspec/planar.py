@@ -61,11 +61,10 @@ __all__ = [
     "penning_wavefunction",
     "penning_susy_partner",
     "penning_state_count",
-    "paul_spectrum",
-    "penning_spectrum",
 ]
 
 DRIVE_RATIO_FLOOR = 10.0
+MAGNETRON_CAP = 50  # default cap on (N+M)/2, the magnetron quantum number
 
 
 @dataclass(frozen=True)
@@ -417,7 +416,7 @@ def penning_energy(
     n_radial: int,
     k_axial: int,
     m_azimuthal: int,
-    magnetron_cap: int = 50,
+    magnetron_cap: int = MAGNETRON_CAP,
 ) -> float:
     """Level energy ``hbar (Omega N + 2 w_z K - w_c M + Omega + w_z)/2``.
 
@@ -445,26 +444,24 @@ def penning_wavefunction(
     n_radial: int,
     k_axial: int,
     m_azimuthal: int,
-    magnetron_cap: int = 50,
+    magnetron_cap: int = MAGNETRON_CAP,
 ) -> PlanarState:
     """Eigenstate ``(N, K, M)`` of the stable Penning hamiltonian."""
     energy = penning_energy(freqs, n_radial, k_axial, m_azimuthal, magnetron_cap)
     return _planar_state(freqs, n_radial, m_azimuthal, k_axial, energy)
 
 
-def penning_spectrum(
-    freqs: PenningFrequencies, max_n: int, max_k: int, magnetron_cap: int = 50
-):
+def penning_spectrum(freqs: PenningFrequencies, max_n: int, max_k: int):
     """Every Penning state with ``N <= max_n`` and ``K <= max_k``, lowest level first.
 
     Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
     is bit for bit :func:`penning_energy` of its labels.  A ``max_n`` past
-    the magnetron cap raises its error for the first label past it in
-    ``(N, M)`` order, ``N = M = cap + 1``, before any array is built.
+    the default magnetron cap raises its error for the first label past it
+    in ``(N, M)`` order, ``N = M = cap + 1``, before any array is built.
     """
     max_n = integer("max_n", max_n, 0)
-    top = min(max_n, integer("magnetron_cap", magnetron_cap, 0) + 1)
-    _check_magnetron(top, top, magnetron_cap)
+    top = min(max_n, MAGNETRON_CAP + 1)
+    _check_magnetron(top, top, MAGNETRON_CAP)
     n, m, k = _planar_labels(max_n, integer("max_k", max_k, 0))
     with np.errstate(over="ignore", invalid="ignore"):  # as in floats: inf or nan levels
         return _by_energy(n, m, k, _penning_level(freqs, n, k, m))
@@ -482,7 +479,7 @@ def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PartnerPair:
 
 
 def penning_state_count(
-    freqs: PenningFrequencies, energy_cap: float, magnetron_cap: int = 50
+    freqs: PenningFrequencies, energy_cap: float, magnetron_cap: int = MAGNETRON_CAP
 ) -> int:
     """Spin-1/2 Penning states with ``E <= energy_cap``, by enumeration.
 

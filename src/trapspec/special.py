@@ -13,6 +13,7 @@ planar axial factor, so :func:`hermite` is only a public helper), so
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -87,12 +88,12 @@ def tower_degree(label: float, start: float, name: str) -> int:
     :class:`DomainError` names the tower.  ``name`` is the label's symbol in
     the message.
     """
-    try:
-        gap = label - start
-    except OverflowError:  # an integer label beyond the float range
-        raise DomainError(
-            f"{name} is too large for a float, got an integer of {label.bit_length()} bits"
-        ) from None
+    for value, what in ((label, name), (start, f"the start of the {name} tower")):
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise DomainError(
+                f"{what} is too large for a float, got an integer of {value.bit_length()} bits"
+            )
+    gap = float(label) - float(start)  # inf or nan when too far apart for a float
     degree = round(gap / 2.0) if math.isfinite(gap) else -1
     if degree < 0 or abs(gap - 2.0 * degree) > 1e-9:
         raise DomainError(

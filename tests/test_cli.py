@@ -364,12 +364,6 @@ class TestSpectrumTableMatchesThePerRowLoop:
     def test_magnetron_cap_row(self, tmp_path, max_n, natural):
         self.check(penning_config(tmp_path), max_n, 2, natural)
 
-    def test_cap_error_names_the_first_row_past_it(self, tmp_path, capsys):
-        code, out, err = run(capsys, "spectrum", "--config", penning_config(tmp_path),
-                             "--max-n", "60", "--max-k", "0")
-        assert (code, out) == (3, "")
-        assert err.startswith("validation error: (N+M)/2 = 51 exceeds the magnetron cap 50")
-
 
 class TestWavefunctionCommand:
     def test_natural_radial_table(self, tmp_path, capsys):

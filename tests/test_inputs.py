@@ -117,9 +117,8 @@ CASES = [
       "magnetron_cap": ("magnetron_cap", LABEL)}),
     (paul_spectrum, dict(freqs=PAUL, max_n=3, max_k=2),
      {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
-    (penning_spectrum, dict(freqs=PENNING, max_n=3, max_k=2, magnetron_cap=5),
-     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL),
-      "magnetron_cap": ("magnetron_cap", LABEL)}),
+    (penning_spectrum, dict(freqs=PENNING, max_n=3, max_k=2),
+     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
     (paul_susy_partner, dict(freqs=PAUL, abs_m=1), {"abs_m": ("|M|", LABEL)}),
     (penning_susy_partner, dict(freqs=PENNING, abs_m=1), {"abs_m": ("|M|", LABEL)}),
     (paul_shell_count, dict(e_tilde=6), {"e_tilde": ("scaled energy", (*LABEL, 1))}),
@@ -255,3 +254,16 @@ def test_extreme_scale_gives_a_typed_error_or_finite_numbers(func, kwargs):
     except DomainError:
         return
     assert all(math.isfinite(x) for x in numbers)
+
+
+@pytest.mark.parametrize("label, start, message", [
+    (HUGE, 2, "N is too large for a float"),
+    (HUGE, 2.0, "N is too large for a float"),
+    (4, HUGE, "the start of the N tower is too large for a float"),
+    (4.0, HUGE, "the start of the N tower is too large for a float"),
+], ids=["int-over-int", "int-over-float", "int-under-int", "float-under-int"])
+def test_label_or_start_beyond_the_float_range(label, start, message):
+    with pytest.raises(DomainError) as caught:
+        radial_norm_3d(n_principal=label, l_angular=start, r0=1.5)
+    assert type(caught.value) is DomainError
+    assert str(caught.value).startswith(message)

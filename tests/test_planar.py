@@ -13,6 +13,7 @@ from scipy.special import eval_genlaguerre, eval_hermite
 from trapspec import DomainError, ExcludedLevelError, StabilityError
 from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
 from trapspec.planar import (
+    MAGNETRON_CAP,
     PaulFrequencies,
     PaulParams,
     PenningFrequencies,
@@ -579,15 +580,15 @@ class TestSpectrumArrays:
             per_row_levels(lambda n, m, k: paul_energy(PAUL, n, k), max_n, max_k),
         )
 
-    @pytest.mark.parametrize("max_n", [7, 40])
+    @pytest.mark.parametrize("max_n", [MAGNETRON_CAP + 1, 2 * MAGNETRON_CAP])
     def test_cap_error_names_the_first_label_past_it(self, max_n):
-        with pytest.raises(DomainError, match=r"^\(N\+M\)/2 = 7 exceeds the magnetron cap 6"):
-            penning_spectrum(PENNING, max_n, 0, magnetron_cap=6)
+        with pytest.raises(DomainError, match=r"^\(N\+M\)/2 = 51 exceeds the magnetron cap 50"):
+            penning_spectrum(PENNING, max_n, 0)
 
     def test_at_the_cap_every_row_is_present(self):
-        n, m, k, _ = penning_spectrum(PENNING, 6, 1, magnetron_cap=6)
-        assert len(n) == 7 * 8 // 2 * 2
-        assert ((n + m) // 2).max() == 6
+        n, m, k, _ = penning_spectrum(PENNING, MAGNETRON_CAP, 1)
+        assert len(n) == (MAGNETRON_CAP + 1) * (MAGNETRON_CAP + 2) // 2 * 2
+        assert ((n + m) // 2).max() == MAGNETRON_CAP
 
 
 class TestPenningStates:
