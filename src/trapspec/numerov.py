@@ -33,11 +33,12 @@ every tower handled here.
 One numpy sweep advances every (state, trial energy) pair as a column, by
 Johnson's renormalized Numerov form: the ratio of successive values, outward
 from the origin and inward from the wall, which cannot overflow.  One outward
-march gives a column's node count and its ratio at the matching point, and
+march gives a column's node count (sign changes where ``f > 0``, the steps
+that follow the solution faithfully) and its ratio at the matching point, and
 the mismatch there is a scale-free difference of ratios.  Node-count
 bisection samples several tree levels per sweep, marching a tree that states
-of one problem share once; matching sweeps keep no counts, and a sweep of a
-few columns steps in Python floats rather than by two ufunc calls a step.
+of one problem share once, and a sweep of a few columns steps in Python
+floats rather than by two ufunc calls a step.
 
 scipy is imported inside the functions that use it, so importing this module
 (and the command-line interface) does not load it.
@@ -62,14 +63,6 @@ __all__ = [
     "gram", "fd_check",
 ]
 
-# The three-term node-count loop the ratio march replaced (``scalar_count`` in
-# the tests) divided |w| by 1e200 whenever it passed 1e150 where f >= 0.95,
-# and stopped counting at the first such pass where f < 0.95: past there the
-# growing exponential dominates, and steps where f < 0 alias into spurious
-# sign changes.  The ratio march keeps those counts by following log |w|.
-_LOG_FREEZE = math.log(1e150)
-_LOG_RESCALE = math.log(1e200)
-_LOG_MARGIN = math.log(1e50)  # block ends this far under the freeze need no row-by-row scan
 _CHUNK = 256  # mesh rows whose f and U are built, and whose ratios are tallied, at once
 _MIN_COLUMNS = 64  # trial energies per sweep, summed over its distinct trees
 _FLOAT_COLUMNS = 8  # sweeps this narrow step each column in Python floats
@@ -320,7 +313,7 @@ class _Batch:
         g += 1.0
         return g
 
-    def _march(self, states, energies, last, inward=False, record=None, store=None, count=True):
+    def _march(self, states, energies, last, inward=False, record=None, store=None):
         """Advance the ratio ``R[k] = y[k+1] / y[k]``, ``y = f w``, to march index ``last``.
 
         The recurrence ``f[k+1] w[k+1] = (12 - 10 f[k]) w[k] - f[k-1] w[k-1]``
@@ -334,17 +327,13 @@ class _Batch:
         indexed in march order.
 
         Inward the march returns the recorded ratios.  Outward it returns each
-        column's sign changes of ``w`` from march index 1 on, the recorded
-        ratios, and whether ``w`` is negative at march index ``record + 1``:
-        the sign of ``w[1]``, flipped once per sign change up to there.
-        Without ``count`` (a matching march) only that sign is kept.
-
-        A count stops where the three-term loop stopped (see ``_LOG_FREEZE``).
-        ``log |w|`` moves by the log of each block's ratio product, and is
-        followed row by row only in a column that starts or ends the block
-        within ``_LOG_MARGIN`` of the limit: ``|w|`` has no interior maximum
-        in a forbidden stretch, and in an allowed one tops both block ends by
-        that margin only if both lie within 1e-50 (relative) of a node.
+        column's node count from march index 1 on, the recorded ratios, and
+        whether ``w`` is negative at march index ``record + 1``.  A node is a
+        sign change of ``w`` between two mesh rows where ``f > 0`` on both:
+        where ``f <= 0`` the step aliases the growing exponential into
+        spurious sign changes.  The sign of ``w`` is that of ``w[1]``, flipped
+        at every sign change up to there, also where ``w = y / f`` changes
+        sign with ``f``.
         """
         n, columns = self.n, len(states)
         f_buf, u_buf = np.empty((_CHUNK + 1, columns)), np.empty((_CHUNK, columns))
@@ -355,11 +344,9 @@ class _Batch:
         if inward:
             ratio[0] = np.inf
         else:
-            turns, held = np.zeros(columns, dtype=np.int64), np.full(columns, -1)
-            offset = np.zeros(columns)
+            nodes, odd = np.zeros(columns, dtype=np.int64), np.zeros(columns, dtype=bool)
             w0, w1 = self._outward_start(states, energies)
             ratio[0] = self._f(states, energies, 1) * w1 / (self._f(states, energies, 0) * w0)
-            level = np.log(np.abs(w1))
             negative = w1 < 0.0
         if store is not None:
             store[:, 0] = ratio[0]
@@ -392,33 +379,20 @@ class _Batch:
                               where=np.arange(c0, c0 + steps) <= record[:, None])
                 if inward:
                     continue
-                flips = r < 0.0
-                if f.min() < 0.0:  # w = y / f also changes sign where f does
+                flips = counted = r < 0.0  # sign changes of y, and of w where f > 0
+                if f.min() <= 0.0:  # no node where f <= 0; w = y / f also changes sign with f
+                    positive = f > 0.0
+                    counted = flips & positive[:-1] & positive[1:]
                     f_negative = f < 0.0
-                    flips ^= f_negative[:-1]
-                    flips ^= f_negative[1:]
+                    flips = flips ^ f_negative[:-1] ^ f_negative[1:]
                 if record is not None:
                     upto = flips[:, sel] & (np.arange(steps)[:, None] <= at[sel])
-                    negative[sel] ^= (turns[sel] + np.count_nonzero(upto, axis=0)) % 2 == 1
-                if count:
-                    grown = level + np.log(np.abs(np.multiply.reduce(r, axis=0) * (f[0] / f[-1])))
-                    top = np.maximum(level, grown) - offset
-                    near = (held < 0) & ~(top <= _LOG_FREEZE - _LOG_MARGIN)
-                    for i in np.flatnonzero(near):
-                        # log |w| at march indices c0+1 .. c0+steps
-                        path = level[i] + np.cumsum(np.log(np.abs(r[:, i] * f[:-1, i] / f[1:, i])))
-                        grown[i] = path[-1]
-                        for j in np.flatnonzero(path - offset[i] > _LOG_FREEZE):
-                            if path[j] - offset[i] > _LOG_FREEZE:  # not back under after a rescale
-                                if f[j, i] < 0.95:
-                                    held[i] = turns[i] + np.count_nonzero(flips[: j + 1, i])
-                                    break
-                                offset[i] += _LOG_RESCALE
-                    level = grown
-                turns += np.count_nonzero(flips, axis=0)
+                    negative[sel] ^= odd[sel] ^ (np.count_nonzero(upto, axis=0) % 2 == 1)
+                    odd ^= np.count_nonzero(flips, axis=0) % 2 == 1
+                nodes += np.count_nonzero(counted, axis=0)
         if inward:
             return recorded
-        return np.where(held < 0, turns, held), recorded, negative
+        return nodes, recorded, negative
 
     def _outward_start(self, states, energies):
         # Two-term Frobenius start W = r^s (1 + beta r^2), i.e.
@@ -448,7 +422,7 @@ class _Batch:
         n = self.n
         if outward is None:
             _, ratio, negative = self._march(states, energies, int(m.max()), record=m - 1,
-                                             store=phi, count=False)
+                                             store=phi)
         else:
             ratio, negative = outward
         back = None if phi is None else phi[:, ::-1]

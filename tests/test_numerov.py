@@ -240,18 +240,22 @@ def _opposite(a, b):
 
 
 def scalar_count(f, w0, w1):
-    """Reference: the one-column node count loop the batched sweep replaced."""
+    """Reference: a one-column three-term loop counting the sign changes of
+    ``w`` between mesh rows where ``f > 0`` on both, rescaled to stay finite."""
     nodes, prev, cur = 0, w0, w1
     for i in range(1, len(f) - 1):
         nxt = ((12.0 - 10.0 * f[i]) * cur - f[i - 1] * prev) / f[i + 1]
-        if _opposite(nxt, cur if cur != 0.0 else prev):
+        if f[i] > 0.0 and f[i + 1] > 0.0 and _opposite(nxt, cur if cur != 0.0 else prev):
             nodes += 1
         prev, cur = cur, nxt
         if abs(cur) > 1e150:
-            if f[i] < 0.95:
-                break
             prev, cur = prev / 1e200, cur / 1e200
     return nodes
+
+
+def levels_below(energy, first, spacing):
+    """How many levels of the ladder ``first + k spacing`` lie below ``energy``."""
+    return max(0, math.ceil((energy - first) / spacing))
 
 
 def three_term_outward(f, c, w0, w1, m):
@@ -323,9 +327,9 @@ def sweep(problem, energies, m):
 
     The counts, ratios and signs must be the same bit for bit whether the
     march steps in Python floats or by ufunc calls, and the counts those of a
-    count-only sweep.  The mismatch from a count sweep's recorded outward
-    ratio must be, bit for bit, the one a shoot that marches outward itself
-    (a Brent round, which keeps no counts) gives.
+    sweep that records no ratio.  The mismatch from a count sweep's recorded
+    outward ratio must be, bit for bit, the one a shoot that marches outward
+    itself (a Brent round, which stops at the matching point) gives.
     """
     batch = numerov._Batch([problem])
     states = np.zeros(len(energies), dtype=np.intp)
@@ -341,6 +345,26 @@ def sweep(problem, energies, m):
     mismatch = batch.shoot(states, energies, matching, outward)
     assert np.array_equal(mismatch, batch.shoot(states, energies, matching))
     return counts, mismatch
+
+
+def tall_barrier(r):
+    return 0.5 * r * r + 1e6 * np.exp(-(((r - 1.0) / 0.3) ** 2))
+
+
+@functools.cache
+def tall_barrier_reference():
+    """Ground level of ``tall_barrier`` with c = 2 on [0, 12]: second-order finite
+    differences on uniform meshes of 20000 and 40000 intervals, Richardson-extrapolated."""
+    from scipy.linalg import eigh_tridiagonal
+
+    def level(intervals):
+        h = 12.0 / intervals
+        r = h * np.arange(1, intervals)
+        diagonal = 1.0 / (h * h) + 1.0 / (r * r) + tall_barrier(r)  # c / (2 r^2) = 1 / r^2
+        off = np.full(len(r) - 1, -0.5 / (h * h))
+        return eigh_tridiagonal(diagonal, off, select="i", select_range=(0, 0))[0][0]
+
+    return (4.0 * level(40000) - level(20000)) / 3.0
 
 
 def ufunc_steps(ratio, u):
@@ -379,7 +403,7 @@ class TestFloatSteps:
 
 class TestSweepKernel:
     def test_columns_match_scalar_loops_exactly(self):
-        # Node counts are the three-term loop's exactly, and the mismatch is
+        # Node counts are the reference loop's exactly, and the mismatch is
         # the ratio-form loops' operation for operation; it agrees to
         # round-off with the three-term loops run in decimal arithmetic.
         problem = oscillator_problem(6.0, n_points=2000)
@@ -393,28 +417,33 @@ class TestSweepKernel:
 
     def test_rescaled_columns_match_scalar_loops(self):
         # A stiff trap in a wide box drives w far past 1e150 (f < 0 at the
-        # wall): the counts must freeze where the step-by-step loop stops,
-        # and the ratio loop, which never rescales, agrees to round-off.
+        # wall): the rescaled reference loop counts no sign change where
+        # f <= 0, so each count is the number of levels 4n + 5 below E, and
+        # the ratio loop, which never rescales, agrees to round-off.
         problem = RadialProblem(lambda r: 2.0 * r * r, 2.0, 1.0, 1e-6, 20.0, n_points=2000)
         energies = np.linspace(1.0, 60.0, 12)
         for e, count, mismatch in zip(energies, *sweep(problem, energies, 1800)):
             f, w0, w1 = scalar_inputs(problem, e)
             assert min(f) < 0.0
-            assert count == scalar_count(f, w0, w1)
+            assert count == scalar_count(f, w0, w1) == levels_below(e, 5.0, 4.0)
             assert mismatch == ratio_mismatch(f, w0, w1, 1800)
             assert mismatch == pytest.approx(scalar_mismatch(f, w0, w1, 1800, Decimal),
                                              rel=1e-12, abs=1e-15)
 
-    def test_rescaled_then_frozen_counts_match_scalar_loop(self):
-        # On a fine mesh |w| passes 1e150 where f >= 0.95, so the loop rescales
-        # and goes on; a steep wall past r = 28 then turns f negative, and the
-        # loop counts aliased sign changes until |w| passes 1e150 again.
+    def test_steep_wall_counts_only_faithful_steps(self):
+        # On a fine mesh |w| passes 1e150 long before the wall, so the
+        # reference loop rescales; a steep wall past r = 28 then turns f
+        # negative, where steps alias into sign changes that are no nodes.
+        # The counts are the L = 1 levels 2.5, 4.5, ... below each energy.
         potential = lambda r: 0.5 * r * r + 1e5 * np.maximum(r - 28.0, 0.0) ** 2
         problem = RadialProblem(potential, 2.0, 1.0, 1e-6, 30.0, n_points=20000)
         energies = np.array([1.0, 6.0, 11.0])
-        for e, count, mismatch in zip(energies, *sweep(problem, energies, 15000)):
+        counts, mismatches = sweep(problem, energies, 15000)
+        assert counts.tolist() == [0, 2, 5]
+        for e, count, mismatch in zip(energies, counts, mismatches):
             f, w0, w1 = scalar_inputs(problem, e)
-            assert count == scalar_count(f, w0, w1) > 60
+            assert min(f) < 0.0
+            assert count == scalar_count(f, w0, w1)
             assert mismatch == ratio_mismatch(f, w0, w1, 15000)
 
     def test_sign_of_w_across_negative_f(self):
@@ -431,6 +460,15 @@ class TestSweepKernel:
             assert mismatch == ratio_mismatch(f, w0, w1, 1790)
             assert mismatch == pytest.approx(scalar_mismatch(f, w0, w1, 1790, Decimal),
                                              rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n_points", [2000, 8000])
+    def test_tall_barrier_level_matches_finite_differences(self, n_points):
+        # A barrier of 1e6 turns f negative over many mesh rows (to -11 at
+        # 2000 points), where steps alias into sign changes; counted as
+        # nodes, they leave no window with a node-count jump through 0.
+        problem = RadialProblem(tall_barrier, 2.0, 1.0, 1e-6, 12.0, n_points=n_points)
+        res = solve_eigen(problem, 0)
+        assert res.energy == pytest.approx(tall_barrier_reference(), abs=1e-6)
 
     @pytest.mark.parametrize("centrifugal, nodes", [(2.0, 1), (30.0, 4)])
     def test_rebuilt_outward_piece_matches_three_term_loop(self, centrifugal, nodes):
@@ -457,7 +495,7 @@ class TestSweepKernel:
     )
     def test_random_columns_match_scalar_loops(self, coef, centrifugal, r_max, n_points,
                                                energies, where):
-        # Counts over random traps, from gentle to stiff enough to freeze.
+        # Counts over random traps, from gentle to stiff enough that f < 0.
         problem = RadialProblem(lambda r: coef * r * r, centrifugal, 1.0, 1e-6, r_max,
                                 n_points=n_points)
         m = int(where * n_points)
