@@ -48,6 +48,7 @@ from .planar import (
     paul_spectrum,
     paul_susy_partner,
     paul_wavefunctions,
+    penning_energy,
     penning_frequencies,
     penning_spectrum,
     penning_state_count,
@@ -551,7 +552,7 @@ def _cmd_shells(args) -> int:
         counts = [paul_shell_count(e) for e in range(2, args.max_n + 3)]
     else:
         freqs = penning_frequencies(cfg.build_geometry())
-        ground = 0.5 * freqs.hbar * (freqs.hybrid + freqs.axial)
+        ground = penning_energy(freqs, 0, 0, 0)
         counts = [
             penning_state_count(freqs, ground + k * freqs.hbar * freqs.axial)
             for k in range(args.max_n + 1)

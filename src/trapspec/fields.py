@@ -566,7 +566,9 @@ def top_time_average_numeric(
 
     Composite Simpson over one period, starting at 256 panels and doubling
     until the average changes by less than ``tol`` relative.  Serves as the
-    independent check of :func:`top_time_avg_potential`.
+    independent check of :func:`top_time_avg_potential`.  It calls
+    :func:`top_field_series` by design, because what it checks is the
+    drive-period average, not the field.
     """
     _check_kind(scales, "top")
     period = 2.0 * math.pi / scales.bias_frequency

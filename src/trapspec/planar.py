@@ -29,6 +29,7 @@ of either spin are held).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -64,7 +65,8 @@ __all__ = [
 ]
 
 DRIVE_RATIO_FLOOR = 10.0
-MAGNETRON_CAP = 50  # default cap on (N+M)/2, the magnetron quantum number
+MAGNETRON_CAP = 50  # cap on (N+M)/2, the magnetron quantum number
+COUNT_LIMIT = 10**8  # most label-by-K level comparisons one Penning state count may make
 
 
 @dataclass(frozen=True)
@@ -193,13 +195,15 @@ def _paul_level(freqs: PaulFrequencies, n_radial, k_axial):
     return freqs.quantum * (n_radial + 2 * k_axial + 2)
 
 
-def _planar_labels(max_n: int, max_k: int):
+def _planar_labels(max_n: int, max_k: int, max_j: int | None = None):
     """Every ``(N, M, K)`` with ``N <= max_n`` and ``K <= max_k``, as int64 arrays.
 
     ``N`` ascends, ``M`` runs ``-N, -N + 2, ..., N`` within it and each
-    ``(N, M)`` pair is repeated over ``K = 0 .. max_k``.
+    ``(N, M)`` pair is repeated over ``K = 0 .. max_k``.  Given ``max_j``,
+    only the pairs with ``(N+M)/2 <= max_j`` are built: ``M`` then stops at
+    ``2 max_j - N``.
     """
-    counts = np.arange(1, max_n + 2)  # N + 1 values of M at each N
+    counts = np.minimum(np.arange(max_n + 1), max_n if max_j is None else max_j) + 1  # Ms at each N
     n = np.repeat(np.arange(max_n + 1), counts)
     m = 2 * (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts)) - n
     return np.repeat(n, max_k + 1), np.repeat(m, max_k + 1), np.tile(np.arange(max_k + 1), len(n))
@@ -402,29 +406,25 @@ def penning_frequencies(params: PenningParams, hbar: float = HBAR) -> PenningFre
     )
 
 
-def _check_magnetron(n_radial: int, m_azimuthal: int, cap: int) -> None:
-    integer("magnetron_cap", cap, 0)
-    if (n_radial + m_azimuthal) // 2 > cap:
+def _check_magnetron(n_radial: int, m_azimuthal: int) -> None:
+    if (n_radial + m_azimuthal) // 2 > MAGNETRON_CAP:
         raise DomainError(
-            f"(N+M)/2 = {(n_radial + m_azimuthal) // 2} exceeds the magnetron cap {cap}: "
-            "such states ride the unstable drift mode too hard to be meaningful"
+            f"(N+M)/2 = {(n_radial + m_azimuthal) // 2} exceeds the magnetron cap "
+            f"{MAGNETRON_CAP}: such states ride the unstable drift mode too hard to be meaningful"
         )
 
 
 def penning_energy(
-    freqs: PenningFrequencies,
-    n_radial: int,
-    k_axial: int,
-    m_azimuthal: int,
-    magnetron_cap: int = MAGNETRON_CAP,
+    freqs: PenningFrequencies, n_radial: int, k_axial: int, m_azimuthal: int
 ) -> float:
     """Level energy ``hbar (Omega N + 2 w_z K - w_c M + Omega + w_z)/2``.
 
     Energies decrease without bound as M grows at fixed N - |M| (magnetron
-    drift), so labels beyond the cap are rejected rather than reported.
+    drift), so a label with ``(N+M)/2`` above :data:`MAGNETRON_CAP` (50)
+    raises :class:`DomainError` rather than report a level.
     """
     validate_planar_numbers(n_radial, m_azimuthal, k_axial)
-    _check_magnetron(n_radial, m_azimuthal, magnetron_cap)
+    _check_magnetron(n_radial, m_azimuthal)
     return _penning_level(freqs, n_radial, k_axial, m_azimuthal)
 
 
@@ -440,14 +440,10 @@ def _penning_level(freqs: PenningFrequencies, n_radial, k_axial, m_azimuthal):
 
 
 def penning_wavefunction(
-    freqs: PenningFrequencies,
-    n_radial: int,
-    k_axial: int,
-    m_azimuthal: int,
-    magnetron_cap: int = MAGNETRON_CAP,
+    freqs: PenningFrequencies, n_radial: int, k_axial: int, m_azimuthal: int
 ) -> PlanarState:
     """Eigenstate ``(N, K, M)`` of the stable Penning hamiltonian."""
-    energy = penning_energy(freqs, n_radial, k_axial, m_azimuthal, magnetron_cap)
+    energy = penning_energy(freqs, n_radial, k_axial, m_azimuthal)
     return _planar_state(freqs, n_radial, m_azimuthal, k_axial, energy)
 
 
@@ -456,12 +452,12 @@ def penning_spectrum(freqs: PenningFrequencies, max_n: int, max_k: int):
 
     Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
     is bit for bit :func:`penning_energy` of its labels.  A ``max_n`` past
-    the default magnetron cap raises its error for the first label past it
-    in ``(N, M)`` order, ``N = M = cap + 1``, before any array is built.
+    the magnetron cap raises its error for the first label past it in
+    ``(N, M)`` order, ``N = M = cap + 1``, before any array is built.
     """
     max_n = integer("max_n", max_n, 0)
     top = min(max_n, MAGNETRON_CAP + 1)
-    _check_magnetron(top, top, MAGNETRON_CAP)
+    _check_magnetron(top, top)
     n, m, k = _planar_labels(max_n, integer("max_k", max_k, 0))
     with np.errstate(over="ignore", invalid="ignore"):  # as in floats: inf or nan levels
         return _by_energy(n, m, k, _penning_level(freqs, n, k, m))
@@ -478,44 +474,34 @@ def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PartnerPair:
     return _tower_pair(abs_m, freqs.radial_scales)
 
 
-def penning_state_count(
-    freqs: PenningFrequencies, energy_cap: float, magnetron_cap: int = MAGNETRON_CAP
-) -> int:
-    """Spin-1/2 Penning states with ``E <= energy_cap``, by enumeration.
+def penning_state_count(freqs: PenningFrequencies, energy_cap: float) -> int:
+    """Spin-1/2 Penning states with ``E <= energy_cap`` and ``(N+M)/2 <= 50``, by enumeration.
 
     No closed shell formula exists — the count depends on the frequency
-    tuning — and the magnetron cap is what keeps the count finite at all,
-    since energies decrease without bound along the drift ladder.
+    tuning — and the magnetron cap :data:`MAGNETRON_CAP` is what keeps the
+    count finite at all, since energies decrease without bound along the
+    drift ladder.  Each label is compared at the level :func:`penning_energy`
+    returns.  An ``energy_cap`` that would take more than
+    :data:`COUNT_LIMIT` label-by-K comparisons raises :class:`DomainError`
+    before any array is built.
     """
-    integer("magnetron_cap", magnetron_cap, 0)
     finite("energy_cap", energy_cap)
-    base = 0.5 * freqs.hbar * (freqs.hybrid + freqs.axial)
-    axial_step = freqs.hbar * freqs.axial
-    count = 0
-    k = 0
-    while True:
-        # cheapest state at this K sits at the magnetron cap (N = M = cap)
-        cheapest = base + axial_step * k + 0.5 * freqs.hbar * magnetron_cap * (
-            freqs.hybrid - freqs.cyclotron
+    cap = MAGNETRON_CAP
+    ground = _penning_level(freqs, 0, 0, 0)
+    cheapest = _penning_level(freqs, cap, 0, cap)  # N = M = cap, K = 0
+    # N <= 2 cap where M >= 0; where M < 0 every level is at least ground + hbar Omega N/2.
+    max_n = max(2.0 * cap, (energy_cap - ground) / (0.5 * freqs.hbar * freqs.hybrid) + 1.0)
+    labels = (cap + 1) * (max_n + 1.0 - 0.5 * cap)  # pairs with N <= max_n, (N+M)/2 <= cap
+    k_values = (energy_cap - cheapest) / (freqs.hbar * freqs.axial) + 1.0
+    if not labels * k_values <= COUNT_LIMIT:  # also catches inf and nan
+        raise DomainError(
+            f"energy_cap {energy_cap!r} is too large to count under: it takes more than "
+            f"{COUNT_LIMIT:.0e} level comparisons"
         )
-        if cheapest > energy_cap:
-            break
-        for m in range(-_m_floor(freqs, energy_cap, k), int(magnetron_cap) + 1):
-            n = abs(m)
-            # energy is strictly increasing in N at fixed (M, K)
-            while (n + m) // 2 <= magnetron_cap:
-                if penning_energy(freqs, n, k, m, magnetron_cap) > energy_cap:
-                    break
-                count += 2
-                n += 2
-        k += 1
-    return count
-
-
-def _m_floor(freqs: PenningFrequencies, energy_cap: float, k_axial: int) -> int:
-    """Most negative M worth scanning: E(N=|M|) grows like (Omega+w_c)|M|/2."""
-    base = 0.5 * freqs.hbar * (freqs.hybrid + freqs.axial) + freqs.hbar * freqs.axial * k_axial
-    slope = 0.5 * freqs.hbar * (freqs.hybrid + freqs.cyclotron)
-    if energy_cap <= base:
-        return 0
-    return int(math.ceil((energy_cap - base) / slope)) + 1
+    n, m, _ = _planar_labels(int(max_n), 0, cap)
+    count = 0
+    for k in itertools.count():  # levels rise with K, so stop at the first K with none
+        below = int(np.count_nonzero(_penning_level(freqs, n, k, m) <= energy_cap))
+        if below == 0:
+            return 2 * count
+        count += below

@@ -48,6 +48,42 @@ def test_check_sees_unused_and_used_names():
     assert unused_imports(source) == ["line 1: math", "line 3: path"]
 
 
+def package_imports(source: str) -> set[str]:
+    """The trapspec modules a source imports, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(
+                a.name.split(".")[1] for a in node.names if a.name.startswith("trapspec.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "trapspec":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import module
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_numerov_imports_only_errors_from_the_package():
+    # The shooting solver and quadrature are the oracle of every closed form,
+    # so they may share none of the closed forms' code.
+    source = (ROOT / "src" / "trapspec" / "numerov.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"errors"}
+
+
+def test_import_check_sees_a_closed_form_module():
+    source = (
+        "import numpy as np\nfrom .errors import finite\nfrom .oscillator3d import tower_state\n"
+        "from . import special\nimport trapspec.susy\nfrom trapspec.planar import paul_energy\n"
+    )
+    assert package_imports(source) == {"errors", "oscillator3d", "special", "susy", "planar"}
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported where the quadrature runs; importing the package and
     # its command line must not pay for it.

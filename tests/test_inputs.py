@@ -110,11 +110,9 @@ CASES = [
     (paul_wavefunctions, dict(freqs=PAUL, n_radial=3, m_azimuthal=-1, k_axial=2),
      {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
     (penning_energy, dict(freqs=PENNING, n_radial=3, k_axial=2, m_azimuthal=-1),
-     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL),
-      "magnetron_cap": ("magnetron_cap", LABEL)}),
+     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
     (penning_wavefunction, dict(freqs=PENNING, n_radial=3, k_axial=2, m_azimuthal=-1),
-     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL),
-      "magnetron_cap": ("magnetron_cap", LABEL)}),
+     {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
     (paul_spectrum, dict(freqs=PAUL, max_n=3, max_k=2),
      {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
     (penning_spectrum, dict(freqs=PENNING, max_n=3, max_k=2),
@@ -123,8 +121,8 @@ CASES = [
     (penning_susy_partner, dict(freqs=PENNING, abs_m=1), {"abs_m": ("|M|", LABEL)}),
     (paul_shell_count, dict(e_tilde=6), {"e_tilde": ("scaled energy", (*LABEL, 1))}),
     (paul_related_systems, dict(count=4), {"count": ("count", (*LABEL, 0))}),
-    (penning_state_count, dict(freqs=PENNING, energy_cap=6.0, magnetron_cap=3),
-     {"magnetron_cap": ("magnetron_cap", LABEL), "energy_cap": ("energy_cap", NON_FINITE)}),
+    (penning_state_count, dict(freqs=PENNING, energy_cap=6.0),
+     {"energy_cap": ("energy_cap", NON_FINITE)}),
     (PaulParams, dict(voltage=5.0, size=1e-3, drive=1.2e8, charge=1.6e-19, mass=6.6e-26),
      {"voltage": ("voltage", SIGNED), "size": ("size", SCALE), "drive": ("drive", SCALE),
       "charge": ("charge", SIGNED), "mass": ("mass", SCALE)}),

@@ -1,6 +1,8 @@
 """Tests for the driven-quadrupole and crossed-field planar trap models."""
 
 import math
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -525,8 +527,6 @@ class TestPenningEnergies:
 
     def test_magnetron_cap(self):
         with pytest.raises(DomainError):
-            penning_energy(PENNING, 12, 0, 12, magnetron_cap=5)
-        with pytest.raises(DomainError):
             penning_energy(PENNING, 102, 0, 102)
 
     def test_level_injectivity(self):
@@ -654,19 +654,31 @@ class TestPenningCounting:
         return count
 
     def test_matches_enumeration(self):
-        for cap in (3.0, 5.5, 8.2):
-            got = penning_state_count(PENNING, cap, magnetron_cap=6)
-            want = self.brute_count(PENNING, cap, 6)
-            assert got == want
-
-    def test_cap_validation(self):
-        with pytest.raises(DomainError):
-            penning_state_count(PENNING, 5.0, magnetron_cap=-1)
+        # w_c = 2 w_z: each cap ground + k hbar w_z sits exactly on the level (0, k, 0).
+        tied = TestSpectrumArrays.TIED
+        ground = penning_energy(tied, 0, 0, 0)
+        cases = [(PENNING, cap) for cap in (3.0, 5.5, 8.2)]
+        cases += [(tied, ground + k * tied.hbar * tied.axial) for k in (0, 1, 4, 9)]
+        for freqs, cap in cases:
+            got = penning_state_count(freqs, cap)
+            assert type(got) is int and got == self.brute_count(freqs, cap, MAGNETRON_CAP)
 
     def test_count_grows_with_cap(self):
-        counts = [
-            penning_state_count(PENNING, cap, magnetron_cap=4)
-            for cap in (2.0, 4.0, 6.0, 8.0)
-        ]
+        counts = [penning_state_count(PENNING, cap) for cap in (2.0, 4.0, 6.0, 8.0)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] > counts[0]
+
+    @pytest.mark.parametrize("freqs, energy_cap", [
+        (PENNING, 1e6),
+        (PENNING, 1e300),
+        (PENNING, sys.float_info.max),
+        (PenningFrequencies(axial=1e-9, cyclotron=1.0, mass=1.0, hbar=1.0), 2.0),
+    ], ids=["1e6", "1e300", "float-max", "slow-axial"])
+    def test_cap_too_large_to_enumerate(self, freqs, energy_cap):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"^energy_cap "):
+            penning_state_count(freqs, energy_cap)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_below_every_level(self):
+        assert penning_state_count(PENNING, -sys.float_info.max) == 0
