@@ -230,11 +230,14 @@ class _Magnetic:
             ]
         return rows
 
-    def field(self, points, t, oracle: bool):
-        """The series field at ``points`` and time ``t``, or the conductor-level sum."""
+    def fields(self, points, times, oracle: bool):
+        """The series field at ``points`` for each of ``times``, or the conductor-level sum.
+
+        Rows run over the points of the first time, then of the next.
+        """
         if not oracle:
-            return self.series(*points.T, t)
-        return biot_savart_field(self.assembly(t), points)
+            return np.vstack([self.series(*points.T, t) for t in times])
+        return biot_savart_field(tuple(self.assembly(t) for t in times), points).reshape(-1, 3)
 
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         osc = self.oscillator
@@ -410,7 +413,7 @@ def _cmd_field_map(args) -> int:
         axis = np.linspace(-half, half, args.points)
         xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
         points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-        fields = np.vstack([trap.field(points, t, args.oracle) for t in times])
+        fields = trap.fields(points, times, args.oracle)
     if not (np.isfinite(points).all() and np.isfinite(fields).all()):
         raise DomainError(f"--extent-fraction {args.extent_fraction:g} gives non-finite "
                           "field-map coordinates or fields")
@@ -553,10 +556,8 @@ def _cmd_shells(args) -> int:
     else:
         freqs = penning_frequencies(cfg.build_geometry())
         ground = penning_energy(freqs, 0, 0, 0)
-        counts = [
-            penning_state_count(freqs, ground + k * freqs.hbar * freqs.axial)
-            for k in range(args.max_n + 1)
-        ]
+        caps = ground + np.arange(args.max_n + 1) * freqs.hbar * freqs.axial
+        counts = penning_state_count(freqs, caps).tolist()
     print(",".join(str(c) for c in counts))
     return 0
 

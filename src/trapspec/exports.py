@@ -76,9 +76,14 @@ def csv_text(header, *columns) -> str:
                     slow = float_cells(a, cells)
                 else:
                     slow = np.arange(len(a))
-                printed = ["%.17g" % (v,) for v in a[slow].tolist()]
+                values = a[slow]
+                printed = ["%.17g" % (v,) for v in values.tolist()]
                 cells[slow] = _words(np.array(printed, dtype="S32"))
-                bad += [(i, j, s) for i, s in zip(slow, printed) if s in _NON_FINITE]
+                # "%g" prints float(v): a cell prints nan or inf where that is non-finite.
+                with np.errstate(over="ignore"):
+                    off = np.flatnonzero(~np.isfinite(values.astype(np.float64)))
+                if off.size:
+                    bad.append((slow[off[0]], j, printed[off[0]]))
             cells[:, 3] |= np.uint64(ord("\n" if j == len(arrays) - 1 else ",") << 56)
         if bad:
             i, j, s = min(bad)

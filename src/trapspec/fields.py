@@ -346,6 +346,8 @@ _CLEARANCE = 1e-9
 # split (its panel sum stays one numpy mean, as when it is evaluated alone),
 # so above this many panels a block holds a single point.
 _BLOCK_PAIRS = 1 << 16
+# Rows per chunk of points, which bounds the loop fields held for the sums.
+_CHUNK_ROWS = 4096
 
 
 def _rows(points) -> np.ndarray:
@@ -391,9 +393,10 @@ class CircularLoop:
         dist = np.hypot(radial - self.radius, np.vecdot(p, n))
         return dist.reshape(np.shape(points)[:-1])[()]
 
-    def _integral(self, p: np.ndarray, n_panels: int) -> np.ndarray:
-        # Trapezoid sum of the Biot-Savart integrand over n_panels, for every
-        # row of p, in blocks of at most _BLOCK_PAIRS (point, panel) pairs.
+    def _mean(self, p: np.ndarray, n_panels: int) -> np.ndarray:
+        # Current-free mean of the Biot-Savart integrand over n_panels panels,
+        # for every row of p, in blocks of at most _BLOCK_PAIRS (point, panel)
+        # pairs.  A row's mean does not depend on the other rows of its block.
         e1, e2, _ = self._frame
         theta = np.linspace(0.0, 2.0 * math.pi, n_panels, endpoint=False)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -405,8 +408,7 @@ class CircularLoop:
             sep = p[lo:lo + step, None, :] - pts
             dist = np.linalg.norm(sep, axis=2)
             mean[lo:lo + step] = (np.cross(dl, sep) / dist[..., None] ** 3).mean(axis=1)
-        pref = MU0 * self.current / (4.0 * math.pi)
-        return pref * mean * 2.0 * math.pi
+        return mean
 
     def field(self, points) -> np.ndarray:
         """Biot-Savart line integral by periodic-trapezoid panel doubling.
@@ -417,27 +419,46 @@ class CircularLoop:
         still moving go on to the next doubling.  A point still moving at
         2**20 panels raises AccuracyError.
         """
-        p = _rows(points)
-        out = np.empty_like(p)
-        floor = max(_LOOP_RTOL, 5e-16)
-        active = np.arange(len(p))
-        prev = self._integral(p, 64)
-        prev_diff = np.full(len(p), math.inf)
+        return _loop_fields((self,), _rows(points))[0].reshape(np.shape(points))
+
+
+def _loop_fields(loops, p: np.ndarray) -> list[np.ndarray]:
+    """Each loop's field at every row of ``p``, as :meth:`CircularLoop.field` describes.
+
+    Loops with one center, axis and radius share each doubling's panel mean,
+    taken over the points still moving for any of them; each loop scales its
+    rows by its own current and keeps its own stop test.
+    """
+    out = [np.empty_like(p) for _ in loops]
+    groups = {}
+    for i, loop in enumerate(loops):
+        groups.setdefault((tuple(loop.center), loop.axis, loop.radius), []).append(i)
+    floor = max(_LOOP_RTOL, 5e-16)
+    for members in groups.values():
+        coil = loops[members[0]]
+        prefs = [MU0 * loops[i].current / (4.0 * math.pi) for i in members]
+        mean = coil._mean(p, 64)
+        prev = [pref * mean * 2.0 * math.pi for pref in prefs]
+        active = [np.arange(len(p))] * len(members)
+        prev_diff = [np.full(len(p), math.inf)] * len(members)
         n_panels = 128
-        while n_panels <= 1 << 20:
-            cur = self._integral(p[active], n_panels)
-            scale = np.max(np.abs(cur), axis=1) + 1e-300
-            diff = np.max(np.abs(cur - prev), axis=1) / scale
-            done = (diff <= floor) | ((diff >= prev_diff) & (diff <= 1e-10))
-            out[active[done]] = cur[done]
-            moving = ~done
-            active, prev, prev_diff = active[moving], cur[moving], diff[moving]
-            if active.size == 0:
-                return out.reshape(np.shape(points))
+        while any(rows.size for rows in active):
+            if n_panels > 1 << 20:
+                raise AccuracyError(
+                    f"loop field quadrature did not reach rtol {_LOOP_RTOL:g} by {1 << 20} panels"
+                )
+            union = np.flatnonzero(np.bincount(np.concatenate(active), minlength=len(p)))
+            mean = coil._mean(p[union], n_panels)
+            for j, i in enumerate(members):
+                cur = prefs[j] * mean[np.searchsorted(union, active[j])] * 2.0 * math.pi
+                scale = np.max(np.abs(cur), axis=1) + 1e-300
+                diff = np.max(np.abs(cur - prev[j]), axis=1) / scale
+                done = (diff <= floor) | ((diff >= prev_diff[j]) & (diff <= 1e-10))
+                out[i][active[j][done]] = cur[done]
+                moving = ~done
+                active[j], prev[j], prev_diff[j] = active[j][moving], cur[moving], diff[moving]
             n_panels *= 2
-        raise AccuracyError(
-            f"loop field quadrature did not reach rtol {_LOOP_RTOL:g} by {1 << 20} panels"
-        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -526,32 +547,46 @@ class TrapAssembly:
         return cls(loops=tuple(loops))
 
 
-def biot_savart_field(assembly: TrapAssembly, points) -> np.ndarray:
+def biot_savart_field(assembly: TrapAssembly | tuple[TrapAssembly, ...], points) -> np.ndarray:
     """Total field of the assembly by direct summation, at one point or many.
 
     ``points`` is one point of shape (3,) or an (n, 3) array; the result has
     the same shape.  Each conductor handles all the points at once, and the
     conductors are summed in order (loops, then wires), so every row equals
-    the field of that point evaluated alone.
+    the field of that point evaluated alone.  A tuple of assemblies (say,
+    the snapshots of a TOP drive) gives a result with a leading snapshot
+    axis, each slice equal to that snapshot's own call; loops of one
+    geometry share their panel means across the snapshots.
 
     Raises SingularityError, naming the first such point, when a point lies
     within ``_CLEARANCE`` (1e-9 m) of any conductor, where the line-current
-    model diverges.
+    model diverges.  Every snapshot is checked, in order, before any field
+    is computed.
     """
+    stacked = isinstance(assembly, tuple)
+    snapshots = assembly if stacked else (assembly,)
     p = _rows(points)
-    conductors = (*assembly.loops, *assembly.wires)
-    near = np.zeros(len(p), dtype=bool)
-    for conductor in conductors:
-        near |= conductor.min_distance(p) < _CLEARANCE
-    if near.any():
-        raise SingularityError(
-            f"evaluation point {p[np.argmax(near)].tolist()} is within {_CLEARANCE:g} m "
-            "of a conductor"
-        )
-    total = np.zeros_like(p)
-    for conductor in conductors:
-        total += conductor.field(p)
-    return total.reshape(np.shape(points))
+    for snapshot in snapshots:
+        near = np.zeros(len(p), dtype=bool)
+        for conductor in (*snapshot.loops, *snapshot.wires):
+            near |= conductor.min_distance(p) < _CLEARANCE
+        if near.any():
+            raise SingularityError(
+                f"evaluation point {p[np.argmax(near)].tolist()} is within {_CLEARANCE:g} m "
+                "of a conductor"
+            )
+    loops = [loop for snapshot in snapshots for loop in snapshot.loops]
+    totals = np.zeros((len(snapshots), *p.shape))
+    for lo in range(0, len(p), _CHUNK_ROWS):
+        rows = p[lo:lo + _CHUNK_ROWS]
+        loop_fields = iter(_loop_fields(loops, rows))
+        for snapshot, total in zip(snapshots, totals[:, lo:lo + _CHUNK_ROWS]):
+            for _ in snapshot.loops:
+                total += next(loop_fields)
+            for wire in snapshot.wires:
+                total += wire.field(rows)
+    shape = np.shape(points)
+    return totals.reshape((len(snapshots), *shape) if stacked else shape)
 
 
 def top_time_average_numeric(

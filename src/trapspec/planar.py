@@ -474,34 +474,44 @@ def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PartnerPair:
     return _tower_pair(abs_m, freqs.radial_scales)
 
 
-def penning_state_count(freqs: PenningFrequencies, energy_cap: float) -> int:
+def penning_state_count(
+    freqs: PenningFrequencies, energy_cap: float | np.ndarray
+) -> int | np.ndarray:
     """Spin-1/2 Penning states with ``E <= energy_cap`` and ``(N+M)/2 <= 50``, by enumeration.
 
     No closed shell formula exists — the count depends on the frequency
     tuning — and the magnetron cap :data:`MAGNETRON_CAP` is what keeps the
     count finite at all, since energies decrease without bound along the
     drift ladder.  Each label is compared at the level :func:`penning_energy`
-    returns.  An ``energy_cap`` that would take more than
-    :data:`COUNT_LIMIT` label-by-K comparisons raises :class:`DomainError`
-    before any array is built.
+    returns.  ``energy_cap`` is one cap, counted as an ``int``, or a 1-D
+    array of caps, counted in one pass as an int64 array.  A largest cap
+    that would take more than :data:`COUNT_LIMIT` label-by-K comparisons
+    raises :class:`DomainError` before any array is built.
     """
-    finite("energy_cap", energy_cap)
+    caps = np.asarray(energy_cap, dtype=float)
+    if caps.ndim > 1:
+        raise DomainError(
+            f"energy_cap must be one cap or a 1-D array of caps, got shape {caps.shape}"
+        )
+    for value in caps.ravel().tolist():
+        finite("energy_cap", value)
+    top = float(caps.max(initial=-math.inf))
     cap = MAGNETRON_CAP
     ground = _penning_level(freqs, 0, 0, 0)
     cheapest = _penning_level(freqs, cap, 0, cap)  # N = M = cap, K = 0
     # N <= 2 cap where M >= 0; where M < 0 every level is at least ground + hbar Omega N/2.
-    max_n = max(2.0 * cap, (energy_cap - ground) / (0.5 * freqs.hbar * freqs.hybrid) + 1.0)
+    max_n = max(2.0 * cap, (top - ground) / (0.5 * freqs.hbar * freqs.hybrid) + 1.0)
     labels = (cap + 1) * (max_n + 1.0 - 0.5 * cap)  # pairs with N <= max_n, (N+M)/2 <= cap
-    k_values = (energy_cap - cheapest) / (freqs.hbar * freqs.axial) + 1.0
+    k_values = (top - cheapest) / (freqs.hbar * freqs.axial) + 1.0
     if not labels * k_values <= COUNT_LIMIT:  # also catches inf and nan
         raise DomainError(
-            f"energy_cap {energy_cap!r} is too large to count under: it takes more than "
+            f"energy_cap {top!r} is too large to count under: it takes more than "
             f"{COUNT_LIMIT:.0e} level comparisons"
         )
     n, m, _ = _planar_labels(int(max_n), 0, cap)
-    count = 0
+    counts = np.zeros(caps.shape, dtype=np.int64)
     for k in itertools.count():  # levels rise with K, so stop at the first K with none
-        below = int(np.count_nonzero(_penning_level(freqs, n, k, m) <= energy_cap))
-        if below == 0:
-            return 2 * count
-        count += below
+        levels = np.sort(_penning_level(freqs, n, k, m))
+        if not levels[0] <= top:
+            return 2 * counts if caps.ndim else 2 * int(counts)
+        counts += np.searchsorted(levels, caps, side="right")

@@ -1,5 +1,6 @@
 """Tests for trap fields: series expansions, conductor oracle, tuning."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -607,6 +608,86 @@ class TestBatchedOracle:
         for bad in ((1.0, 2.0), np.zeros((2, 4)), np.zeros((2, 2, 3))):
             with pytest.raises(DomainError):
                 biot_savart_field(asm, bad)
+
+
+class TestSnapshotOracle:
+    """A tuple of assemblies gives, slice by slice, each snapshot's own call."""
+
+    @staticmethod
+    def top_snapshots(samples):
+        g = tuned_top_geometry()
+        period = 2.0 * math.pi / g.bias_frequency
+        return g, tuple(TrapAssembly.top(g, t) for t in np.arange(samples) * period / samples)
+
+    def test_top_drive_matches_one_snapshot_calls(self):
+        g, snapshots = self.top_snapshots(8)
+        quad, bias = snapshots[1].loops[0], snapshots[1].loops[2]
+        points = np.vstack([
+            cube_grid(0.05 * top_scales(g).length, 3),
+            points_near_wire(quad, [0.4, 2.0], [-1.5, -3.0], [0.5, 2.5]),
+            points_near_wire(bias, [1.0, 3.0], [-2.0, -3.2], [1.0, 2.0]),
+        ])
+        # Near a coil, its loop needs far more panels than the others.
+        assert len({scalar_loop_field(loop, points[-1])[1] for loop in snapshots[1].loops}) > 1
+        b = biot_savart_field(snapshots, points)
+        assert b.shape == (8, len(points), 3)
+        assert np.array_equal(b, np.stack([biot_savart_field(s, points) for s in snapshots]))
+
+    def test_zero_time_snapshot_skips_the_idle_bias_pair(self):
+        _, snapshots = self.top_snapshots(4)
+        assert [len(s.loops) for s in snapshots] == [4, 6, 6, 6]
+        points = cube_grid(0.004, 3)
+        for pair in (snapshots[:2], snapshots[1::-1]):
+            want = np.stack([biot_savart_field(s, points) for s in pair])
+            assert np.array_equal(biot_savart_field(pair, points), want)
+
+    def test_one_loop_fields_of_mixed_stop_levels(self):
+        # One geometry, three currents: the 1e-300 A loop stops earlier than
+        # the 3 A one (its field is near the 1e-300 scale floor), and the
+        # zero-current loop stops at once, so the shared doublings run over
+        # unions of different point sets.
+        log_distances = np.random.default_rng(3).permutation(np.linspace(-3.4, -1.0, 12))
+        points = points_near_wire(TILTED, np.linspace(0.0, 6.0, 12), log_distances,
+                                  np.linspace(0.0, 3.0, 12))
+        loops = [dataclasses.replace(TILTED, current=c) for c in (3.0, 1e-300, 0.0)]
+        levels = [[scalar_loop_field(loop, p)[1] for p in points] for loop in loops[:2]]
+        assert levels[0] != levels[1]
+        want = np.stack([loop.field(points) for loop in loops])
+        assert np.array_equal(want[0], np.array([scalar_loop_field(TILTED, p)[0] for p in points]))
+        snapshots = tuple(TrapAssembly(loops=(loop,)) for loop in loops)
+        assert np.array_equal(biot_savart_field(snapshots, points), want)
+        assert np.array_equal(biot_savart_field(snapshots, points[2]), want[:, 2])
+
+    def test_small_chunks_match_one_chunk(self, monkeypatch):
+        _, snapshots = self.top_snapshots(3)
+        points = cube_grid(0.004, 4)
+        want = biot_savart_field(snapshots, points)
+        monkeypatch.setattr(fields, "_CHUNK_ROWS", 7)
+        assert np.array_equal(biot_savart_field(snapshots, points), want)
+
+    def test_singularity_names_the_first_point_of_the_first_snapshot(self, monkeypatch):
+        # At t = 0 the y bias pair is idle, so only the point on an x bias
+        # wire is too close; a quarter period later both are.
+        _, snapshots = self.top_snapshots(4)
+        x_bias, y_bias = snapshots[1].loops[2], snapshots[1].loops[4]
+        points = np.vstack([
+            [[0.001, 0.0, 0.0]],
+            points_near_wire(y_bias, [1.0], [-12.0], [0.0]),
+            points_near_wire(x_bias, [2.0], [-12.0], [0.0]),
+        ])
+
+        def message(assembly):
+            with pytest.raises(SingularityError) as caught:
+                biot_savart_field(assembly, points)
+            return str(caught.value)
+
+        assert f"point {points[2].tolist()} " in message(snapshots[0])
+        assert f"point {points[1].tolist()} " in message(snapshots[1])
+        # Every snapshot is checked, in order, before any field is computed.
+        monkeypatch.setattr(fields, "_loop_fields", None)
+        assert message(snapshots) == message(snapshots[0])
+        assert message(snapshots[1:]) == message(snapshots[1])
+        assert message(snapshots[:1] + snapshots[2:]) == message(snapshots[0])
 
 
 class TestOscillatorScalesFromTrap:

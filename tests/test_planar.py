@@ -682,3 +682,22 @@ class TestPenningCounting:
 
     def test_cap_below_every_level(self):
         assert penning_state_count(PENNING, -sys.float_info.max) == 0
+
+    def test_array_of_caps_matches_one_cap_calls(self):
+        rng = np.random.default_rng(11)
+        for freqs in (PENNING, TestSpectrumArrays.TIED):
+            ground = penning_energy(freqs, 0, 0, 0)
+            caps = ground + np.arange(41) * freqs.hbar * freqs.axial  # as the shells command
+            caps = np.concatenate([caps, rng.uniform(ground - 1.0, caps[-1], 8), [-1e300]])
+            got = penning_state_count(freqs, caps)
+            assert got.dtype == np.int64
+            assert got.tolist() == [penning_state_count(freqs, float(cap)) for cap in caps]
+        assert penning_state_count(PENNING, np.empty(0)).shape == (0,)
+
+    def test_array_of_caps_checks_every_cap(self):
+        with pytest.raises(DomainError, match=r"^energy_cap must be finite, got nan$"):
+            penning_state_count(PENNING, [3.0, math.nan, 4.0])
+        with pytest.raises(DomainError, match=r"^energy_cap 1e\+300 is too large"):
+            penning_state_count(PENNING, [3.0, 1e300])
+        with pytest.raises(DomainError, match=r"^energy_cap must be one cap or a 1-D array"):
+            penning_state_count(PENNING, [[3.0]])
