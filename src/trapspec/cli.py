@@ -3,7 +3,7 @@
 Every command reads a JSON run configuration (where one is needed), prints
 a deterministic report to stdout, and optionally writes CSV/JSON artifacts
 atomically.  Exit codes: 0 success, 2 configuration error, 3 validation
-failure, 4 oracle non-convergence.
+failure (or a table too large to allocate), 4 oracle non-convergence.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .planar import (
     penning_susy_partner,
     penning_wavefunction,
 )
-from .susy import partner_pair, superpotential, tower_potential
+from .susy import partner_pair, tower_potential
 from .verification import SUITE_ORDER, run_suite, tolerance_scale
 
 # An Ioffe-Pritchard or TOP potential is only a single isotropic oscillator
@@ -259,7 +259,7 @@ class _Magnetic:
 
     def partner(self, tower: int):
         osc = self.oscillator
-        return partner_pair(superpotential(tower, osc.r0), osc)
+        return partner_pair(tower, osc)
 
 
 class _IoffePritchard(_Magnetic):
@@ -483,12 +483,13 @@ def _cmd_susy(args) -> int:
     plus_pot = tower_potential(lam, pair.scales, quantum * (lam + 1.5))
     minus_pot = tower_potential(lam + 1.0, pair.scales, quantum * (lam + 0.5))
     removed = tower + 2 * i0
-    spectrum_rows = [
-        (
-            removed + 2 * j,
-            pair.plus_spectrum(lam + 2 * j),
-            None if j == 0 else pair.minus_spectrum(lam + 2 * j),
-        )
+    unit = quantum if natural else 1.0  # x / 1.0 is x exactly
+    spectrum = [
+        {
+            "level": removed + 2 * j,
+            "plus": pair.plus_spectrum(lam + 2 * j) / unit,
+            "minus": None if j == 0 else pair.minus_spectrum(lam + 2 * j) / unit,
+        }
         for j in range(args.levels)
     ]
 
@@ -500,17 +501,20 @@ def _cmd_susy(args) -> int:
         with np.errstate(over="ignore"):  # an overflow is reported below, as one error
             plus_samples = plus_samples / quantum
             minus_samples = minus_samples / quantum
-        spectrum_rows = [
-            (n, ep / quantum, None if em is None else em / quantum)
-            for n, ep, em in spectrum_rows
-        ]
     if not (np.isfinite(plus_samples).all() and np.isfinite(minus_samples).all()):
         raise DomainError(f"tower index {tower:.3g} overflows the partner potentials")
-    doc = exports.susy_report_doc(
-        tower, i0, removed, radii, plus_samples, minus_samples, spectrum_rows
-    )
-    doc["units"] = "natural" if natural else "si"
-    _emit(args, exports.json_text(doc))
+    _emit(args, exports.json_text({
+        "L": tower,
+        "sequence_index": i0,
+        "removed_level": removed,
+        "units": "natural" if natural else "si",
+        "potential_samples": [
+            {"r": r, "plus": plus, "minus": minus}
+            for r, plus, minus in zip(radii.tolist(), plus_samples.tolist(),
+                                      minus_samples.tolist())
+        ],
+        "spectrum": spectrum,
+    }))
     return 0
 
 
@@ -525,19 +529,27 @@ def _cmd_defect(args) -> int:
         selector=args.selector, delta=args.delta, scales=osc,
     )
     start = args.l_angular + 2 * args.iterations
-    rows = []
-    for j in range(args.levels):
-        n_s = start + 2 * j
-        if natural:
-            # Exactly N* + 3/2 in quanta; avoids cancellation against mu B0.
-            rows.append((n_s, n_s - model.iterations - model.delta + 1.5))
+    spectrum = []
+    for n_s in range(start, start + 2 * args.levels, 2):
+        if natural:  # exactly N* + 3/2 in quanta; avoids cancellation against mu B0
+            energy = n_s - model.iterations - model.delta + 1.5
         else:
-            rows.append((n_s, defect_energy(model, n_s)))
-    doc = exports.defect_model_doc(
-        osc, args.l_angular, model.iterations, model.selector, model.delta, rows
-    )
-    doc["units"] = "natural" if natural else "si"
-    _emit(args, exports.json_text(doc))
+            energy = defect_energy(model, n_s)
+        spectrum.append({"level": n_s, "energy": energy})
+    _emit(args, exports.json_text({
+        "trap_scales": {
+            "mass": float(osc.mass),  # a config may give an integer mass_kg
+            "omega0": osc.omega0,
+            "energy_offset": osc.energy_offset,
+            "hbar": osc.hbar,
+        },
+        "L": model.l_angular,
+        "I": model.iterations,
+        "S": model.selector,
+        "delta": model.delta,
+        "units": "natural" if natural else "si",
+        "spectrum": spectrum,
+    }))
     return 0
 
 
@@ -613,7 +625,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:  # MemoryError: a table too large to allocate
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
     except OracleError as exc:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .exports import write_text_atomic
+from .exports import json_text, write_text_atomic
 from .fields import DipoleParticle, IoffePritchardGeometry, TopGeometry
 from .planar import PaulParams, PenningParams
 
@@ -149,4 +149,4 @@ def load_config(path: str) -> RunConfig:
 
 def save_config(config: RunConfig, path: str) -> None:
     """Write a config as canonical JSON; load_config(save_config(c)) == c."""
-    write_text_atomic(path, json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json_text(config.to_dict()))

@@ -185,51 +185,3 @@ def write_text_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
         raise
 
-
-def susy_report_doc(l_angular, sequence_index, removed_level, radii,
-                    plus_samples, minus_samples, spectrum_rows) -> dict:
-    """Partner-hierarchy report: sampled potentials plus paired spectra.
-
-    ``spectrum_rows`` holds (label, plus_energy, minus_energy_or_None); the
-    missing minus entry marks the level the hierarchy removed.
-    """
-    return {
-        "L": int(l_angular),
-        "sequence_index": int(sequence_index),
-        "removed_level": removed_level,
-        "potential_samples": [
-            {"r": float(r), "plus": float(p), "minus": float(m)}
-            for r, p, m in zip(radii, plus_samples, minus_samples)
-        ],
-        "spectrum": [
-            {
-                "level": int(n),
-                "plus": float(ep),
-                "minus": None if em is None else float(em),
-            }
-            for n, ep, em in spectrum_rows
-        ],
-    }
-
-
-def defect_model_doc(scales, l_angular, iterations, selector, delta,
-                     spectrum_rows=None) -> dict:
-    """Effective-model file: trap scales plus the four model parameters."""
-    doc = {
-        "trap_scales": {
-            "mass": float(scales.mass),
-            "omega0": float(scales.omega0),
-            "energy_offset": float(scales.energy_offset),
-            "hbar": float(scales.hbar),
-        },
-        "L": int(l_angular),
-        "I": int(iterations),
-        "S": int(selector),
-        "delta": float(delta),
-    }
-    if spectrum_rows is not None:
-        doc["spectrum"] = [
-            {"level": int(n), "energy": float(e)} for n, e in spectrum_rows
-        ]
-    return doc
-

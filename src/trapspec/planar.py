@@ -40,7 +40,7 @@ from .constants import HBAR
 from .errors import DomainError, StabilityError, finite, integer, nonzero, positive
 from .oscillator3d import OscillatorScales, RadialEigenstate, tower_state
 from .special import tower_degree
-from .susy import PartnerPair, partner_pair, superpotential
+from .susy import PartnerPair, partner_pair
 
 __all__ = [
     "PaulParams",
@@ -287,7 +287,7 @@ def paul_wavefunctions(
 
 def _tower_pair(abs_m: int, scales: OscillatorScales) -> PartnerPair:
     integer("|M|", abs_m, 0)
-    return partner_pair(superpotential(abs_m - 0.5, scales.r0), scales)
+    return partner_pair(abs_m - 0.5, scales)
 
 
 def paul_susy_partner(freqs: PaulFrequencies, abs_m: int) -> PartnerPair:

@@ -100,7 +100,7 @@ def _pair_3d(l_angular: int, n_spectroscopic: int, scales: OscillatorScales) -> 
     """Pair of the 3D ``L`` tower, after the integer checks its labels need."""
     integer("L", l_angular, 0)
     integer("N_s", n_spectroscopic)
-    return partner_pair(superpotential(l_angular, scales.r0), scales)
+    return partner_pair(l_angular, scales)
 
 
 def input_potential(l_angular: int, scales: OscillatorScales) -> Callable[[float], float]:
@@ -201,14 +201,12 @@ class PartnerPair:
         return tower_state(self.scales, n_label - 1.0, self.l_angular + 1.0)
 
 
-def partner_pair(generator: Superpotential, scales: OscillatorScales) -> PartnerPair:
-    """Pair ``(V+, V-)`` generated by ``U``; ``V-`` carries ``(lam+1)(lam+2)``."""
-    if not math.isclose(generator.r0, scales.r0, rel_tol=1e-12):
-        raise DomainError(
-            f"superpotential length {generator.r0!r} does not match the trap "
-            f"oscillator length {scales.r0!r}"
-        )
-    return PartnerPair(generator=generator, scales=scales)
+def partner_pair(l_angular: float, scales: OscillatorScales) -> PartnerPair:
+    """Pair ``(V+, V-)`` of the tower ``lam = l_angular``, generated by ``U`` on ``scales.r0``.
+
+    ``V-`` carries ``(lam+1)(lam+2)``.
+    """
+    return PartnerPair(generator=superpotential(l_angular, scales.r0), scales=scales)
 
 
 def partner_spectrum(l_angular: int, n_spectroscopic: int, scales: OscillatorScales) -> float:

@@ -58,7 +58,6 @@ from .susy import (
     partner_pair,
     partner_wavefunction,
     related_systems_3d,
-    superpotential,
 )
 
 __all__ = [
@@ -232,7 +231,7 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
 
     problems, targets = [], []
     for l in l_values:
-        pair = partner_pair(superpotential(l, scales.r0), scales)
+        pair = partner_pair(l, scales)
         c_plus = l * (l + 1.0)
         c_minus = (l + 1.0) * (l + 2.0)
 
@@ -276,7 +275,7 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
 
 def check_pauli_gap(n_radii: int = 100, seed: int = 20260825) -> CheckResult:
     scales = _natural()
-    pair = partner_pair(superpotential(0, scales.r0), scales)
+    pair = partner_pair(0, scales)
     rng = np.random.default_rng(seed)
     radii = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n_radii)) * scales.r0
     gap = pair.minus_potential(radii) - pair.plus_potential(radii)
@@ -484,7 +483,7 @@ def check_defect_model() -> CheckResult:
     worst_point = 0.0
 
     for l in range(3):
-        pair = partner_pair(superpotential(l, scales.r0), scales)
+        pair = partner_pair(l, scales)
         plus_rec = recover_partner(0, 0, l, scales)
         minus_rec = recover_partner(1, 0, l, scales)
         for got, want in (

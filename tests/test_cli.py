@@ -498,6 +498,13 @@ class TestDefectCommand:
         energies = [row["energy"] for row in doc["spectrum"]]
         assert energies[1] > energies[0] > 0.0
 
+    def test_integer_mass_prints_as_float(self, tmp_path, capsys):
+        particle = {"magnetic_moment_J_per_T": 1, "mass_kg": 1}
+        path = write_config(tmp_path, "ip.json", "ioffe_pritchard", IP_GEOMETRY, particle)
+        code, out, _ = run(capsys, "defect", "--config", path, "--delta", "0.3")
+        assert code == 0
+        assert '    "mass": 1.0,' in out.splitlines()
+
     def test_requires_magnetic_trap(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "defect", "--config", paul_config(tmp_path), "--delta", "0.1"
@@ -756,6 +763,14 @@ class TestErrorWiring:
         )
         assert code == 2
         assert err.startswith("config error: cannot read config file")
+
+    def test_table_too_large_to_allocate_exits_3(self, tmp_path, capsys):
+        # 100000**3 points need 7.11 PiB a coordinate, beyond any 64-bit user address space.
+        code, out, err = run(capsys, "field-map", "--config", ip_config(tmp_path),
+                             "--points", "100000")
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: Unable to allocate 7.11 PiB")
+        assert err.count("\n") == 1
 
     def test_oversized_config_number_exits_2(self, tmp_path, capsys):
         geometry = dict(IP_GEOMETRY, coil_current_A=10**400)

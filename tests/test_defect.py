@@ -15,7 +15,7 @@ from trapspec.defect import (
 from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
 from trapspec.oscillator3d import OscillatorScales, energy_3d, radial_wavefunction_3d
 from trapspec.special import radial_norm_3d
-from trapspec.susy import input_potential, partner_pair, partner_spectrum, superpotential
+from trapspec.susy import input_potential, partner_pair, partner_spectrum
 
 NAT = OscillatorScales.natural()
 SI = OscillatorScales(
@@ -239,7 +239,7 @@ class TestRecovery:
     def test_minus_member_is_partner_potential(self):
         for l in (0, 2):
             rec = recover_partner(1, 0, l, NAT)
-            pair = partner_pair(superpotential(l, NAT.r0), NAT)
+            pair = partner_pair(l, NAT)
             for r in np.linspace(0.07, 7.0, 30):
                 assert rec.potential(r) == pytest.approx(
                     pair.minus_potential(r), rel=1e-12, abs=1e-12

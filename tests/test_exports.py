@@ -1,4 +1,4 @@
-"""Tests for table/document builders and deterministic serialization."""
+"""Tests for table and JSON text and deterministic serialization."""
 
 import json
 import math
@@ -13,15 +13,7 @@ from hypothesis import strategies as st
 
 from trapspec import cli, exports
 from trapspec.errors import DomainError
-from trapspec.exports import (
-    csv_text,
-    defect_model_doc,
-    fmt17,
-    json_text,
-    susy_report_doc,
-    write_text_atomic,
-)
-from trapspec.oscillator3d import OscillatorScales
+from trapspec.exports import csv_text, fmt17, json_text, write_text_atomic
 
 FIELD_MAP_HEADER = ("x_m", "y_m", "z_m", "t_s", "Bx_T", "By_T", "Bz_T")
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
@@ -362,7 +354,12 @@ class TestJsonTextMatchesJsonDumps:
         for spoiled in ([*rows, {"r": 1.0}], [*rows, {**rows[0], "r": 1}],
                         [*rows, {**rows[0], "r": math.nan}], [*rows, [1.0]], [{}]):
             assert exports._float_records(spoiled, "\n    ") is None
-        doc = susy_report_doc(0, 0, 0, [0.1, 0.2], [1.0, 2.0], [3.0, 4.0], [(0, 1.5, None)])
+        doc = {
+            "L": 0,
+            "potential_samples": [{"r": 0.1, "plus": 1.0, "minus": 3.0},
+                                  {"r": 0.2, "plus": 2.0, "minus": 4.0}],
+            "spectrum": [{"level": 0, "plus": 1.5, "minus": None}],
+        }
         assert json_text(doc) == reference_json(doc)
 
 
@@ -440,37 +437,3 @@ class TestWavefunctionTable:
         want = reference_csv(("r", "W", "k"), list(zip(r, w, k)))
         assert csv_text(("r", "W", "k"), r, w, k) == want
 
-
-class TestDocBuilders:
-    def test_susy_report_keeps_removed_level(self):
-        doc = susy_report_doc(
-            l_angular=1,
-            sequence_index=2,
-            removed_level=1,
-            radii=np.array([0.5, 1.0]),
-            plus_samples=np.array([1.0, 2.0]),
-            minus_samples=np.array([3.0, 4.0]),
-            spectrum_rows=[(1, 2.5, None), (3, 4.5, 6.5)],
-        )
-        assert doc["L"] == 1
-        assert doc["removed_level"] == 1
-        assert doc["potential_samples"][1] == {"r": 1.0, "plus": 2.0, "minus": 4.0}
-        assert doc["spectrum"][0] == {"level": 1, "plus": 2.5, "minus": None}
-        assert "null" in json_text(doc)
-
-    def test_defect_model_doc(self):
-        scales = OscillatorScales(mass=1.0, omega0=2.0, energy_offset=0.5, hbar=1.0)
-        doc = defect_model_doc(
-            scales, l_angular=1, iterations=1, selector=0, delta=0.3,
-            spectrum_rows=[(0, 3.2), (1, 5.2)],
-        )
-        assert doc["trap_scales"]["omega0"] == 2.0
-        assert doc["trap_scales"]["hbar"] == 1.0
-        assert doc["delta"] == 0.3
-        assert doc["spectrum"][1] == {"level": 1, "energy": 5.2}
-        json_text(doc)
-
-    def test_defect_model_doc_without_spectrum(self):
-        scales = OscillatorScales(mass=1.0, omega0=2.0)
-        doc = defect_model_doc(scales, 0, 0, 0, 0.0)
-        assert "spectrum" not in doc

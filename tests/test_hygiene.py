@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and start-up loads no scipy."""
+"""Source hygiene: no unused imports, oracles share no code with the closed forms they
+check, and start-up loads no scipy."""
 
 import ast
 import os
@@ -82,6 +83,56 @@ def test_import_check_sees_a_closed_form_module():
         "from . import special\nimport trapspec.susy\nfrom trapspec.planar import paul_energy\n"
     )
     assert package_imports(source) == {"errors", "oscillator3d", "special", "susy", "planar"}
+
+
+# The conductor-level Biot-Savart oracle inside fields.py, which checks the
+# field series there, and the geometry records it is built from.
+BIOT_SAVART = {
+    "_rows", "CircularLoop", "_loop_fields", "StraightWire", "TrapAssembly",
+    "biot_savart_field", "_LOOP_RTOL", "_CLEARANCE", "_BLOCK_PAIRS", "_CHUNK_ROWS",
+}
+GEOMETRY_RECORDS = {"IoffePritchardGeometry", "TopGeometry"}
+
+
+def module_definitions(tree) -> dict:
+    """Each name a module's top level defines, not by import, mapped to its statement."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                found.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return found
+
+
+def oracle_leaks(source: str) -> list[str]:
+    """Module-level names the Biot-Savart definitions use beyond one another and the records."""
+    defined = module_definitions(ast.parse(source))
+    assert BIOT_SAVART <= defined.keys()
+    used = {
+        n.id for name in BIOT_SAVART for n in ast.walk(defined[name]) if isinstance(n, ast.Name)
+    }
+    return sorted((used & defined.keys()) - BIOT_SAVART - GEOMETRY_RECORDS)
+
+
+FIELDS_SOURCE = (ROOT / "src" / "trapspec" / "fields.py").read_text(encoding="utf-8")
+
+
+def test_biot_savart_oracle_uses_no_series_code():
+    # The oracle may share no code with the series it checks, though both
+    # live in fields.py.
+    assert oracle_leaks(FIELDS_SOURCE) == []
+    series_side = module_definitions(ast.parse(FIELDS_SOURCE)).keys() - BIOT_SAVART
+    assert {"ip_field_cartesian", "top_field_series", "DerivedScales", "_check_kind"} <= series_side
+
+
+def test_oracle_check_sees_a_series_call():
+    tree = ast.parse(FIELDS_SOURCE)
+    oracle = module_definitions(tree)["biot_savart_field"]
+    oracle.body.insert(0, ast.parse("ip_field_cartesian(None, 0.0, 0.0, 0.0)").body[0])
+    assert oracle_leaks(ast.unparse(tree)) == ["ip_field_cartesian"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -25,7 +25,7 @@ from trapspec.numerov import (
     solve_eigens,
 )
 from trapspec.oscillator3d import OscillatorScales, radial_wavefunction_3d
-from trapspec.susy import input_potential, partner_pair, superpotential
+from trapspec.susy import input_potential, partner_pair
 from trapspec.verification import orthonormality_families
 
 NAT = OscillatorScales.natural()
@@ -561,9 +561,9 @@ def seed_potential(spec):
     if kind == "anharmonic":
         return lambda r: 0.5 * r * r + 0.3 * r**4
     if kind == "susy-plus":
-        full = partner_pair(superpotential(spec["l"], NAT.r0), NAT).plus_potential
+        full = partner_pair(spec["l"], NAT).plus_potential
     elif kind == "susy-minus":
-        full = partner_pair(superpotential(spec["l"], NAT.r0), NAT).minus_potential
+        full = partner_pair(spec["l"], NAT).minus_potential
     elif kind == "input":
         full = input_potential(spec["l"], NAT)
     elif kind == "recovered":

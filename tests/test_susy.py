@@ -126,7 +126,7 @@ class TestPartnerPair:
         # - hbar w0 (L + 1/2) pointwise.
         for scales in (NAT, SI):
             for l in (0, 1, 3):
-                pair = partner_pair(superpotential(l, scales.r0), scales)
+                pair = partner_pair(l, scales)
                 pref = scales.hbar**2 / (2.0 * scales.mass)
                 for u in np.linspace(0.08, 6.0, 25):
                     r = u * scales.r0
@@ -138,7 +138,7 @@ class TestPartnerPair:
                     assert pair.minus_potential(r) == pytest.approx(want, rel=1e-12)
 
     def test_plus_side_equals_input_potential(self):
-        pair = partner_pair(superpotential(1, NAT.r0), NAT)
+        pair = partner_pair(1, NAT)
         v = input_potential(1, NAT)
         for r in np.linspace(0.1, 7.0, 20):
             assert pair.plus_potential(r) == pytest.approx(v(r), rel=1e-12, abs=1e-12)
@@ -146,7 +146,7 @@ class TestPartnerPair:
     def test_repulsive_gap_at_l0(self):
         # V- - V+ = hbar^2 / (m r^2) + hbar w0 for the L = 0 pair.
         for scales in (NAT, SI):
-            pair = partner_pair(superpotential(0, scales.r0), scales)
+            pair = partner_pair(0, scales)
             for u in (0.11, 0.9, 2.4):
                 r = u * scales.r0
                 gap = pair.minus_potential(r) - pair.plus_potential(r)
@@ -154,13 +154,9 @@ class TestPartnerPair:
                 assert gap == pytest.approx(want, rel=1e-12)
 
     def test_minus_ground_is_first_plus_excited(self):
-        pair = partner_pair(superpotential(0, NAT.r0), NAT)
+        pair = partner_pair(0, NAT)
         e_minus = solve_ground(pair.minus_potential, 2.0, NAT)
         assert e_minus == pytest.approx(2.0, abs=1e-8)
-
-    def test_scale_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            partner_pair(superpotential(0, 2.0), NAT)
 
 
 class TestPartnerSpectrum:
@@ -230,7 +226,7 @@ class TestPartnerWavefunctions:
     def test_numeric_minus_state_matches_map(self):
         # Shooting-solver eigenfunction of V- agrees with the index-mapped
         # analytic profile.
-        pair = partner_pair(superpotential(0, NAT.r0), NAT)
+        pair = partner_pair(0, NAT)
         res = solve_eigen(
             RadialProblem(
                 potential=lambda r: pair.minus_potential(r) - 1.0 / (r * r),
