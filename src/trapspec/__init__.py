@@ -45,7 +45,6 @@ from .numerov import (
     EigenResult,
     RadialProblem,
     count_nodes,
-    fd_check,
     gram,
     overlap,
     solve_eigen,

@@ -62,6 +62,8 @@ from .verification import SUITE_ORDER, run_suite, tolerance_scale
 # when the currents are tuned; beyond this residual the level structure the
 # spectrum/susy/defect commands tabulate does not apply.
 ISOTROPY_WINDOW = 1e-6
+# Most shells one `shells` call tabulates: 1e6 comma-separated counts are ~17 MB.
+MAX_SHELLS = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,8 +556,8 @@ def _cmd_defect(args) -> int:
 
 
 def _cmd_shells(args) -> int:
-    if args.max_n < 0:
-        raise DomainError("--max-n must be nonnegative")
+    if not 0 <= args.max_n <= MAX_SHELLS:
+        raise DomainError(f"--max-n must lie in [0, {MAX_SHELLS}], got {args.max_n}")
     if args.config:
         cfg = load_config(args.config)
         _require_trap(cfg, (args.trap,), f"shells --trap {args.trap}")

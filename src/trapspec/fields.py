@@ -425,39 +425,35 @@ class CircularLoop:
 def _loop_fields(loops, p: np.ndarray) -> list[np.ndarray]:
     """Each loop's field at every row of ``p``, as :meth:`CircularLoop.field` describes.
 
-    Loops with one center, axis and radius share each doubling's panel mean,
-    taken over the points still moving for any of them; each loop scales its
-    rows by its own current and keeps its own stop test.
+    The stop test reads the relative change of the current-free panel mean,
+    so loops with one center, axis and radius share its doublings; each loop
+    then scales the converged mean by its own current.
     """
-    out = [np.empty_like(p) for _ in loops]
     groups = {}
     for i, loop in enumerate(loops):
         groups.setdefault((tuple(loop.center), loop.axis, loop.radius), []).append(i)
     floor = max(_LOOP_RTOL, 5e-16)
+    out = [None] * len(loops)
     for members in groups.values():
         coil = loops[members[0]]
-        prefs = [MU0 * loops[i].current / (4.0 * math.pi) for i in members]
-        mean = coil._mean(p, 64)
-        prev = [pref * mean * 2.0 * math.pi for pref in prefs]
-        active = [np.arange(len(p))] * len(members)
-        prev_diff = [np.full(len(p), math.inf)] * len(members)
+        mean, prev = np.empty_like(p), coil._mean(p, 64)
+        active, prev_diff = np.arange(len(p)), np.full(len(p), math.inf)
         n_panels = 128
-        while any(rows.size for rows in active):
+        while active.size:
             if n_panels > 1 << 20:
                 raise AccuracyError(
                     f"loop field quadrature did not reach rtol {_LOOP_RTOL:g} by {1 << 20} panels"
                 )
-            union = np.flatnonzero(np.bincount(np.concatenate(active), minlength=len(p)))
-            mean = coil._mean(p[union], n_panels)
-            for j, i in enumerate(members):
-                cur = prefs[j] * mean[np.searchsorted(union, active[j])] * 2.0 * math.pi
-                scale = np.max(np.abs(cur), axis=1) + 1e-300
-                diff = np.max(np.abs(cur - prev[j]), axis=1) / scale
-                done = (diff <= floor) | ((diff >= prev_diff[j]) & (diff <= 1e-10))
-                out[i][active[j][done]] = cur[done]
-                moving = ~done
-                active[j], prev[j], prev_diff[j] = active[j][moving], cur[moving], diff[moving]
+            cur = coil._mean(p[active], n_panels)
+            scale = np.max(np.abs(cur), axis=1) + 1e-300
+            diff = np.max(np.abs(cur - prev), axis=1) / scale
+            done = (diff <= floor) | ((diff >= prev_diff) & (diff <= 1e-10))
+            mean[active[done]] = cur[done]
+            moving = ~done
+            active, prev, prev_diff = active[moving], cur[moving], diff[moving]
             n_panels *= 2
+        for i in members:
+            out[i] = MU0 * loops[i].current / (4.0 * math.pi) * mean * 2.0 * math.pi
     return out
 
 

@@ -1,12 +1,11 @@
-"""Independent radial eigen-solver plus quadrature and derivative checks.
+"""Independent radial eigen-solver plus quadrature checks.
 
 This module is the numerical cross-check for every analytic spectrum in the
 package, so it deliberately avoids the analytic results: eigenvalues come
 from node-counted shooting (Numerov propagation from both ends, matched at
-the outermost classical turning point), overlaps from adaptive quadrature
-(``overlap`` for one pair; ``gram`` for a whole family, in one vectorized
-Gauss-Kronrod call over every upper-triangle product), and derivative claims
-from Richardson-extrapolated central differences.
+the outermost classical turning point), and overlaps from adaptive
+quadrature (``overlap`` for one pair; ``gram`` for a whole family, in one
+vectorized Gauss-Kronrod call over every upper-triangle product).
 
 The radial problem solved is
 
@@ -40,8 +39,8 @@ bisection samples several tree levels per sweep, marching a tree that states
 of one problem share once, and a sweep of a few columns steps in Python
 floats rather than by two ufunc calls a step.
 
-scipy is imported inside the functions that use it, so importing this module
-(and the command-line interface) does not load it.
+The radial solve needs only numpy; ``overlap`` and ``gram`` import scipy when
+called, so importing this module (and the command-line interface) does not load it.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .errors import (
 
 __all__ = [
     "RadialProblem", "EigenResult", "solve_eigen", "solve_eigens", "count_nodes", "overlap",
-    "gram", "fd_check",
+    "gram",
 ]
 
 _CHUNK = 256  # mesh rows whose f and U are built, and whose ratios are tallied, at once
@@ -126,8 +125,10 @@ class RadialProblem:
 class EigenResult:
     """Converged eigenvalue with the sampled, unit-normalized eigenfunction.
 
-    ``residual``: the Numerov recurrence at the matching point, the outward solution
-    continued by the inward one, over the sum of its terms' magnitudes (0 to 1).
+    ``samples`` ``w`` have ``h * trapezoid(w * w * r) = 1``, ``h = ln(r[1] / r[0])``: the
+    trapezoid rule on the uniform log mesh.  ``residual``: the Numerov recurrence at
+    the matching point, the outward solution continued by the inward one, over the
+    sum of its terms' magnitudes (0 to 1).
     ``diagnostics["count_evaluations"]`` counts the trial energies of the state's
     bisection trees, whether marched for it or shared with a state of its problem.
     """
@@ -192,12 +193,13 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol, maxiter):
     ``scipy.optimize.brentq`` (bisection, secant and inverse quadratic steps).
 
     ``f(x, k)`` evaluates the functions of brackets ``k`` at ``x``; ``fa`` and
-    ``fb`` are the known values at the (nonzero, opposite-signed) ends and
+    ``fb`` the known values at the ends, of opposite signs or exactly zero (such
+    an end is the root, returned in the first round with no evaluation), and
     ``xtol`` holds one tolerance per bracket.  Returns the roots and whether
     each search converged within ``maxiter`` steps.
     """
     xpre, xcur, fpre, fcur = xa.copy(), xb.copy(), fa.copy(), fb.copy()
-    xblk, fblk = np.zeros_like(xa), np.zeros_like(xa)
+    xblk, fblk = xa.copy(), fa.copy()
     spre, scur = np.zeros_like(xa), np.zeros_like(xa)
     root = np.full_like(xa, np.nan)
     live = np.ones(len(xa), dtype=bool)
@@ -447,8 +449,6 @@ class _Batch:
         ``index`` gives each problem's position in the caller's list, for
         error messages.
         """
-        from scipy.integrate import simpson
-
         problems = self.problems
         size = len(problems)
         states = np.arange(size)
@@ -634,11 +634,6 @@ class _Batch:
             raise ConvergenceError(f"no mismatch sign change found for {label(todo[0])}")
 
         done = np.concatenate(brackets)
-        at_lo = d_lo[done] == 0.0
-        at_hi = (d_hi[done] == 0.0) & ~at_lo
-        hi[done[at_lo]] = energy[done[at_lo]] = lo[done[at_lo]]
-        lo[done[at_hi]] = energy[done[at_hi]] = hi[done[at_hi]]
-        done = done[~(at_lo | at_hi)]
 
         def mismatch(x, k):
             matched[done[k]] += 1
@@ -675,7 +670,7 @@ class _Batch:
                 ratios[:] = y * w[j]
             w /= self._f(i, energy[i], slice(None))
             w *= np.sqrt(r)
-            norm = math.sqrt(simpson(w * w, x=r))
+            norm = math.sqrt(math.log(r[1] / r[0]) * np.trapezoid(w * w * r))
             if not (norm > 0.0 and math.isfinite(norm)):
                 raise ConvergenceError(f"assembled eigenfunction of {label(i)} could not be normalized")
             w /= norm
@@ -867,34 +862,3 @@ def gram(
     matrix[rows, cols] = result.estimate
     matrix[cols, rows] = result.estimate
     return matrix
-
-
-def fd_check(
-    func: Callable[[float], float],
-    first: Callable[[float], float],
-    second: Callable[[float], float],
-    points: Sequence[float],
-    step_fraction: float = 1e-3,
-) -> float:
-    """Maximum relative error of claimed derivatives against Richardson FD.
-
-    Central differences at steps ``h`` and ``h/2`` are Richardson-combined to
-    fourth order and compared with the claimed first and second derivatives.
-    """
-    points = list(points)
-    if not points:
-        raise DomainError("fd_check needs at least one probe point")
-    floor = max(1e-30, max(abs(first(x)) for x in points) * 1e-12,
-                max(abs(second(x)) for x in points) * 1e-12)
-    worst = 0.0
-    for x in points:
-        h = step_fraction * max(abs(x), 1e-6)
-        d_h = (func(x + h) - func(x - h)) / (2.0 * h)
-        d_h2 = (func(x + h / 2) - func(x - h / 2)) / h
-        d_rich = (4.0 * d_h2 - d_h) / 3.0
-        s_h = (func(x + h) - 2.0 * func(x) + func(x - h)) / (h * h)
-        s_h2 = (func(x + h / 2) - 2.0 * func(x) + func(x - h / 2)) / (h * h / 4.0)
-        s_rich = (4.0 * s_h2 - s_h) / 3.0
-        worst = max(worst, abs(d_rich - first(x)) / max(abs(first(x)), floor))
-        worst = max(worst, abs(s_rich - second(x)) / max(abs(second(x)), floor))
-    return worst

@@ -23,7 +23,6 @@ __all__ = [
     "OscillatorScales",
     "RadialEigenstate",
     "ShellRow",
-    "tower_state",
     "validate_quantum_numbers_3d",
     "allowed_angular",
     "energy_3d",

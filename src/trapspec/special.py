@@ -19,7 +19,18 @@ import numpy as np
 
 from .errors import DomainError, integer, positive
 
-__all__ = ["laguerre_gen", "hermite", "tower_degree", "radial_norm_3d"]
+__all__ = ["laguerre_gen", "laguerre_gen_derivative", "hermite", "radial_norm_3d"]
+
+RECURRENCE_LIMIT = 10**8  # most degree-by-point steps one recurrence may take
+
+
+def _check_steps(name: str, degree: int, arr: np.ndarray) -> None:
+    """Refuse a recurrence of more than :data:`RECURRENCE_LIMIT` degree-by-point steps."""
+    if degree * max(arr.size, 1) > RECURRENCE_LIMIT:
+        raise DomainError(
+            f"{name} degree {degree} at {arr.size} points takes more than "
+            f"{RECURRENCE_LIMIT:.0e} recurrence steps"
+        )
 
 
 def laguerre_gen(n: int, alpha: float, x):
@@ -37,12 +48,14 @@ def laguerre_gen(n: int, alpha: float, x):
     Returns
     -------
     float or ndarray
-        Polynomial value(s); scalar in, scalar out.
+        Polynomial value(s); scalar in, scalar out.  A degree times point count
+        above :data:`RECURRENCE_LIMIT` raises :class:`DomainError` before any step.
     """
     n = integer("Laguerre degree", n, 0)
     if not -1.0 < alpha < math.inf:
         raise DomainError(f"Laguerre order must be finite and exceed -1, got {alpha!r}")
     arr = np.asarray(x, dtype=float)
+    _check_steps("Laguerre", n, arr)
     if np.any(arr < 0.0):
         raise DomainError("Laguerre argument must be nonnegative")
     prev = np.ones_like(arr)
@@ -67,10 +80,12 @@ def laguerre_gen_derivative(n: int, alpha: float, x):
 def hermite(k: int, x):
     """Physicists' Hermite polynomial ``H_k(x)`` by recurrence.
 
-    ``H_0 = 1``, ``H_1 = 2x``, ``H_{k+1} = 2 x H_k - 2 k H_{k-1}``.
+    ``H_0 = 1``, ``H_1 = 2x``, ``H_{k+1} = 2 x H_k - 2 k H_{k-1}``, under the
+    step limit of :func:`laguerre_gen`.
     """
     k = integer("Hermite index", k, 0)
     arr = np.asarray(x, dtype=float)
+    _check_steps("Hermite", k, arr)
     prev = np.ones_like(arr)
     if k == 0:
         return prev if arr.ndim else float(prev)

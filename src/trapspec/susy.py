@@ -42,7 +42,6 @@ __all__ = [
     "PartnerPair",
     "superpotential",
     "input_potential",
-    "tower_potential",
     "partner_pair",
     "partner_spectrum",
     "partner_wavefunction",

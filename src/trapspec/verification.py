@@ -60,18 +60,7 @@ from .susy import (
     related_systems_3d,
 )
 
-__all__ = [
-    "CheckResult",
-    "TOLERANCES",
-    "tolerance_scale",
-    "tolerance",
-    "SUITES",
-    "SUITE_ORDER",
-    "run_suite",
-    "reference_ip_geometry",
-    "reference_top_geometry",
-    "reference_particle",
-]
+__all__ = ["CheckResult", "run_suite"]
 
 TOLERANCES = {
     "spectrum_relative": 1e-6,

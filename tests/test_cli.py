@@ -419,6 +419,16 @@ class TestWavefunctionCommand:
         assert code == 3
         assert err.startswith("validation error:")
 
+    @pytest.mark.parametrize("config,argv", [
+        (ip_config, ("--n-level", "1000000000000000")),
+        (paul_config, ("--n-level", "0", "--k-axial", "1000000000000", "--axis", "axial")),
+    ])
+    def test_runaway_level_is_refused(self, tmp_path, capsys, config, argv):
+        code, out, err = run(capsys, "wavefunction", "--config", config(tmp_path), *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: Laguerre degree ")
+        assert err.endswith(" at 501 points takes more than 1e+08 recurrence steps\n")
+
 
 class TestSusyCommand:
     def test_magnetic_report_structure(self, tmp_path, capsys):
@@ -584,6 +594,19 @@ class TestShellsCommand:
         code, _, err = run(capsys, "shells", "--trap", "top", "--max-n", "-1")
         assert code == 3
         assert err.startswith("validation error:")
+
+    @pytest.mark.parametrize("kind", ["top", "paul", "penning"])
+    def test_runaway_max_n_is_refused_before_any_work(self, tmp_path, capsys, kind):
+        # The limit comes before the config is read, so a missing file is not reached.
+        code, out, err = run(capsys, "shells", "--trap", kind, "--max-N", "1000000000",
+                             "--config", str(tmp_path / "missing.json"))
+        assert (code, out) == (3, "")
+        assert err == "validation error: --max-n must lie in [0, 1000000], got 1000000000\n"
+
+    def test_limit_admits_max_shells(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SHELLS", 3)
+        assert run(capsys, "shells", "--trap", "top", "--max-N", "3")[:2] == (0, "1,4,10,20\n")
+        assert run(capsys, "shells", "--trap", "top", "--max-N", "4")[0] == 3
 
     @pytest.mark.parametrize("kind", ["ioffe_pritchard", "top", "paul"])
     def test_missing_config_is_read(self, tmp_path, capsys, kind):

@@ -642,10 +642,11 @@ class TestSnapshotOracle:
             assert np.array_equal(biot_savart_field(pair, points), want)
 
     def test_one_loop_fields_of_mixed_stop_levels(self):
-        # One geometry, three currents: the 1e-300 A loop stops earlier than
-        # the 3 A one (its field is near the 1e-300 scale floor), and the
-        # zero-current loop stops at once, so the shared doublings run over
-        # unions of different point sets.
+        # One geometry, three currents.  Alone, the 1e-300 A loop's field is
+        # near the 1e-300 scale floor, so a per-loop stop test would end it
+        # earlier than the 3 A one; the stop test reads the current-free
+        # panel mean instead, so all three loops stop at the geometry's level
+        # and each field is that mean scaled by the loop's current.
         log_distances = np.random.default_rng(3).permutation(np.linspace(-3.4, -1.0, 12))
         points = points_near_wire(TILTED, np.linspace(0.0, 6.0, 12), log_distances,
                                   np.linspace(0.0, 3.0, 12))

@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports, oracles share no code with the closed forms they
-check, and start-up loads no scipy."""
+"""Source hygiene: no unused imports, one public list, oracles share no code with the
+closed forms they check, and neither start-up nor a radial solve loads scipy."""
 
 import ast
 import os
@@ -10,10 +10,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "trapspec"
 # The package __init__ imports names only to re-export them.
 SOURCES = sorted(
-    p for p in (ROOT / "src" / "trapspec").glob("*.py") if p.name != "__init__.py"
+    p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 ) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def declared_all(tree) -> list[str] | None:
+    """The names a module's ``__all__`` assignment lists, or None without one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,11 +39,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(declared_all(tree) or ())
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -47,6 +54,23 @@ def test_check_sees_unused_and_used_names():
         "__all__ = ['sep']\nprint(np.pi)\n"
     )
     assert unused_imports(source) == ["line 1: math", "line 3: path"]
+
+
+def test_every_all_lists_the_package_exports():
+    # One public list: a module's __all__ names exactly what the package
+    # __init__ imports from it, the API the README documents.
+    exported = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            exported.setdefault(node.module, set()).update(a.name for a in node.names)
+    checked = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = declared_all(ast.parse(path.read_text(encoding="utf-8")))
+        if names is not None:
+            assert len(names) == len(set(names)), path.name
+            assert set(names) == exported.get(path.stem, set()), path.name
+            checked.append(path.stem)
+    assert {"numerov", "special", "oscillator3d", "susy", "verification"} <= set(checked)
 
 
 def package_imports(source: str) -> set[str]:
@@ -135,11 +159,10 @@ def test_oracle_check_sees_a_series_call():
     assert oracle_leaks(ast.unparse(tree)) == ["ip_field_cartesian"]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported where the quadrature runs; importing the package and
-    # its command line must not pay for it.
+def scipy_loaded_after(statements: str) -> str:
+    """The scipy modules loaded once ``statements`` run in a fresh interpreter."""
     probe = (
-        "import sys, trapspec, trapspec.cli; "
+        f"import sys; {statements}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -147,4 +170,17 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where the quadrature runs; importing the package and
+    # its command line must not pay for it.
+    assert scipy_loaded_after("import trapspec, trapspec.cli") == "[]\n"
+
+
+def test_radial_solves_load_no_scipy():
+    # The Numerov solve needs only numpy, so the suites that run it and no
+    # quadrature leave scipy unloaded.
+    run = "from trapspec import run_suite; [run_suite(s) for s in ('spectrum', 'susy', 'planar')]"
+    assert scipy_loaded_after(run) == "[]\n"

@@ -18,7 +18,6 @@ from trapspec.numerov import (
     EigenResult,
     RadialProblem,
     count_nodes,
-    fd_check,
     gram,
     overlap,
     solve_eigen,
@@ -548,6 +547,33 @@ class TestBrent:
         assert list(roots) == expected_roots
         assert trials == expected_trials
 
+    def test_exact_zero_ends_are_roots_without_evaluation(self):
+        # Brackets [2, 4] with f(2) = 0 and [-1, 3] with f(3) = 0 return that
+        # end in the first round; the ordinary bracket beside them takes the
+        # same trial points as when searched alone.
+        def g(x):
+            return math.tanh(x - 0.7) + 0.1 * (x - 0.7) ** 3
+
+        lo, hi = np.array([2.0, -1.0, 0.0]), np.array([4.0, 3.0, 2.0])
+        f_lo, f_hi = np.array([0.0, -1.0, g(0.0)]), np.array([5.0, 0.0, g(2.0)])
+        xtol = 1e-14 * (np.abs(lo) + np.abs(hi)) + 5e-324
+        trials = [[] for _ in lo]
+
+        def evaluate(x, k):
+            for xi, ki in zip(x, k):
+                trials[ki].append(float(xi))
+            return np.array([g(xi) for xi in x])
+
+        roots, converged = numerov._brent(evaluate, lo, hi, f_lo, f_hi, xtol, 1e-12, 200)
+        assert converged.all()
+        assert roots[:2].tolist() == [2.0, 3.0]
+        assert trials[:2] == [[], []]
+        alone = []
+        root, _ = numerov._brent(lambda x, k: alone.extend(x.tolist()) or np.array([g(x[0])]),
+                                 lo[2:], hi[2:], f_lo[2:], f_hi[2:], xtol[2:], 1e-12, 200)
+        assert roots[2] == root[0] and trials[2] == alone
+        assert abs(g(roots[2])) < 1e-12
+
 
 SEED_ENERGIES = Path(__file__).parent / "data" / "numerov_seed_energies.json"
 
@@ -793,42 +819,13 @@ class TestGram:
         assert np.max(np.abs(sub - full[np.ix_(chosen, chosen)])) <= 1e-13
 
 
-class TestFdCheck:
-    def test_quadratic_is_exact(self):
-        # Central differences are exact on quadratics; a wide step keeps the
-        # second difference away from float cancellation.
-        err = fd_check(
-            lambda x: 3.0 * x * x - 2.0 * x + 1.0,
-            lambda x: 6.0 * x - 2.0,
-            lambda x: 6.0,
-            [0.5, 1.0, 4.0],
-            step_fraction=0.1,
-        )
-        assert err < 1e-12
-
-    def test_smooth_transcendental(self):
-        err = fd_check(
-            math.sin, math.cos, lambda x: -math.sin(x), [0.3, 1.1, 2.0, 2.9]
-        )
-        assert err < 1e-9
-
-    def test_detects_wrong_derivative(self):
-        err = fd_check(
-            math.sin, lambda x: 1.1 * math.cos(x), lambda x: -math.sin(x), [0.7]
-        )
-        assert err > 1e-2
-
-    def test_requires_points(self):
-        with pytest.raises(DomainError):
-            fd_check(math.sin, math.cos, lambda x: -math.sin(x), [])
-
-
 class TestEigenResultShape:
     def test_samples_are_discretely_normalized(self):
+        # The trapezoid rule on the uniform log mesh: dr = r dx, h = ln(r[1] / r[0]).
         res = solve_eigen(oscillator_problem(0.0), 0)
-        from scipy.integrate import simpson
-
-        assert simpson(res.samples**2, x=res.radii) == pytest.approx(1.0, rel=1e-12)
+        h = math.log(res.radii[1] / res.radii[0])
+        norm = h * np.trapezoid(res.samples**2 * res.radii)
+        assert norm == pytest.approx(1.0, rel=1e-12)
 
     def test_result_type(self):
         res = solve_eigen(oscillator_problem(0.0), 0)

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 from scipy import integrate, special as sp
 
-from trapspec import DomainError
+from trapspec import DomainError, special
 from trapspec.special import (
     hermite,
     laguerre_gen,
@@ -171,6 +171,27 @@ class TestHermite:
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
             hermite(-2, 0.0)
+
+
+class TestRecurrenceLimit:
+    """Degree times points above RECURRENCE_LIMIT is refused before any step."""
+
+    @pytest.mark.parametrize("recurrence", [
+        lambda n, x: laguerre_gen(n, 0.5, x),
+        lambda n, x: laguerre_gen_derivative(n + 1, 0.5, x),
+        hermite,
+    ])
+    def test_runaway_degree_is_refused(self, recurrence):
+        for n, x in ((10**15, np.ones(501)), (10**8 + 1, 1.0), (10**8 + 1, np.empty(0))):
+            with pytest.raises(DomainError, match=r"more than 1e\+08 recurrence steps"):
+                recurrence(n, x)
+
+    @pytest.mark.parametrize("recurrence", [lambda n, x: laguerre_gen(n, 0.5, x), hermite])
+    def test_limit_counts_degree_times_points(self, recurrence, monkeypatch):
+        monkeypatch.setattr(special, "RECURRENCE_LIMIT", 100)
+        assert np.all(np.isfinite(recurrence(10, np.ones(10))))
+        with pytest.raises(DomainError, match="degree 10 at 11 points"):
+            recurrence(10, np.ones(11))
 
 
 class TestRadialNorm3d:

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import simpson
 
 from trapspec import DomainError, ExcludedLevelError
-from trapspec.numerov import RadialProblem, fd_check, overlap, solve_eigen, solve_eigens
+from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
 from trapspec.oscillator3d import (
     OscillatorScales,
     radial_wavefunction_3d,
@@ -55,14 +56,16 @@ class TestSuperpotential:
             assert u.derivative(math.sqrt(l + 1.0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_derivatives_by_richardson_fd(self):
+        # mpmath differentiates U(r) = r^2/2 - 3 ln r (the L = 2 tower, r0 = 1)
+        # at 30 digits.
         u = superpotential(2, 1.0)
-        err = fd_check(
-            u.value,
-            u.derivative,
-            u.second_derivative,
-            np.linspace(0.1, 10.0, 23),
-        )
-        assert err < 1e-6
+        with mp.workdps(30):
+            for r in np.linspace(0.1, 10.0, 23):
+                x = mp.mpf(float(r))
+                first, second = (float(mp.diff(lambda t: t * t / 2 - 3 * mp.log(t), x, k))
+                                 for k in (1, 2))
+                assert u.derivative(r) == pytest.approx(first, rel=1e-13)
+                assert u.second_derivative(r) == pytest.approx(second, rel=1e-13)
 
     def test_generates_input_potential(self):
         # (hbar^2/2m)(U'^2 - U'') must reproduce the tower potential; both
