@@ -4,8 +4,8 @@ This module is the numerical cross-check for every analytic spectrum in the
 package, so it deliberately avoids the analytic results: eigenvalues come
 from node-counted shooting (Numerov propagation from both ends, matched at
 the outermost classical turning point), and overlaps from adaptive
-quadrature (``overlap`` for one pair; ``gram`` for a whole family, in one
-vectorized Gauss-Kronrod call over every upper-triangle product).
+quadrature: ``gram`` integrates a whole family on Gauss-Legendre panels in
+numpy, and ``overlap`` one pair by scipy's ``quad``, imported when called.
 
 The radial problem solved is
 
@@ -38,9 +38,6 @@ the mismatch there is a scale-free difference of ratios.  Node-count
 bisection samples several tree levels per sweep, marching a tree that states
 of one problem share once, and a sweep of a few columns steps in Python
 floats rather than by two ufunc calls a step.
-
-The radial solve needs only numpy; ``overlap`` and ``gram`` import scipy when
-called, so importing this module (and the command-line interface) does not load it.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ _CHUNK = 256  # mesh rows whose f and U are built, and whose ratios are tallied,
 _MIN_COLUMNS = 64  # trial energies per sweep, summed over its distinct trees
 _FLOAT_COLUMNS = 8  # sweeps this narrow step each column in Python floats
 _MAX_ROUNDS = 200
-_GRAM_ATOL = 1e-12  # absolute accuracy asked of every Gram entry, as overlap's default
 _TAIL_FRACTION = 1e-8  # count_nodes treats smaller samples, relative to the largest, as zero
 
 
@@ -834,31 +830,50 @@ def gram(
 ) -> np.ndarray:
     """Symmetric Gram matrix ``G[i, j] = int f_i f_j dr`` of a family.
 
-    One adaptive Gauss-Kronrod (21-point) integration covers every
-    upper-triangle product at once: each state is evaluated once on the whole
-    vector of nodes of a subinterval, and refinement goes on until every
-    entry meets ``1e-12`` absolute or ``1e-10`` relative accuracy.  Raises
-    :class:`AccuracyError` when refinement does not converge or an entry's
-    error estimate stays above ``1e-8``, the gate of :func:`overlap`.
+    Globally adaptive 20-point Gauss-Legendre quadrature of all upper-triangle products.
+    A panel's estimate is the rule on its halves, its error the change from the rule on
+    the whole.  Each round halves every panel whose error, over its entry's tolerance, is
+    at least half the worst, evaluating each state once on all new nodes, until each
+    entry's summed error is within ``1e-14`` of the largest entry or ``1e-10`` of its own.
+    Raises :class:`AccuracyError` past 400 subdivisions or an error estimate above ``1e-8``.
     """
-    from scipy.integrate import cubature
+    from numpy.polynomial.legendre import leggauss  # not loaded with numpy; only gram needs it
 
     n = len(states)
     if n == 0:
         raise DomainError("gram needs at least one state")
     rows, cols = np.triu_indices(n)
+    nodes, weights = leggauss(20)
 
-    def products(x):
-        values = np.array([np.asarray(f(x[:, 0]), dtype=float) for f in states])
-        return (values[rows] * values[cols]).T
+    def rule(a, b):  # the rule on each panel [a[k], b[k]], one column per panel
+        half = 0.5 * (b - a)
+        x = ((a + half)[:, None] + half[:, None] * nodes).ravel()
+        values = np.array([np.asarray(f(x), dtype=float) for f in states]).reshape(n, len(a), -1)
+        return (values[rows] * values[cols]) @ weights * half
 
-    result = cubature(products, [lo], [hi], rule="gk21", atol=_GRAM_ATOL, rtol=1e-10,
-                      max_subdivisions=400)
-    err = float(np.max(result.error))
-    if result.status != "converged" or err > 1e-8:
-        raise AccuracyError(
-            f"Gram quadrature {result.status} with error estimate {err:.3g} (gate 1e-8)")
+    a, b, mid = np.array([lo], dtype=float), np.array([hi], dtype=float), 0.5 * (lo + hi)
+    whole, left, right = np.split(rule(np.r_[lo, lo, mid], np.r_[hi, mid, hi]), 3, axis=1)
+    while True:
+        error = np.abs(whole - left - right)
+        value, total = (left + right).sum(axis=1), error.sum(axis=1)
+        tol = np.maximum(1e-14 * (np.abs(value).max() or 1.0), 1e-10 * np.abs(value))
+        score = (error / tol[:, None]).max(axis=0)
+        split = score >= 0.5 * score.max()
+        # Each subdivision adds one panel; an error of nan splits none.
+        if np.all(total <= tol) or len(a) + np.count_nonzero(split) > 401 or not split.any():
+            break
+        a0, b0, keep = a[split], b[split], ~split
+        mid = (a0 + b0) / 2
+        q1, q3 = (a0 + mid) / 2, (mid + b0) / 2
+        ll, lr, rl, rr = np.split(rule(np.r_[a0, q1, mid, q3], np.r_[q1, mid, q3, b0]), 4, axis=1)
+        a, b = np.r_[a[keep], a0, mid], np.r_[b[keep], mid, b0]
+        whole = np.concatenate([whole[:, keep], left[:, split], right[:, split]], axis=1)
+        left = np.concatenate([left[:, keep], ll, rl], axis=1)
+        right = np.concatenate([right[:, keep], lr, rr], axis=1)
+    status = "converged" if np.all(total <= tol) else "not_converged"
+    err = float(np.max(total))
+    if status != "converged" or err > 1e-8:
+        raise AccuracyError(f"Gram quadrature {status} with error estimate {err:.3g} (gate 1e-8)")
     matrix = np.empty((n, n))
-    matrix[rows, cols] = result.estimate
-    matrix[cols, rows] = result.estimate
+    matrix[rows, cols] = matrix[cols, rows] = value
     return matrix

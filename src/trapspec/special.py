@@ -22,11 +22,17 @@ from .errors import DomainError, integer, positive
 __all__ = ["laguerre_gen", "laguerre_gen_derivative", "hermite", "radial_norm_3d"]
 
 RECURRENCE_LIMIT = 10**8  # most degree-by-point steps one recurrence may take
+MIN_STEP_POINTS = 1024  # points each step is charged at least, for its fixed cost
 
 
 def _check_steps(name: str, degree: int, arr: np.ndarray) -> None:
-    """Refuse a recurrence of more than :data:`RECURRENCE_LIMIT` degree-by-point steps."""
-    if degree * max(arr.size, 1) > RECURRENCE_LIMIT:
+    """Refuse a recurrence of more than :data:`RECURRENCE_LIMIT` degree-by-point steps.
+
+    A step costs about 4 us of call overhead plus 8 ns a point (measured on a 2-core
+    x86-64 host), so each is charged at least :data:`MIN_STEP_POINTS` points: the
+    slowest call admitted, at about that many points, takes about 1 s there.
+    """
+    if degree * max(arr.size, MIN_STEP_POINTS) > RECURRENCE_LIMIT:
         raise DomainError(
             f"{name} degree {degree} at {arr.size} points takes more than "
             f"{RECURRENCE_LIMIT:.0e} recurrence steps"
@@ -48,8 +54,9 @@ def laguerre_gen(n: int, alpha: float, x):
     Returns
     -------
     float or ndarray
-        Polynomial value(s); scalar in, scalar out.  A degree times point count
-        above :data:`RECURRENCE_LIMIT` raises :class:`DomainError` before any step.
+        Polynomial value(s); scalar in, scalar out.  A degree times point count (at
+        least :data:`MIN_STEP_POINTS`) above :data:`RECURRENCE_LIMIT` raises
+        :class:`DomainError` before any step.
     """
     n = integer("Laguerre degree", n, 0)
     if not -1.0 < alpha < math.inf:

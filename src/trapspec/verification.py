@@ -135,10 +135,6 @@ def reference_particle() -> DipoleParticle:
     return DipoleParticle(magnetic_moment=4.6e-24, mass=1.44e-25)
 
 
-def _natural() -> OscillatorScales:
-    return OscillatorScales.natural()
-
-
 def _problem(potential, centrifugal, r_max=12.0, origin_exponent=None) -> RadialProblem:
     return RadialProblem(
         potential=potential, centrifugal=centrifugal, mass=1.0,
@@ -176,7 +172,7 @@ def _solve_energies(problems, node_targets) -> list[float]:
 
 
 def check_spectrum_oracle(max_n: int = 16, max_l: int = 6) -> CheckResult:
-    scales = _natural()
+    scales = OscillatorScales.natural()
     start = time.perf_counter()
     worst, worst_label, n_states = 0.0, "", 0
     states = [(n, l) for n in range(max_n + 1) for l in allowed_angular(n) if l <= max_l]
@@ -211,7 +207,7 @@ def check_spectrum_oracle(max_n: int = 16, max_l: int = 6) -> CheckResult:
 
 
 def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> CheckResult:
-    scales = _natural()
+    scales = OscillatorScales.natural()
     pref = scales.hbar**2 / (2.0 * scales.mass)
     thr = tolerance("degeneracy_relative")
     ground_thr = tolerance("ground_zero_quanta") * scales.quantum
@@ -263,7 +259,7 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
 
 
 def check_pauli_gap(n_radii: int = 100, seed: int = 20260825) -> CheckResult:
-    scales = _natural()
+    scales = OscillatorScales.natural()
     pair = partner_pair(0, scales)
     rng = np.random.default_rng(seed)
     radii = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n_radii)) * scales.r0
@@ -288,7 +284,7 @@ def check_pauli_gap(n_radii: int = 100, seed: int = 20260825) -> CheckResult:
 
 
 def check_node_counts(max_l_partner: int = 4, max_n: int = 12) -> CheckResult:
-    scales = _natural()
+    scales = OscillatorScales.natural()
     grid = np.linspace(1e-4, 12.0, 12001) * scales.r0
     mismatches = []
 
@@ -464,7 +460,7 @@ def check_field_oracle(n_points: int = 9) -> CheckResult:
 
 
 def check_defect_model() -> CheckResult:
-    scales = _natural()
+    scales = OscillatorScales.natural()
     radii = np.geomspace(0.05, 8.0, 40) * scales.r0
     thr_point = tolerance("recovery_pointwise")
     thr_spec = tolerance("defect_spectrum_relative")
@@ -597,7 +593,7 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
 
 def orthonormality_families(max_n: int = 12) -> list[tuple[str, list, tuple[float, float]]]:
     """The families the orthonormality suite checks: (label, states, interval)."""
-    scales = _natural()
+    scales = OscillatorScales.natural()
     paul, penning = _planar_reference()
     families = []
     for l in range(3):

@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, one public list, oracles share no code with the
-closed forms they check, and neither start-up nor a radial solve loads scipy."""
+closed forms they check, and neither start-up nor a verify suite loads scipy."""
 
 import ast
 import os
@@ -174,13 +174,12 @@ def scipy_loaded_after(statements: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported where the quadrature runs; importing the package and
+    # scipy is imported only where `overlap` runs; importing the package and
     # its command line must not pay for it.
     assert scipy_loaded_after("import trapspec, trapspec.cli") == "[]\n"
 
 
 def test_radial_solves_load_no_scipy():
-    # The Numerov solve needs only numpy, so the suites that run it and no
-    # quadrature leave scipy unloaded.
-    run = "from trapspec import run_suite; [run_suite(s) for s in ('spectrum', 'susy', 'planar')]"
-    assert scipy_loaded_after(run) == "[]\n"
+    # The Numerov solve and the Gram quadrature need only numpy, so all ten
+    # suites leave scipy unloaded.
+    assert scipy_loaded_after("from trapspec import run_suite; run_suite('all')") == "[]\n"

@@ -1,4 +1,4 @@
-"""Tests for the shooting eigen-solver, node counter, quadrature, and FD checks."""
+"""Tests for the shooting eigen-solver, node counter and quadrature."""
 
 import functools
 import json
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trapspec import AccuracyError, BracketError, ConvergenceError, DomainError, numerov
-from trapspec.defect import recover_partner
+from trapspec.defect import EffectiveModel, defect_wavefunction, recover_partner
 from trapspec.numerov import (
     EigenResult,
     RadialProblem,
@@ -802,10 +802,27 @@ class TestGram:
             gram([wild, wild], 0.0, 50.0)
 
     def test_error_estimate_above_gate_raises(self):
-        # The integral is ~5e3, so the 1e-10 relative accuracy is met with an
-        # error estimate of ~1.6e-7, which the 1e-8 gate must still refuse.
+        # The integrand 1e6 sqrt(x) is no polynomial, so the rule is never exact.
+        # The integral is ~6.7e5, so the 1e-10 relative accuracy is met with an
+        # error estimate of ~3e-5, which the 1e-8 gate must still refuse.
         with pytest.raises(AccuracyError, match="quadrature converged"):
-            gram([lambda x: 1e2 * np.sin(20.0 * x)], 0.0, 1.0)
+            gram([lambda x: 1e3 * x**0.25], 0.0, 1.0)
+
+    def test_scaled_family_converges_as_the_family(self):
+        # The absolute floor is 1e-14 of the largest entry, so a family scaled by 100
+        # meets it despite its larger round-off, with entries 1e4 times as large.
+        _, states, (lo, hi) = FAMILIES[0]
+        scaled = gram([lambda r, f=f: 100.0 * f(r) for f in states], lo, hi)
+        assert np.max(np.abs(scaled / 1e4 - full_gram(0))) <= 1e-13
+
+    @pytest.mark.parametrize("delta", [0.9, 1.2, 1.4])
+    def test_shifted_tower_converges_at_its_singular_start(self, delta):
+        # W ~ r^(1 - delta) at the origin, so each product goes as r^(2 - 2 delta): not
+        # smooth, and unbounded past delta = 1, where a panel's error shrinks more slowly
+        # than its width.
+        model = EffectiveModel(l_angular=0, iterations=0, selector=0, delta=delta, scales=NAT)
+        tower = [defect_wavefunction(model, n_s) for n_s in range(0, 13, 2)]
+        assert np.max(np.abs(gram(tower, 0.0, 14.0) - np.eye(len(tower)))) <= 1e-10
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(order=st.permutations(range(AXIAL_SIZE)), size=st.integers(1, AXIAL_SIZE))

@@ -174,7 +174,8 @@ class TestHermite:
 
 
 class TestRecurrenceLimit:
-    """Degree times points above RECURRENCE_LIMIT is refused before any step."""
+    """Degree times points (at least MIN_STEP_POINTS) above RECURRENCE_LIMIT is refused
+    before any step."""
 
     @pytest.mark.parametrize("recurrence", [
         lambda n, x: laguerre_gen(n, 0.5, x),
@@ -188,10 +189,16 @@ class TestRecurrenceLimit:
 
     @pytest.mark.parametrize("recurrence", [lambda n, x: laguerre_gen(n, 0.5, x), hermite])
     def test_limit_counts_degree_times_points(self, recurrence, monkeypatch):
-        monkeypatch.setattr(special, "RECURRENCE_LIMIT", 100)
-        assert np.all(np.isfinite(recurrence(10, np.ones(10))))
-        with pytest.raises(DomainError, match="degree 10 at 11 points"):
-            recurrence(10, np.ones(11))
+        floor = special.MIN_STEP_POINTS
+        monkeypatch.setattr(special, "RECURRENCE_LIMIT", 10 * (floor + 1))
+        assert np.all(np.isfinite(recurrence(10, np.ones(floor + 1))))
+        with pytest.raises(DomainError, match=f"degree 10 at {floor + 2} points"):
+            recurrence(10, np.ones(floor + 2))
+        # Fewer points are charged as MIN_STEP_POINTS, the fixed cost of a step.
+        for x in (1.0, np.ones(1), np.ones(floor)):
+            assert np.all(np.isfinite(recurrence(10, x)))
+            with pytest.raises(DomainError, match="degree 11 at"):
+                recurrence(11, x)
 
 
 class TestRadialNorm3d:
