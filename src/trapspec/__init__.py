@@ -31,13 +31,11 @@ from .special import (
 from .oscillator3d import (
     OscillatorScales,
     RadialEigenstate,
-    ShellRow,
     allowed_angular,
     degeneracy,
     energy_3d,
     radial_wavefunction_3d,
     shell_capacity,
-    shell_table,
     valence_total,
     validate_quantum_numbers_3d,
 )
@@ -77,7 +75,6 @@ from .susy import (
     Superpotential,
     input_potential,
     partner_pair,
-    partner_spectrum,
     partner_wavefunction,
     related_systems_3d,
     superpotential,
@@ -111,7 +108,7 @@ from .planar import (
     static_quadrupole_potential,
     validate_planar_numbers,
 )
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 from .verification import CheckResult, run_suite
 
 __version__ = "0.1.0"

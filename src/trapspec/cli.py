@@ -36,7 +36,6 @@ from .fields import (
 from .oscillator3d import (
     OscillatorScales,
     _tower_level,
-    allowed_angular,
     radial_wavefunction_3d,
     shell_capacity,
 )
@@ -243,7 +242,11 @@ class _Magnetic:
 
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         osc = self.oscillator
-        n, l = np.array([(n, l) for n in range(max_n + 1) for l in allowed_angular(n)]).T
+        # Level N holds L = N % 2, N % 2 + 2, ..., N: int64 arrays, so a table too
+        # large to allocate raises MemoryError.
+        counts = np.arange(max_n + 1) // 2 + 1
+        n = np.repeat(np.arange(max_n + 1), counts)
+        l = n % 2 + 2 * (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts))
         # The trap-referenced level (E - mu B0) in quanta is exactly N + 3/2;
         # recomputing it from the joule value would shed seven digits to
         # cancellation.

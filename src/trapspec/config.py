@@ -1,4 +1,4 @@
-"""Run configuration: JSON load/save and construction of trap objects.
+"""Run configuration: JSON loading and construction of trap objects.
 
 A run configuration names the trap kind, the unit mode, the geometry record
 for that trap, and (for magnetic traps) the particle record.  All geometry
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .exports import json_text, write_text_atomic
 from .fields import DipoleParticle, IoffePritchardGeometry, TopGeometry
 from .planar import PaulParams, PenningParams
 
@@ -82,16 +81,6 @@ class RunConfig:
             mass=self.particle["mass_kg"],
         )
 
-    def to_dict(self) -> dict:
-        doc = {
-            "trap": self.trap,
-            "units": self.units,
-            "geometry": {k: float(self.geometry[k]) for k in GEOMETRY_FIELDS[self.trap]},
-        }
-        if self.trap in MAGNETIC_TRAPS:
-            doc["particle"] = {k: float(self.particle[k]) for k in PARTICLE_FIELDS}
-        return doc
-
 
 def _check_record(record, required, record_name, trap):
     if not isinstance(record, dict):
@@ -145,8 +134,3 @@ def load_config(path: str) -> RunConfig:
         geometry=doc.get("geometry", {}),
         particle=doc.get("particle", {}),
     )
-
-
-def save_config(config: RunConfig, path: str) -> None:
-    """Write a config as canonical JSON; load_config(save_config(c)) == c."""
-    write_text_atomic(path, json_text(config.to_dict()))

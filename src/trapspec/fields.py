@@ -585,18 +585,20 @@ def biot_savart_field(assembly: TrapAssembly | tuple[TrapAssembly, ...], points)
     return totals.reshape((len(snapshots), *shape) if stacked else shape)
 
 
+_AVERAGE_RTOL = 1e-13  # relative change at which top_time_average_numeric stops doubling
+
+
 def top_time_average_numeric(
     particle: DipoleParticle,
     scales: DerivedScales,
     x: float,
     y: float,
     z: float,
-    tol: float = 1e-11,
 ) -> float:
     """Drive-period average of mu|B| for the TOP series field, by quadrature.
 
     Composite Simpson over one period, starting at 256 panels and doubling
-    until the average changes by less than ``tol`` relative.  Serves as the
+    until the average changes by less than ``_AVERAGE_RTOL`` relative.  Serves as the
     independent check of :func:`top_time_avg_potential`.  It calls
     :func:`top_field_series` by design, because what it checks is the
     drive-period average, not the field.
@@ -617,7 +619,7 @@ def top_time_average_numeric(
     while n_panels <= 1 << 16:
         n_panels *= 2
         cur = average(n_panels)
-        if abs(cur - prev) <= tol * abs(cur):
+        if abs(cur - prev) <= _AVERAGE_RTOL * abs(cur):
             return particle.magnetic_moment * cur
         prev = cur
-    raise AccuracyError(f"time average did not converge to {tol:g} by {1 << 16} panels")
+    raise AccuracyError(f"time average did not converge to {_AVERAGE_RTOL:g} by {1 << 16} panels")

@@ -7,21 +7,24 @@ the outermost classical turning point), and overlaps from adaptive
 quadrature: ``gram`` integrates a whole family on Gauss-Legendre panels in
 numpy, and ``overlap`` one pair by scipy's ``quad``, imported when called.
 
-The radial problem solved is
+The radial problem solved, in units with ``hbar = 1``, is
 
-    [-hbar^2/2m d^2/dr^2 + hbar^2 c /(2 m r^2) + V(r)] W = E W
+    [-1/2m d^2/dr^2 + c /(2 m r^2) + V(r)] W = E W
 
 on ``r in [r_min, r_max]`` with ``W ~ r^s`` near the origin and ``W = 0`` at
 the outer wall.  The centrifugal strength ``c`` is a free real parameter so
 the same solver covers 3D towers (``c = L(L+1)``, possibly non-integer
-``L``) and planar ones (``c = M^2 - 1/4``).
+``L``) and planar ones (``c = M^2 - 1/4``).  ``V`` is called once, on the
+whole mesh array, and must be finite there.  Each level's search starts from
+``[min V_eff, V_eff(r_max)]`` of its effective potential and is widened until
+it brackets the level's node count.
 
 Notes
 -----
 Propagation runs on a logarithmic mesh: with ``x = ln r`` and
 ``W = sqrt(r) Phi(x)`` the equation becomes
 
-    Phi'' = [ (c + 1/4) + r^2 (2m/hbar^2) (V(r) - E) ] Phi ,
+    Phi'' = [ (c + 1/4) + 2m r^2 (V(r) - E) ] Phi ,
 
 which has no singular coefficient, so ``Phi`` is smooth down to the origin
 even for non-integer power behavior ``W ~ r^s`` (then ``Phi ~ e^{(s-1/2)x}``).
@@ -72,7 +75,7 @@ class RadialProblem:
 
     ``potential`` is the regular (non-centrifugal) part of the potential and
     must be finite as ``r -> 0``; the ``centrifugal`` coefficient supplies the
-    ``hbar^2 c / (2 m r^2)`` term.  ``origin_exponent`` optionally overrides
+    ``c / (2 m r^2)`` term (``hbar = 1``).  ``origin_exponent`` optionally overrides
     the near-origin behavior ``W ~ r^s`` (default: principal indicial root
     ``s = 1/2 + sqrt(1/4 + c)``); towers with attractive non-integer
     centrifugal terms pass the exponent of the regular member explicitly.
@@ -84,12 +87,10 @@ class RadialProblem:
     r_min: float
     r_max: float
     n_points: int = 8000
-    hbar: float = 1.0
     origin_exponent: Optional[float] = None
 
     def __post_init__(self):
         positive("mass", self.mass)
-        positive("hbar", self.hbar)
         for name in ("r_min", "r_max", "centrifugal", "origin_exponent"):
             if getattr(self, name) is not None:
                 finite(name, getattr(self, name))
@@ -137,15 +138,19 @@ class EigenResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sample_potential(potential, r: np.ndarray) -> tuple[np.ndarray, str]:
-    """Potential on the mesh, and whether it took one array call or one call per point."""
+def _sample_potential(potential, r: np.ndarray, state) -> np.ndarray:
+    """The potential of ``state`` from one call on the mesh ``r``, broadcast to its shape."""
     try:
-        values = np.asarray(potential(r), dtype=float)
-        if values.shape == r.shape:
-            return values, "vectorized"
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(potential(x)) for x in r]), "scalar"
+        values = np.broadcast_to(np.asarray(potential(r), dtype=float), r.shape)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"potential of state {state} must take the mesh array and return values that "
+            f"broadcast to it ({exc}); wrap scalar-only code in np.vectorize"
+        ) from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DomainError(f"potential of state {state} is not finite at r = {r[bad[0]]:.6g}")
+    return values
 
 
 def _tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
@@ -239,14 +244,15 @@ class _Batch:
     except the eigenfunctions themselves.
     """
 
-    def __init__(self, problems: Sequence[RadialProblem]):
-        self.problems = problems
+    def __init__(self, problems: Sequence[RadialProblem], index: Sequence[int]):
+        """``index`` gives each problem's position in the caller's list, for error messages."""
+        self.problems, self.index = problems, index
         self.n = problems[0].n_points
         meshes, potentials, prefactors = {}, {}, {}
         v_columns, r2p_columns = [], []
-        self.radii, self.sampling = [], []
+        self.radii = []
         scalars = []
-        for p in problems:
+        for p, state in zip(problems, index):
             mesh_key = (p.r_min, p.r_max)
             if mesh_key not in meshes:
                 r = p.grid()
@@ -257,11 +263,10 @@ class _Batch:
             # alive, so their ids cannot be reused while this runs.
             pot_key = (id(p.potential), mesh_key)
             if pot_key not in potentials:
-                values, mode = _sample_potential(p.potential, r)
-                potentials[pot_key] = (len(v_columns), mode)
-                v_columns.append(values)
-            vcol, mode = potentials[pot_key]
-            pref = 2.0 * p.mass / p.hbar**2
+                potentials[pot_key] = len(v_columns)
+                v_columns.append(_sample_potential(p.potential, r, state))
+            vcol = potentials[pot_key]
+            pref = 2.0 * p.mass
             if (pref, mesh_key) not in prefactors:
                 prefactors[pref, mesh_key] = len(r2p_columns)
                 r2p_columns.append(pref * r * r)
@@ -273,7 +278,6 @@ class _Batch:
                 r0 ** (s - 0.5), r0**2, r1 ** (s - 0.5), r1**2,
             ))
             self.radii.append(r)
-            self.sampling.append(mode)
         # Problems with one scalar row march alike, so states of one share columns.
         rows = {}
         self.group = np.array([rows.setdefault(row, len(rows)) for row in scalars])
@@ -439,13 +443,9 @@ class _Batch:
 
     # ---- the solve ----------------------------------------------------------
 
-    def solve(self, targets, windows, index) -> list[EigenResult]:
-        """Solve every problem of the batch for its node target.
-
-        ``index`` gives each problem's position in the caller's list, for
-        error messages.
-        """
-        problems = self.problems
+    def solve(self, targets) -> list[EigenResult]:
+        """Solve every problem of the batch for its node target."""
+        problems, index = self.problems, self.index
         size = len(problems)
         states = np.arange(size)
         targets = np.asarray(targets, dtype=np.int64)
@@ -469,17 +469,13 @@ class _Batch:
 
         # --- establish windows bracketing the node-count jump ----------------
         lo, hi = np.empty(size), np.empty(size)
-        for i, window in enumerate(windows):
+        for i in states:
             veff = self.veff(i)
-            if window is not None:
-                lo[i], hi[i] = float(window[0]), float(window[1])
-            else:
-                lo[i], hi[i] = float(veff.min()), float(veff[-1])
+            lo[i], hi[i] = float(veff.min()), float(veff[-1])
             if not hi[i] > lo[i]:
-                lo[i] = float(veff.min())
                 hi[i] = lo[i] + abs(lo[i]) + 1.0
         # The last doubling reaches 16 spans either side of the center; a
-        # window whose march cannot even start there is no hint.
+        # window whose march cannot even start there is refused up front.
         with np.errstate(over="ignore", invalid="ignore"):
             span0 = hi - lo
             center, reach = 0.5 * (lo + hi), 16.0 * span0
@@ -683,7 +679,6 @@ class _Batch:
                 "residual": float(abs(residual[i])),
                 "boundary_samples": [float(w[0]), float(w[-1])],
                 "bracket_history_tail": history[i][-3:],
-                "potential_sampling": self.sampling[i],
             }
             if nodes_found != targets[i]:
                 raise ConvergenceError(
@@ -703,15 +698,15 @@ class _Batch:
 def solve_eigens(
     problems: Sequence[RadialProblem],
     node_targets: Sequence[int],
-    energy_windows: Optional[Sequence[Optional[tuple[float, float]]]] = None,
 ) -> list[EigenResult]:
     """Solve many radial problems at once, one eigenvalue per problem.
 
     ``problems[i]`` is solved for the level with ``node_targets[i]`` interior
-    nodes; ``energy_windows[i]`` (or ``None``) is a search hint as in
-    :func:`solve_eigen`.  Problems of equal ``n_points`` advance together:
-    each Numerov sweep carries one column per (problem, trial energy), shared
-    by the states of that problem.  Node counts isolate every level by
+    nodes.  Problems of equal ``n_points`` advance together: each Numerov
+    sweep carries one column per (problem, trial energy), shared by the
+    states of that problem.  Each search starts from ``[min V_eff,
+    V_eff(r_max)]`` and is doubled about its center, up to five times, until
+    it brackets the node target.  Node counts isolate every level by
     bisection, several tree levels per sweep, then Brent's method drives all
     matching residuals to zero together.  Each state takes the same steps it
     would take alone, so its result does not depend on what else is in the batch.
@@ -720,9 +715,9 @@ def solve_eigens(
     ------
     DomainError
         If the lists differ in length, a node target is not a nonnegative
-        integer, a window end is not finite, or a window is so wide that,
-        widened five times, the march overflows at its first step; the
-        message names the state.
+        integer, a potential does not give finite values on its mesh from one
+        array call, or a search window is so wide that, widened five times, the
+        march overflows at its first step; the message names the state.
     BracketError
         If no valid search window can be established for some state.
     ConvergenceError
@@ -731,52 +726,42 @@ def solve_eigens(
     """
     problems = list(problems)
     targets = list(node_targets)
-    windows = [None] * len(problems) if energy_windows is None else list(energy_windows)
-    if not len(problems) == len(targets) == len(windows):
-        raise DomainError("problems, node_targets and energy_windows must have equal lengths")
-    for i, window in enumerate(windows):
-        targets[i] = integer(f"node_target of state {i}", targets[i], 0)
-        if window is not None and not all(math.isfinite(end) for end in window):
-            raise DomainError(f"energy window of state {i} must be finite, got {window!r}")
+    if len(problems) != len(targets):
+        raise DomainError("problems and node_targets must have equal lengths")
+    for i, target in enumerate(targets):
+        targets[i] = integer(f"node_target of state {i}", target, 0)
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(problems):
         groups.setdefault(p.n_points, []).append(i)
     results: list[Optional[EigenResult]] = [None] * len(problems)
     for members in groups.values():
-        group = [problems[i] for i in members]
-        solved = _Batch(group).solve([targets[i] for i in members],
-                                     [windows[i] for i in members], members)
+        solved = _Batch([problems[i] for i in members], members).solve(
+            [targets[i] for i in members])
         for i, res in zip(members, solved):
             results[i] = res
     return results
 
 
-def solve_eigen(
-    problem: RadialProblem,
-    node_target: int,
-    energy_window: Optional[tuple[float, float]] = None,
-) -> EigenResult:
+def solve_eigen(problem: RadialProblem, node_target: int) -> EigenResult:
     """Find the eigenvalue whose eigenfunction has ``node_target`` interior nodes.
 
     This is :func:`solve_eigens` for one problem.  Node-count bisection
     isolates the level, then Brent's method drives the Numerov matching
     residual at the outermost classical turning point to zero (relative
     tolerance 1e-12).
-    ``energy_window`` is only a hint: it is widened (doubled, up to five
-    times) whenever it fails to bracket the requested node count.
 
     Raises
     ------
     DomainError
-        If ``node_target`` is not a nonnegative integer, a window end is not
-        finite, or the window is too wide to widen.
+        If ``node_target`` is not a nonnegative integer, the potential is not
+        finite on the mesh or takes no array, or the search window is too wide
+        to widen.
     BracketError
         If no valid search window can be established.
     ConvergenceError
         If isolation, root search or the final node verification fails.
     """
-    windows = None if energy_window is None else [energy_window]
-    return solve_eigens([problem], [node_target], windows)[0]
+    return solve_eigens([problem], [node_target])[0]
 
 
 def count_nodes(samples: np.ndarray) -> int:

@@ -22,7 +22,6 @@ from .special import laguerre_gen, laguerre_gen_derivative, radial_norm_3d, towe
 __all__ = [
     "OscillatorScales",
     "RadialEigenstate",
-    "ShellRow",
     "validate_quantum_numbers_3d",
     "allowed_angular",
     "energy_3d",
@@ -30,7 +29,6 @@ __all__ = [
     "degeneracy",
     "shell_capacity",
     "valence_total",
-    "shell_table",
 ]
 
 
@@ -211,20 +209,3 @@ def valence_total(n_valence: int, d_occupancy: int) -> int:
             f"occupancy must lie in 1..{d_max} for the level above N={n_valence}, got {d_occupancy!r}"
         )
     return d + cap_below
-
-
-@dataclass(frozen=True)
-class ShellRow:
-    """One closed-shell bookkeeping row."""
-
-    shell_index: int
-    degeneracy: int
-    cumulative: int
-
-
-def shell_table(max_n: int) -> list[ShellRow]:
-    """Degeneracies and cumulative capacities for ``N = 0..max_n``."""
-    return [
-        ShellRow(shell_index=n, degeneracy=degeneracy(n), cumulative=shell_capacity(n))
-        for n in range(integer("max_n", max_n, 0) + 1)
-    ]

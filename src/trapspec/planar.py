@@ -140,12 +140,12 @@ class PaulFrequencies:
         return OscillatorScales(mass=self.mass, omega0=2.0 * self.secular, hbar=self.hbar)
 
 
-def paul_frequencies(params: PaulParams, hbar: float = HBAR) -> PaulFrequencies:
+def paul_frequencies(params: PaulParams) -> PaulFrequencies:
     """Secular-approximation scales; warns when the drive is not fast enough."""
     quadrupole = math.sqrt(
         math.sqrt(2.0) * abs(params.charge * params.voltage) / (params.mass * params.size**2)
     )
-    freqs = PaulFrequencies(quadrupole=quadrupole, drive=params.drive, mass=params.mass, hbar=hbar)
+    freqs = PaulFrequencies(quadrupole=quadrupole, drive=params.drive, mass=params.mass)
     if freqs.drive_ratio < DRIVE_RATIO_FLOOR:
         warnings.warn(
             f"drive/quadrupole frequency ratio {freqs.drive_ratio:.3g} is below "
@@ -396,13 +396,12 @@ class PenningFrequencies:
         return OscillatorScales(mass=self.mass, omega0=self.axial, hbar=self.hbar)
 
 
-def penning_frequencies(params: PenningParams, hbar: float = HBAR) -> PenningFrequencies:
+def penning_frequencies(params: PenningParams) -> PenningFrequencies:
     """Mode frequencies; rejects tunings where the radial motion is unbound."""
     return PenningFrequencies(
         axial=math.sqrt(abs(params.charge * params.voltage) / (params.mass * params.size**2)),
         cyclotron=abs(params.charge * params.axial_field) / params.mass,
         mass=params.mass,
-        hbar=hbar,
     )
 
 

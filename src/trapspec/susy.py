@@ -43,7 +43,6 @@ __all__ = [
     "superpotential",
     "input_potential",
     "partner_pair",
-    "partner_spectrum",
     "partner_wavefunction",
     "related_systems_3d",
 ]
@@ -93,13 +92,6 @@ def superpotential(l_angular: float, r0: float) -> Superpotential:
         raise DomainError(f"tower index must be finite and exceed -3/2, got {l_angular!r}")
     positive("r0", r0)
     return Superpotential(l_angular=float(l_angular), r0=r0)
-
-
-def _pair_3d(l_angular: int, n_spectroscopic: int, scales: OscillatorScales) -> PartnerPair:
-    """Pair of the 3D ``L`` tower, after the integer checks its labels need."""
-    integer("L", l_angular, 0)
-    integer("N_s", n_spectroscopic)
-    return partner_pair(l_angular, scales)
 
 
 def input_potential(l_angular: int, scales: OscillatorScales) -> Callable[[float], float]:
@@ -208,20 +200,13 @@ def partner_pair(l_angular: float, scales: OscillatorScales) -> PartnerPair:
     return PartnerPair(generator=superpotential(l_angular, scales.r0), scales=scales)
 
 
-def partner_spectrum(l_angular: int, n_spectroscopic: int, scales: OscillatorScales) -> float:
-    """Minus-side eigenvalue ``hbar w0 (N_s - L)`` for ``N_s = L+2, L+4, ...``.
-
-    Identical to the plus-side value at the same label; the ``N_s = L``
-    ground level is absent and raises :class:`ExcludedLevelError`.
-    """
-    return _pair_3d(l_angular, n_spectroscopic, scales).minus_spectrum(n_spectroscopic)
-
-
 def partner_wavefunction(
     n_spectroscopic: int, l_angular: int, scales: OscillatorScales
 ) -> RadialEigenstate:
     """Minus-side eigenfunction of the 3D ``L`` tower: ``W_{N_s-1, L+1}``."""
-    return _pair_3d(l_angular, n_spectroscopic, scales).partner_wavefunction(n_spectroscopic)
+    integer("L", l_angular, 0)
+    integer("N_s", n_spectroscopic)
+    return partner_pair(l_angular, scales).partner_wavefunction(n_spectroscopic)
 
 
 def related_systems_3d(l_angular: int, count: int) -> list[int]:

@@ -435,7 +435,7 @@ def check_field_oracle(n_points: int = 9) -> CheckResult:
     errs = []
     for frac in fractions:
         point = direction * frac * tscales.length
-        numeric = top_time_average_numeric(particle, tscales, *point, tol=1e-13)
+        numeric = top_time_average_numeric(particle, tscales, *point)
         closed = top_time_avg_potential(particle, tscales, math.hypot(point[0], point[1]),
                                         point[2])
         errs.append(abs(numeric - closed) / (particle.magnetic_moment * tscales.field))

@@ -788,12 +788,14 @@ class TestErrorWiring:
         assert err.startswith("config error: cannot read config file")
 
     def test_table_too_large_to_allocate_exits_3(self, tmp_path, capsys):
-        # 100000**3 points need 7.11 PiB a coordinate, beyond any 64-bit user address space.
-        code, out, err = run(capsys, "field-map", "--config", ip_config(tmp_path),
-                             "--points", "100000")
-        assert (code, out) == (3, "")
-        assert err.startswith("validation error: Unable to allocate 7.11 PiB")
-        assert err.count("\n") == 1
+        # 100000**3 points need 7.11 PiB a coordinate, beyond any 64-bit user
+        # address space; the labels N = 0 .. 1e12 of a spectrum alone need 7.28 TiB.
+        for argv, size in [(("field-map", "--points", "100000"), "7.11 PiB"),
+                           (("spectrum", "--max-n", "1000000000000"), "7.28 TiB")]:
+            code, out, err = run(capsys, argv[0], "--config", ip_config(tmp_path), *argv[1:])
+            assert (code, out) == (3, ""), argv
+            assert err.startswith(f"validation error: Unable to allocate {size}")
+            assert err.count("\n") == 1
 
     def test_oversized_config_number_exits_2(self, tmp_path, capsys):
         geometry = dict(IP_GEOMETRY, coil_current_A=10**400)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from trapspec import ConfigError, RunConfig, load_config, save_config
+from trapspec import ConfigError, RunConfig, load_config
 from trapspec.config import MAGNETIC_TRAPS, TRAP_KINDS, TRAPS
 from trapspec.fields import IoffePritchardGeometry, TopGeometry
 from trapspec.planar import PaulParams, PenningParams
@@ -145,26 +145,6 @@ class TestBuilders:
 
 
 class TestFileRoundTrip:
-    @pytest.mark.parametrize(
-        "trap,geometry,particle",
-        [
-            ("ioffe_pritchard", IP_GEOMETRY, PARTICLE),
-            ("top", TOP_GEOMETRY, PARTICLE),
-            ("paul", PAUL_GEOMETRY, None),
-            ("penning", PENNING_GEOMETRY, None),
-        ],
-    )
-    def test_save_load_identity(self, tmp_path, trap, geometry, particle):
-        cfg = make(trap, geometry, particle)
-        path = tmp_path / "run.json"
-        save_config(cfg, str(path))
-        loaded = load_config(str(path))
-        assert loaded == cfg
-        # Serialization is canonical: a second save is byte-identical.
-        text = path.read_text()
-        save_config(loaded, str(path))
-        assert path.read_text() == text
-
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(

@@ -15,7 +15,7 @@ from trapspec.defect import (
 from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
 from trapspec.oscillator3d import OscillatorScales, energy_3d, radial_wavefunction_3d
 from trapspec.special import radial_norm_3d
-from trapspec.susy import input_potential, partner_pair, partner_spectrum
+from trapspec.susy import input_potential, partner_pair
 
 NAT = OscillatorScales.natural()
 SI = OscillatorScales(
@@ -44,7 +44,6 @@ def tower_problem(m):
         mass=scales.mass,
         r_min=1e-6 * scales.r0,
         r_max=12.0 * scales.r0,
-        hbar=scales.hbar,
         origin_exponent=ls + 1.0,
     )
 
@@ -279,7 +278,7 @@ class TestRecovery:
         rec = recover_partner(1, 0, 1, NAT)
         for n_s in (3, 5, 9):
             assert rec.spectrum(n_s) == pytest.approx(
-                partner_spectrum(1, n_s, NAT), rel=1e-14
+                partner_pair(1, NAT).minus_spectrum(n_s), rel=1e-14
             )
         with pytest.raises(ExcludedLevelError):
             rec.spectrum(1)

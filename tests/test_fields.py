@@ -352,7 +352,7 @@ class TestTopPotential:
         s = top_scales(tuned_top_geometry())
         x = 1e-2 * s.length
         closed = top_time_avg_potential(PARTICLE, s, x, 0.0)
-        numeric = top_time_average_numeric(PARTICLE, s, x, 0.0, 0.0, tol=1e-13)
+        numeric = top_time_average_numeric(PARTICLE, s, x, 0.0, 0.0)
         assert abs(numeric - closed) / closed < 1e-8
 
 

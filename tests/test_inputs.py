@@ -30,7 +30,6 @@ from trapspec.oscillator3d import (
     energy_3d,
     radial_wavefunction_3d,
     shell_capacity,
-    shell_table,
     valence_total,
     validate_quantum_numbers_3d,
 )
@@ -55,7 +54,6 @@ from trapspec.planar import (
 from trapspec.special import hermite, laguerre_gen, radial_norm_3d
 from trapspec.susy import (
     input_potential,
-    partner_spectrum,
     partner_wavefunction,
     related_systems_3d,
     superpotential,
@@ -95,7 +93,6 @@ CASES = [
     (energy_3d, dict(scales=OSC, n_principal=3), {"n_principal": ("N", LABEL)}),
     (degeneracy, dict(n_principal=3), {"n_principal": ("N", LABEL)}),
     (shell_capacity, dict(n_principal=3), {"n_principal": ("N", (*INTEGRAL, -2))}),
-    (shell_table, dict(max_n=3), {"max_n": ("max_n", LABEL)}),
     (valence_total, dict(n_valence=1, d_occupancy=4),
      {"n_valence": ("N", (*INTEGRAL, -2)), "d_occupancy": ("occupancy", (*LABEL, 0, 7))}),
     (laguerre_gen, dict(n=3, alpha=0.5, x=1.0),
@@ -137,8 +134,6 @@ CASES = [
     (superpotential, dict(l_angular=0.5, r0=1.0),
      {"l_angular": ("tower index", NON_FINITE), "r0": ("r0", SCALE)}),
     (input_potential, dict(l_angular=1, scales=OSC), {"l_angular": ("L", LABEL)}),
-    (partner_spectrum, dict(l_angular=1, n_spectroscopic=3, scales=OSC),
-     {"l_angular": ("L", LABEL), "n_spectroscopic": ("N_s", INTEGRAL)}),
     (partner_wavefunction, dict(n_spectroscopic=3, l_angular=1, scales=OSC),
      {"l_angular": ("L", LABEL), "n_spectroscopic": ("N_s", INTEGRAL)}),
     (related_systems_3d, dict(l_angular=1, count=4), {"count": ("count", (*LABEL, 0))}),
@@ -154,8 +149,8 @@ CASES = [
     (recover_partner(0, 1, 1, OSC).spectrum, dict(n_spectroscopic=5),
      {"n_spectroscopic": ("N_s", LABEL)}),
     (RadialProblem, dict(potential=PROBLEM.potential, centrifugal=2.0, mass=1.0, r_min=1e-6,
-                         r_max=12.0, hbar=1.0, origin_exponent=2.0),
-     {"mass": ("mass", SCALE), "hbar": ("hbar", SCALE),
+                         r_max=12.0, origin_exponent=2.0),
+     {"mass": ("mass", SCALE),
       **{name: (name, NON_FINITE)
          for name in ("r_min", "r_max", "centrifugal", "origin_exponent")}}),
     (solve_one, dict(node_target=1), {"node_target": ("node_target of state 0", LABEL)}),

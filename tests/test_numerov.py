@@ -61,7 +61,7 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             RadialProblem(half_r_squared, 0.0, -1.0, 1e-6, 12.0)
 
-    @pytest.mark.parametrize("field", ["mass", "hbar", "r_min", "r_max", "centrifugal",
+    @pytest.mark.parametrize("field", ["mass", "r_min", "r_max", "centrifugal",
                                        "origin_exponent"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, field, value):
@@ -86,29 +86,44 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             solve_eigen(oscillator_problem(0.0), -1)
 
-    @pytest.mark.parametrize("target, window, match", [
-        (math.inf, None, "node_target of state 1"),
-        (math.nan, None, "node_target of state 1"),
-        (1, (0.0, math.inf), "energy window of state 1"),
-        (1, (-math.inf, 5.0), "energy window of state 1"),
-        (1, (0.0, math.nan), "energy window of state 1"),
-    ])
-    def test_non_finite_solver_inputs_rejected(self, target, window, match):
-        # Rejected before any sweep: not an OverflowError from int(inf), nor a
-        # BracketError on a [nan, nan] window after numpy warnings.
-        with pytest.raises(DomainError, match=match):
-            solve_eigens([oscillator_problem(0.0)] * 2, [0, target], [None, window])
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_non_finite_solver_inputs_rejected(self, target):
+        # Rejected before any sweep, not an OverflowError from int(inf).
+        with pytest.raises(DomainError, match="node_target of state 1"):
+            solve_eigens([oscillator_problem(0.0)] * 2, [0, target])
 
-    def test_huge_finite_window_is_a_hint(self):
-        res = solve_eigen(oscillator_problem(0.0, n_points=2000), 1, energy_window=(0.0, 1e6))
-        assert res.energy == pytest.approx(3.5, rel=1e-6)
-
-    @pytest.mark.parametrize("window", [(0.0, 1e300), (-1e200, 5.0), (-1e308, 1e308)])
-    def test_overflowing_window_rejected(self, window):
-        # Widened to its last doubling, the window overflows the march's
-        # first ratio: refused before any sweep, with no numpy warning.
+    def test_overflowing_window_rejected(self):
+        # [min V_eff, V_eff(r_max)] of 1e300 r^2, widened to its last
+        # doubling, overflows the march's first ratio: refused before any
+        # sweep, with no numpy warning (RuntimeWarnings are errors here).
+        steep = RadialProblem(lambda r: 1e300 * r * r, 0.0, 1.0, 1e-6, 12.0, n_points=2000)
         with pytest.raises(DomainError, match=r"^energy window .* of state 1 .* is too wide"):
-            solve_eigens([oscillator_problem(0.0, n_points=2000)] * 2, [0, 1], [None, window])
+            solve_eigens([oscillator_problem(0.0, n_points=2000), steep], [0, 1])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_potential_names_state_and_radius(self, bad):
+        problem = RadialProblem(lambda r: np.where(r > 11, bad, 0.5 * r * r), 0.0, 1.0, 1e-6, 12.0)
+        with pytest.raises(DomainError, match=r"^potential of state 1 is not finite at r = 11\.0"):
+            solve_eigens([oscillator_problem(0.0), problem], [0, 0])
+
+    def test_scalar_only_potential_raises(self):
+        # math.log takes no array: the potential must take the whole mesh.
+        def scalar_only(r):
+            return 0.5 * math.exp(2.0 * math.log(r))
+
+        with pytest.raises(DomainError, match=r"^potential of state 0 .*np\.vectorize"):
+            solve_eigen(RadialProblem(scalar_only, 0.0, 1.0, 1e-6, 12.0), 0)
+
+    def test_constant_potential_is_broadcast(self):
+        # V = 2 in a box of radius 6: E = 2 + pi^2 / (2 * 6^2) for L = 0, the
+        # same bit for bit as from an array of twos.
+        def box(potential):
+            return RadialProblem(potential, 0.0, 1.0, 1e-6, 6.0)
+
+        const, array = solve_eigens([box(lambda r: 2.0), box(lambda r: np.full_like(r, 2.0))],
+                                    [0, 0])
+        assert const.energy == array.energy
+        assert const.energy == pytest.approx(2.0 + math.pi**2 / 72.0, rel=1e-8)
 
     def test_batch_lengths_must_agree(self):
         with pytest.raises(DomainError):
@@ -182,10 +197,11 @@ class TestOscillatorEigenvalues:
         fine = solve_eigen(oscillator_problem(2.0, n_points=16000), 3).energy
         assert abs(fine - coarse) / abs(fine) < 1e-9
 
-    def test_window_hint_is_widened(self):
-        # (2, 3) misses the one-node level at 3.5 until the first widening.
-        res = solve_eigen(oscillator_problem(0.0), 1, energy_window=(2.0, 3.0))
-        assert res.energy == pytest.approx(3.5, rel=1e-8)
+    def test_window_is_widened(self):
+        # In a box of 3 r0, [min V_eff, V_eff(r_max)] = [0, 4.5] holds no
+        # two-node level (the wall lifts it to ~6.5) until the first widening.
+        res = solve_eigen(oscillator_problem(0.0, r_max=3.0), 2)
+        assert res.energy > 4.5
         assert res.diagnostics["widenings"] >= 1
 
     def test_diagnostics_contents(self):
@@ -197,17 +213,7 @@ class TestOscillatorEigenvalues:
         assert d["count_evaluations"] > 0
         assert len(d["final_window"]) == 2
         assert d["residual"] < 1e-6
-        assert d["potential_sampling"] == "vectorized"
         assert res.radii[0] == pytest.approx(1e-6)
-
-    def test_scalar_potential_sampling_is_reported(self):
-        # math.log only takes scalars, so the mesh is sampled point by point.
-        def scalar_only(r):
-            return 0.5 * math.exp(2.0 * math.log(r))
-
-        res = solve_eigen(RadialProblem(scalar_only, 0.0, 1.0, 1e-6, 12.0), 0)
-        assert res.diagnostics["potential_sampling"] == "scalar"
-        assert res.energy == pytest.approx(1.5, rel=1e-8)
 
     def test_mismatch_without_sign_change_raises(self, monkeypatch):
         # A matching mismatch of one sign everywhere leaves no root to polish;
@@ -311,7 +317,7 @@ def scalar_inputs(problem, energy):
     r = problem.grid()
     x = np.log(r)
     h2_12 = (x[1] - x[0]) ** 2 / 12.0
-    pref = 2.0 * problem.mass / problem.hbar**2
+    pref = 2.0 * problem.mass
     v = problem.potential(r)
     f = (1.0 + h2_12 * (pref * r * r * (energy - v) - (problem.centrifugal + 0.25))).tolist()
     s = problem.exponent()
@@ -330,7 +336,7 @@ def sweep(problem, energies, m):
     outward ratio must be, bit for bit, the one a shoot that marches outward
     itself (a Brent round, which stops at the matching point) gives.
     """
-    batch = numerov._Batch([problem])
+    batch = numerov._Batch([problem], [0])
     states = np.zeros(len(energies), dtype=np.intp)
     matching = np.full(len(energies), m)
     marched = []
@@ -604,7 +610,7 @@ def seed_problem(entry):
     return RadialProblem(
         potential=seed_potential(entry), centrifugal=entry["centrifugal"], mass=entry["mass"],
         r_min=entry["r_min"], r_max=entry["r_max"], n_points=entry["n_points"],
-        hbar=entry["hbar"], origin_exponent=entry["origin_exponent"],
+        origin_exponent=entry["origin_exponent"],
     )
 
 
@@ -612,19 +618,17 @@ class TestSeedEnergies:
     """Energies recorded with the scalar solver that the batched one replaced.
 
     ``numerov_seed_energies.json`` holds every state the verify suites solve
-    and every state the tests solve, each with the problem, the node target,
-    the window hint and the energy (repr floats) that the one-state-at-a-time
-    solver (node bisection, then Brent's method) returned.  The entries whose
+    and every state the tests solved when it was recorded, each with the
+    problem, the node target and the energy (repr floats) that the
+    one-state-at-a-time solver (node bisection, then Brent's method) returned.  The entries whose
     indicial roots nearly coincide (``c + 1/4 <= 0.04``) that moved by more
     than 1e-12 under the ratio-form outward march hold its energies instead.
     """
 
     def test_batched_solver_matches_recorded_energies(self):
         entries = json.loads(SEED_ENERGIES.read_text())["entries"]
-        windows = [None if e["energy_window"] is None else tuple(e["energy_window"])
-                   for e in entries]
         results = solve_eigens([seed_problem(e) for e in entries],
-                               [e["node_target"] for e in entries], windows)
+                               [e["node_target"] for e in entries])
         for e, res in zip(entries, results):
             # 1e-12 relative, or 1e-12 absolute for the levels near zero.
             assert abs(res.energy - e["energy"]) <= 1e-12 * max(abs(e["energy"]), 1.0), e["source"]

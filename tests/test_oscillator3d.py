@@ -15,7 +15,6 @@ from trapspec.oscillator3d import (
     energy_3d,
     radial_wavefunction_3d,
     shell_capacity,
-    shell_table,
     valence_total,
     validate_quantum_numbers_3d,
 )
@@ -216,12 +215,6 @@ class TestShellCombinatorics:
             valence_total(1, 0)
         with pytest.raises(DomainError):
             valence_total(1, degeneracy(2) + 1)
-
-    def test_shell_table(self):
-        rows = shell_table(3)
-        assert [r.shell_index for r in rows] == [0, 1, 2, 3]
-        assert [r.degeneracy for r in rows] == [1, 3, 6, 10]
-        assert [r.cumulative for r in rows] == [1, 4, 10, 20]
 
     def test_capacity_negative_below_minus_one(self):
         with pytest.raises(DomainError):

@@ -466,7 +466,7 @@ class TestPenningFrequencies:
         params = PenningParams(
             voltage=1.0, size=1.0, axial_field=2.0, charge=1.0, mass=1.0
         )
-        f = penning_frequencies(params, hbar=1.0)
+        f = penning_frequencies(params)
         assert f.axial == pytest.approx(1.0, rel=1e-14)
         assert f.cyclotron == pytest.approx(2.0, rel=1e-14)
         assert f.hybrid == pytest.approx(math.sqrt(2.0), rel=1e-14)
@@ -477,19 +477,19 @@ class TestPenningFrequencies:
             voltage=2.0, size=1.0, axial_field=2.0, charge=1.0, mass=1.0
         )
         with pytest.raises(StabilityError):
-            penning_frequencies(params, hbar=1.0)
+            penning_frequencies(params)
         weak = PenningParams(
             voltage=1.0, size=1.0, axial_field=1.0, charge=1.0, mass=1.0
         )
         with pytest.raises(StabilityError):
-            penning_frequencies(weak, hbar=1.0)
+            penning_frequencies(weak)
 
     def test_tuning_in_unit_interval(self):
         for b in (1.5, 2.0, 40.0):
             params = PenningParams(
                 voltage=1.0, size=1.0, axial_field=b, charge=1.0, mass=1.0
             )
-            f = penning_frequencies(params, hbar=1.0)
+            f = penning_frequencies(params)
             assert 0.0 < f.tuning < 1.0
 
     def test_unstable_record_rejected(self):

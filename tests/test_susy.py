@@ -17,7 +17,6 @@ from trapspec.oscillator3d import (
 from trapspec.susy import (
     input_potential,
     partner_pair,
-    partner_spectrum,
     partner_wavefunction,
     related_systems_3d,
     superpotential,
@@ -40,7 +39,6 @@ def regular_problem(full_potential, centrifugal, scales):
         mass=scales.mass,
         r_min=1e-6 * scales.r0,
         r_max=12.0 * scales.r0,
-        hbar=scales.hbar,
     )
 
 
@@ -164,30 +162,28 @@ class TestPartnerPair:
 
 class TestPartnerSpectrum:
     def test_first_minus_level(self):
-        assert partner_spectrum(0, 2, NAT) == pytest.approx(2.0, rel=1e-14)
+        assert partner_pair(0, NAT).minus_spectrum(2) == pytest.approx(2.0, rel=1e-14)
 
     def test_degenerate_with_plus_tower(self):
         # Plus-side eigenvalues referenced to the removed ground are
         # hbar w0 (N_s - L) as well; identity holds for every valid label.
         for l in range(5):
             for n_s in range(l + 2, l + 13, 2):
-                assert partner_spectrum(l, n_s, NAT) == pytest.approx(
+                assert partner_pair(l, NAT).minus_spectrum(n_s) == pytest.approx(
                     float(n_s - l), rel=1e-14
                 )
 
     def test_removed_ground_raises(self):
         with pytest.raises(ExcludedLevelError):
-            partner_spectrum(0, 0, NAT)
+            partner_pair(0, NAT).minus_spectrum(0)
         with pytest.raises(ExcludedLevelError):
-            partner_spectrum(3, 3, NAT)
+            partner_pair(3, NAT).minus_spectrum(3)
 
     def test_bad_labels(self):
         with pytest.raises(DomainError):
-            partner_spectrum(0, 1, NAT)
+            partner_pair(0, NAT).minus_spectrum(1)
         with pytest.raises(DomainError):
-            partner_spectrum(2, 0, NAT)
-        with pytest.raises(DomainError):
-            partner_spectrum(0, 2 + 1e-10, NAT)
+            partner_pair(2, NAT).minus_spectrum(0)
         with pytest.raises(DomainError):
             partner_wavefunction(2 + 1e-10, 0, NAT)
 
