@@ -808,36 +808,53 @@ def overlap(
     return value
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-point Gauss-Legendre nodes and weights on [-1, 1], computed once."""
+    from numpy.polynomial.legendre import leggauss  # not loaded with numpy; only gram needs it
+
+    return leggauss(20)
+
+
 def gram(
-    states: Sequence[Callable[[np.ndarray], np.ndarray]],
+    family: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
 ) -> np.ndarray:
     """Symmetric Gram matrix ``G[i, j] = int f_i f_j dr`` of a family.
 
+    ``family(x)`` returns one row ``f_i(x)`` per state, an ``(n, len(x))`` array.
     Globally adaptive 20-point Gauss-Legendre quadrature of all upper-triangle products.
     A panel's estimate is the rule on its halves, its error the change from the rule on
     the whole.  Each round halves every panel whose error, over its entry's tolerance, is
-    at least half the worst, evaluating each state once on all new nodes, until each
+    at least half the worst, evaluating the family once on all new nodes, until each
     entry's summed error is within ``1e-14`` of the largest entry or ``1e-10`` of its own.
     Raises :class:`AccuracyError` past 400 subdivisions or an error estimate above ``1e-8``.
     """
-    from numpy.polynomial.legendre import leggauss  # not loaded with numpy; only gram needs it
+    nodes, weights = _gauss_legendre()
+    triangle = None  # (rows, cols) of the upper triangle, once the family's size is known
 
-    n = len(states)
-    if n == 0:
-        raise DomainError("gram needs at least one state")
-    rows, cols = np.triu_indices(n)
-    nodes, weights = leggauss(20)
-
-    def rule(a, b):  # the rule on each panel [a[k], b[k]], one column per panel
+    def rule(a, b, parts):  # the rule on each panel [a[k], b[k]], in ``parts`` equal blocks
         half = 0.5 * (b - a)
         x = ((a + half)[:, None] + half[:, None] * nodes).ravel()
-        values = np.array([np.asarray(f(x), dtype=float) for f in states]).reshape(n, len(a), -1)
-        return (values[rows] * values[cols]) @ weights * half
+        values = np.asarray(family(x), dtype=float)
+        if values.ndim != 2 or values.shape[1] != x.size or len(values) == 0:
+            raise DomainError(
+                f"gram needs a family of at least one state, one row per state of "
+                f"{x.size} values; got shape {values.shape}"
+            )
+        nonlocal triangle
+        if triangle is None:
+            triangle = np.triu_indices(len(values))
+        rows, cols = triangle
+        values = values.reshape(len(values), len(a), -1)
+        sums = (values[rows] * values[cols]) @ weights * half
+        k = len(a) // parts
+        return [sums[:, i * k:(i + 1) * k] for i in range(parts)]
 
     a, b, mid = np.array([lo], dtype=float), np.array([hi], dtype=float), 0.5 * (lo + hi)
-    whole, left, right = np.split(rule(np.r_[lo, lo, mid], np.r_[hi, mid, hi]), 3, axis=1)
+    ends = np.array([lo, lo, mid], dtype=float), np.array([hi, mid, hi], dtype=float)
+    whole, left, right = rule(*ends, 3)
     while True:
         error = np.abs(whole - left - right)
         value, total = (left + right).sum(axis=1), error.sum(axis=1)
@@ -850,8 +867,9 @@ def gram(
         a0, b0, keep = a[split], b[split], ~split
         mid = (a0 + b0) / 2
         q1, q3 = (a0 + mid) / 2, (mid + b0) / 2
-        ll, lr, rl, rr = np.split(rule(np.r_[a0, q1, mid, q3], np.r_[q1, mid, q3, b0]), 4, axis=1)
-        a, b = np.r_[a[keep], a0, mid], np.r_[b[keep], mid, b0]
+        quarters = np.concatenate([a0, q1, mid, q3]), np.concatenate([q1, mid, q3, b0])
+        ll, lr, rl, rr = rule(*quarters, 4)
+        a, b = np.concatenate([a[keep], a0, mid]), np.concatenate([b[keep], mid, b0])
         whole = np.concatenate([whole[:, keep], left[:, split], right[:, split]], axis=1)
         left = np.concatenate([left[:, keep], ll, rl], axis=1)
         right = np.concatenate([right[:, keep], lr, rr], axis=1)
@@ -859,6 +877,8 @@ def gram(
     err = float(np.max(total))
     if status != "converged" or err > 1e-8:
         raise AccuracyError(f"Gram quadrature {status} with error estimate {err:.3g} (gate 1e-8)")
+    rows, cols = triangle
+    n = int(rows.max()) + 1
     matrix = np.empty((n, n))
     matrix[rows, cols] = matrix[cols, rows] = value
     return matrix

@@ -6,18 +6,26 @@ value at the trap center).  States are labeled ``(N, L, M)`` with
 ``L <= N``, ``N - L`` even; the energy ``E_N = E0 + hbar w0 (N + 3/2)``
 depends on ``N`` only.  There is no spin degeneracy: the trap holds one
 spin orientation, so each level holds ``(N+1)(N+2)/2`` particles.
+
+Every radial family is the tower :class:`RadialEigenstate`.  A state, or a
+family of them at once (:func:`tower_rows`), is evaluated by one scaled
+Laguerre march per tower index and node vector, which gives every degree from
+a single pass and stays finite at any level.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import DomainError, finite, integer, positive
-from .special import laguerre_gen, laguerre_gen_derivative, radial_norm_3d, tower_degree
+from .special import laguerre_march, log_radial_norm, radial_norm_3d, tower_degree
+
+_LN2 = math.log(2.0)
 
 __all__ = [
     "OscillatorScales",
@@ -122,6 +130,8 @@ class RadialEigenstate:
     l_angular`` must be a nonnegative even integer.  The full 3D state is
     ``psi = (r0/r) W(r) Y_{LM}``; with the normalization constant used here
     ``int_0^inf W^2 dr = 1``.  The axial factor is called at signed ``z``.
+    Calling a state, or its :meth:`derivative`, is :func:`tower_rows` for that
+    one state, so values are finite at any degree and tower index.
     """
 
     n_principal: float
@@ -135,28 +145,103 @@ class RadialEigenstate:
         return int(round((self.n_principal - self.l_angular) / 2.0))
 
     def __call__(self, r):
-        u = np.asarray(r, dtype=float) / self.r0
-        x = u * u
-        poly = laguerre_gen(self.degree, self.l_angular + 0.5, x)
-        with np.errstate(divide="ignore"):
-            val = self.norm * u ** (self.l_angular + 1.0) * np.exp(-0.5 * x) * poly
+        val = tower_rows([self], r)[0]
         return val if np.asarray(r).ndim else float(val)
 
     def derivative(self, r):
         """Analytic ``dW/dr`` (Laguerre derivative identity, stable in u = r/r0)."""
-        u = np.asarray(r, dtype=float) / self.r0
-        x = u * u
-        a = self.l_angular + 1.0
-        poly = laguerre_gen(self.degree, self.l_angular + 0.5, x)
-        dpoly = laguerre_gen_derivative(self.degree, self.l_angular + 0.5, x)
-        with np.errstate(divide="ignore"):
-            if a == 0.0:
-                # The bracket is x (2L' - L) here; u**-1 times it would be 0 * inf at u = 0.
-                power, bracket = u, 2.0 * dpoly - poly
-            else:
-                power, bracket = u ** (self.l_angular), a * poly - x * poly + 2.0 * x * dpoly
-            val = self.norm / self.r0 * power * np.exp(-0.5 * x) * bracket
+        val = tower_rows([self], r, derivative=True)[0]
         return val if np.asarray(r).ndim else float(val)
+
+
+def tower_rows(states, r, derivative: bool = False) -> np.ndarray:
+    """Values (or ``dW/dr``) of a family of tower states at ``r``, one row per state.
+
+    States that share a tower index and length share one scaled Laguerre march for
+    all their degrees (:func:`~trapspec.special.laguerre_march`; the derivative adds
+    one march at order ``lam + 3/2``).  Each value is the product
+    ``C u^(lam+1) e^(-u^2/2) L`` of a lone state, with the same factors in the same
+    order and ``L`` the plain recurrence's value, wherever that product is finite and
+    ``C`` is a normal float.  Elsewhere (a large degree or tower index, where ``L``
+    or ``u^(lam+1)`` overflows, or ``C`` underflows) it is
+    ``sign * exp(log|C| + (lam+1) log|u| - u^2/2 + log|L|)``, the march's power of
+    two inside the log, so it stays finite and accurate where the product would be
+    ``0 * inf``.
+    """
+    arr = np.asarray(r, dtype=float)
+    flat = arr.reshape(-1)
+    out = np.empty((len(states), flat.size))
+    groups = {}
+    for i, state in enumerate(states):
+        groups.setdefault(state.r0, {}).setdefault(state.l_angular, []).append(i)
+    for r0, towers in groups.items():
+        u = flat / r0
+        x = u * u
+        ex = np.exp(-0.5 * x)
+        for lam, rows in towers.items():
+            members = [states[i] for i in rows]
+            out[rows] = _tower_group(members, lam, r0, u, x, ex, derivative)
+    return out.reshape((len(states),) + arr.shape)
+
+
+def _tower_group(states, lam, r0, u, x, ex, derivative: bool) -> np.ndarray:
+    """:func:`tower_rows` for the states of one tower index ``lam`` and length ``r0``.
+
+    ``u`` is ``r/r0``, ``x`` is ``u * u`` and ``ex`` is ``exp(-x/2)``.
+    """
+    degrees = [state.degree for state in states]
+    norms = np.array([state.norm for state in states])[:, None]
+    a = lam + 1.0
+    # (mantissas, power-of-two scale or None) of L, and for dW/dr of dL/dx.
+    terms = [laguerre_march(degrees, lam + 0.5, x)]
+    if derivative:
+        # dL_n^alpha/dx = -L_{n-1}^{alpha+1}, and 0 at n = 0.
+        dpoly, dscale = laguerre_march([max(n - 1, 0) for n in degrees], lam + 0.5 + 1.0, x)
+        dpoly = np.negative(dpoly, out=dpoly)
+        dpoly[np.array(degrees) == 0] = 0.0
+        terms.append((dpoly, dscale))
+
+    def combine(poly, dpoly=None):  # L itself, or the bracket of dW/dr
+        if not derivative:
+            return poly
+        if a == 0.0:
+            # The bracket is x (2L' - L) here; u**-1 times it would be 0 * inf at u = 0.
+            return 2.0 * dpoly - poly
+        return a * poly - x * poly + 2.0 * x * dpoly
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not derivative:
+            power, log_r0 = a, 0.0
+            val = norms * u ** a
+        else:
+            power, log_r0 = (1.0 if a == 0.0 else lam), math.log(r0)
+            val = norms / r0 * (u if a == 0.0 else u ** lam)
+        val *= ex
+        val *= combine(*(m if k is None else np.ldexp(m, k) for m, k in terms))
+        lost = np.abs(norms[:, 0]) < sys.float_info.min  # C underflowed
+        finite = np.isfinite(val)
+        if finite.all() and not lost.any():
+            return val
+        redo = ~finite
+        redo[lost] = True
+        # The log form, on mantissas brought to one scale per point.
+        shifts = [np.zeros(m.shape, np.int32) if k is None else k for m, k in terms]
+        shift = np.maximum(*shifts) if derivative else shifts[0]
+        mantissa = combine(*(np.ldexp(m, k - shift) for (m, _), k in zip(terms, shifts)))
+        # log|C|, from the degree where C underflowed (only a plain tower state's can).
+        log_norm = np.array([
+            log_radial_norm(state.degree, lam, r0) if gone else math.log(abs(state.norm))
+            for state, gone in zip(states, lost)
+        ])
+        i, j = np.nonzero(redo)
+        m = mantissa[i, j]
+        log_mag = log_norm[i] - log_r0 + np.log(np.abs(m)) - 0.5 * x[j] + shift[i, j] * _LN2
+        sign = np.sign(m) * np.where(lost[i], 1.0, np.sign(norms[i, 0]))
+        if power != 0.0:
+            log_mag += power * np.log(np.abs(u[j]))
+            sign *= np.sign(u[j]) ** power  # nan for a negative u at a fractional power
+        val[i, j] = sign * np.exp(log_mag)
+    return val
 
 
 def tower_state(scales: OscillatorScales, n_principal: float, l_angular: float) -> RadialEigenstate:

@@ -144,7 +144,8 @@ class PartnerPair:
     ``(hbar^2/2m)(U'^2 ∓ U'')`` — not from the simplified closed forms — so
     algebraic identities about them are genuine checks.  The pair shares all
     eigenvalues except the zero ground level, present only on the plus side.
-    Spectra and partner states take tower labels ``n = lam, lam+2, ...``.
+    Spectra and partner states take tower labels ``n = lam, lam+2, ...``; a
+    label within 1e-9 of one is taken as that label.
     """
 
     generator: Superpotential
@@ -167,18 +168,25 @@ class PartnerPair:
     def minus_potential(self, r):
         return self._combo(r, +1.0)
 
-    def plus_spectrum(self, n_label: float) -> float:
-        """Ground-referenced tower energies ``hbar w0 (n - lam)``, n = lam, lam+2, ..."""
-        tower_degree(n_label, self.l_angular, "n")
-        return self.scales.quantum * (n_label - self.l_angular)
+    def _degree(self, n_label: float, partner: bool) -> int:
+        """Degree ``k`` of the tower label ``lam + 2k`` within 1e-9 of ``n_label``.
 
-    def minus_spectrum(self, n_label: float) -> float:
-        """Partner energies, identical except the absent ground label ``n = lam``."""
-        if tower_degree(n_label, self.l_angular, "n") == 0:
+        ``partner`` refuses the ground label, which the minus side lacks.
+        """
+        degree = tower_degree(n_label, self.l_angular, "n")
+        if partner and degree == 0:
             raise ExcludedLevelError(
                 f"n = {n_label!r} is the tower ground level the partner construction removes"
             )
-        return self.plus_spectrum(n_label)
+        return degree
+
+    def plus_spectrum(self, n_label: float) -> float:
+        """Ground-referenced tower energies ``hbar w0 (n - lam)``, n = lam, lam+2, ..."""
+        return self.scales.quantum * (2 * self._degree(n_label, partner=False))
+
+    def minus_spectrum(self, n_label: float) -> float:
+        """Partner energies, identical except the absent ground label ``n = lam``."""
+        return self.scales.quantum * (2 * self._degree(n_label, partner=True))
 
     def partner_wavefunction(self, n_label: float) -> RadialEigenstate:
         """Minus-side eigenfunction: the index-mapped profile ``W_{n-1, lam+1}``.
@@ -188,8 +196,8 @@ class PartnerPair:
         The returned state's ``energy`` is its absolute trap energy; the
         zero-referenced partner eigenvalue is :meth:`minus_spectrum`.
         """
-        self.minus_spectrum(n_label)
-        return tower_state(self.scales, n_label - 1.0, self.l_angular + 1.0)
+        label = self.l_angular + 2 * self._degree(n_label, partner=True)
+        return tower_state(self.scales, label - 1.0, self.l_angular + 1.0)
 
 
 def partner_pair(l_angular: float, scales: OscillatorScales) -> PartnerPair:

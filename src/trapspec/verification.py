@@ -9,6 +9,7 @@ environment variable so slower hardware can loosen them consistently
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -41,6 +42,7 @@ from .oscillator3d import (
     energy_3d,
     radial_wavefunction_3d,
     shell_capacity,
+    tower_rows,
 )
 from .planar import (
     PaulFrequencies,
@@ -286,21 +288,22 @@ def check_pauli_gap(n_radii: int = 100, seed: int = 20260825) -> CheckResult:
 def check_node_counts(max_l_partner: int = 4, max_n: int = 12) -> CheckResult:
     scales = OscillatorScales.natural()
     grid = np.linspace(1e-4, 12.0, 12001) * scales.r0
+    # Each partner W_{N_s-1, L+1} is nodeless; it shares its tower with the L+1 states.
+    checks = [
+        (f"partner (N_s={l + 2}, L={l})", partner_wavefunction(l + 2, l, scales), 0)
+        for l in range(max_l_partner + 1)
+    ] + [
+        (f"(N={n}, L={l})", radial_wavefunction_3d(scales, n, l), (n - l) // 2)
+        for n in range(max_n + 1)
+        for l in allowed_angular(n)
+    ]
+    profiles = tower_rows([state for _, state, _ in checks], grid)
     mismatches = []
-
-    for l in range(max_l_partner + 1):
-        state = partner_wavefunction(l + 2, l, scales)
-        found = count_nodes(state(grid))
-        if found != 0:
-            mismatches.append(f"partner (N_s={l + 2}, L={l}): {found} != 0")
-    n_checked = max_l_partner + 1
-    for n in range(max_n + 1):
-        for l in allowed_angular(n):
-            state = radial_wavefunction_3d(scales, n, l)
-            found = count_nodes(state(grid))
-            n_checked += 1
-            if found != (n - l) // 2:
-                mismatches.append(f"(N={n}, L={l}): {found} != {(n - l) // 2}")
+    for (label, _, want), profile in zip(checks, profiles):
+        found = count_nodes(profile)
+        if found != want:
+            mismatches.append(f"{label}: {found} != {want}")
+    n_checked = len(checks)
 
     return CheckResult(
         name="node-counts",
@@ -496,7 +499,8 @@ def check_defect_model() -> CheckResult:
         )
         for k in range(4)
     ]
-    mixing = float(np.max(np.abs(gram(mixed, 0.0, 14.0 * scales.r0)[np.triu_indices(4, 1)])))
+    matrix = gram(functools.partial(tower_rows, mixed), 0.0, 14.0 * scales.r0)
+    mixing = float(np.max(np.abs(matrix[np.triu_indices(4, 1)])))
 
     passed = worst_point <= thr_point and worst_spec <= thr_spec and mixing > MIXING_FLOOR
     return CheckResult(
@@ -643,7 +647,8 @@ def check_orthonormality(max_n: int = 12) -> CheckResult:
     for label, states, (lo, hi) in families:
         # Upper triangle only: the first worst pair in row order, as a
         # pair-by-pair scan would name it.
-        deviation = np.triu(np.abs(gram(states, lo, hi) - np.eye(len(states))))
+        matrix = gram(functools.partial(tower_rows, states), lo, hi)
+        deviation = np.triu(np.abs(matrix - np.eye(len(states))))
         i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
         n_pairs += len(states) * (len(states) + 1) // 2
         if deviation[i, j] > worst:

@@ -419,6 +419,24 @@ class TestWavefunctionCommand:
         assert code == 3
         assert err.startswith("validation error:")
 
+    # A numpy warning would be printed as a "warning:" line, even where a run
+    # turns RuntimeWarning into an error.
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    @pytest.mark.parametrize("config,argv", [
+        (ip_config, ("--n-level", "400")),
+        (paul_config, ("--n-level", "0", "--k-axial", "600", "--axis", "axial")),
+    ])
+    def test_high_level_table_is_finite(self, tmp_path, capsys, config, argv):
+        # The Laguerre march rescales instead of overflowing, so far past the
+        # level's turning point every cell is finite.
+        code, out, err = run(capsys, "wavefunction", "--config", config(tmp_path), *argv,
+                             "--r-max", "60", "--natural-units")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 501
+        assert np.all(np.isfinite(rows))
+        assert max(abs(w) for _, w in rows) > 0.1
+
     @pytest.mark.parametrize("config,argv", [
         (ip_config, ("--n-level", "1000000000000000")),
         (paul_config, ("--n-level", "0", "--k-axial", "1000000000000", "--axis", "axial")),
@@ -861,13 +879,14 @@ class TestErrorWiring:
     # a run turns RuntimeWarning into an error.
     @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_non_finite_table_exits_3(self, tmp_path, capsys):
-        # The tower still overflows at N = 400 (a known defect); the table
-        # must refuse its nan cells rather than print them and exit 0.
+        # Past r = 1e154 r0, u^2 overflows and the tower reads nan there (a known
+        # defect: the profile is 0); the table must refuse its nan cells rather
+        # than print them and exit 0.
         code, out, err = run(capsys, "wavefunction", "--config", ip_config(tmp_path),
-                             "--n-level", "400", "--r-max", "60", "--natural-units")
+                             "--n-level", "2", "--r-max", "1e200", "--natural-units")
         assert (code, out) == (3, "")
         assert err.splitlines()[-1] == (
-            "validation error: non-finite value nan in column 'W_times_sqrt_r0', row 438 of 501")
+            "validation error: non-finite value nan in column 'W_times_sqrt_r0', row 2 of 501")
         assert sum(line.startswith("validation error:") for line in err.splitlines()) == 1
 
     @pytest.mark.parametrize("config", [ip_config, top_config])

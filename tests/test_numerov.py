@@ -23,7 +23,7 @@ from trapspec.numerov import (
     solve_eigen,
     solve_eigens,
 )
-from trapspec.oscillator3d import OscillatorScales, radial_wavefunction_3d
+from trapspec.oscillator3d import OscillatorScales, radial_wavefunction_3d, tower_rows
 from trapspec.susy import input_potential, partner_pair
 from trapspec.verification import orthonormality_families
 
@@ -772,10 +772,15 @@ AXIAL = [label for label, _, _ in FAMILIES].index("axial")
 AXIAL_SIZE = len(FAMILIES[AXIAL][1])
 
 
+def stacked(functions):
+    """A family callable from separate functions: one row per function."""
+    return lambda x: np.array([f(x) for f in functions])
+
+
 @functools.cache
 def full_gram(index):
     _, states, (lo, hi) = FAMILIES[index]
-    return gram(states, lo, hi)
+    return gram(functools.partial(tower_rows, states), lo, hi)
 
 
 class TestGram:
@@ -786,37 +791,49 @@ class TestGram:
         for i, j in zip(*np.triu_indices(len(states))):
             assert abs(matrix[i, j] - overlap(states[i], states[j], lo, hi)) <= 1e-13
 
+    @pytest.mark.parametrize("index", range(len(FAMILIES)), ids=[f[0] for f in FAMILIES])
+    def test_family_rows_give_the_per_state_matrix(self, index):
+        # One march per tower index moves no entry: separate per-state callables
+        # give the same matrix, bit for bit.
+        _, states, (lo, hi) = FAMILIES[index]
+        assert np.array_equal(gram(stacked(states), lo, hi), full_gram(index))
+
+    def test_family_must_return_one_row_per_state(self):
+        for family in (lambda x: x, lambda x: np.ones((2, x.size + 1))):
+            with pytest.raises(DomainError, match="one row per state"):
+                gram(family, 0.0, 1.0)
+
     def test_symmetric(self):
         for index in range(len(FAMILIES)):
             matrix = full_gram(index)
             assert np.array_equal(matrix, matrix.T)
 
     def test_one_state_is_its_norm(self):
-        matrix = gram([radial_wavefunction_3d(NAT, 0, 0)], 0.0, 14.0)
+        matrix = gram(stacked([radial_wavefunction_3d(NAT, 0, 0)]), 0.0, 14.0)
         assert matrix.shape == (1, 1)
         assert matrix[0, 0] == pytest.approx(1.0, abs=1e-13)
 
     def test_empty_family_rejected(self):
         with pytest.raises(DomainError):
-            gram([], 0.0, 1.0)
+            gram(stacked([]), 0.0, 1.0)
 
     def test_nonconvergent_refinement_raises(self):
         wild = lambda x: np.sin(1e7 * x * x)
         with pytest.raises(AccuracyError, match="not_converged"):
-            gram([wild, wild], 0.0, 50.0)
+            gram(stacked([wild, wild]), 0.0, 50.0)
 
     def test_error_estimate_above_gate_raises(self):
         # The integrand 1e6 sqrt(x) is no polynomial, so the rule is never exact.
         # The integral is ~6.7e5, so the 1e-10 relative accuracy is met with an
         # error estimate of ~3e-5, which the 1e-8 gate must still refuse.
         with pytest.raises(AccuracyError, match="quadrature converged"):
-            gram([lambda x: 1e3 * x**0.25], 0.0, 1.0)
+            gram(stacked([lambda x: 1e3 * x**0.25]), 0.0, 1.0)
 
     def test_scaled_family_converges_as_the_family(self):
         # The absolute floor is 1e-14 of the largest entry, so a family scaled by 100
         # meets it despite its larger round-off, with entries 1e4 times as large.
         _, states, (lo, hi) = FAMILIES[0]
-        scaled = gram([lambda r, f=f: 100.0 * f(r) for f in states], lo, hi)
+        scaled = gram(stacked([lambda r, f=f: 100.0 * f(r) for f in states]), lo, hi)
         assert np.max(np.abs(scaled / 1e4 - full_gram(0))) <= 1e-13
 
     @pytest.mark.parametrize("delta", [0.9, 1.2, 1.4])
@@ -826,7 +843,8 @@ class TestGram:
         # than its width.
         model = EffectiveModel(l_angular=0, iterations=0, selector=0, delta=delta, scales=NAT)
         tower = [defect_wavefunction(model, n_s) for n_s in range(0, 13, 2)]
-        assert np.max(np.abs(gram(tower, 0.0, 14.0) - np.eye(len(tower)))) <= 1e-10
+        matrix = gram(functools.partial(tower_rows, tower), 0.0, 14.0)
+        assert np.max(np.abs(matrix - np.eye(len(tower)))) <= 1e-10
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(order=st.permutations(range(AXIAL_SIZE)), size=st.integers(1, AXIAL_SIZE))
@@ -835,7 +853,7 @@ class TestGram:
         # the same entries as the whole family.
         _, states, (lo, hi) = FAMILIES[AXIAL]
         chosen = order[:size]
-        sub = gram([states[k] for k in chosen], lo, hi)
+        sub = gram(functools.partial(tower_rows, [states[k] for k in chosen]), lo, hi)
         full = full_gram(AXIAL)
         assert np.max(np.abs(sub - full[np.ix_(chosen, chosen)])) <= 1e-13
 

@@ -173,6 +173,15 @@ class TestPartnerSpectrum:
                     float(n_s - l), rel=1e-14
                 )
 
+    def test_near_tower_label_is_its_level(self):
+        # A label within 1e-9 of the tower stands for the tower label itself.
+        pair = partner_pair(0, NAT)
+        assert pair.minus_spectrum(2 + 1e-10) == 2.0
+        assert pair.plus_spectrum(1e-10) == 0.0
+        assert pair.partner_wavefunction(2 + 1e-10).n_principal == 1.0
+        with pytest.raises(ExcludedLevelError):
+            pair.minus_spectrum(1e-10)
+
     def test_removed_ground_raises(self):
         with pytest.raises(ExcludedLevelError):
             partner_pair(0, NAT).minus_spectrum(0)
