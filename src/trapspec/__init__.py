@@ -25,7 +25,6 @@ from .errors import (
 from .special import (
     hermite,
     laguerre_gen,
-    laguerre_gen_derivative,
     radial_norm_3d,
 )
 from .oscillator3d import (

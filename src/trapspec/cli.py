@@ -631,7 +631,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, MemoryError) as exc:  # MemoryError: a table too large to allocate
-        print(f"validation error: {exc}", file=sys.stderr)
+        # A bare MemoryError() has no message of its own.
+        print(f"validation error: {str(exc) or 'not enough memory for this request'}",
+              file=sys.stderr)
         return 3
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)

@@ -125,9 +125,11 @@ class EigenResult:
     ``samples`` ``w`` have ``h * trapezoid(w * w * r) = 1``, ``h = ln(r[1] / r[0])``: the
     trapezoid rule on the uniform log mesh.  ``residual``: the Numerov recurrence at
     the matching point, the outward solution continued by the inward one, over the
-    sum of its terms' magnitudes (0 to 1).
-    ``diagnostics["count_evaluations"]`` counts the trial energies of the state's
-    bisection trees, whether marched for it or shared with a state of its problem.
+    sum of its terms' magnitudes (0 to 1).  ``diagnostics`` holds the matching point
+    (``matching_index`` on the mesh, ``turning_radius``), the ``widenings`` of the
+    search window, its ``final_window`` before the root search, and the trial energies
+    evaluated: ``count_evaluations`` on the state's bisection trees, whether marched
+    for it or shared with a state of its problem, and ``mismatch_evaluations``.
     """
 
     energy: float
@@ -461,7 +463,6 @@ class _Batch:
         depth = levels(size)  # of the matching sweeps, which march every state's tree
         counted = np.zeros(size, dtype=np.int64)
         matched = np.zeros(size, dtype=np.int64)
-        history = [[] for _ in range(size)]
 
         def label(i):
             return (f"state {index[i]} (node target {targets[i]}, centrifugal "
@@ -526,17 +527,16 @@ class _Batch:
                 d[:, 0], d[:, -1] = d_lo[todo], d_hi[todo]
             return x, counts, d
 
-        def descend(todo, x, counts, stop, log=False):
+        def descend(todo, counts, stop):
             """Replay node-count bisection over the sampled tree.
 
             Each step halves the window of every row not yet ``stop``-ped,
             keeping the half whose lower end has at most ``target`` nodes.
-            Returns the final tree indices of the window ends; with ``log``
-            each step goes into the state's bracket history.
+            Returns the final tree indices of the window ends.
             """
             rows = np.arange(len(todo))
             ia = np.zeros(len(todo), dtype=np.intp)
-            ib = np.full(len(todo), x.shape[1] - 1)
+            ib = np.full(len(todo), counts.shape[1] - 1)
             while True:
                 go = ~stop(rows, ia, ib) & (ib - ia > 1)
                 if not go.any():
@@ -544,9 +544,6 @@ class _Batch:
                 mid = (ia + ib) // 2
                 up = go & (counts[rows, mid] <= targets[todo])
                 ia[up], ib[go & ~up] = mid[up], mid[go & ~up]
-                for r in np.flatnonzero(go) if log else ():
-                    history[todo[r]].append((float(x[r, ia[r]]), float(x[r, ib[r]]),
-                                             int(counts[r, ia[r]]), int(counts[r, ib[r]])))
 
         def isolated(todo, x, counts):
             def stop(rows, ia, ib):
@@ -554,7 +551,7 @@ class _Batch:
                         & (counts[rows, ib] == targets[todo] + 1))
 
             rows = np.arange(len(todo))
-            ia, ib = descend(todo, x, counts, stop, log=True)
+            ia, ib = descend(todo, counts, stop)
             lo[todo], hi[todo] = x[rows, ia], x[rows, ib]
             c_lo[todo], c_hi[todo] = counts[rows, ia], counts[rows, ib]
             return todo[~stop(rows, ia, ib)]
@@ -608,7 +605,7 @@ class _Batch:
             ends = False
             settled = functools.partial(_root_between, d)
             rows = np.arange(len(todo))
-            ia, ib = descend(todo, x, counts, settled)
+            ia, ib = descend(todo, counts, settled)
             lo[todo], hi[todo] = x[rows, ia], x[rows, ib]
             c_lo[todo], c_hi[todo] = counts[rows, ia], counts[rows, ib]
             d_lo[todo], d_hi[todo] = d[rows, ia], d[rows, ib]
@@ -668,17 +665,12 @@ class _Batch:
             w /= norm
             nodes_found = count_nodes(w)
             diagnostics = {
-                "node_target": int(targets[i]),
-                "nodes_found": int(nodes_found),
                 "matching_index": int(m[i]),
                 "turning_radius": float(r[m[i]]),
                 "widenings": int(widenings[i]),
                 "count_evaluations": int(counted[i]),
                 "mismatch_evaluations": int(matched[i]),
                 "final_window": [float(lo[i]), float(hi[i])],
-                "residual": float(abs(residual[i])),
-                "boundary_samples": [float(w[0]), float(w[-1])],
-                "bracket_history_tail": history[i][-3:],
             }
             if nodes_found != targets[i]:
                 raise ConvergenceError(
@@ -688,7 +680,7 @@ class _Batch:
                 energy=float(energy[i]),
                 radii=r,
                 samples=w,
-                node_count=int(nodes_found),
+                node_count=nodes_found,
                 residual=float(abs(residual[i])),
                 diagnostics=diagnostics,
             ))

@@ -26,6 +26,7 @@ from .errors import DomainError, finite, integer, positive
 from .special import laguerre_march, log_radial_norm, radial_norm_3d, tower_degree
 
 _LN2 = math.log(2.0)
+_FAR = 2.0**510  # u^2 from which a march may overflow: its first step is about u^4 / 2
 
 __all__ = [
     "OscillatorScales",
@@ -166,7 +167,9 @@ def tower_rows(states, r, derivative: bool = False) -> np.ndarray:
     or ``u^(lam+1)`` overflows, or ``C`` underflows) it is
     ``sign * exp(log|C| + (lam+1) log|u| - u^2/2 + log|L|)``, the march's power of
     two inside the log, so it stays finite and accurate where the product would be
-    ``0 * inf``.
+    ``0 * inf``.  Where ``u^2 >= 2^510`` and this gives no finite value (the march or
+    ``u^2`` overflows), the value is 0: ``e^(-u^2/2) < 10^(-7e152)`` there outweighs the
+    polynomial at any degree the recurrence admits.
     """
     arr = np.asarray(r, dtype=float)
     flat = arr.reshape(-1)
@@ -176,11 +179,12 @@ def tower_rows(states, r, derivative: bool = False) -> np.ndarray:
         groups.setdefault(state.r0, {}).setdefault(state.l_angular, []).append(i)
     for r0, towers in groups.items():
         u = flat / r0
-        x = u * u
-        ex = np.exp(-0.5 * x)
-        for lam, rows in towers.items():
-            members = [states[i] for i in rows]
-            out[rows] = _tower_group(members, lam, r0, u, x, ex, derivative)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows start at _FAR: values 0
+            x = u * u
+            ex = np.exp(-0.5 * x)
+            for lam, rows in towers.items():
+                members = [states[i] for i in rows]
+                out[rows] = _tower_group(members, lam, r0, u, x, ex, derivative)
     return out.reshape((len(states),) + arr.shape)
 
 
@@ -241,6 +245,7 @@ def _tower_group(states, lam, r0, u, x, ex, derivative: bool) -> np.ndarray:
             log_mag += power * np.log(np.abs(u[j]))
             sign *= np.sign(u[j]) ** power  # nan for a negative u at a fractional power
         val[i, j] = sign * np.exp(log_mag)
+    val[~np.isfinite(val) & (x >= _FAR)] = 0.0
     return val
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, integer, positive
 
-__all__ = ["laguerre_gen", "laguerre_gen_derivative", "hermite", "radial_norm_3d"]
+__all__ = ["laguerre_gen", "hermite", "radial_norm_3d"]
 
 RECURRENCE_LIMIT = 10**8  # most degree-by-point steps one recurrence may take
 MIN_STEP_POINTS = 1024  # points each step is charged at least, for its fixed cost
@@ -143,16 +143,6 @@ def laguerre_gen(n: int, alpha: float, x):
         with np.errstate(over="ignore"):
             out = np.ldexp(out, exponents[0])
     return out if out.ndim else float(out)
-
-
-def laguerre_gen_derivative(n: int, alpha: float, x):
-    """d/dx of ``L_n^alpha(x)``, via ``-L_{n-1}^{alpha+1}(x)``."""
-    if n == 0:
-        arr = np.asarray(x, dtype=float)
-        zero = np.zeros_like(arr)
-        return zero if arr.ndim else 0.0
-    out = laguerre_gen(n - 1, alpha + 1.0, x)
-    return -out
 
 
 def hermite(k: int, x):

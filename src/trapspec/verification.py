@@ -104,8 +104,6 @@ class CheckResult:
 
     name: str
     passed: bool
-    measured: float
-    threshold: float
     detail: str
 
     def line(self) -> str:
@@ -195,8 +193,6 @@ def check_spectrum_oracle(max_n: int = 16, max_l: int = 6) -> CheckResult:
     return CheckResult(
         name="spectrum-oracle",
         passed=passed,
-        measured=worst,
-        threshold=thr,
         detail=(
             f"worst relative error {worst:.3e} at {worst_label} over {n_states} "
             f"states (tol {thr:.1e}), {elapsed:.1f} s of {SPECTRUM_BUDGET_SECONDS:.0f} s"
@@ -246,8 +242,6 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
     return CheckResult(
         name="susy-degeneracy",
         passed=passed,
-        measured=worst,
-        threshold=thr,
         detail=(
             f"worst partner-level mismatch {worst:.3e} at {worst_label} "
             f"(tol {thr:.1e}); unpaired ground at {worst_ground:.3e} quanta "
@@ -260,11 +254,11 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
 # 3. Inverse-square gap between the L=0 partners.
 
 
-def check_pauli_gap(n_radii: int = 100, seed: int = 20260825) -> CheckResult:
+def check_pauli_gap() -> CheckResult:
     scales = OscillatorScales.natural()
     pair = partner_pair(0, scales)
-    rng = np.random.default_rng(seed)
-    radii = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n_radii)) * scales.r0
+    rng = np.random.default_rng(20260825)
+    radii = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 100)) * scales.r0
     gap = pair.minus_potential(radii) - pair.plus_potential(radii)
     target = scales.hbar**2 / (scales.mass * radii**2) + scales.quantum
     worst = float(np.max(np.abs(gap - target) / target))
@@ -272,10 +266,8 @@ def check_pauli_gap(n_radii: int = 100, seed: int = 20260825) -> CheckResult:
     return CheckResult(
         name="pauli-gap",
         passed=worst <= thr,
-        measured=worst,
-        threshold=thr,
         detail=(
-            f"worst relative gap deviation {worst:.3e} over {n_radii} radii "
+            f"worst relative gap deviation {worst:.3e} over {radii.size} radii "
             f"in [1e-2, 1e2] r0 (tol {thr:.1e})"
         ),
     )
@@ -285,16 +277,16 @@ def check_pauli_gap(n_radii: int = 100, seed: int = 20260825) -> CheckResult:
 # 4. Node counts of the analytic radial profiles.
 
 
-def check_node_counts(max_l_partner: int = 4, max_n: int = 12) -> CheckResult:
+def check_node_counts() -> CheckResult:
     scales = OscillatorScales.natural()
     grid = np.linspace(1e-4, 12.0, 12001) * scales.r0
     # Each partner W_{N_s-1, L+1} is nodeless; it shares its tower with the L+1 states.
     checks = [
         (f"partner (N_s={l + 2}, L={l})", partner_wavefunction(l + 2, l, scales), 0)
-        for l in range(max_l_partner + 1)
+        for l in range(5)
     ] + [
         (f"(N={n}, L={l})", radial_wavefunction_3d(scales, n, l), (n - l) // 2)
-        for n in range(max_n + 1)
+        for n in range(13)
         for l in allowed_angular(n)
     ]
     profiles = tower_rows([state for _, state, _ in checks], grid)
@@ -308,8 +300,6 @@ def check_node_counts(max_l_partner: int = 4, max_n: int = 12) -> CheckResult:
     return CheckResult(
         name="node-counts",
         passed=not mismatches,
-        measured=float(len(mismatches)),
-        threshold=0.0,
         detail=(
             f"{len(mismatches)} node-count mismatches over {n_checked} profiles"
             + (f"; first: {mismatches[0]}" if mismatches else "")
@@ -334,7 +324,8 @@ def _brute_paul_count(e_tilde: int) -> int:
     return 2 * total  # both spin projections
 
 
-def check_combinatorics(max_n: int = 30) -> CheckResult:
+def check_combinatorics() -> CheckResult:
+    max_n = 30
     failures = []
     running = 0
     for n in range(max_n + 1):
@@ -362,8 +353,6 @@ def check_combinatorics(max_n: int = 30) -> CheckResult:
     return CheckResult(
         name="combinatorics",
         passed=not failures,
-        measured=float(len(failures)),
-        threshold=0.0,
         detail=(
             f"{len(failures)} mismatches over degeneracies, capacities, "
             f"three printed sequences, and planar counts to {max_n} quanta"
@@ -404,8 +393,6 @@ def check_isotropy_tuning() -> CheckResult:
     return CheckResult(
         name="isotropy-tuning",
         passed=worst <= thr,
-        measured=worst,
-        threshold=thr,
         detail=(
             f"worst relative deviation {worst:.3e} ({worst_label}) across "
             f"stiffness equality and trap-radius identities (tol {thr:.1e})"
@@ -421,9 +408,9 @@ def _fitted_slope(radii, errors) -> float:
     return float(np.polyfit(np.log(radii), np.log(errors), 1)[0])
 
 
-def check_field_oracle(n_points: int = 9) -> CheckResult:
+def check_field_oracle() -> CheckResult:
     particle = reference_particle()
-    fractions = np.geomspace(1e-3, 1e-1, n_points)
+    fractions = np.geomspace(1e-3, 1e-1, 9)
     direction = np.array([0.36, 0.48, 0.8])
 
     ip_geo = reference_ip_geometry()
@@ -444,16 +431,13 @@ def check_field_oracle(n_points: int = 9) -> CheckResult:
         errs.append(abs(numeric - closed) / (particle.magnetic_moment * tscales.field))
     top_slope = _fitted_slope(fractions, np.asarray(errs))
 
-    measured = min(ip_slope, top_slope)
     return CheckResult(
         name="field-oracle",
-        passed=measured >= SLOPE_FLOOR,
-        measured=measured,
-        threshold=SLOPE_FLOOR,
+        passed=min(ip_slope, top_slope) >= SLOPE_FLOOR,
         detail=(
             f"truncation-error slopes {ip_slope:.2f} (coil assembly) and "
             f"{top_slope:.2f} (drive-period average) over r/l in [1e-3, 1e-1], "
-            f"{n_points} points (floor {SLOPE_FLOOR:.1f})"
+            f"{fractions.size} points (floor {SLOPE_FLOOR:.1f})"
         ),
     )
 
@@ -506,8 +490,6 @@ def check_defect_model() -> CheckResult:
     return CheckResult(
         name="defect-model",
         passed=passed,
-        measured=worst_spec,
-        threshold=thr_spec,
         detail=(
             f"zero-shift recovery {worst_point:.3e} (tol {thr_point:.1e}); "
             f"shifted-tower solver mismatch {worst_spec:.3e} (tol {thr_spec:.1e}); "
@@ -582,8 +564,6 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
     return CheckResult(
         name="planar-traps",
         passed=passed,
-        measured=worst,
-        threshold=thr,
         detail=(
             f"worst level mismatch {worst:.3e} at {worst_label} (tol {thr:.1e}); "
             f"ladder-map pointwise deviation {worst_map:.3e} (tol {thr_map:.1e})"
@@ -657,8 +637,6 @@ def check_orthonormality(max_n: int = 12) -> CheckResult:
     return CheckResult(
         name="orthonormality",
         passed=worst <= thr,
-        measured=worst,
-        threshold=thr,
         detail=(
             f"worst Gram deviation {worst:.3e} at {worst_label} over "
             f"{n_pairs} quadrature pairs in {len(families)} families (tol {thr:.1e})"

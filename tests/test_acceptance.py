@@ -22,7 +22,7 @@ def test_criterion_02_partner_degeneracy():
 
 
 def test_criterion_03_pauli_gap():
-    _accept(verification.check_pauli_gap(n_radii=100))
+    _accept(verification.check_pauli_gap())
 
 
 def test_criterion_04_node_counts():
@@ -30,7 +30,7 @@ def test_criterion_04_node_counts():
 
 
 def test_criterion_05_combinatorics():
-    _accept(verification.check_combinatorics(max_n=30))
+    _accept(verification.check_combinatorics())
 
 
 def test_criterion_06_isotropy_tuning():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspec import cli
+from trapspec import cli, oscillator3d
 from trapspec.errors import DomainError, OracleError
 from trapspec.exports import csv_text
 from trapspec.oscillator3d import allowed_angular, energy_3d
@@ -875,19 +875,29 @@ class TestErrorWiring:
             f"validation error: tower index 1e+{exponent} overflows the partner potentials\n"
         )
 
-    # The overflow's numpy warnings are printed as "warning:" lines, even where
-    # a run turns RuntimeWarning into an error.
-    @pytest.mark.filterwarnings("default::RuntimeWarning")
-    def test_non_finite_table_exits_3(self, tmp_path, capsys):
-        # Past r = 1e154 r0, u^2 overflows and the tower reads nan there (a known
-        # defect: the profile is 0); the table must refuse its nan cells rather
-        # than print them and exit 0.
+    def test_non_finite_table_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A table refuses a nan cell rather than print it and exit 0.
+        def broken(states, r, derivative=False):
+            rows = np.zeros((len(states),) + np.shape(r))
+            rows[:, 1] = np.nan
+            return rows
+
+        monkeypatch.setattr(oscillator3d, "tower_rows", broken)
         code, out, err = run(capsys, "wavefunction", "--config", ip_config(tmp_path),
-                             "--n-level", "2", "--r-max", "1e200", "--natural-units")
+                             "--n-level", "2", "--natural-units")
         assert (code, out) == (3, "")
-        assert err.splitlines()[-1] == (
-            "validation error: non-finite value nan in column 'W_times_sqrt_r0', row 2 of 501")
-        assert sum(line.startswith("validation error:") for line in err.splitlines()) == 1
+        assert err == (
+            "validation error: non-finite value nan in column 'W_times_sqrt_r0', row 2 of 501\n")
+
+    @pytest.mark.parametrize("argv", [("--n-level", "40", "--r-max", "1e80"),
+                                      ("--n-level", "2", "--r-max", "1e200")])
+    def test_far_field_table_is_zero(self, tmp_path, capsys, argv):
+        # Past u^2 = 2^510 a march or u^2 overflows; the profile there is 0.
+        code, out, err = run(capsys, "wavefunction", "--config", ip_config(tmp_path), *argv,
+                             "--natural-units")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 501 and all(w == 0.0 for _, w in rows)
 
     @pytest.mark.parametrize("config", [ip_config, top_config])
     def test_axial_axis_needs_planar_trap(self, tmp_path, capsys, config):
@@ -906,6 +916,15 @@ class TestErrorWiring:
         code, _, err = run(capsys, "shells", "--trap", "top", "--max-n", "1")
         assert code == 4
         assert err.startswith("oracle failure: integrator stalled")
+
+    def test_bare_memory_error_exits_3_with_a_reason(self, monkeypatch, capsys):
+        def boom(args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli.HANDLERS, "shells", boom)
+        code, _, err = run(capsys, "shells", "--trap", "top", "--max-n", "1")
+        assert code == 3
+        assert err == "validation error: not enough memory for this request\n"
 
 
 # Frozen stdout of small commands on the four reference configs, in SI and

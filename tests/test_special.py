@@ -11,7 +11,7 @@ from trapspec import DomainError, special
 from trapspec.special import (
     hermite,
     laguerre_gen,
-    laguerre_gen_derivative,
+    laguerre_march,
     radial_norm_3d,
 )
 
@@ -124,16 +124,13 @@ class TestLaguerre:
 
 
 class TestLaguerreDerivative:
-    def test_identity_against_lower_order(self):
-        # d/dx L_n^alpha = -L_{n-1}^{alpha+1}
-        x = np.linspace(0.1, 20.0, 9)
-        for n in (1, 3, 7):
-            got = laguerre_gen_derivative(n, 0.8, x)
-            want = -laguerre_gen(n - 1, 1.8, x)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    """d/dx L_n^alpha = -L_{n-1}^{alpha+1}, the identity tower derivatives use."""
 
-    def test_degree_zero_derivative_vanishes(self):
-        assert laguerre_gen_derivative(0, 1.5, 4.2) == 0.0
+    def test_identity_against_lower_order(self):
+        for n, x in ((1, 0.1), (3, 2.5), (7, 11.0), (7, 20.0)):
+            with mp.workdps(30):
+                want = float(mp.diff(lambda t: mp.laguerre(n, mp.mpf("0.8"), t), x))
+            assert -laguerre_gen(n - 1, 1.8, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_finite_difference(self):
         h = 1e-6
@@ -141,7 +138,7 @@ class TestLaguerreDerivative:
             fd = (laguerre_gen(n, alpha, x + h) - laguerre_gen(n, alpha, x - h)) / (
                 2 * h
             )
-            assert laguerre_gen_derivative(n, alpha, x) == pytest.approx(fd, rel=1e-8)
+            assert -laguerre_gen(n - 1, alpha + 1.0, x) == pytest.approx(fd, rel=1e-8)
 
 
 class TestHermite:
@@ -179,7 +176,7 @@ class TestRecurrenceLimit:
 
     @pytest.mark.parametrize("recurrence", [
         lambda n, x: laguerre_gen(n, 0.5, x),
-        lambda n, x: laguerre_gen_derivative(n + 1, 0.5, x),
+        lambda n, x: laguerre_march([0, n], 0.5, x),
         hermite,
     ])
     def test_runaway_degree_is_refused(self, recurrence):

@@ -1,5 +1,6 @@
 """Tower families evaluated together: the scaled Laguerre march, bit-identity with
-the plain recurrence, and finite, normalized states up to N and K of about 2000."""
+the plain recurrence, and finite, normalized states up to N and K of about 2000, out
+to 1e300 lengths."""
 
 import math
 
@@ -188,3 +189,31 @@ def test_axial_tower(k):
     # The Hermite function Z_K over the whole line: K zeros.
     state = paul_wavefunctions(PAUL, 0, 0, k).axial
     check_tower(state, -extent(k), extent(k), k)
+
+
+# log10 of radii in lengths: past about 1.2e77 a plain march overflows, past 1.3e154 u^2.
+EDGES = [-3.0, 76.9, 77.1, 78.0, 153.9, 154.2, 155.0, 200.0, 300.0]
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(label=st.integers(0, 2000), data=st.data())
+@example(label=2000, data=None).via("the largest level")
+@example(label=40, data=None).via("the radial level whose march overflowed at 1e78")
+@pytest.mark.parametrize("family", ["radial", "planar", "axial"])
+def test_far_field_is_finite_and_zero(family, label, data):
+    # Values and slopes at radii log-uniform out to 1e300 lengths (either sign for the
+    # axial factor) are finite, and 0 past 1e4 lengths, where e^(-u^2/2) < 1e-21714723
+    # outweighs every power of u.
+    if family == "axial":
+        state, signs = paul_wavefunctions(PAUL, 0, 0, label).axial, (1.0, -1.0)
+    else:
+        lowest = label % 2
+        m = lowest if data is None else data.draw(st.sampled_from(range(lowest, label + 1, 2)))
+        state, signs = (radial_wavefunction_3d(NAT, label, m) if family == "radial"
+                        else paul_wavefunctions(PAUL, label, m, 0).radial), (1.0,)
+    exponents = EDGES if data is None else data.draw(
+        st.lists(st.floats(-3.0, 300.0), min_size=1, max_size=40))
+    u = np.concatenate([sign * 10.0 ** np.array(exponents) for sign in signs])
+    for values in (state(u * state.r0), state.derivative(u * state.r0)):
+        assert np.all(np.isfinite(values))
+        assert np.all(values[np.abs(u) > 1e4] == 0.0)
