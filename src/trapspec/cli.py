@@ -63,6 +63,9 @@ from .verification import SUITE_ORDER, run_suite, tolerance_scale
 ISOTROPY_WINDOW = 1e-6
 # Most shells one `shells` call tabulates: 1e6 comma-separated counts are ~17 MB.
 MAX_SHELLS = 10**6
+# Largest tower label a table of several levels may reach: past 2^53 a float
+# no longer holds every integer, so levels two labels apart can round to one.
+MAX_EXACT_LABEL = 2**53
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,6 +177,15 @@ def _print_pairs(pairs) -> None:
 
 def _natural_mode(cfg: RunConfig, args) -> bool:
     return cfg.units == "natural" or getattr(args, "natural_units", False)
+
+
+def _check_labels(tower: int, first: int, levels: int) -> None:
+    """Refuse a table of several levels, labels ``first + 2j``, past :data:`MAX_EXACT_LABEL`."""
+    if levels > 1 and first + 2 * (levels - 1) > MAX_EXACT_LABEL:
+        raise DomainError(
+            f"tower index {tower:.3g} with {levels} levels reaches labels past 2^53, "
+            "where a float cannot tell levels apart"
+        )
 
 
 def _require_trap(cfg: RunConfig, kinds, command: str) -> None:
@@ -479,6 +491,7 @@ def _cmd_susy(args) -> int:
         raise DomainError("tower index and iteration count must be nonnegative")
     if args.levels < 1 or args.samples < 2:
         raise DomainError("susy needs at least one level and two potential samples")
+    _check_labels(tower, tower + 2 * i0, args.levels)
 
     # The pair after i0 ladder steps sits at tower index L + i0 (3D) or
     # |M| + i0 - 1/2 (planar); its tower label lam + 2j is the base-tower
@@ -528,6 +541,7 @@ def _cmd_defect(args) -> int:
     natural = _natural_mode(trap.cfg, args)
     if args.levels < 1:
         raise DomainError("--levels must be positive")
+    _check_labels(args.l_angular, args.l_angular + 2 * args.iterations, args.levels)
     osc = trap.oscillator
     model = EffectiveModel(
         l_angular=args.l_angular, iterations=args.iterations,

@@ -15,6 +15,8 @@ from .errors import ConfigError
 from .fields import DipoleParticle, IoffePritchardGeometry, TopGeometry
 from .planar import PaulParams, PenningParams
 
+__all__ = ["RunConfig", "load_config"]
+
 UNIT_MODES = ("si", "natural")
 
 # One row per trap kind: the record it builds and its JSON geometry fields,

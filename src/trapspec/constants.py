@@ -2,6 +2,8 @@
 
 import math
 
+__all__ = ["HBAR", "MU0"]
+
 # Planck constant (exact, SI definition) and hbar derived from it.
 PLANCK = 6.62607015e-34  # J s
 HBAR = PLANCK / (2.0 * math.pi)  # J s
@@ -9,6 +11,3 @@ HBAR = PLANCK / (2.0 * math.pi)  # J s
 # Vacuum permeability.  The coil/bar field expressions in this package are
 # classical magnetostatics; we adopt the exact pre-2019 value.
 MU0 = 4.0e-7 * math.pi  # T m / A
-
-# Bohr magneton, convenient for building dipole particles in examples/tests.
-BOHR_MAGNETON = 9.2740100783e-24  # J / T

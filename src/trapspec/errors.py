@@ -8,11 +8,19 @@ Four checks raise :class:`DomainError` naming the argument, so each rule and
 its message is written once: :func:`integer` for quantum numbers and counts
 (it returns the ``int``), :func:`positive` for physical scales,
 :func:`nonzero` for signed drives (voltages, currents, charges, fields) and
-:func:`finite` for real parameters such as an energy offset or a shift.
+:func:`finite` for real parameters such as an energy offset or a shift.  A
+fifth, :func:`in_range`, guards a scale derived from valid inputs that the
+float range cannot hold.
 """
 
 import math
 import sys
+
+__all__ = [
+    "TrapspecError", "ConfigError", "DomainError", "ConfinementError", "StabilityError",
+    "ExcludedLevelError", "NormalizabilityError", "SingularityError", "OracleError",
+    "BracketError", "ConvergenceError", "AccuracyError",
+]
 
 
 class TrapspecError(Exception):
@@ -101,3 +109,19 @@ def finite(name: str, value: float) -> None:
     """Reject nan and infinities."""
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def in_range(compute, message: str, allow_zero: bool = False) -> float:
+    """``compute()``, or :class:`DomainError` with ``message`` where it leaves the float range.
+
+    A derived scale leaves the range where it overflows (an ``OverflowError`` on the way, or
+    a result that is not finite) or, unless ``allow_zero``, underflows to 0 (a
+    ``ZeroDivisionError`` on the way, or a result of 0).
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value) or (value == 0.0 and not allow_zero):
+        raise DomainError(message)
+    return value

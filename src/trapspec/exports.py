@@ -104,7 +104,8 @@ def json_text(doc) -> str:
     Byte for byte ``json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"`` for string-keyed documents; numpy scalars and
     arrays print as their Python values.  A non-finite float raises
-    ValueError, an unknown type or a key that is not a string TypeError.
+    DomainError (a ValueError, as from ``json.dumps``), an unknown type or a
+    key that is not a string TypeError.
     """
     return _json(doc, "\n") + "\n"
 
@@ -124,7 +125,7 @@ def _json(value, newline: str) -> str:
     if isinstance(value, float):
         text = float.__repr__(value)
         if text in _NON_FINITE:
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+            raise DomainError(f"Out of range float values are not JSON compliant: {value!r}")
         return text
     inner = newline + "  "
     if isinstance(value, (list, tuple)):

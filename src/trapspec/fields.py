@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import MU0
 from .errors import (
-    AccuracyError, ConfinementError, DomainError, SingularityError, nonzero, positive,
+    AccuracyError, ConfinementError, DomainError, SingularityError, in_range, nonzero, positive,
 )
 from .oscillator3d import OscillatorScales
 
@@ -183,27 +183,42 @@ class DerivedScales:
 
 
 def ip_scales(geometry: IoffePritchardGeometry) -> DerivedScales:
-    """Derived scales of an Ioffe-Pritchard assembly."""
+    """Derived scales of an Ioffe-Pritchard assembly; see :func:`_scale`."""
     r, a = geometry.coil_radius, geometry.coil_halfspacing
     length = math.hypot(a, r)
+    _scale("ip", "length_m^4", lambda: length**4)
     area = 1.5 * (4.0 * a * a - r * r)
-    field = MU0 * geometry.coil_current * r * r / length**3
-    gradient = 2.0 * MU0 * geometry.bar_current / (math.pi * geometry.bar_distance**2)
+    field = _scale("ip", "field_T", lambda: MU0 * geometry.coil_current * r * r / length**3)
+    gradient = _scale("ip", "gradient_T_per_m", lambda: (
+        2.0 * MU0 * geometry.bar_current / (math.pi * geometry.bar_distance**2)
+    ))
     return DerivedScales(kind="ip", length=length, area=area, field=field, gradient=gradient)
 
 
 def top_scales(geometry: TopGeometry) -> DerivedScales:
-    """Derived scales of a TOP assembly (bias pair sets length/area/field)."""
+    """Derived scales of a TOP assembly (bias pair sets length/area/field); see :func:`_scale`."""
     rb, ab = geometry.bias_radius, geometry.bias_halfspacing
     rq, aq = geometry.quad_radius, geometry.quad_halfspacing
     length = math.hypot(ab, rb)
+    _scale("top", "length_m^4", lambda: length**4)
     area = 1.5 * (4.0 * ab * ab - rb * rb)
-    field = MU0 * geometry.bias_current * rb * rb / length**3
-    gradient = 3.0 * MU0 * geometry.quad_current * rq * rq * aq / (2.0 * (aq * aq + rq * rq) ** 2.5)
+    field = _scale("top", "field_T", lambda: MU0 * geometry.bias_current * rb * rb / length**3)
+    gradient = _scale("top", "gradient_T_per_m", lambda: (
+        3.0 * MU0 * geometry.quad_current * rq * rq * aq / (2.0 * (aq * aq + rq * rq) ** 2.5)
+    ))
     return DerivedScales(
         kind="top", length=length, area=area, field=field, gradient=gradient,
         bias_frequency=geometry.bias_frequency,
     )
+
+
+def _scale(kind: str, name: str, compute) -> float:
+    """``compute()``, a derived scale; :class:`DomainError` names it beyond the float range.
+
+    Neither the field, the gradient, a tuned current nor the fourth power of
+    the length (which sets the curvature) may overflow or underflow to 0.
+    """
+    return in_range(compute, f"{kind} {name} is beyond the float range")
 
 
 def _check_kind(scales: DerivedScales, kind: str) -> None:
@@ -295,7 +310,9 @@ def top_time_avg_potential(particle: DipoleParticle, scales: DerivedScales, rho,
 def isotropy_residual(scales: DerivedScales) -> float:
     """Relative distance of gradient^2/field^2 from the isotropic tuning of its trap kind."""
     target = scales.isotropy_target
-    return ((scales.gradient / scales.field) ** 2 - target) / target
+    ratio = in_range(lambda: (scales.gradient / scales.field) ** 2,
+                     f"{scales.kind} gradient^2/field^2 is beyond the float range", allow_zero=True)
+    return (ratio - target) / target
 
 
 def solve_bar_current(geometry: IoffePritchardGeometry) -> float:
@@ -303,7 +320,8 @@ def solve_bar_current(geometry: IoffePritchardGeometry) -> float:
     scales = ip_scales(geometry)
     scales._need_confinement()
     gradient = scales.field * math.sqrt(3.0 * scales.area) / scales.length**2
-    return math.pi * geometry.bar_distance**2 * gradient / (2.0 * MU0)
+    return _scale("ip", "tuned_bar_current_A",
+                  lambda: math.pi * geometry.bar_distance**2 * gradient / (2.0 * MU0))
 
 
 def solve_quad_current(geometry: TopGeometry) -> float:
@@ -312,7 +330,8 @@ def solve_quad_current(geometry: TopGeometry) -> float:
     scales._need_confinement()
     gradient = scales.field * math.sqrt(3.0 * scales.area / 7.0) / scales.length**2
     rq, aq = geometry.quad_radius, geometry.quad_halfspacing
-    return gradient * 2.0 * (aq * aq + rq * rq) ** 2.5 / (3.0 * MU0 * rq * rq * aq)
+    return _scale("top", "tuned_quad_current_A",
+                  lambda: gradient * 2.0 * (aq * aq + rq * rq) ** 2.5 / (3.0 * MU0 * rq * rq * aq))
 
 
 def oscillator_scales(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .errors import DomainError, finite, integer, positive
+from .errors import DomainError, finite, in_range, integer, positive
 from .special import laguerre_march, log_radial_norm, radial_norm_3d, tower_degree
 
 _LN2 = math.log(2.0)
@@ -59,15 +59,10 @@ class OscillatorScales:
         positive("omega0", self.omega0)
         positive("hbar", self.hbar)
         finite("energy_offset", self.energy_offset)
-        try:
-            r0 = self.r0
-        except ZeroDivisionError:  # mass * omega0 underflows
-            r0 = math.inf
-        if not 0.0 < r0 < math.inf:
-            raise DomainError(
-                f"mass {self.mass!r}, omega0 {self.omega0!r} and hbar {self.hbar!r} put the "
-                "oscillator length beyond the float range"
-            )
+        in_range(lambda: self.r0, (
+            f"mass {self.mass!r}, omega0 {self.omega0!r} and hbar {self.hbar!r} put the "
+            "oscillator length beyond the float range"
+        ))
 
     @property
     def r0(self) -> float:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR
-from .errors import DomainError, StabilityError, finite, integer, nonzero, positive
+from .errors import DomainError, StabilityError, finite, in_range, integer, nonzero, positive
 from .oscillator3d import OscillatorScales, RadialEigenstate, tower_state
 from .special import tower_degree
 from .susy import PartnerPair, partner_pair
@@ -104,15 +104,10 @@ class PaulFrequencies:
     def __post_init__(self):
         for name in ("quadrupole", "drive", "mass", "hbar"):
             positive(name, getattr(self, name))
-        try:
-            secular = self.secular
-        except OverflowError:  # quadrupole**2
-            secular = math.inf
-        if secular == math.inf:
-            raise DomainError(
-                f"quadrupole {self.quadrupole!r} and drive {self.drive!r} put the secular "
-                "frequency beyond the float range"
-            )
+        in_range(lambda: self.secular, (
+            f"quadrupole {self.quadrupole!r} and drive {self.drive!r} put the secular "
+            "frequency beyond the float range"
+        ))
 
     @property
     def secular(self) -> float:
@@ -142,9 +137,9 @@ class PaulFrequencies:
 
 def paul_frequencies(params: PaulParams) -> PaulFrequencies:
     """Secular-approximation scales; warns when the drive is not fast enough."""
-    quadrupole = math.sqrt(
+    quadrupole = in_range(lambda: math.sqrt(
         math.sqrt(2.0) * abs(params.charge * params.voltage) / (params.mass * params.size**2)
-    )
+    ), "paul quadrupole_rad_per_s is beyond the float range")
     freqs = PaulFrequencies(quadrupole=quadrupole, drive=params.drive, mass=params.mass)
     if freqs.drive_ratio < DRIVE_RATIO_FLOOR:
         warnings.warn(
@@ -362,15 +357,12 @@ class PenningFrequencies:
     def __post_init__(self):
         for name in ("axial", "cyclotron", "mass", "hbar"):
             positive(name, getattr(self, name))
-        try:
-            spring = self.cyclotron**2 - 2.0 * self.axial**2
-        except OverflowError:
-            # The hybrid frequency and every level are built from these
-            # squares; an unsquared form would change their last bits.
-            raise DomainError(
-                f"cyclotron {self.cyclotron!r} and axial {self.axial!r} frequencies are too "
-                "large to square as floats"
-            ) from None
+        # The hybrid frequency and every level are built from these squares;
+        # an unsquared form would change their last bits.
+        spring = in_range(lambda: self.cyclotron**2 - 2.0 * self.axial**2, (
+            f"cyclotron {self.cyclotron!r} and axial {self.axial!r} frequencies are too "
+            "large to square as floats"
+        ), allow_zero=True)
         if spring <= 0.0:
             raise StabilityError(
                 f"unstable tuning: cyclotron^2 = {self.cyclotron**2:.6g} must exceed "
@@ -399,8 +391,12 @@ class PenningFrequencies:
 def penning_frequencies(params: PenningParams) -> PenningFrequencies:
     """Mode frequencies; rejects tunings where the radial motion is unbound."""
     return PenningFrequencies(
-        axial=math.sqrt(abs(params.charge * params.voltage) / (params.mass * params.size**2)),
-        cyclotron=abs(params.charge * params.axial_field) / params.mass,
+        axial=in_range(
+            lambda: math.sqrt(abs(params.charge * params.voltage) / (params.mass * params.size**2)),
+            "penning axial_rad_per_s is beyond the float range",
+        ),
+        cyclotron=in_range(lambda: abs(params.charge * params.axial_field) / params.mass,
+                           "penning cyclotron_rad_per_s is beyond the float range"),
         mass=params.mass,
     )
 

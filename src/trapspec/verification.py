@@ -661,8 +661,12 @@ SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(name: str, **kwargs) -> list[CheckResult]:
-    """Run one named suite, or all of them in criterion order."""
+    """Run one named suite with ``kwargs``, or all of them in criterion order with none."""
     if name == "all":
+        if kwargs:
+            raise ConfigError(
+                f"suite 'all' takes no keyword arguments, got {', '.join(sorted(kwargs))}"
+            )
         return [SUITES[key]() for key in SUITE_ORDER]
     if name not in SUITES:
         raise ConfigError(

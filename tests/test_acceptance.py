@@ -5,7 +5,9 @@ prints the same PASS/FAIL line the ``verify`` command emits, so the test
 log doubles as the acceptance report.
 """
 
-from trapspec import verification
+import pytest
+
+from trapspec import ConfigError, verification
 
 
 def _accept(result):
@@ -51,3 +53,9 @@ def test_criterion_09_planar_traps():
 
 def test_criterion_10_orthonormality():
     _accept(verification.check_orthonormality())
+
+
+def test_all_suites_take_no_keywords():
+    # The keywords would be dropped: each suite runs at its fixed size.
+    with pytest.raises(ConfigError, match="'all' takes no keyword arguments, got bogus, max_n"):
+        verification.run_suite("all", max_n=2, bogus=1)

@@ -875,6 +875,62 @@ class TestErrorWiring:
             f"validation error: tower index 1e+{exponent} overflows the partner potentials\n"
         )
 
+    @pytest.mark.parametrize("trap, geometry, changes, command, scale", [
+        ("ioffe_pritchard", IP_GEOMETRY, {"bar_distance_m": 1e-200}, "scales",
+         "ip gradient_T_per_m"),
+        ("ioffe_pritchard", IP_GEOMETRY, {"bar_distance_m": 1e-200}, "isotropy",
+         "ip gradient_T_per_m"),
+        ("ioffe_pritchard", IP_GEOMETRY, {"bar_distance_m": 1e-200}, "spectrum",
+         "ip gradient_T_per_m"),
+        ("ioffe_pritchard", IP_GEOMETRY, {"coil_radius_m": 1e200, "coil_halfspacing_m": 1e200},
+         "scales", "ip length_m^4"),
+        ("ioffe_pritchard", IP_GEOMETRY, {"coil_radius_m": 1e-200, "coil_halfspacing_m": 1e-200},
+         "scales", "ip length_m^4"),
+        ("top", TOP_GEOMETRY, {"quad_radius_m": 1e200}, "scales", "top gradient_T_per_m"),
+        ("top", TOP_GEOMETRY, {"quad_radius_m": 1e200}, "isotropy", "top gradient_T_per_m"),
+        ("paul", PAUL_GEOMETRY, {"size_m": 1e-200}, "scales", "paul quadrupole_rad_per_s"),
+        ("penning", PENNING_GEOMETRY, {"size_m": 1e-200}, "scales", "penning axial_rad_per_s"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_derived_scale_beyond_the_float_range_exits_3(
+        self, tmp_path, capsys, trap, geometry, changes, command, scale
+    ):
+        # Valid inputs whose derived scales overflow or underflow to 0 were a
+        # ZeroDivisionError or OverflowError traceback, or printed nan.
+        particle = PARTICLE if trap in ("ioffe_pritchard", "top") else None
+        path = write_config(tmp_path, "big.json", trap, dict(geometry, **changes), particle)
+        code, out, err = run(capsys, command, "--config", path)
+        assert (code, out) == (3, "")
+        assert err == f"validation error: {scale} is beyond the float range\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("susy", "--l-angular", str(10**21)),
+        ("defect", "--l-angular", str(10**21), "--delta", "0.5"),
+        ("defect", "--l-angular", "9007199254740993", "--delta", "0.5"),
+        ("susy", "--l-angular", "9007199254740988", "--iterations", "2"),
+    ])
+    def test_levels_a_float_cannot_tell_apart_exit_3(self, tmp_path, capsys, argv):
+        # 10^21 + 2 rounds to 10^21, and past 2^53 two levels can share one
+        # float: the report named the wrong level or repeated an energy.
+        code, out, err = run(capsys, argv[0], "--config", ip_config(tmp_path), *argv[1:],
+                             "--levels", "3", "--natural-units")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"validation error: tower index {float(argv[2]):.3g} with 3 levels ")
+        assert err.count("\n") == 1
+
+    def test_levels_up_to_2_to_the_53_are_told_apart(self, tmp_path, capsys):
+        code, out, err = run(capsys, "defect", "--config", ip_config(tmp_path), "--l-angular",
+                             str(2**53 - 4), "--delta", "0.5", "--levels", "3", "--natural-units")
+        assert (code, err) == (0, "")
+        energies = [row["energy"] for row in json.loads(out)["spectrum"]]
+        assert energies == sorted(set(energies))
+
+    def test_energy_beyond_the_float_range_exits_3(self, tmp_path, capsys):
+        # N* + 3/2 = 1e308 + 1.7e308 overflows; the JSON writer refuses inf.
+        code, out, err = run(capsys, "defect", "--config", ip_config(tmp_path), "--l-angular",
+                             str(10**308), "--delta=-1.7e308", "--levels", "1", "--natural-units")
+        assert (code, out) == (3, "")
+        assert err == "validation error: Out of range float values are not JSON compliant: inf\n"
+
     def test_non_finite_table_exits_3(self, tmp_path, capsys, monkeypatch):
         # A table refuses a nan cell rather than print it and exit 0.
         def broken(states, r, derivative=False):

@@ -260,10 +260,13 @@ class TestJsonText:
         assert parsed == {"a": [0, 1, 2], "b": 2.5, "n": 4}
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        # A DomainError, so the CLI exits 3 with one line; still a ValueError.
+        with pytest.raises(DomainError, match="not JSON compliant: nan"):
             json_text({"v": float("nan")})
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="not JSON compliant: inf"):
             json_text({"v": [1.0, float("inf")]})
+        with pytest.raises(ValueError):
+            json_text({"v": -math.inf})
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):

@@ -20,7 +20,11 @@ from trapspec.fields import (
     DipoleParticle,
     IoffePritchardGeometry,
     TopGeometry,
+    ip_scales,
+    isotropy_residual,
     oscillator_scales,
+    solve_bar_current,
+    top_scales,
 )
 from trapspec.numerov import RadialProblem, solve_eigens
 from trapspec.oscillator3d import (
@@ -39,12 +43,14 @@ from trapspec.planar import (
     PenningFrequencies,
     PenningParams,
     paul_energy,
+    paul_frequencies,
     paul_related_systems,
     paul_shell_count,
     paul_spectrum,
     paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
+    penning_frequencies,
     penning_spectrum,
     penning_state_count,
     penning_susy_partner,
@@ -247,6 +253,38 @@ def test_extreme_scale_gives_a_typed_error_or_finite_numbers(func, kwargs):
     except DomainError:
         return
     assert all(math.isfinite(x) for x in numbers)
+
+
+def _ip(bar_distance=0.01, radius=0.02, halfspacing=0.02, bar_current=25.5):
+    return IoffePritchardGeometry(radius, halfspacing, 100.0, bar_distance, bar_current)
+
+
+# Valid records whose derived scales overflow or underflow to 0: each raises
+# DomainError naming the scale, not ZeroDivisionError, OverflowError or nan.
+OUT_OF_RANGE = [
+    (ip_scales, _ip(bar_distance=1e-200), "ip gradient_T_per_m"),
+    (ip_scales, _ip(bar_distance=1e200), "ip gradient_T_per_m"),
+    (ip_scales, _ip(radius=1e200, halfspacing=1e200), "ip length_m^4"),
+    (ip_scales, _ip(radius=1e-100, halfspacing=1e-100), "ip length_m^4"),
+    (top_scales, TopGeometry(1e200, 0.02, 8.2, 0.03, 0.03, 20.0, 6e4), "top gradient_T_per_m"),
+    (lambda g: isotropy_residual(ip_scales(g)), _ip(bar_distance=1e-150),
+     "ip gradient^2/field^2"),
+    (solve_bar_current, _ip(bar_distance=1e153), "ip tuned_bar_current_A"),
+    (paul_frequencies, PaulParams(5.0, 1e-200, 1e8, 1.6e-19, 6.6e-26), "paul quadrupole_rad_per_s"),
+    (penning_frequencies, PenningParams(10.0, 1e-200, 5.0, 1.6e-19, 6.6e-26),
+     "penning axial_rad_per_s"),
+    (penning_frequencies, PenningParams(10.0, 3e-3, 1e300, 1.6e-19, 1e-30),
+     "penning cyclotron_rad_per_s"),
+]
+
+
+@pytest.mark.parametrize("func, record, scale", OUT_OF_RANGE,
+                         ids=[f"{i}-{scale}" for i, (_, _, scale) in enumerate(OUT_OF_RANGE)])
+def test_derived_scale_beyond_the_float_range(func, record, scale):
+    with pytest.raises(DomainError) as caught:
+        func(record)
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == f"{scale} is beyond the float range"
 
 
 @pytest.mark.parametrize("label, start, message", [

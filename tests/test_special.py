@@ -116,6 +116,20 @@ class TestLaguerre:
         with pytest.raises(DomainError):
             laguerre_gen(-1, 0.5, 1.0)
 
+    @pytest.mark.parametrize("n, x, want", [
+        (2, 1e200, math.inf), (3, 1e200, -math.inf), (4, 1e160, math.inf),
+        (1, 1e200, 1.5 - 1e200), (0, 1e300, 1.0), (2, 1.5e154, 0.5 * 1.5e154 * 1.5e154),
+    ])
+    def test_value_beyond_the_float_range_is_inf_of_its_sign(self, n, x, want):
+        # Under pytest's RuntimeWarning filter an overflow warning would fail here.
+        assert laguerre_gen(n, 0.5, x) == want
+        assert laguerre_gen(n, 0.5, np.array([x, 1.0]))[0] == want
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(DomainError, match="Laguerre argument must be finite"):
+            laguerre_gen(3, 0.5, x)
+
     def test_alpha_at_or_below_minus_one_rejected(self):
         with pytest.raises(DomainError):
             laguerre_gen(2, -1.0, 1.0)
