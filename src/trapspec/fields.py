@@ -260,7 +260,7 @@ def ip_potential(particle: DipoleParticle, scales: DerivedScales, rho, z):
     """Quadratic-order IP trapping potential mu|B| for anti-aligned dipoles."""
     _check_kind(scales, "ip")
     alpha = scales.area / scales.length**4
-    ratio = (scales.gradient / scales.field) ** 2
+    ratio = _gradient_ratio(scales)
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     u = particle.magnetic_moment * scales.field * (
@@ -296,7 +296,7 @@ def top_time_avg_potential(particle: DipoleParticle, scales: DerivedScales, rho,
     """
     _check_kind(scales, "top")
     alpha = scales.area / scales.length**4
-    ratio = (scales.gradient / scales.field) ** 2
+    ratio = _gradient_ratio(scales)
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     u = particle.magnetic_moment * scales.field * (
@@ -307,12 +307,16 @@ def top_time_avg_potential(particle: DipoleParticle, scales: DerivedScales, rho,
     return float(u) if u.ndim == 0 else u
 
 
+def _gradient_ratio(scales: DerivedScales) -> float:
+    """gradient^2/field^2, or :class:`DomainError` where it leaves the float range."""
+    return in_range(lambda: (scales.gradient / scales.field) ** 2,
+                    f"{scales.kind} gradient^2/field^2 is beyond the float range", allow_zero=True)
+
+
 def isotropy_residual(scales: DerivedScales) -> float:
     """Relative distance of gradient^2/field^2 from the isotropic tuning of its trap kind."""
     target = scales.isotropy_target
-    ratio = in_range(lambda: (scales.gradient / scales.field) ** 2,
-                     f"{scales.kind} gradient^2/field^2 is beyond the float range", allow_zero=True)
-    return (ratio - target) / target
+    return (_gradient_ratio(scales) - target) / target
 
 
 def solve_bar_current(geometry: IoffePritchardGeometry) -> float:

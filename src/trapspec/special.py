@@ -80,6 +80,19 @@ def laguerre_march(degrees, alpha: float, x):
             if power is not None:
                 exponents[i] = power
 
+    def rescale():  # bring each |L_k| past 1e100 to its mantissa; returns the new bound
+        nonlocal power, exponents
+        big = np.abs(cur) > _RESCALE_ABOVE
+        if big.any():
+            if power is None:
+                power = np.zeros(flat.size, dtype=np.int32)
+                exponents = np.zeros(rows.shape, dtype=np.int32)
+            mantissa, shift = np.frexp(cur[big])
+            cur[big], prev[big] = mantissa, np.ldexp(prev[big], -shift)
+            power[big] += shift
+        both = np.fmax(np.abs(cur), np.abs(prev))
+        return float(np.max(both, initial=1.0, where=np.isfinite(both)))
+
     prev = np.ones_like(flat)
     keep(0, prev)
     cur = 1.0 + alpha - flat
@@ -89,6 +102,8 @@ def laguerre_march(degrees, alpha: float, x):
         span = flat[np.isfinite(flat)]
         lo, hi = (float(span.min()), float(span.max())) if span.size else (0.0, 0.0)
     bound = max(1.0, abs(1.0 + alpha - lo), abs(1.0 + alpha - hi))  # >= |L_0|, |L_1|
+    if top > 1 and bound > _RESCALE_ABOVE:  # a huge order: (c - x) L_1 could overflow
+        bound = rescale()
     step, term = np.empty_like(flat), np.empty_like(flat)  # three buffers take turns
     for k in range(1, top):
         # L_{k+1} = ((c - x) L_k - (k + alpha) L_{k-1}) / (k + 1), in that order.
@@ -103,16 +118,7 @@ def laguerre_march(degrees, alpha: float, x):
         if growth > 1.0:
             bound *= growth
         if bound > _RESCALE_ABOVE:
-            big = np.abs(cur) > _RESCALE_ABOVE
-            if big.any():
-                if power is None:
-                    power = np.zeros(flat.size, dtype=np.int32)
-                    exponents = np.zeros(rows.shape, dtype=np.int32)
-                mantissa, shift = np.frexp(cur[big])
-                cur[big], prev[big] = mantissa, np.ldexp(prev[big], -shift)
-                power[big] += shift
-            both = np.fmax(np.abs(cur), np.abs(prev))
-            bound = float(np.max(both, initial=1.0, where=np.isfinite(both)))
+            bound = rescale()
         keep(k + 1, cur)
     shape = (len(degrees),) + arr.shape
     return rows.reshape(shape), None if exponents is None else exponents.reshape(shape)

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
 
+from exact_rules import exact_gram
 from trapspec import DomainError, ExcludedLevelError, NormalizabilityError
 from trapspec.defect import (
     EffectiveModel,
@@ -12,7 +12,7 @@ from trapspec.defect import (
     effective_potential,
     recover_partner,
 )
-from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
+from trapspec.numerov import RadialProblem, solve_eigen, solve_eigens
 from trapspec.oscillator3d import OscillatorScales, energy_3d, radial_wavefunction_3d
 from trapspec.special import radial_norm_3d
 from trapspec.susy import input_potential, partner_pair
@@ -177,10 +177,7 @@ class TestDefectWavefunctions:
     def test_orthonormality_with_constant_shift(self):
         m = model(l=0, i=0, delta=0.3)
         states = [defect_wavefunction(m, 2 * k) for k in range(5)]
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                val = overlap(a, b, 0.0, np.inf)
-                assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
+        assert np.max(np.abs(exact_gram(states) - np.eye(5))) < 1e-10
 
     def test_orthogonality_breaks_for_level_dependent_shift(self):
         # A shift that varies with N leaves the states normalized but no
@@ -189,11 +186,8 @@ class TestDefectWavefunctions:
         for k in range(4):
             delta = 0.3 + 0.1 * (2 * k % 4)
             states.append(defect_wavefunction(model(delta=delta), 2 * k))
-        worst = 0.0
-        for i in range(4):
-            for j in range(i):
-                worst = max(worst, abs(overlap(states[i], states[j], 0.0, np.inf)))
-        assert worst > 1e-3
+        # Each pair has its own weight t^((L*_i + L*_j + 1)/2), so its rule is exact.
+        assert np.max(np.abs(np.tril(exact_gram(states), -1))) > 1e-3
 
     def test_node_counts_stable_in_delta(self):
         r = np.linspace(1e-4, 12.0, 15001)
@@ -222,9 +216,7 @@ class TestDefectWavefunctions:
         for k in (1, 2):
             m = model(delta=1.5 - 10.0**-k)
             w = defect_wavefunction(m, 0)
-            head, _ = integrate.quad(lambda r: w(r) ** 2, 0.0, 0.5, limit=400)
-            tail, _ = integrate.quad(lambda r: w(r) ** 2, 0.5, np.inf, limit=400)
-            assert head + tail == pytest.approx(1.0, abs=1e-8)
+            assert exact_gram([w])[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestRecovery:

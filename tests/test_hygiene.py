@@ -115,6 +115,11 @@ def test_numerov_imports_only_errors_from_the_package():
     assert package_imports(source) == {"errors"}
 
 
+def test_exact_rules_import_nothing_from_the_package():
+    # The Gram tests' reference shares no code with the quadrature it checks.
+    assert package_imports((ROOT / "tests" / "exact_rules.py").read_text(encoding="utf-8")) == set()
+
+
 def test_import_check_sees_a_closed_form_module():
     source = (
         "import numpy as np\nfrom .errors import finite\nfrom .oscillator3d import tower_state\n"

@@ -20,11 +20,13 @@ from trapspec.fields import (
     DipoleParticle,
     IoffePritchardGeometry,
     TopGeometry,
+    ip_potential,
     ip_scales,
     isotropy_residual,
     oscillator_scales,
     solve_bar_current,
     top_scales,
+    top_time_avg_potential,
 )
 from trapspec.numerov import RadialProblem, solve_eigens
 from trapspec.oscillator3d import (
@@ -275,6 +277,10 @@ OUT_OF_RANGE = [
      "penning axial_rad_per_s"),
     (penning_frequencies, PenningParams(10.0, 3e-3, 1e300, 1.6e-19, 1e-30),
      "penning cyclotron_rad_per_s"),
+    (lambda g: ip_potential(PARTICLE, ip_scales(g), 0.0, 0.0), _ip(bar_distance=1e-150),
+     "ip gradient^2/field^2"),
+    (lambda g: top_time_avg_potential(PARTICLE, top_scales(g), 0.0, 0.0),
+     TopGeometry(0.02, 0.02, 1e160, 0.03, 0.03, 20.0, 6.28e4), "top gradient^2/field^2"),
 ]
 
 

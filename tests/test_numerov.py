@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_rules import exact_gram
 from trapspec import AccuracyError, BracketError, ConvergenceError, DomainError, numerov
 from trapspec.defect import EffectiveModel, defect_wavefunction, recover_partner
 from trapspec.numerov import (
@@ -785,10 +786,10 @@ def full_gram(index):
 class TestGram:
     @pytest.mark.parametrize("index", range(len(FAMILIES)), ids=[f[0] for f in FAMILIES])
     def test_matches_pairwise_overlap(self, index):
+        # Each pair's overlap by the exact Gauss rule; the tails past lo, hi are below 1e-30.
         _, states, (lo, hi) = FAMILIES[index]
-        matrix = full_gram(index)
-        for i, j in zip(*np.triu_indices(len(states))):
-            assert abs(matrix[i, j] - overlap(states[i], states[j], lo, hi)) <= 1e-13
+        exact = exact_gram(states, whole_line=lo < 0)
+        assert np.max(np.abs(full_gram(index) - exact)) <= 1e-13
 
     @pytest.mark.parametrize("index", range(len(FAMILIES)), ids=[f[0] for f in FAMILIES])
     def test_family_rows_give_the_per_state_matrix(self, index):
@@ -821,12 +822,12 @@ class TestGram:
         with pytest.raises(AccuracyError, match="not_converged"):
             gram(stacked([wild, wild]), 0.0, 50.0)
 
-    def test_error_estimate_above_gate_raises(self):
-        # The integrand 1e6 sqrt(x) is no polynomial, so the rule is never exact.
-        # The integral is ~6.7e5, so the 1e-10 relative accuracy is met with an
-        # error estimate of ~3e-5, which the 1e-8 gate must still refuse.
-        with pytest.raises(AccuracyError, match="quadrature converged"):
-            gram(stacked([lambda x: 1e3 * x**0.25]), 0.0, 1.0)
+    def test_unnormalized_pair_converges_as_the_pair(self):
+        # Entries ~1e8 give error estimates ~2e-7, well within 1e-10 of the largest.
+        pair = [radial_wavefunction_3d(NAT, n, 0) for n in (0, 2)]
+        plain = gram(functools.partial(tower_rows, pair), 0.0, 14.0)
+        matrix = gram(stacked([lambda r, f=f: 1e4 * f(r) for f in pair]), 0.0, 14.0)
+        assert np.max(np.abs(matrix / 1e8 - plain)) <= 1e-14
 
     def test_scaled_family_converges_as_the_family(self):
         # The absolute floor is 1e-14 of the largest entry, so a family scaled by 100

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from exact_rules import exact_gram, half_line_rule
 from trapspec import DomainError
 from trapspec.oscillator3d import (
     OscillatorScales,
@@ -111,34 +112,24 @@ class TestRadialEigenstates:
     def test_orthonormality_by_quadrature(self):
         for l in (0, 1, 3):
             states = [radial_wavefunction_3d(NAT, l + 2 * k, l) for k in range(5)]
-            for i, wi in enumerate(states):
-                for j, wj in enumerate(states):
-                    val, _ = integrate.quad(
-                        lambda r: wi(r) * wj(r), 0.0, np.inf, limit=200
-                    )
-                    assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
+            assert np.max(np.abs(exact_gram(states) - np.eye(5))) < 1e-10
 
     def test_virial_balance(self):
         # For every eigenstate the potential expectation is half the
         # oscillator energy: <r^2>/2 = (N + 3/2)/2 in natural units.
         for n, l in ((0, 0), (4, 2), (9, 3), (12, 0)):
-            w = radial_wavefunction_3d(NAT, n, l)
-            val, _ = integrate.quad(
-                lambda r: 0.5 * r * r * w(r) ** 2, 0.0, np.inf, limit=200
-            )
+            r, w = half_line_rule(l + 0.5, NAT.r0)
+            val = w @ (0.5 * r * r * radial_wavefunction_3d(NAT, n, l)(r) ** 2)
             assert val == pytest.approx(0.5 * (n + 1.5), rel=1e-8)
 
     def test_kinetic_energy_by_quadrature(self):
         # <T> = E - <V> with the centrifugal term included in T; checked
         # directly from the analytic derivative and the L(L+1)/2r^2 weight.
         n, l = 6, 2
-        w = radial_wavefunction_3d(NAT, n, l)
-
-        def t_density(r):
-            return 0.5 * w.derivative(r) ** 2 + 0.5 * l * (l + 1) / r**2 * w(r) ** 2
-
-        val, _ = integrate.quad(t_density, 0.0, np.inf, limit=200)
-        assert val == pytest.approx(0.5 * (n + 1.5), rel=1e-8)
+        state = radial_wavefunction_3d(NAT, n, l)
+        r, w = half_line_rule(l - 0.5, NAT.r0)  # W'^2 and W^2 / r^2 carry t^(l - 1/2)
+        t_density = 0.5 * state.derivative(r) ** 2 + 0.5 * l * (l + 1) / r**2 * state(r) ** 2
+        assert w @ t_density == pytest.approx(0.5 * (n + 1.5), rel=1e-8)
 
     def test_derivative_finite_difference(self):
         w = radial_wavefunction_3d(NAT, 8, 2)

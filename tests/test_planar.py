@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import eval_genlaguerre, eval_hermite
 
+from exact_rules import exact_gram, half_line_rule, whole_line_rule
 from trapspec import DomainError, ExcludedLevelError, StabilityError
-from trapspec.numerov import RadialProblem, overlap, solve_eigen, solve_eigens
+from trapspec.numerov import RadialProblem, solve_eigen, solve_eigens
 from trapspec.planar import (
     MAGNETRON_CAP,
     PaulFrequencies,
@@ -206,10 +207,7 @@ class TestPaulWavefunctions:
     def test_axial_norm(self):
         for k in (0, 1, 5, 12):
             axial = paul_wavefunctions(PAUL, 0, 0, k).axial
-            val, _ = integrate.quad(
-                lambda z: axial(z) ** 2, -np.inf, np.inf, limit=200
-            )
-            assert abs(val - 1.0) < 1e-10
+            assert abs(exact_gram([axial], whole_line=True)[0, 0] - 1.0) < 1e-10
 
     def test_even_axial_derivative_vanishes_at_center(self):
         # Even K sits at tower index -1, where u**-1 meets a bracket that is 0 at u = 0.
@@ -235,10 +233,7 @@ class TestPaulWavefunctions:
             states = [
                 paul_wavefunctions(PAUL, m + 2 * j, m, 0).radial for j in range(4)
             ]
-            for i, a in enumerate(states):
-                for j, b in enumerate(states):
-                    val = overlap(a, b, 0.0, np.inf)
-                    assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
+            assert np.max(np.abs(exact_gram(states) - np.eye(4))) < 1e-10
 
     def test_node_count(self):
         rho = np.linspace(1e-3, 10.0, 8001)
@@ -601,18 +596,12 @@ class TestPenningStates:
         assert np.all(psi(1.0, 0.0, z).real > 0.0)
 
     def test_three_dimensional_norm(self):
+        # The product of the exact rules of |X|^2 (half line) and |Z|^2 (whole line).
         psi = penning_wavefunction(PENNING, 2, 1, -2)
-
-        def z_slice(rho):
-            val, _ = integrate.quad(
-                lambda z: abs(psi(rho, 0.0, z)) ** 2, -np.inf, np.inf, limit=200
-            )
-            return val
-
-        total, _ = integrate.quad(
-            lambda rho: 2.0 * math.pi * rho * z_slice(rho), 0.0, np.inf, limit=200
-        )
-        assert abs(total - 1.0) < 1e-8
+        rho, w_rho = half_line_rule(psi.radial.l_angular + 0.5, psi.radial.r0)
+        z, w_z = whole_line_rule(psi.axial.r0)
+        density = 2.0 * math.pi * rho[:, None] * abs(psi(rho[:, None], 0.0, z)) ** 2
+        assert abs(w_rho @ density @ w_z - 1.0) < 1e-8
 
     def test_energy_attached(self):
         psi = penning_wavefunction(PENNING, 2, 0, 2)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp
-from scipy import integrate, special as sp
+from scipy import special as sp
 
+from exact_rules import half_line_rule, laguerre_rule
 from trapspec import DomainError, special
 from trapspec.special import (
     hermite,
@@ -86,29 +87,17 @@ class TestLaguerre:
     def test_orthogonality_quadrature(self):
         # integral_0^inf x^alpha e^-x L_n L_m dx = 0 for n != m.
         for alpha in (0.5, 1.5, 2.3):
+            x, w = laguerre_rule(alpha)
             for n in range(0, 13, 3):
                 for m in range(n + 1, 13, 4):
-                    val, _ = integrate.quad(
-                        lambda x: x**alpha
-                        * math.exp(-x)
-                        * laguerre_gen(n, alpha, x)
-                        * laguerre_gen(m, alpha, x),
-                        0.0,
-                        np.inf,
-                        limit=200,
-                    )
-                    assert abs(val) < 1e-10
+                    assert abs(w @ (laguerre_gen(n, alpha, x) * laguerre_gen(m, alpha, x))) < 1e-10
 
     def test_weighted_norm_closed_form(self):
         # integral of the squared polynomial against the weight equals
         # Gamma(n+alpha+1)/n!.
         for n, alpha in ((2, 0.5), (5, 1.5), (8, 2.3)):
-            val, _ = integrate.quad(
-                lambda x: x**alpha * math.exp(-x) * laguerre_gen(n, alpha, x) ** 2,
-                0.0,
-                np.inf,
-                limit=200,
-            )
+            x, w = laguerre_rule(alpha)
+            val = w @ laguerre_gen(n, alpha, x) ** 2
             want = math.exp(math.lgamma(n + alpha + 1) - math.lgamma(n + 1))
             assert val == pytest.approx(want, rel=1e-10)
 
@@ -124,6 +113,13 @@ class TestLaguerre:
         # Under pytest's RuntimeWarning filter an overflow warning would fail here.
         assert laguerre_gen(n, 0.5, x) == want
         assert laguerre_gen(n, 0.5, np.array([x, 1.0]))[0] == want
+
+    @pytest.mark.parametrize("n, alpha", [(2, 1e300), (2, 1e160), (3, 1e90)])
+    def test_huge_order(self, n, alpha):
+        # (3 + alpha - x)(1 + alpha - x) overflows past alpha = 1e154 unless L_1 is rescaled.
+        with mp.workdps(320):
+            want = float(mp.laguerre(n, alpha, 0.5))
+        assert laguerre_gen(n, alpha, 0.5) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_argument_rejected(self, x):
@@ -224,19 +220,10 @@ class TestRadialNorm3d:
         r0 = 1.0
         for n, l in ((0, 0), (2, 0), (4, 2), (6, 6), (9, 3), (12, 4)):
             c = radial_norm_3d(n, l, r0)
-            k = (n - l) // 2
-
-            def w(r):
-                u = (r / r0) ** 2
-                return (
-                    c
-                    * (r / r0) ** (l + 1)
-                    * math.exp(-u / 2)
-                    * laguerre_gen(k, l + 0.5, u)
-                )
-
-            val, _ = integrate.quad(lambda r: w(r) ** 2, 0.0, np.inf, limit=200)
-            assert abs(val - 1.0) < 1e-10
+            r, q = half_line_rule(l + 0.5, r0)
+            u = r / r0
+            w = c * u ** (l + 1) * np.exp(-0.5 * u**2) * laguerre_gen((n - l) // 2, l + 0.5, u**2)
+            assert abs(q @ w**2 - 1.0) < 1e-10
 
     def test_non_integer_angular_order(self):
         # Real angular order with integer degree (n - l)/2 must normalize too.
@@ -244,16 +231,10 @@ class TestRadialNorm3d:
         l = 1.7
         n = l + 4.0
         c = radial_norm_3d(n, l, r0)
-        k = 2
-
-        def w(r):
-            u = (r / r0) ** 2
-            return c * (r / r0) ** (l + 1) * math.exp(-u / 2) * laguerre_gen(
-                k, l + 0.5, u
-            )
-
-        val, _ = integrate.quad(lambda r: w(r) ** 2, 0.0, np.inf, limit=200)
-        assert abs(val - 1.0) < 1e-10
+        r, q = half_line_rule(l + 0.5, r0)
+        u = r / r0
+        w = c * u ** (l + 1) * np.exp(-0.5 * u**2) * laguerre_gen(2, l + 0.5, u**2)
+        assert abs(q @ w**2 - 1.0) < 1e-10
 
     def test_scale_dependence(self):
         for r0 in (0.2, 5.0):
@@ -290,21 +271,10 @@ class TestRadialNorm2d:
         scale = 1.0
         for n, m in ((0, 0), (2, 2), (4, 0), (6, 4), (8, 2)):
             c = self.norm_2d(n, m, scale)
-            k = (n - m) // 2
-
-            def x_profile(rho):
-                u = (rho / scale) ** 2
-                return (
-                    c
-                    * (rho / scale) ** (m + 0.5)
-                    * math.exp(-u / 2)
-                    * laguerre_gen(k, float(m), u)
-                )
-
-            val, _ = integrate.quad(
-                lambda rho: x_profile(rho) ** 2, 0.0, np.inf, limit=200
-            )
-            assert abs(val - 1.0) < 1e-10
+            rho, w = half_line_rule(float(m), scale)
+            u = rho / scale
+            x_profile = c * u ** (m + 0.5) * np.exp(-u**2 / 2) * laguerre_gen((n - m) // 2, m, u**2)
+            assert abs(w @ x_profile**2 - 1.0) < 1e-10
 
     def test_scale_dependence(self):
         assert self.norm_2d(4, 2, 3.0) == pytest.approx(
