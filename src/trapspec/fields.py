@@ -416,31 +416,38 @@ class CircularLoop:
         dist = np.hypot(radial - self.radius, np.vecdot(p, n))
         return dist.reshape(np.shape(points)[:-1])[()]
 
-    def _mean(self, p: np.ndarray, n_panels: int) -> np.ndarray:
-        # Current-free mean of the Biot-Savart integrand over n_panels panels,
-        # for every row of p, in blocks of at most _BLOCK_PAIRS (point, panel)
-        # pairs.  A row's mean does not depend on the other rows of its block.
-        e1, e2, _ = self._frame
+    def _mean(self, local: np.ndarray, n_panels: int) -> np.ndarray:
+        # Panel mean of the unit-current integrand over a**2, in the loop frame,
+        # for each column (x1, x2, x3, a) of local.  With q the wire point,
+        # s = x - q and R**2 = |x|**2 + a**2, a panel's term is cross(dl, s)
+        # (1/|s|**3 - 1/R**3) + a**2 n/R**3: the dropped cross(dl, x)/R**3 sum to 0
+        # with the dl, and the bracket is built from R**2 - |s|**2 = 2 x.q, so no
+        # term cancels another.  Blocks hold at most _BLOCK_PAIRS (point, panel) pairs.
         theta = np.linspace(0.0, 2.0 * math.pi, n_panels, endpoint=False)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        pts = np.asarray(self.center) + self.radius * (np.outer(cos_t, e1) + np.outer(sin_t, e2))
-        dl = self.radius * (np.outer(-sin_t, e1) + np.outer(cos_t, e2))
-        mean = np.empty_like(p)
+        mean = np.empty((local.shape[1], 3))
         step = max(1, _BLOCK_PAIRS // n_panels)
-        for lo in range(0, len(p), step):
-            sep = p[lo:lo + step, None, :] - pts
-            dist = np.linalg.norm(sep, axis=2)
-            mean[lo:lo + step] = (np.cross(dl, sep) / dist[..., None] ** 3).mean(axis=1)
+        for lo in range(0, len(mean), step):
+            x1, x2, x3, a = local[:, lo:lo + step, None]
+            s1, s2 = x1 - a * cos_t, x2 - a * sin_t
+            s_sq = s1 * s1 + s2 * s2 + x3 * x3
+            r_sq = x1 * x1 + x2 * x2 + x3 * x3 + a * a
+            s, r = np.sqrt(s_sq), np.sqrt(r_sq)
+            g = 2.0 * (x1 * cos_t + x2 * sin_t) * (r_sq + r * s + s_sq) / (  # the bracket / a
+                (r + s) * (r_sq * r) * (s_sq * s))
+            mean[lo:lo + step] = np.column_stack([
+                x3[:, 0] * (cos_t * g).mean(axis=1), x3[:, 0] * (sin_t * g).mean(axis=1),
+                1.0 / (r_sq * r)[:, 0] - ((cos_t * s1 + sin_t * s2) * g).mean(axis=1)])
         return mean
 
     def field(self, points) -> np.ndarray:
         """Biot-Savart line integral by periodic-trapezoid panel doubling.
 
         The integrand is smooth and periodic, so the trapezoid rule converges
-        geometrically.  Each point stops at the first doubling whose change
-        is within ``_LOOP_RTOL`` (or stalls below 1e-10); only the points
-        still moving go on to the next doubling.  A point still moving at
-        2**20 panels raises AccuracyError.
+        geometrically, and no panel term cancels another at any distance.
+        Each point stops at the first doubling whose change is within
+        ``_LOOP_RTOL`` of its largest component; only the points still moving
+        go on.  A point still moving at 2**20 panels raises AccuracyError.
         """
         return _loop_fields((self,), _rows(points))[0].reshape(np.shape(points))
 
@@ -455,26 +462,31 @@ def _loop_fields(loops, p: np.ndarray) -> list[np.ndarray]:
     groups = {}
     for i, loop in enumerate(loops):
         groups.setdefault((tuple(loop.center), loop.axis, loop.radius), []).append(i)
-    floor = max(_LOOP_RTOL, 5e-16)
     out = [None] * len(loops)
     for members in groups.values():
         coil = loops[members[0]]
-        mean, prev = np.empty_like(p), coil._mean(p, 64)
-        active, prev_diff = np.arange(len(p)), np.full(len(p), math.inf)
-        n_panels = 128
+        # Loop-frame coordinates and the radius, in units of a power of two 2**k
+        # above all four: exact, and no square in _mean overflows.
+        local = np.stack([*(np.vecdot(p - np.asarray(coil.center), e) for e in coil._frame),
+                          np.full(len(p), coil.radius)])
+        _, k = np.frexp(np.max(np.abs(local), axis=0))
+        local = np.ldexp(local, -k)
+        mean, prev = np.empty((len(p), 3)), coil._mean(local, 64)
+        active, n_panels = np.arange(len(p)), 128
         while active.size:
             if n_panels > 1 << 20:
                 raise AccuracyError(
                     f"loop field quadrature did not reach rtol {_LOOP_RTOL:g} by {1 << 20} panels"
                 )
-            cur = coil._mean(p[active], n_panels)
-            scale = np.max(np.abs(cur), axis=1) + 1e-300
-            diff = np.max(np.abs(cur - prev), axis=1) / scale
-            done = (diff <= floor) | ((diff >= prev_diff) & (diff <= 1e-10))
+            cur = coil._mean(local[:, active], n_panels)
+            change = np.max(np.abs(cur - prev), axis=1)
+            done = change <= _LOOP_RTOL * np.max(np.abs(cur), axis=1)
             mean[active[done]] = cur[done]
-            moving = ~done
-            active, prev, prev_diff = active[moving], cur[moving], diff[moving]
+            active, prev = active[~done], cur[~done]
             n_panels *= 2
+        b = np.ldexp(np.square(local[3, :, None]) * mean, -k[:, None])  # per meter, loop frame
+        e1, e2, n = coil._frame
+        mean = b[:, :1] * e1 + b[:, 1:2] * e2 + b[:, 2:] * n
         for i in members:
             out[i] = MU0 * loops[i].current / (4.0 * math.pi) * mean * 2.0 * math.pi
     return out
@@ -620,25 +632,20 @@ def top_time_average_numeric(
 ) -> float:
     """Drive-period average of mu|B| for the TOP series field, by quadrature.
 
-    Composite Simpson over one period, starting at 256 panels and doubling
-    until the average changes by less than ``_AVERAGE_RTOL`` relative.  Serves as the
-    independent check of :func:`top_time_avg_potential`.  It calls
-    :func:`top_field_series` by design, because what it checks is the
-    drive-period average, not the field.
+    Periodic trapezoid rule (the mean of evenly spaced samples over one
+    period), from 256 panels, doubling until the average changes by less
+    than ``_AVERAGE_RTOL`` relative.  Serves as the independent check of
+    :func:`top_time_avg_potential`.  It calls :func:`top_field_series` by
+    design, because what it checks is the drive-period average, not the field.
     """
     _check_kind(scales, "top")
     period = 2.0 * math.pi / scales.bias_frequency
 
     def average(n_panels: int) -> float:
-        ts = np.linspace(0.0, period, n_panels + 1)
-        mags = np.linalg.norm(top_field_series(scales, x, y, z, ts), axis=-1)
-        weights = np.ones(n_panels + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        return float(weights @ mags) * (period / n_panels) / 3.0 / period
+        ts = np.linspace(0.0, period, n_panels, endpoint=False)
+        return float(np.linalg.norm(top_field_series(scales, x, y, z, ts), axis=-1).mean())
 
-    n_panels = 256
-    prev = average(n_panels)
+    n_panels, prev = 256, average(256)
     while n_panels <= 1 << 16:
         n_panels *= 2
         cur = average(n_panels)

@@ -158,13 +158,13 @@ def tower_rows(states, r, derivative: bool = False) -> np.ndarray:
     one march at order ``lam + 3/2``).  Each value is the product
     ``C u^(lam+1) e^(-u^2/2) L`` of a lone state, with the same factors in the same
     order and ``L`` the plain recurrence's value, wherever that product is finite and
-    ``C`` is a normal float.  Elsewhere (a large degree or tower index, where ``L``
-    or ``u^(lam+1)`` overflows, or ``C`` underflows) it is
+    ``C`` and ``e^(-u^2/2)`` are normal floats.  Elsewhere (``L`` or ``u^(lam+1)``
+    overflows, ``C`` underflows, or ``u > 37.6``) it is
     ``sign * exp(log|C| + (lam+1) log|u| - u^2/2 + log|L|)``, the march's power of
     two inside the log, so it stays finite and accurate where the product would be
-    ``0 * inf``.  Where ``u^2 >= 2^510`` and this gives no finite value (the march or
-    ``u^2`` overflows), the value is 0: ``e^(-u^2/2) < 10^(-7e152)`` there outweighs the
-    polynomial at any degree the recurrence admits.
+    ``0 * inf`` or a subnormal's bits.  Where ``u^2 >= 2^510`` and this gives no
+    finite value (the march or ``u^2`` overflows), the value is 0: ``e^(-u^2/2) <
+    10^(-7e152)`` there outweighs the polynomial at any degree the recurrence admits.
     """
     arr = np.asarray(r, dtype=float)
     flat = arr.reshape(-1)
@@ -218,11 +218,11 @@ def _tower_group(states, lam, r0, u, x, ex, derivative: bool) -> np.ndarray:
         val *= ex
         val *= combine(*(m if k is None else np.ldexp(m, k) for m, k in terms))
         lost = np.abs(norms[:, 0]) < sys.float_info.min  # C underflowed
-        finite = np.isfinite(val)
-        if finite.all() and not lost.any():
-            return val
-        redo = ~finite
+        # Not finite, or e^(-u^2/2) subnormal or 0, which keeps few or none of its bits.
+        redo = ~np.isfinite(val) | (ex < sys.float_info.min)
         redo[lost] = True
+        if not redo.any():
+            return val
         # The log form, on mantissas brought to one scale per point.
         shifts = [np.zeros(m.shape, np.int32) if k is None else k for m, k in terms]
         shift = np.maximum(*shifts) if derivative else shifts[0]

@@ -26,7 +26,6 @@ __all__ = ["laguerre_gen", "hermite", "radial_norm_3d"]
 RECURRENCE_LIMIT = 10**8  # most degree-by-point steps one recurrence may take
 MIN_STEP_POINTS = 1024  # points each step is charged at least, for its fixed cost
 _RESCALE_ABOVE = 1e100  # a Laguerre march rescales each |L| past this
-_FAR = 2.0**510  # x from which a march's first step, about x^2, may overflow
 
 
 def _check_steps(name: str, degree: int, arr: np.ndarray) -> None:
@@ -139,28 +138,21 @@ def laguerre_gen(n: int, alpha: float, x):
     Returns
     -------
     float or ndarray
-        Polynomial value(s), from :func:`laguerre_march`; scalar in, scalar out.  A
-        value beyond the float range is ``inf`` of its sign.  Past ``x = 2^510``, where
-        a march step could overflow, the value is the leading term ``(-x)^n / n!``
-        (the next is smaller by about ``n (n + alpha) / x``), which is ``inf`` of
-        sign ``(-1)^n`` from degree 3 on.  A degree times point count (at least
-        :data:`MIN_STEP_POINTS`) above :data:`RECURRENCE_LIMIT` raises
-        :class:`DomainError` before any step.
+        Polynomial value(s), from :func:`laguerre_march`; scalar in, scalar out.  The
+        march rescales before any step could overflow, so every finite ``x`` takes it,
+        and a value beyond the float range is ``inf`` of its sign.  A degree times
+        point count (at least :data:`MIN_STEP_POINTS`) above :data:`RECURRENCE_LIMIT`
+        raises :class:`DomainError` before any step.
     """
     n = integer("Laguerre degree", n, 0)
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("Laguerre argument must be finite")
-    far = arr > _FAR if n >= 2 else False  # degrees 0 and 1 take no step
-    rows, exponents = laguerre_march([n], alpha, np.where(far, 0.0, arr))
+    rows, exponents = laguerre_march([n], alpha, arr)
     out = rows[0]
     if exponents is not None:
         with np.errstate(over="ignore"):
             out = np.ldexp(out, exponents[0])
-    if np.any(far):
-        with np.errstate(over="ignore"):
-            lead = 0.5 * arr * arr if n == 2 else np.full(arr.shape, (-1) ** n * math.inf)
-        out = np.where(far, lead, out)
     return out if out.ndim else float(out)
 
 

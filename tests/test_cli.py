@@ -796,6 +796,19 @@ class TestFieldMapCommand:
         assert all(math.isfinite(v) for row in rows for v in row)
         assert all(row[4:] == (0.0, 0.0, 0.0) for row in rows)
 
+    @pytest.mark.parametrize("extent", ["1e6", "1e12", "1e100"])
+    def test_far_oracle_converges(self, tmp_path, capsys, extent):
+        # Far from the coils no panel term of a loop cancels another, so each
+        # loop sum converges and the table prints.
+        code, out, err = run(
+            capsys, "field-map", "--config", ip_config(tmp_path),
+            "--points", "2", "--extent-fraction", extent, "--oracle",
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 8
+        assert all(math.isfinite(v) for row in rows for v in row)
+
 
 class TestErrorWiring:
     def test_missing_config_file(self, tmp_path, capsys):

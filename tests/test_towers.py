@@ -3,11 +3,13 @@ the plain recurrence, and finite, normalized states up to N and K of about 2000,
 to 1e300 lengths."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from numpy.polynomial.legendre import leggauss
 
 from trapspec import DomainError, special
@@ -217,3 +219,33 @@ def test_far_field_is_finite_and_zero(family, label, data):
     for values in (state(u * state.r0), state.derivative(u * state.r0)):
         assert np.all(np.isfinite(values))
         assert np.all(values[np.abs(u) > 1e4] == 0.0)
+
+
+def mp_tower(n_level, l_angular, u, derivative=False):
+    """The 3D tower W_{N,L} at u lengths (r0 = 1), or its dW/dr, from mpmath at 60 digits."""
+    with mp.workdps(60):
+        n = (n_level - l_angular) // 2
+        alpha, x = mp.mpf(l_angular) + 0.5, mp.mpf(u) ** 2
+        front = (mp.sqrt(2 * mp.factorial(n) / mp.gamma(n + alpha + 1))
+                 * mp.mpf(u) ** l_angular * mp.exp(-x / 2))
+        poly = mp.laguerre(n, alpha, x)
+        if not derivative:
+            return float(front * u * poly)
+        slope = -mp.laguerre(n - 1, alpha + 1, x) if n else 0
+        return float(front * ((l_angular + 1) * poly - x * poly + 2 * x * slope))
+
+
+@pytest.mark.parametrize("n_level, l_angular, u", [
+    (701, 37, np.linspace(36.0, 46.0, 41)),
+    (200, 100, np.array([39.0, 40.0, 45.0])),
+])
+def test_values_where_the_gaussian_is_subnormal(n_level, l_angular, u):
+    # e^(-u^2/2) is subnormal from u = 37.6 and 0 from u = 38.6, yet the values stay
+    # normal floats: the product kept few or none of the Gaussian's bits there.
+    state = radial_wavefunction_3d(NAT, n_level, l_angular)
+    want = np.array([mp_tower(n_level, l_angular, v) for v in u])
+    assert np.all(np.abs(want) >= sys.float_info.min)
+    np.testing.assert_allclose(state(u), want, rtol=5e-13, atol=0.0)
+    faint = u[np.exp(-0.5 * u * u) < sys.float_info.min]
+    want = np.array([mp_tower(n_level, l_angular, v, derivative=True) for v in faint])
+    np.testing.assert_allclose(state.derivative(faint), want, rtol=5e-13, atol=0.0)
