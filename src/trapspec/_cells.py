@@ -1,19 +1,30 @@
-"""Exact ``%.17g`` cells for ``exports.csv_text``, computed as numpy arrays.
+"""Exact ``%.17g`` and ``%d`` cells for ``exports.csv_text``, computed as numpy arrays.
 
-Every cell is byte for byte the ``"%.17g" % float(v)`` of its value.  Inside
-the window 1e-6 < |v| < 9.99e16 the cell's decimal exponent X, estimated as
-floor(log10|v|), makes |v|·10^(16−X) a product by an exact power of ten
-(10^s with 0 ≤ s ≤ 22 is a double), and Dekker's error-free product splits
-it into hi + lo exactly.  There hi ≥ 2^53 is an even integer, so
-hi + rint(lo) is the half-even, correctly rounded 17-digit mantissa N.
-Where N falls outside [10^16, 10^17), the estimate of X was one off and is
-stepped once; a cell whose N still misses is left to the caller's per-cell
-formatter, as are cells outside the window.  N's digits come from a table of
-4-digit groups and are laid out in four 8-byte words per cell, with the
-sign, the ``0.000`` prefix of a small number, the decimal point, the
-``e-05`` suffix and the separator at fixed byte places and every unused
-byte NUL, so that dropping the NULs of a block of cells gives its text.
-Zeros share that layout.
+Every float cell is byte for byte the ``"%.17g" % float(v)`` of its value, and
+every integer cell the ``"%d"`` of its value.
+
+Floats.  A cell's decimal exponent X, estimated as floor(log10|v|), makes
+|v|·10^(16−X) the 17-digit mantissa N once it is rounded half to even.
+Inside 1e-6 < |v| < 9.99e16, 10^s (s = 16 − X, 0 ≤ s ≤ 22) is a double and
+Dekker's error-free product splits |v|·10^s into hi + lo exactly.  There
+hi ≥ 2^53 is an even integer, so hi + rint(lo) is N.  Below that, down to
+1e-29 < |v| ≤ 1e-6 (23 ≤ s ≤ 45), 10^s = 2^s·5^s: |v|·2^s is exact, and
+5^s < 2^105 is the sum of two doubles, so two error-free products give
+|v|·10^s exactly as an even integer plus three small terms, whose sum is
+rounded half to even by exact sums and sign tests.  Where N falls outside
+[10^16, 10^17), the estimate of X was one off and is stepped once; below
+1e-6 so is a cell whose N rounds up to 10^16 from below, since its exponent
+is that of the decade under.  A cell whose N still misses is left to the
+caller's per-cell formatter, as are cells outside the window.  N's digits
+come from a table of 4-digit groups and are laid out in four 8-byte words
+per cell, with the sign, the ``0.000`` prefix of a small number, the
+decimal point, the ``e-05`` to ``e-29`` suffix and the separator at fixed
+byte places and every unused byte NUL, so that dropping the NULs of a block
+of cells gives its text.  Zeros share that layout.
+
+Integers.  An int64 or uint64 magnitude has at most 20 digits: five 4-digit
+groups from the same table, right-aligned before the separator, with the
+leading zeros NUL and a ``-`` just before the first digit.
 
 ``exports`` imports this module on its first table, so commands that print
 none do not compile it or build its tables.
@@ -29,16 +40,50 @@ import numpy as np
 #   bytes 1 .. 6   "0.", "0.0", "0.00" or "0.000" (-4 <= X < 0), right-aligned
 #   bytes 7 .. 23  d_i at byte 7 + i; a point after d_P goes in at byte 8 + P
 #                  and moves the digits behind it one byte on
-#   bytes 24 .. 30 d_16 once moved on, then "e-05" or "e-06" (X < -4)
+#   bytes 24 .. 30 d_16 once moved on, then "e-05" .. "e-29" (X < -4)
 #   byte 31        the separator, ',' or '\n', which the caller sets
-# Every other byte is NUL.
+# An integer's digits end at byte 30, at most 20 of them from byte 11 on,
+# and its '-' is just before the first.  Every other byte is NUL.
 _U = np.uint64
 
-# 10^s for s = 16 - X, X = -6 .. 16 (index X + 6): exact doubles, with
-# Veltkamp's split into two 26-bit halves for the error-free product.
-_POW10 = np.array([float(10**s) for s in range(22, -1, -1)])
-_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+# The exponents X = -29 .. 16 of the window, index X + 29; the single-product
+# path covers X >= -6, from index _SINGLE on.
+_EXPONENTS = range(-29, 17)
+_SINGLE = 23
+
+
+def _split(v):
+    """Veltkamp's split of doubles into two 26-bit halves, for the error-free product."""
+    c = v * 134217729.0
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _two_product(a, ah, al, p, ph, pl):
+    """Dekker's a * p = hi + lo exactly, from the splits a = ah + al and p = ph + pl."""
+    hi = a * p
+    t = ((hi - ah * ph) - al * ph) - ah * pl
+    return hi, al * pl - t
+
+
+def _two_sum(a, b):
+    """Knuth's a + b = s + e exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+# 10^s for s = 16 - X, X >= -6: exact doubles (nan below, where 10^s is none).
+_POW10 = np.array([float(10 ** (16 - x)) if x >= -6 else np.nan for x in _EXPONENTS])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+# 5^s for s = 16 - X, X = -29 .. -6: below 2^105, so a double and the exact
+# double remainder.
+_FIVE = [5 ** (16 - x) for x in _EXPONENTS[:_SINGLE + 1]]
+_FIVE_1 = np.array([float(p) for p in _FIVE])
+_FIVE_2 = np.array([float(p - int(float(p))) for p in _FIVE])
+_FIVE_1_HI, _FIVE_1_LO = _split(_FIVE_1)
+_FIVE_2_HI, _FIVE_2_LO = _split(_FIVE_2)
 
 # Over the digit groups g = 100 i + j < 10^4, from the 100 digit pairs: the
 # four ASCII digits of g, first digit in the lowest byte; and, for g as
@@ -49,44 +94,105 @@ _DIGITS = (_pairs[:, None] | _pairs[None, :] << _U(16)).ravel()
 _pair_last = np.array([2 if p % 10 else 1 if p else 0 for p in range(100)], dtype=np.int8)
 _last = np.where(_pair_last > 0, _pair_last + 2, _pair_last[:, None]).ravel()
 _ENDS = [np.where(_last > 0, _last + 4 * k + 8, 8).astype(np.int8) for k in range(4)]
+# For g as digits 4k + 1 .. 4k + 4 of a 20-digit integer at bytes 11 .. 30:
+# the byte of its first nonzero digit (30, the last digit's, for g = 0).
+_g = np.arange(10**4)
+_zeros = (_g < 1000).astype(np.int8) + (_g < 100) + (_g < 10)  # leading zeros of g's 4 digits
+_FIRST = [np.where(_g > 0, _zeros + np.int8(11 + 4 * k), np.int8(30)) for k in range(5)]
 
-# For words j = 1, 2 and a cell byte b: _BEFORE[j][b] masks the bytes of word j
-# that come before byte b; _POINT_AT[j][b] is a '.' at byte b if it is in word j.
+# For words j = 1, 2, 3 and a cell byte b: _BEFORE[j][b] masks the bytes of
+# word j that come before byte b, _FROM[j][b] the others; _POINT_AT[j][b] is
+# a '.' at byte b if it is in word j, _MINUS_AT[j][b] a '-'.
 _BEFORE = {j: np.array([(1 << 8 * min(max(b - 8 * j, 0), 8)) - 1 for b in range(33)],
-                       dtype=_U) for j in (1, 2)}
-_POINT_AT = {j: np.array([ord(".") << 8 * (b - 8 * j) if 0 <= b - 8 * j < 8 else 0
-                          for b in range(33)], dtype=_U) for j in (1, 2)}
+                       dtype=_U) for j in (1, 2, 3)}
+_FROM = {j: ~mask for j, mask in _BEFORE.items()}
+
+
+def _at(char: str) -> dict:
+    return {j: np.array([ord(char) << 8 * (b - 8 * j) if 0 <= b - 8 * j < 8 else 0
+                         for b in range(33)], dtype=_U) for j in (1, 2, 3)}
+
+
+_POINT_AT, _MINUS_AT = _at("."), _at("-")
 
 
 def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(8, b"\0"), "little")
 
 
-# Per exponent X (index X + 6): the byte of the point (24: none can come),
-# the end of the digits kept even when zero, word 0's prefix and word 3's
-# suffix.
-_EXPONENTS = range(-6, 17)
+# Per exponent X: the byte of the point (24: none can come), the end of the
+# digits kept even when zero, word 0's prefix and word 3's suffix.
 _POINT = np.array([8 if x < -4 else 24 if x < 0 else x + 8 for x in _EXPONENTS])
 _KEEP = np.array([max(x, 0) + 8 for x in _EXPONENTS])
 _PREFIX = np.array([_word((b"0." + b"0" * (-x - 1)).rjust(7, b"\0")) if -4 <= x < 0 else 0
                     for x in _EXPONENTS], dtype=_U)
-_SUFFIX = np.array([_word(b"\0e-0%d" % -x) if x < -4 else 0 for x in _EXPONENTS], dtype=_U)
+_SUFFIX = np.array([_word(b"\0e-%02d" % -x) if x < -4 else 0 for x in _EXPONENTS], dtype=_U)
 
 
 def _mantissa(a, e):
-    """round(a * 10^(16 - X)), half to even, for exponent index e = X + 6.
+    """round(a * 10^(16 - X)), half to even, for exponent index e = X + 29 >= _SINGLE.
 
     Dekker's two-product gives the product exactly as hi + lo; where the
     result lies in [10^16, 10^17), hi >= 2^53 is an even integer and the
     rounding is rint(lo)'s.
     """
-    hi = a * _POW10[e]
-    c = a * 134217729.0
-    ah = c - (c - a)
-    al = a - ah
-    ph, pl = _POW10_HI[e], _POW10_LO[e]
-    t = ((hi - ah * ph) - al * ph) - ah * pl
-    return hi.astype(np.int64) + np.rint(al * pl - t).astype(np.int64)
+    ah, al = _split(a)
+    hi, lo = _two_product(a, ah, al, _POW10[e], _POW10_HI[e], _POW10_LO[e])
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _small_mantissa(a, e):
+    """round(a * 10^(16 - X)), half to even, for exponent index e = X + 29 <= _SINGLE,
+    and whether the exact product lies below that rounding.
+
+    With b = a 2^s (exact), b 5^s = h1 + l1 + h2 + l2 by two error-free
+    products.  Where the result lies in [10^16, 10^17), h1 >= 2^53 is an even
+    integer, and the rest is r + d + y + ey exactly: l1 + h2 = s + t by an
+    error-free sum, r = rint(s), d = s - r with |d| <= 1/2, and t + l2 =
+    y + ey by another, with |y + ey| < 2^-40.  For c = 0 and +-1/2, the
+    floating-point ((d - c) + y) + ey has the sign of the exact d - c + y + ey:
+    where d - c or its sum with y is inexact, that term outweighs the ones
+    after it, and an exact sum is 0 only where it is.
+    """
+    b = np.ldexp(a, 45 - e)
+    bh, bl = _split(b)
+    h1, l1 = _two_product(b, bh, bl, _FIVE_1[e], _FIVE_1_HI[e], _FIVE_1_LO[e])
+    h2, l2 = _two_product(b, bh, bl, _FIVE_2[e], _FIVE_2_HI[e], _FIVE_2_LO[e])
+    s, t = _two_sum(l1, h2)
+    r = np.rint(s)
+    d = s - r
+    y, ey = _two_sum(t, l2)
+    up, down, mid = ((d - 0.5) + y) + ey, ((d + 0.5) + y) + ey, (d + y) + ey
+    # A tie has every term a multiple of 1/2, so y = ey = 0, and rint has
+    # already rounded s to even: only a sum past +-1/2 steps r on.
+    step = (up > 0.0).astype(np.int64) - (down < 0.0)
+    n = h1.astype(np.int64) + r.astype(np.int64) + step
+    return n, (step > 0) | (step == 0) & (mid < 0.0)
+
+
+def _small_cells(a):
+    """Mantissas and exponent indices of 1e-29 < a <= 1e-6, and which are exact."""
+    e = np.clip((np.log10(a) + 29.0).astype(np.intp), 0, _SINGLE)
+    n, below = _small_mantissa(a, e)
+    # Below 1e-6 a double can lie so close under its decade 10^X that N
+    # rounds up to 10^16 at X; its exponent is X - 1, where N may round up to
+    # 10^17 in turn and the cell is left to the per-cell formatter.
+    step = (n >= 10**17).astype(np.intp) - ((n < 10**16) | (n == 10**16) & below)
+    off = np.flatnonzero(step)
+    if off.size:
+        e[off] = np.clip(e[off] + step[off], 0, _SINGLE)
+        n[off], below[off] = _small_mantissa(a[off], e[off])
+    return n, e, (n >= 10**16) & (n < 10**17) & ~((n == 10**16) & below)
+
+
+def _groups(n):
+    """``n // 10^16`` and the four 4-digit groups of ``n % 10^16``, first group first."""
+    head = n // 10**16
+    groups = [(n - head * 10**16).astype(np.int64, copy=False)]  # int64 indexes faster
+    for unit in (10**12, 10**8, 10**4):
+        top = groups[-1] // unit
+        groups[-1:] = [top, groups[-1] - top * unit]
+    return head.astype(np.int64, copy=False), groups
 
 
 def float_cells(x, cells):
@@ -97,22 +203,22 @@ def float_cells(x, cells):
     ax = np.abs(x)
     fast = (ax > 1e-6) & (ax < 9.99e16)
     a = np.where(fast, ax, 1.0)
-    e = np.clip((np.log10(a) + 6.0).astype(np.intp), 0, 22)
+    e = np.clip((np.log10(a) + 29.0).astype(np.intp), _SINGLE, len(_EXPONENTS) - 1)
     n = _mantissa(a, e)
     # Where the estimate of X was one off, N misses [10^16, 10^17): step X
     # once, and leave any cell still missing to the per-cell formatter.
     step = (n >= 10**17).astype(np.intp) - (n < 10**16)
     off = np.flatnonzero(step)
     if off.size:
-        e[off] = np.clip(e[off] + step[off], 0, 22)
+        e[off] = np.clip(e[off] + step[off], _SINGLE, len(_EXPONENTS) - 1)
         n[off] = _mantissa(a[off], e[off])
         fast[off] &= (n[off] >= 10**16) & (n[off] < 10**17)
+    small = np.flatnonzero(ax <= 1e-6)
+    small = small[ax[small] > 1e-29]
+    if small.size:
+        n[small], e[small], fast[small] = _small_cells(ax[small])
     n[ax == 0.0] = 0  # prints as "0" (X = 0, one digit)
-    lead = n // 10**16
-    groups = [n - lead * 10**16]
-    for unit in (10**12, 10**8, 10**4):  # d_1 .. d_16 in four groups
-        head = groups[-1] // unit
-        groups[-1:] = [head, groups[-1] - head * unit]
+    lead, groups = _groups(n)
     end = np.maximum(np.maximum(_ENDS[0][groups[0]], _ENDS[1][groups[1]]),
                      np.maximum(_ENDS[2][groups[2]], _ENDS[3][groups[3]]))
     end = np.maximum(end, _KEEP[e])
@@ -127,3 +233,21 @@ def float_cells(x, cells):
     cells[:, 2] = w2 & before2 | moved2 << _U(8) | moved1 >> _U(56) | _POINT_AT[2][at]
     cells[:, 3] = moved2 >> _U(56) | _SUFFIX[e]
     return np.flatnonzero(~fast & (ax != 0.0))
+
+
+def int_cells(x, cells):
+    """Write ``%d`` of int64 or uint64 ``x`` into the 4-word rows of ``cells``."""
+    # np.abs keeps -2^63 as it is, whose bits as a uint64 are its magnitude.
+    head, groups = _groups(np.abs(x).astype(_U, copy=False))
+    first = np.minimum(np.minimum(_FIRST[0][head], _FIRST[1][groups[0]]),
+                       np.minimum(_FIRST[2][groups[1]], _FIRST[3][groups[2]]))
+    first = np.minimum(first, _FIRST[4][groups[3]])
+    sign = np.where(x < 0, first - 1, 32)
+    # Digits 1 .. 8, 9 .. 16 and 17 .. 20, moved on to start at byte 11.
+    d1 = _DIGITS[head] | _DIGITS[groups[0]] << _U(32)
+    d2 = _DIGITS[groups[1]] | _DIGITS[groups[2]] << _U(32)
+    d3 = _DIGITS[groups[3]]
+    cells[:, 0] = 0
+    cells[:, 1] = d1 << _U(24) & _FROM[1][first] | _MINUS_AT[1][sign]
+    cells[:, 2] = (d1 >> _U(40) | d2 << _U(24)) & _FROM[2][first] | _MINUS_AT[2][sign]
+    cells[:, 3] = (d2 >> _U(40) | d3 << _U(24)) & _FROM[3][first] | _MINUS_AT[3][sign]

@@ -9,15 +9,18 @@ written here: there the indent selects the standard library's pure-Python
 encoder, and here a list of flat float records (a sampled curve) goes a
 column at a time, one ``float.__repr__`` map per key and one template per
 row.  Numpy scalars and arrays become their Python values, and a non-finite
-number is refused.  Files are written to a temp name and renamed into place.
+number is refused.  Files are written to a temp name and renamed into place,
+with the mode a new file gets under the umask.
 
 ``csv_text`` prints a float column as a whole array (``_cells``), byte for
-byte as the per-cell ``%.17g``; cells outside that kernel's window (tiny,
-subnormal or huge values) and columns of Python objects keep the per-cell
-``%``.  Each cell is four 8-byte words with its unused bytes NUL; rows go
-through in blocks of ``_BLOCK_ROWS`` (8192), so the scratch arrays stay
-about 0.26 MB a column whatever the table's length.  A non-finite cell raises
-``DomainError``, naming its column and row: no table prints ``nan``.
+byte as the per-cell ``%.17g``, and an integer column, as int64 or uint64,
+byte for byte as ``%d``.  Float cells outside the float kernel's window
+1e-29 < |v| < 9.99e16 (tinier, subnormal or huge values) and columns of
+Python objects keep the per-cell ``%``.  Each cell is four 8-byte words
+with its unused bytes NUL; rows go through in blocks of ``_BLOCK_ROWS``
+(8192), so the scratch arrays stay about 0.26 MB a column whatever the
+table's length.  A non-finite cell raises ``DomainError``, naming its column
+and row: no table prints ``nan``.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def csv_text(header, *columns) -> str:
             raise ValueError(
                 f"column {name!r} has {len(a)} values; column {header[0]!r} has {len(arrays[0])}"
             )
-    from ._cells import float_cells  # here, so commands that print no table never compile it
+    # Imported here, so commands that print no table never compile it.
+    from ._cells import float_cells, int_cells
 
     rows = len(arrays[0]) if arrays else 0
     text = [",".join(header) + "\n"]
@@ -69,7 +73,8 @@ def csv_text(header, *columns) -> str:
             a = a[start:start + len(block)]
             cells = block[:, 4 * j:4 * j + 4]
             if a.dtype.kind in "iu":
-                cells[:] = _words(a.astype("S32"))
+                int_cells(a.astype(np.int64 if a.dtype.kind == "i" else np.uint64, copy=False),
+                          cells)
             else:
                 if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
                     a = a.astype(np.float64, copy=False)
@@ -174,12 +179,19 @@ def _float_records(items, newline: str):
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partials."""
+    """Write via a temporary file and rename, so readers never see partials.
+
+    The file gets the mode a newly created one gets, ``0o666`` less the umask,
+    not the ``0o600`` of the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            umask = os.umask(0o077)  # read it by setting it, then put it back
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -304,16 +304,30 @@ class _Batch:
             raise BracketError("trial energy lies below the whole effective potential")
         return min(max(int(inside[-1]), 2), self.n - 3)
 
-    def _f(self, states, energies, rows, out=None):
+    def _columns(self, states, shared=False):
+        """What ``_f`` reads of each column of ``states``, gathered once.
+
+        The potential and ``(pref r) r`` column indices, ``c + 1/4`` and
+        ``h^2/12``.  With ``shared``, an index that every column has is a
+        one-column slice instead, which a block of mesh rows broadcasts.
+        """
+        def index(of):
+            of = of[states]
+            return slice(of[0], of[0] + 1) if shared and (of == of[0]).all() else of
+        return index(self.vcol), index(self.rcol), self.langer[states], self.h2_12[states]
+
+    def _f(self, columns, energies, rows, out=None):
         """``f = 1 + h^2/12 [(pref r) r (E - V) - (c + 1/4)]`` on mesh ``rows``.
 
-        ``rows`` is a slice (one row per mesh point) or one index per column;
+        ``columns`` is ``_columns(states)``; ``rows`` is a slice (one row per
+        mesh point) or, where ``columns`` is not shared, one index per column.
         ``out``, if given, receives the result.
         """
-        g = np.subtract(energies, self.v[rows, self.vcol[states]], out=out)
-        g *= self.r2p[rows, self.rcol[states]]
-        g -= self.langer[states]
-        g *= self.h2_12[states]
+        vcol, rcol, langer, h2_12 = columns
+        g = np.subtract(energies, self.v[rows, vcol], out=out)
+        g *= self.r2p[rows, rcol]
+        g -= langer
+        g *= h2_12
         g += 1.0
         return g
 
@@ -339,7 +353,7 @@ class _Batch:
         at every sign change up to there, also where ``w = y / f`` changes
         sign with ``f``.
         """
-        n, columns = self.n, len(states)
+        n, columns, gathered = self.n, len(states), self._columns(states, shared=True)
         f_buf, u_buf = np.empty((_CHUNK + 1, columns)), np.empty((_CHUNK, columns))
         ratio, t = np.empty((_CHUNK + 1, columns)), np.empty(columns)
         rows, u_rows = list(ratio), list(u_buf)
@@ -350,7 +364,7 @@ class _Batch:
         else:
             nodes, odd = np.zeros(columns, dtype=np.int64), np.zeros(columns, dtype=bool)
             w0, w1 = self._outward_start(states, energies)
-            ratio[0] = self._f(states, energies, 1) * w1 / (self._f(states, energies, 0) * w0)
+            ratio[0] = self._f(gathered, energies, 1) * w1 / (self._f(gathered, energies, 0) * w0)
             negative = w1 < 0.0
         if store is not None:
             store[:, 0] = ratio[0]
@@ -360,9 +374,9 @@ class _Batch:
                 # f rows c0 .. c0+steps in march order; ratio row j+1 is R[c0+j]
                 f = f_buf[: steps + 1]
                 if inward:
-                    self._f(states, energies, slice(n - 1 - c0 - steps, n - c0), f[::-1])
+                    self._f(gathered, energies, slice(n - 1 - c0 - steps, n - c0), f[::-1])
                 else:
-                    self._f(states, energies, slice(c0, c0 + steps + 1), f)
+                    self._f(gathered, energies, slice(c0, c0 + steps + 1), f)
                 u = np.multiply(f[:-1], -10.0, out=u_buf[:steps])
                 u += 12.0
                 u /= f[:-1]
@@ -383,17 +397,21 @@ class _Batch:
                               where=np.arange(c0, c0 + steps) <= record[:, None])
                 if inward:
                     continue
-                flips = counted = r < 0.0  # sign changes of y, and of w where f > 0
-                if f.min() <= 0.0:  # no node where f <= 0; w = y / f also changes sign with f
+                flips = r < 0.0  # sign changes of y, and of w where f > 0
+                if f.min() > 0.0:  # every flip is a node
+                    changes = np.count_nonzero(flips, axis=0)
+                    nodes += changes
+                else:  # no node where f <= 0; w = y / f also changes sign with f
                     positive = f > 0.0
-                    counted = flips & positive[:-1] & positive[1:]
+                    nodes += np.count_nonzero(flips & positive[:-1] & positive[1:], axis=0)
                     f_negative = f < 0.0
                     flips = flips ^ f_negative[:-1] ^ f_negative[1:]
+                    changes = None if record is None else np.count_nonzero(flips, axis=0)
                 if record is not None:
-                    upto = flips[:, sel] & (np.arange(steps)[:, None] <= at[sel])
-                    negative[sel] ^= odd[sel] ^ (np.count_nonzero(upto, axis=0) % 2 == 1)
-                    odd ^= np.count_nonzero(flips, axis=0) % 2 == 1
-                nodes += np.count_nonzero(counted, axis=0)
+                    if sel.size:
+                        upto = flips[:, sel] & (np.arange(steps)[:, None] <= at[sel])
+                        negative[sel] ^= odd[sel] ^ (np.count_nonzero(upto, axis=0) % 2 == 1)
+                    odd ^= changes % 2 == 1
         if inward:
             return recorded
         return nodes, recorded, negative
@@ -431,7 +449,7 @@ class _Batch:
             ratio, negative = outward
         back = None if phi is None else phi[:, ::-1]
         in_m = self._march(states, energies, n - 1 - int(m.min()), True, n - 2 - m, back)
-        f_m = self._f(states, energies, m)
+        f_m = self._f(self._columns(states), energies, m)
         negative = negative != (f_m < 0.0)  # now the sign of y[m]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_in, t_out = 1.0 / in_m, 1.0 / ratio
@@ -483,7 +501,8 @@ class _Batch:
             ends = np.concatenate([center - reach, center + reach])
             both = np.concatenate([states, states])
             w0, w1 = self._outward_start(both, ends)
-            first = self._f(both, ends, 1) * w1 / (self._f(both, ends, 0) * w0)
+            gathered = self._columns(both)
+            first = self._f(gathered, ends, 1) * w1 / (self._f(gathered, ends, 0) * w0)
         wide = np.flatnonzero(~np.isfinite(first).reshape(2, size).all(axis=0))
         if wide.size:
             i = wide[0]
@@ -657,7 +676,7 @@ class _Batch:
                     y = np.exp(-np.cumsum(np.log(np.abs(ratios))))
                 np.negative(y, out=y, where=np.logical_xor.accumulate(ratios < 0.0))
                 ratios[:] = y * w[j]
-            w /= self._f(i, energy[i], slice(None))
+            w /= self._f(self._columns(i), energy[i], slice(None))
             w *= np.sqrt(r)
             norm = math.sqrt(math.log(r[1] / r[0]) * np.trapezoid(w * w * r))
             if not (norm > 0.0 and math.isfinite(norm)):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspec import cli, exports
+from trapspec import _cells, cli, exports
 from trapspec.errors import DomainError
 from trapspec.exports import csv_text, fmt17, json_text, write_text_atomic
 
@@ -193,17 +194,22 @@ class TestExactCells:
         self.check(finite_doubles([s << 63 | e << 52 | m for s, e, m in fields]))
 
     def test_powers_of_ten_and_window_edges(self):
-        anchors = [float(f"1e{k}") for k in range(-7, 18)] + [9.99e16, 2.0**53, 2.0**56]
-        values = [np.nextafter(a, direction) for a in anchors for direction in (0.0, np.inf)]
-        values += [np.nextafter(np.nextafter(a, 0.0), 0.0) for a in anchors]
-        self.check(anchors + values)
+        anchors = np.array([float(f"1e{k}") for k in range(-30, 18)] + [9.99e16, 2.0**53, 2.0**56])
+        values = [anchors]
+        for direction in (0.0, np.inf):  # four ulps either side
+            v = anchors
+            for _ in range(4):
+                v = np.nextafter(v, direction)
+                values.append(v)
+        self.check(np.concatenate(values))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_half_even_ties(self, data):
         # v = m / 2^(d+1) with m odd makes v * 10^d an odd multiple of 1/2:
-        # the 17-digit mantissa of v in [10^(16-d), 10^(17-d)) is a tie.
-        d = data.draw(st.integers(1, 22), label="d")
+        # the 17-digit mantissa of v in [10^(16-d), 10^(17-d)) is a tie.  From
+        # d = 23 on, 10^d is 2^d times a 5^d held in two doubles.
+        d = data.draw(st.integers(1, 24), label="d")
         decade = Fraction(10) ** (16 - d), Fraction(10) ** (17 - d)
         low = math.ceil(decade[0] * 2 ** (d + 1))
         high = min(2**53, decade[1] * 2 ** (d + 1))
@@ -227,6 +233,54 @@ class TestExactCells:
     def test_a_tie_rounds_to_even(self):
         assert csv_text(("v",), np.array([1234567890123456.75, 1234567890123456.25])) == (
             "v\n1234567890123456.8\n1234567890123456.2\n")
+
+    def test_doubles_just_below_their_decade(self):
+        # At the estimated exponent their mantissa rounds up to exactly 10^16,
+        # and the exponent is that of the decade under.
+        values = np.array([1e-6, 1e-7, -1e-6])
+        assert csv_text(("v",), values) == (
+            "v\n9.9999999999999995e-07\n9.9999999999999995e-08\n-9.9999999999999995e-07\n")
+        assert _cells.float_cells(values, np.empty((3, 4), dtype=np.uint64)).size == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(1023 - 110, 1023 + 60),
+                              st.integers(0, 2**52 - 1)), min_size=1, max_size=64))
+    def test_bit_patterns_of_the_small_window(self, fields):
+        # Exponents 2^-110 .. 2^60: the whole window from 1e-29 on, and past it.
+        values = finite_doubles([s << 63 | e << 52 | m for s, e, m in fields])
+        self.check(values)
+        # Down to 1e-29 every cell is the kernel's, none the per-cell formatter's.
+        cells = np.empty((len(values), 4), dtype=np.uint64)
+        left = np.abs(values[_cells.float_cells(values, cells)])
+        assert ((left <= 1e-29) | (left >= 9.99e16)).all()
+
+    def test_near_ties_of_the_small_window(self):
+        # v = m 2^-q whose v 10^d is within k 2^-(q - d) of a half-integer,
+        # k = -16 .. 16 (0: a tie), so that its rounding rests on the last bits
+        # of the two-double 5^d.
+        values = []
+        for d in (23, 24):
+            for q in range(60, 90):
+                j = q - d  # fraction bits of v 10^d = m 5^d 2^-j
+                inverse = pow(5**d, -1, 2**j)
+                lo = max(2**52, math.ceil(Fraction(2**q, 10 ** (d - 16))))
+                hi = min(2**53, math.ceil(Fraction(2**q, 10 ** (d - 17))))
+                for k in range(-16, 17):
+                    m = (2 ** (j - 1) + k) * inverse % 2**j
+                    m += -(-(lo - m) // 2**j) * 2**j
+                    values += [math.ldexp(m, -q) for m in range(m, hi, 2**j)]
+        assert len(values) > 100
+        self.check(values)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_edges(self, dtype):
+        info = np.iinfo(dtype)
+        values = [v for v in (0, 1, -1, 9, 10, -10, 10**16 - 1, -(10**16 - 1), 10**16, -(10**16),
+                              10**19, info.min, info.max, info.max - 1)
+                  if info.min <= v <= info.max]
+        column = np.array(values, dtype=dtype)
+        assert csv_text(("k", "v"), column, column[::-1].copy()) == "k,v\n" + "".join(
+            "%d,%d\n" % pair for pair in zip(values, values[::-1]))
 
     @pytest.mark.parametrize("rows", [0, 1, exports._BLOCK_ROWS - 1, exports._BLOCK_ROWS,
                                       exports._BLOCK_ROWS + 1])
@@ -378,6 +432,23 @@ class TestWriteTextAtomic:
         path = tmp_path / "out.csv"
         write_text_atomic(str(path), "data\n")
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # As for a file the shell creates: 0o666 less the umask, whether the
+        # file is new or replaces one of another mode.
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("old\n")
+        old.chmod(0o751)
+        saved = os.umask(umask)
+        try:
+            write_text_atomic(str(new), "data\n")
+            write_text_atomic(str(old), "data\n")
+            assert os.umask(umask) == umask  # left as it was
+        finally:
+            os.umask(saved)
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (new, old)] == [mode, mode]
+        assert old.read_text() == "data\n"
 
 
 class TestFieldMapTable:
