@@ -5,19 +5,18 @@ every integer cell the ``"%d"`` of its value.
 
 Floats.  A cell's decimal exponent X, estimated as floor(log10|v|), makes
 |v|·10^(16−X) the 17-digit mantissa N once it is rounded half to even.
-Inside 1e-6 < |v| < 9.99e16, 10^s (s = 16 − X, 0 ≤ s ≤ 22) is a double and
-Dekker's error-free product splits |v|·10^s into hi + lo exactly.  There
-hi ≥ 2^53 is an even integer, so hi + rint(lo) is N.  Below that, down to
-1e-29 < |v| ≤ 1e-6 (23 ≤ s ≤ 45), 10^s = 2^s·5^s: |v|·2^s is exact, and
-5^s < 2^105 is the sum of two doubles, so two error-free products give
-|v|·10^s exactly as an even integer plus three small terms, whose sum is
-rounded half to even by exact sums and sign tests.  Where N falls outside
-[10^16, 10^17), the estimate of X was one off and is stepped once; below
-1e-6 so is a cell whose N rounds up to 10^16 from below, since its exponent
-is that of the decade under.  A cell whose N still misses is left to the
-caller's per-cell formatter, as are cells outside the window.  N's digits
-come from a table of 4-digit groups and are laid out in four 8-byte words
-per cell, with the sign, the ``0.000`` prefix of a small number, the
+Inside the window 1e-29 < |v| < 9.99e16, s = 16 − X runs from 0 to 45, and
+10^s = 2^s·5^s with 5^s < 2^105 is the exact sum of two doubles.  Dekker's
+error-free product by the first gives |v|·10^s as an even integer plus a
+rest that one more product and sum give to within 2^-48, which rint rounds
+half to even.  Within 2^-40 of a tie the rest is summed exactly, by a
+second error-free product, two error-free sums and sign tests.  Where N
+falls outside [10^16, 10^17), the estimate of X was one off and is stepped
+once; so is a cell whose N rounds up to 10^16 from below, since its
+exponent is that of the decade under.  A cell whose N still misses is left
+to the caller's per-cell formatter, as are cells outside the window.  N's
+digits come from a table of 4-digit groups and are laid out in four 8-byte
+words per cell, with the sign, the ``0.000`` prefix of a small number, the
 decimal point, the ``e-05`` to ``e-29`` suffix and the separator at fixed
 byte places and every unused byte NUL, so that dropping the NULs of a block
 of cells gives its text.  Zeros share that layout.
@@ -46,10 +45,8 @@ import numpy as np
 # and its '-' is just before the first.  Every other byte is NUL.
 _U = np.uint64
 
-# The exponents X = -29 .. 16 of the window, index X + 29; the single-product
-# path covers X >= -6, from index _SINGLE on.
+# The exponents X = -29 .. 16 of the window, index X + 29.
 _EXPONENTS = range(-29, 17)
-_SINGLE = 23
 
 
 def _split(v):
@@ -73,17 +70,14 @@ def _two_sum(a, b):
     return s, (a - (s - v)) + (b - v)
 
 
-# 10^s for s = 16 - X, X >= -6: exact doubles (nan below, where 10^s is none).
-_POW10 = np.array([float(10 ** (16 - x)) if x >= -6 else np.nan for x in _EXPONENTS])
-_POW10_HI, _POW10_LO = _split(_POW10)
-
-# 5^s for s = 16 - X, X = -29 .. -6: below 2^105, so a double and the exact
-# double remainder.
-_FIVE = [5 ** (16 - x) for x in _EXPONENTS[:_SINGLE + 1]]
-_FIVE_1 = np.array([float(p) for p in _FIVE])
-_FIVE_2 = np.array([float(p - int(float(p))) for p in _FIVE])
-_FIVE_1_HI, _FIVE_1_LO = _split(_FIVE_1)
-_FIVE_2_HI, _FIVE_2_LO = _split(_FIVE_2)
+# 10^s for s = 16 - X = 45 .. 0 as the exact sum of two doubles: 10^s =
+# 2^s 5^s and 5^s < 2^105, so 10^s less its nearest double is one too (0
+# for s <= 22, where 10^s is a double).
+_TEN = [10 ** (16 - x) for x in _EXPONENTS]
+_TEN_1 = np.array([float(p) for p in _TEN])
+_TEN_2 = np.array([float(p - int(float(p))) for p in _TEN])
+_TEN_1_HI, _TEN_1_LO = _split(_TEN_1)
+_TEN_2_HI, _TEN_2_LO = _split(_TEN_2)
 
 # Over the digit groups g = 100 i + j < 10^4, from the 100 digit pairs: the
 # four ASCII digits of g, first digit in the lowest byte; and, for g as
@@ -130,59 +124,54 @@ _SUFFIX = np.array([_word(b"\0e-%02d" % -x) if x < -4 else 0 for x in _EXPONENTS
 
 
 def _mantissa(a, e):
-    """round(a * 10^(16 - X)), half to even, for exponent index e = X + 29 >= _SINGLE.
-
-    Dekker's two-product gives the product exactly as hi + lo; where the
-    result lies in [10^16, 10^17), hi >= 2^53 is an even integer and the
-    rounding is rint(lo)'s.
-    """
-    ah, al = _split(a)
-    hi, lo = _two_product(a, ah, al, _POW10[e], _POW10_HI[e], _POW10_LO[e])
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-
-
-def _small_mantissa(a, e):
-    """round(a * 10^(16 - X)), half to even, for exponent index e = X + 29 <= _SINGLE,
+    """round(a * 10^s), half to even, for s = 16 - X and exponent index e = X + 29,
     and whether the exact product lies below that rounding.
 
-    With b = a 2^s (exact), b 5^s = h1 + l1 + h2 + l2 by two error-free
-    products.  Where the result lies in [10^16, 10^17), h1 >= 2^53 is an even
-    integer, and the rest is r + d + y + ey exactly: l1 + h2 = s + t by an
-    error-free sum, r = rint(s), d = s - r with |d| <= 1/2, and t + l2 =
-    y + ey by another, with |y + ey| < 2^-40.  For c = 0 and +-1/2, the
-    floating-point ((d - c) + y) + ey has the sign of the exact d - c + y + ey:
-    where d - c or its sum with y is inexact, that term outweighs the ones
-    after it, and an exact sum is 0 only where it is.
+    With 10^s = p1 + p2 in two doubles, an error-free product gives a p1 =
+    h1 + l1.  Where the result lies in [10^16, 10^17), h1 >= 2^53 is an even
+    integer, and the rest l1 + a p2 is within 2^-48 of q = l1 + fl(a p2)
+    (exactly q where p2 = 0, s <= 22).  So rint(q) rounds the rest, except
+    within 2^-40 of a half-integer: those cells are left to
+    ``_exact_mantissa``.  Where N = 10^16, the rest has the sign of
+    q - rint(q): the doubles nearest 10^X for X <= -7 have a rest at least
+    0.01 from 0 (1e-14's, -0.0118, is the least).
     """
-    b = np.ldexp(a, 45 - e)
-    bh, bl = _split(b)
-    h1, l1 = _two_product(b, bh, bl, _FIVE_1[e], _FIVE_1_HI[e], _FIVE_1_LO[e])
-    h2, l2 = _two_product(b, bh, bl, _FIVE_2[e], _FIVE_2_HI[e], _FIVE_2_LO[e])
-    s, t = _two_sum(l1, h2)
-    r = np.rint(s)
-    d = s - r
+    ah, al = _split(a)
+    h1, l1 = _two_product(a, ah, al, _TEN_1[e], _TEN_1_HI[e], _TEN_1_LO[e])
+    q = l1 + a * _TEN_2[e]
+    r = np.rint(q)
+    d = np.abs(q - r)
+    n, below = h1.astype(np.int64) + r.astype(np.int64), q < r
+    near = np.flatnonzero(d > 0.5 - 2**-40)
+    if near.size:
+        n[near], below[near] = _exact_mantissa(a[near], e[near])
+    return n, below
+
+
+def _exact_mantissa(a, e):
+    """``_mantissa`` with the rest summed exactly.
+
+    Two error-free products give a 10^s = h1 + l1 + h2 + l2, and the rest
+    is r + d + y + ey exactly: l1 + h2 = q + t by an error-free sum, r =
+    rint(q), d = q - r with |d| <= 1/2, and t + l2 = y + ey by another,
+    with |y + ey| < 2^-40.  For c = 0 and +-1/2, the floating-point
+    ((d - c) + y) + ey has the sign of the exact d - c + y + ey: where d - c
+    or its sum with y is inexact, that term outweighs the ones after it, and
+    an exact sum is 0 only where it is.
+    """
+    ah, al = _split(a)
+    h1, l1 = _two_product(a, ah, al, _TEN_1[e], _TEN_1_HI[e], _TEN_1_LO[e])
+    h2, l2 = _two_product(a, ah, al, _TEN_2[e], _TEN_2_HI[e], _TEN_2_LO[e])
+    q, t = _two_sum(l1, h2)
+    r = np.rint(q)
+    d = q - r
     y, ey = _two_sum(t, l2)
     up, down, mid = ((d - 0.5) + y) + ey, ((d + 0.5) + y) + ey, (d + y) + ey
     # A tie has every term a multiple of 1/2, so y = ey = 0, and rint has
-    # already rounded s to even: only a sum past +-1/2 steps r on.
+    # already rounded q to even: only a sum past +-1/2 steps r on.
     step = (up > 0.0).astype(np.int64) - (down < 0.0)
     n = h1.astype(np.int64) + r.astype(np.int64) + step
     return n, (step > 0) | (step == 0) & (mid < 0.0)
-
-
-def _small_cells(a):
-    """Mantissas and exponent indices of 1e-29 < a <= 1e-6, and which are exact."""
-    e = np.clip((np.log10(a) + 29.0).astype(np.intp), 0, _SINGLE)
-    n, below = _small_mantissa(a, e)
-    # Below 1e-6 a double can lie so close under its decade 10^X that N
-    # rounds up to 10^16 at X; its exponent is X - 1, where N may round up to
-    # 10^17 in turn and the cell is left to the per-cell formatter.
-    step = (n >= 10**17).astype(np.intp) - ((n < 10**16) | (n == 10**16) & below)
-    off = np.flatnonzero(step)
-    if off.size:
-        e[off] = np.clip(e[off] + step[off], 0, _SINGLE)
-        n[off], below[off] = _small_mantissa(a[off], e[off])
-    return n, e, (n >= 10**16) & (n < 10**17) & ~((n == 10**16) & below)
 
 
 def _groups(n):
@@ -201,22 +190,26 @@ def float_cells(x, cells):
     Returns the rows left to the per-cell formatter, whose words are unset.
     """
     ax = np.abs(x)
-    fast = (ax > 1e-6) & (ax < 9.99e16)
+    fast = (ax > 1e-29) & (ax < 9.99e16)
     a = np.where(fast, ax, 1.0)
-    e = np.clip((np.log10(a) + 29.0).astype(np.intp), _SINGLE, len(_EXPONENTS) - 1)
-    n = _mantissa(a, e)
-    # Where the estimate of X was one off, N misses [10^16, 10^17): step X
-    # once, and leave any cell still missing to the per-cell formatter.
-    step = (n >= 10**17).astype(np.intp) - (n < 10**16)
+    top = len(_EXPONENTS) - 1
+    e = np.clip((np.log10(a) + 29.0).astype(np.intp), 0, top)
+    n, below = _mantissa(a, e)
+    # Where the estimate of X was one off, N misses [10^16, 10^17); and a
+    # double can lie so close under its decade 10^X that N rounds up to
+    # 10^16 at X, while its exponent is X - 1.  Step X once, and leave any
+    # cell still missing to the per-cell formatter.
+    step = (n >= 10**17).astype(np.intp) - ((n < 10**16) | (n == 10**16) & below)
     off = np.flatnonzero(step)
     if off.size:
-        e[off] = np.clip(e[off] + step[off], _SINGLE, len(_EXPONENTS) - 1)
-        n[off] = _mantissa(a[off], e[off])
-        fast[off] &= (n[off] >= 10**16) & (n[off] < 10**17)
-    small = np.flatnonzero(ax <= 1e-6)
-    small = small[ax[small] > 1e-29]
-    if small.size:
-        n[small], e[small], fast[small] = _small_cells(ax[small])
+        e[off] = np.clip(e[off] + step[off], 0, top)
+        n[off], below[off] = _mantissa(a[off], e[off])
+        # A step down whose N rounds up to 10^17 was not needed: %.17g carries
+        # that into the 10^16 of X, as for 1e-14 (9.99999999999999988e-15).
+        back = off[(n[off] == 10**17) & (step[off] < 0)]
+        e[back] += 1
+        n[back], below[back] = 10**16, False
+        fast[off] &= (n[off] >= 10**16) & (n[off] < 10**17) & ~((n[off] == 10**16) & below[off])
     n[ax == 0.0] = 0  # prints as "0" (X = 0, one digit)
     lead, groups = _groups(n)
     end = np.maximum(np.maximum(_ENDS[0][groups[0]], _ENDS[1][groups[1]]),

@@ -9,8 +9,9 @@ written here: there the indent selects the standard library's pure-Python
 encoder, and here a list of flat float records (a sampled curve) goes a
 column at a time, one ``float.__repr__`` map per key and one template per
 row.  Numpy scalars and arrays become their Python values, and a non-finite
-number is refused.  Files are written to a temp name and renamed into place,
-with the mode a new file gets under the umask.
+number is refused.  Files are written to a temp name and renamed into place;
+a new one gets the mode the umask gives it, one that replaces another keeps
+that one's mode.
 
 ``csv_text`` prints a float column as a whole array (``_cells``), byte for
 byte as the per-cell ``%.17g``, and an integer column, as int64 or uint64,
@@ -26,6 +27,7 @@ and row: no table prints ``nan``.
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from json.encoder import encode_basestring_ascii
 
@@ -181,17 +183,22 @@ def _float_records(items, newline: str):
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a temporary file and rename, so readers never see partials.
 
-    The file gets the mode a newly created one gets, ``0o666`` less the umask,
-    not the ``0o600`` of the temporary file.
+    A file that replaces another keeps that one's mode; a new file gets the
+    mode a newly created one gets, ``0o666`` less the umask.  Neither keeps
+    the ``0o600`` of the temporary file.
     """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o077)  # read it by setting it, then put it back
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            umask = os.umask(0o077)  # read it by setting it, then put it back
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            os.fchmod(fh.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
