@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from . import exports
-from .config import MAGNETIC_TRAPS, TRAP_KINDS, TRAPS, RunConfig, load_config
+from .config import MAGNETIC_TRAPS, TRAP_KINDS, RunConfig, load_config
 from .defect import EffectiveModel, defect_energy
 from .errors import ConfigError, DomainError, OracleError
 from .fields import (
@@ -29,8 +29,6 @@ from .fields import (
     solve_quad_current,
     top_field_series,
     top_scales,
-    IoffePritchardGeometry,
-    TopGeometry,
     TrapAssembly,
 )
 from .oscillator3d import (
@@ -40,19 +38,16 @@ from .oscillator3d import (
     shell_capacity,
 )
 from .planar import (
-    PaulParams,
-    PenningParams,
     paul_frequencies,
     paul_shell_count,
     paul_spectrum,
-    paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
     penning_spectrum,
     penning_state_count,
-    penning_susy_partner,
     penning_wavefunction,
+    planar_partner,
 )
 from .susy import partner_pair, tower_potential
 from .verification import SUITE_ORDER, run_suite, tolerance_scale
@@ -334,6 +329,9 @@ class _Planar:
             return state.axial, -args.r_max, "z", "X", "scale"
         return state.radial, 0.0, "rho", "X", "scale"
 
+    def partner(self, abs_m: int):
+        return planar_partner(self.freqs, abs_m)
+
 
 class _Paul(_Planar):
     frequencies = staticmethod(paul_frequencies)
@@ -345,9 +343,6 @@ class _Paul(_Planar):
 
     def state(self, n: int, m: int, k: int):
         return paul_wavefunctions(self.freqs, n, m, k)
-
-    def partner(self, abs_m: int):
-        return paul_susy_partner(self.freqs, abs_m)
 
     def scale_rows(self):
         f = self.freqs
@@ -372,9 +367,6 @@ class _Penning(_Planar):
     def state(self, n: int, m: int, k: int):
         return penning_wavefunction(self.freqs, n, k, m)
 
-    def partner(self, abs_m: int):
-        return penning_susy_partner(self.freqs, abs_m)
-
     def scale_rows(self):
         f = self.freqs
         return [
@@ -387,12 +379,12 @@ class _Penning(_Planar):
         ]
 
 
-# The trap object of each kind, by its geometry record.
+# The trap object of each kind.
 _TRAP_OBJECTS = {
-    IoffePritchardGeometry: _IoffePritchard,
-    TopGeometry: _Top,
-    PaulParams: _Paul,
-    PenningParams: _Penning,
+    "ioffe_pritchard": _IoffePritchard,
+    "top": _Top,
+    "paul": _Paul,
+    "penning": _Penning,
 }
 
 
@@ -405,7 +397,7 @@ def _load_trap(args):
     cfg = load_config(args.config)
     if args.command in MAGNETIC_COMMANDS:
         _require_trap(cfg, MAGNETIC_TRAPS, args.command)
-    return _TRAP_OBJECTS[TRAPS[cfg.trap][0]](cfg)
+    return _TRAP_OBJECTS[cfg.trap](cfg)
 
 
 # --------------------------------------------------------------------------

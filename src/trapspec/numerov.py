@@ -34,13 +34,16 @@ every tower handled here.
 
 One numpy sweep advances every (state, trial energy) pair as a column, by
 Johnson's renormalized Numerov form: the ratio of successive values, outward
-from the origin and inward from the wall, which cannot overflow.  One outward
-march gives a column's node count (sign changes where ``f > 0``, the steps
-that follow the solution faithfully) and its ratio at the matching point, and
-the mismatch there is a scale-free difference of ratios.  Node-count
-bisection samples several tree levels per sweep, marching a tree that states
-of one problem share once, and a sweep of a few columns steps in Python
-floats rather than by two ufunc calls a step.
+from the origin and inward from the wall, which cannot overflow.  The outward
+ratio starts as the two-term Frobenius solution's, ``e^{(s-1/2)h}`` (``h`` the
+mesh step in ``x``) times a ratio of ``1 + beta r^2`` terms: no power of
+``r_min`` enters, so no start underflows however small ``r_min`` or large
+``s``.  One outward march gives a column's node count (sign changes where
+``f > 0``, the steps that follow the solution faithfully) and its ratio at
+the matching point, and the mismatch there is a scale-free difference of
+ratios.  Node-count bisection samples several tree levels per sweep,
+marching a tree that states of one problem share once, and a sweep of a few
+columns steps in Python floats rather than by two ufunc calls a step.
 """
 
 from __future__ import annotations
@@ -185,12 +188,6 @@ def _float_steps(ratio, u) -> bool:
     return True
 
 
-def _root_between(d, rows, ia, ib):
-    """Whether the mismatch samples ``d`` vanish or change sign between columns ``ia`` and ``ib``."""
-    d_a, d_b = d[rows, ia], d[rows, ib]
-    return (d_a == 0.0) | (d_b == 0.0) | ((d_a < 0.0) != (d_b < 0.0))
-
-
 def _brent(f, xa, xb, fa, fb, xtol, rtol, maxiter):
     """Brent's root search on many brackets at once, step for step as in
     ``scipy.optimize.brentq`` (bisection, secant and inverse quadratic steps).
@@ -273,11 +270,10 @@ class _Batch:
                 prefactors[pref, mesh_key] = len(r2p_columns)
                 r2p_columns.append(pref * r * r)
             s = p.exponent()
-            r0, r1 = float(r[0]), float(r[1])
             scalars.append((
                 vcol, prefactors[pref, mesh_key], p.centrifugal + 0.25, h * h / 12.0, pref,
                 float(v_columns[vcol][0]), 4.0 * s + 2.0,
-                r0 ** (s - 0.5), r0**2, r1 ** (s - 0.5), r1**2,
+                math.exp((s - 0.5) * h), float(r[0]) ** 2, float(r[1]) ** 2,
             ))
             self.radii.append(r)
         # Problems with one scalar row march alike, so states of one share columns.
@@ -289,14 +285,13 @@ class _Batch:
         self.vcol = table[:, 0].astype(np.intp)
         self.rcol = table[:, 1].astype(np.intp)
         (self.langer, self.h2_12, self.pref, self.v0, self.beta_den,
-         self.p0, self.q0, self.p1, self.q1) = table[:, 2:].T.copy()
+         self.growth, self.q0, self.q1) = table[:, 2:].T.copy()
 
     # ---- columns ------------------------------------------------------------
 
     def veff(self, i: int) -> np.ndarray:
         """Effective potential of state ``i``; its turning points bound the oscillatory region."""
-        r = self.radii[i]
-        return self.v[:, self.vcol[i]] + self.langer[i] / (self.pref[i] * r * r)
+        return self.v[:, self.vcol[i]] + self.langer[i] / self.r2p[:, self.rcol[i]]
 
     def turning_index(self, i: int, energy: float) -> int:
         inside = np.nonzero(self.veff(i) <= energy)[0]
@@ -363,9 +358,7 @@ class _Batch:
             ratio[0] = np.inf
         else:
             nodes, odd = np.zeros(columns, dtype=np.int64), np.zeros(columns, dtype=bool)
-            w0, w1 = self._outward_start(states, energies)
-            ratio[0] = self._f(gathered, energies, 1) * w1 / (self._f(gathered, energies, 0) * w0)
-            negative = w1 < 0.0
+            ratio[0], negative = self._start(states, energies, gathered)
         if store is not None:
             store[:, 0] = ratio[0]
         with np.errstate(divide="ignore", over="ignore"):
@@ -416,12 +409,20 @@ class _Batch:
             return recorded
         return nodes, recorded, negative
 
-    def _outward_start(self, states, energies):
-        # Two-term Frobenius start W = r^s (1 + beta r^2), i.e.
-        # Phi = r^(s-1/2) (1 + beta r^2), at the first two mesh points.
+    def _start(self, states, energies, columns):
+        """The outward march's first ratio ``y[1] / y[0]`` of each column, and
+        whether ``w[1] < 0``; ``columns`` is ``_columns(states)``.
+
+        The two-term Frobenius start ``W = r^s (1 + beta r^2)``, i.e.
+        ``Phi = r^(s-1/2) (1 + beta r^2)``, at the first two mesh points, over
+        ``r[0]^(s-1/2)``: ``w[0] = 1 + beta r[0]^2`` and
+        ``w[1] = e^((s-1/2) h) (1 + beta r[1]^2)``, so no power of ``r[0]``
+        underflows at any ``s``.
+        """
         beta = self.pref[states] * (self.v0[states] - energies) / self.beta_den[states]
-        return (self.p0[states] * (1.0 + beta * self.q0[states]),
-                self.p1[states] * (1.0 + beta * self.q1[states]))
+        w0 = 1.0 + beta * self.q0[states]
+        w1 = self.growth[states] * (1.0 + beta * self.q1[states])
+        return self._f(columns, energies, 1) * w1 / (self._f(columns, energies, 0) * w0), w1 < 0.0
 
     def shoot(self, states, energies, m, outward=None, phi=None):
         """Matching mismatches at ``m`` of each column.
@@ -500,9 +501,7 @@ class _Batch:
             center, reach = 0.5 * (lo + hi), 16.0 * span0
             ends = np.concatenate([center - reach, center + reach])
             both = np.concatenate([states, states])
-            w0, w1 = self._outward_start(both, ends)
-            gathered = self._columns(both)
-            first = self._f(gathered, ends, 1) * w1 / (self._f(gathered, ends, 0) * w0)
+            first, _ = self._start(both, ends, self._columns(both))
         wide = np.flatnonzero(~np.isfinite(first).reshape(2, size).all(axis=0))
         if wide.size:
             i = wide[0]
@@ -546,34 +545,37 @@ class _Batch:
                 d[:, 0], d[:, -1] = d_lo[todo], d_hi[todo]
             return x, counts, d
 
-        def descend(todo, counts, stop):
-            """Replay node-count bisection over the sampled tree.
+        def narrow(todo, x, counts, d=None):
+            """Replay node-count bisection over the sampled trees and keep its windows.
 
-            Each step halves the window of every row not yet ``stop``-ped,
-            keeping the half whose lower end has at most ``target`` nodes.
-            Returns the final tree indices of the window ends.
+            Each step halves the window of every row not yet stopped, keeping
+            the half whose lower end has at most ``target`` nodes.  A row stops
+            once its window isolates the level (``target`` and ``target + 1``
+            nodes at its ends) or, given the mismatches ``d`` of a shoot sweep,
+            once they vanish or change sign across it.  Sets each window, its
+            end counts and, with ``d``, its end mismatches; returns which rows
+            stopped.
             """
-            rows = np.arange(len(todo))
+            rows, target = np.arange(len(todo)), targets[todo]
             ia = np.zeros(len(todo), dtype=np.intp)
             ib = np.full(len(todo), counts.shape[1] - 1)
             while True:
-                go = ~stop(rows, ia, ib) & (ib - ia > 1)
+                if d is None:
+                    stopped = (counts[rows, ia] == target) & (counts[rows, ib] == target + 1)
+                else:
+                    d_a, d_b = d[rows, ia], d[rows, ib]
+                    stopped = (d_a == 0.0) | (d_b == 0.0) | ((d_a < 0.0) != (d_b < 0.0))
+                go = ~stopped & (ib - ia > 1)
                 if not go.any():
-                    return ia, ib
+                    break
                 mid = (ia + ib) // 2
-                up = go & (counts[rows, mid] <= targets[todo])
+                up = go & (counts[rows, mid] <= target)
                 ia[up], ib[go & ~up] = mid[up], mid[go & ~up]
-
-        def isolated(todo, x, counts):
-            def stop(rows, ia, ib):
-                return ((counts[rows, ia] == targets[todo])
-                        & (counts[rows, ib] == targets[todo] + 1))
-
-            rows = np.arange(len(todo))
-            ia, ib = descend(todo, counts, stop)
             lo[todo], hi[todo] = x[rows, ia], x[rows, ib]
             c_lo[todo], c_hi[todo] = counts[rows, ia], counts[rows, ib]
-            return todo[~stop(rows, ia, ib)]
+            if d is not None:
+                d_lo[todo], d_hi[todo] = d[rows, ia], d[rows, ib]
+            return stopped
 
         # The first sweep also samples inside each window, so a level is often
         # isolated by the same sweep that checks its window.
@@ -581,7 +583,7 @@ class _Batch:
         for attempt in range(6):
             x, counts, _ = sample(todo, ends=True)
             ok = (counts[:, 0] <= targets[todo]) & (counts[:, -1] >= targets[todo] + 1)
-            pending.append(isolated(todo[ok], x[ok], counts[ok]))
+            pending.append(todo[ok][~narrow(todo[ok], x[ok], counts[ok])])
             todo, counts = todo[~ok], counts[~ok]
             if not todo.size:
                 break
@@ -602,7 +604,7 @@ class _Batch:
         for _ in range(-(-_MAX_ROUNDS // depth)):
             if not todo.size:
                 break
-            todo = isolated(todo, *sample(todo, ends=False)[:2])
+            todo = todo[~narrow(todo, *sample(todo, ends=False)[:2])]
         if todo.size:
             i = todo[0]
             raise ConvergenceError(
@@ -620,15 +622,8 @@ class _Batch:
         for _ in range(-(-_MAX_ROUNDS // depth)):
             if not todo.size:
                 break
-            x, counts, d = sample(todo, ends, shoot=True)
+            done = narrow(todo, *sample(todo, ends, shoot=True))
             ends = False
-            settled = functools.partial(_root_between, d)
-            rows = np.arange(len(todo))
-            ia, ib = descend(todo, counts, settled)
-            lo[todo], hi[todo] = x[rows, ia], x[rows, ib]
-            c_lo[todo], c_hi[todo] = counts[rows, ia], counts[rows, ib]
-            d_lo[todo], d_hi[todo] = d[rows, ia], d[rows, ib]
-            done = settled(rows, ia, ib)
             brackets.append(todo[done])
             todo = todo[~done]
             tight = hi[todo] - lo[todo] <= 1e-13 * (np.abs(lo[todo]) + np.abs(hi[todo]) + 1e-300)

@@ -19,10 +19,11 @@ The planar radial problem is the 3D oscillator tower at index
 and ``X_{N,M}`` is the tower profile ``W_{N-1/2, |M|-1/2}``, so the radial
 factors are :class:`~trapspec.oscillator3d.RadialEigenstate` objects and the
 fixed-``(M, K)`` partner step is the 3D :class:`~trapspec.susy.PartnerPair`
-(radial frequency ``w_p`` for Paul, ``Omega/2`` for Penning), whose labels
-are the tower labels ``N - 1/2``.  The axial factor ``e^{-u^2/2} H_K(u)`` is
-the same tower at ``lam = K mod 2 - 1`` (DLMF 18.7.19-20) on the axial
-oscillator (``2 w_p`` for Paul, ``w_z`` for Penning), evaluated at signed z.
+that :func:`planar_partner` builds for either trap (radial frequency ``w_p``
+for Paul, ``Omega/2`` for Penning), whose labels are the tower labels
+``N - 1/2``.  The axial factor ``e^{-u^2/2} H_K(u)`` is the same tower at
+``lam = K mod 2 - 1`` (DLMF 18.7.19-20) on the axial oscillator (``2 w_p``
+for Paul, ``w_z`` for Penning), evaluated at signed z.
 Shell counts double for spin, unlike the magnetic traps (charged particles
 of either spin are held).
 """
@@ -54,14 +55,13 @@ __all__ = [
     "paul_effective_potential",
     "paul_energy",
     "paul_wavefunctions",
-    "paul_susy_partner",
     "paul_shell_count",
     "paul_related_systems",
     "penning_frequencies",
     "penning_energy",
     "penning_wavefunction",
-    "penning_susy_partner",
     "penning_state_count",
+    "planar_partner",
 ]
 
 DRIVE_RATIO_FLOOR = 10.0
@@ -280,20 +280,6 @@ def paul_wavefunctions(
     return _planar_state(freqs, n_radial, m_azimuthal, k_axial, energy)
 
 
-def _tower_pair(abs_m: int, scales: OscillatorScales) -> PartnerPair:
-    integer("|M|", abs_m, 0)
-    return partner_pair(abs_m - 0.5, scales)
-
-
-def paul_susy_partner(freqs: PaulFrequencies, abs_m: int) -> PartnerPair:
-    """Partner pair of the Paul ``|M|`` tower (radial frequency ``w_p``).
-
-    Labels are tower labels ``N - 1/2``; the partner is the ``|M| + 1``
-    tower shifted up by ``2 hbar w_p``.
-    """
-    return _tower_pair(abs_m, freqs.radial_scales)
-
-
 def paul_shell_count(e_tilde: int) -> int:
     """Spin-1/2 states with ``E <= e_tilde * hbar w_p`` (closed form).
 
@@ -458,15 +444,17 @@ def penning_spectrum(freqs: PenningFrequencies, max_n: int, max_k: int):
         return _by_energy(n, m, k, _penning_level(freqs, n, k, m))
 
 
-def penning_susy_partner(freqs: PenningFrequencies, abs_m: int) -> PartnerPair:
-    """Partner pair of the Penning ``|M|`` tower.
+def planar_partner(freqs: PaulFrequencies | PenningFrequencies, abs_m: int) -> PartnerPair:
+    """Partner pair of the ``|M|`` tower of a Paul or Penning trap.
 
-    The radial problem is an oscillator of frequency ``Omega/2``, so the
-    Paul-trap partner structure carries over with ``Omega`` in place of
-    ``2 w_p``; the level spacing within a tower is ``hbar Omega``.  Labels
-    are tower labels ``N - 1/2``.
+    The radial problem is an oscillator of frequency ``w_p`` (Paul) or
+    ``Omega/2`` (Penning), so one construction serves both traps, with
+    ``Omega`` in place of ``2 w_p``: the partner is the ``|M| + 1`` tower
+    shifted up by one level spacing within a tower, ``2 hbar w_p`` or
+    ``hbar Omega``.  Labels are tower labels ``N - 1/2``.
     """
-    return _tower_pair(abs_m, freqs.radial_scales)
+    integer("|M|", abs_m, 0)
+    return partner_pair(abs_m - 0.5, freqs.radial_scales)
 
 
 def penning_state_count(

@@ -50,10 +50,10 @@ from .planar import (
     paul_energy,
     paul_related_systems,
     paul_shell_count,
-    paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_wavefunction,
+    planar_partner,
 )
 from .susy import (
     input_potential,
@@ -549,7 +549,7 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
     grid = np.linspace(1e-3, 12.0, 4001)
     worst_map = 0.0
     for m in range(3):
-        pair = paul_susy_partner(paul, m)
+        pair = planar_partner(paul, m)
         for n_s in (m + 2, m + 4):
             state = paul_wavefunctions(paul, n_s, m, 0).radial
             lowered = state.derivative(grid) + pair.generator.derivative(grid) * state(grid)

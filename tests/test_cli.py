@@ -673,6 +673,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS susy-degeneracy:" in out
 
+    def test_susy_suite_at_high_l(self, capsys):
+        # The L = 55 tower's r_min^(s - 1/2) is 0 in doubles; the Numerov
+        # start never forms it, so the suite solves instead of refusing.
+        code, out, _ = run(capsys, "verify", "--suite", "susy", "--L", "55")
+        assert code == 0
+        assert "1/1 suites passed" in out
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2

@@ -49,14 +49,13 @@ from trapspec.planar import (
     paul_related_systems,
     paul_shell_count,
     paul_spectrum,
-    paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
     penning_spectrum,
     penning_state_count,
-    penning_susy_partner,
     penning_wavefunction,
+    planar_partner,
     validate_planar_numbers,
 )
 from trapspec.special import hermite, laguerre_gen, radial_norm_3d
@@ -122,8 +121,7 @@ CASES = [
      {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
     (penning_spectrum, dict(freqs=PENNING, max_n=3, max_k=2),
      {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
-    (paul_susy_partner, dict(freqs=PAUL, abs_m=1), {"abs_m": ("|M|", LABEL)}),
-    (penning_susy_partner, dict(freqs=PENNING, abs_m=1), {"abs_m": ("|M|", LABEL)}),
+    (planar_partner, dict(freqs=PAUL, abs_m=1), {"abs_m": ("|M|", LABEL)}),
     (paul_shell_count, dict(e_tilde=6), {"e_tilde": ("scaled energy", (*LABEL, 1))}),
     (paul_related_systems, dict(count=4), {"count": ("count", (*LABEL, 0))}),
     (penning_state_count, dict(freqs=PENNING, energy_cap=6.0),

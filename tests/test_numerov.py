@@ -192,6 +192,15 @@ class TestOscillatorEigenvalues:
         energies = [res.energy for res in solve_eigens([problem] * 6, range(6))]
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
+    @pytest.mark.parametrize("l, r_min, r_max", [(16, 1e-20, 14.0), (8, 1e-40, 14.0),
+                                                 (60, 1e-6, 20.0)])
+    def test_start_at_tiny_r_min_and_high_l(self, l, r_min, r_max):
+        # r_min^(s - 1/2), s = L + 1, is 0 in doubles for each of these: the
+        # march starts from the ratio e^((s - 1/2) h), which never forms it.
+        problem = RadialProblem(half_r_squared, l * (l + 1.0), 1.0, r_min, r_max)
+        for n, res in enumerate(solve_eigens([problem] * 2, [0, 1])):
+            assert res.energy == pytest.approx(2 * n + l + 1.5, rel=1e-6)
+
     def test_grid_doubling_convergence(self):
         # Hard case: N=7 (L=1, three nodes); relative change < 1e-9 on doubling.
         coarse = solve_eigen(oscillator_problem(2.0, n_points=8000), 3).energy

@@ -27,14 +27,13 @@ from trapspec.planar import (
     paul_related_systems,
     paul_shell_count,
     paul_spectrum,
-    paul_susy_partner,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
     penning_spectrum,
     penning_state_count,
-    penning_susy_partner,
     penning_wavefunction,
+    planar_partner,
     static_quadrupole_potential,
     validate_planar_numbers,
 )
@@ -248,15 +247,15 @@ class TestPlanarPartner:
     # tower labels N - 1/2.
 
     def test_minus_is_shifted_next_tower(self):
-        pair = paul_susy_partner(PAUL, 1)
-        upper = paul_susy_partner(PAUL, 2)
+        pair = planar_partner(PAUL, 1)
+        upper = planar_partner(PAUL, 2)
         for rho in (0.2, 0.9, 2.5):
             assert pair.minus_potential(rho) == pytest.approx(
                 upper.plus_potential(rho) + 2.0 * PAUL.quantum, rel=1e-13
             )
 
     def test_gap_is_repulsive(self):
-        pair = paul_susy_partner(PAUL, 0)
+        pair = planar_partner(PAUL, 0)
         for rho in (0.1, 0.7, 2.0):
             gap = pair.minus_potential(rho) - pair.plus_potential(rho)
             want = 0.5 / rho**2 + 1.0  # (hbar^2/2m)(2|M|+1)/rho^2 + hbar w
@@ -264,7 +263,7 @@ class TestPlanarPartner:
             assert gap > 0.0
 
     def test_tower_spectra(self):
-        pair = paul_susy_partner(PAUL, 2)
+        pair = planar_partner(PAUL, 2)
         assert pair.plus_spectrum(2 - 0.5) == 0.0
         assert pair.plus_spectrum(6 - 0.5) == pytest.approx(4.0)
         assert pair.minus_spectrum(4 - 0.5) == pytest.approx(2.0)
@@ -275,7 +274,7 @@ class TestPlanarPartner:
 
     def test_minus_ground_energy_numeric(self):
         # Lowest minus-side level (two quanta above the removed ground).
-        pair = paul_susy_partner(PAUL, 0)
+        pair = planar_partner(PAUL, 0)
         m_up = 1
         e = radial_oracle(PAUL.secular, m_up, 0)  # inner tower |M|+1
         # V- = V+(|M|+1) + 2 hbar w; ground-referencing shifts cancel:
@@ -283,19 +282,19 @@ class TestPlanarPartner:
         assert e_minus == pytest.approx(pair.minus_spectrum(2 - 0.5), rel=1e-6)
 
     def test_wavefunction_index_map(self):
-        pair = paul_susy_partner(PAUL, 1)
+        pair = planar_partner(PAUL, 1)
         mapped = pair.partner_wavefunction(3 - 0.5)
         direct = paul_wavefunctions(PAUL, 2, 2, 0).radial
         rho = np.linspace(0.05, 7.0, 40)
         np.testing.assert_allclose(mapped(rho), direct(rho), rtol=1e-12)
 
     def test_lowest_partner_state_nodeless(self):
-        pair = paul_susy_partner(PAUL, 2)
+        pair = planar_partner(PAUL, 2)
         rho = np.linspace(1e-3, 9.0, 4001)
         assert np.all(pair.partner_wavefunction(4 - 0.5)(rho) > 0.0)
 
     def test_annihilation_of_ground(self):
-        pair = paul_susy_partner(PAUL, 1)
+        pair = planar_partner(PAUL, 1)
         ground = paul_wavefunctions(PAUL, 1, 1, 0).radial
         rho = np.linspace(0.02, 9.0, 20001)
         lowered = ground.derivative(rho) + pair.generator.derivative(rho) * ground(rho)
@@ -303,14 +302,14 @@ class TestPlanarPartner:
         assert norm < 1e-8
 
     def test_superpotential_stationary_at_ground_peak(self):
-        pair = paul_susy_partner(PAUL, 3)
+        pair = planar_partner(PAUL, 3)
         peak = pair.generator.r0 * math.sqrt(3.5)
         assert pair.generator.derivative(peak) == pytest.approx(0.0, abs=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            paul_susy_partner(PAUL, -1)
-        pair = paul_susy_partner(PAUL, 0)
+            planar_partner(PAUL, -1)
+        pair = planar_partner(PAUL, 0)
         with pytest.raises(DomainError):
             pair.generator.derivative(0.0)
 
@@ -608,7 +607,7 @@ class TestPenningStates:
         assert psi.energy == pytest.approx(penning_energy(PENNING, 2, 0, 2), rel=1e-14)
 
     def test_radial_factor_matches_partner_map(self):
-        pair = penning_susy_partner(PENNING, 1)
+        pair = planar_partner(PENNING, 1)
         mapped = pair.partner_wavefunction(3 - 0.5)
         direct = penning_wavefunction(PENNING, 2, 0, 2).radial
         rho = np.linspace(0.05, 6.0, 30)
@@ -616,7 +615,7 @@ class TestPenningStates:
 
     def test_partner_tower_spacing(self):
         # Penning partner towers step by hbar Omega (twice the radial quantum).
-        pair = penning_susy_partner(PENNING, 0)
+        pair = planar_partner(PENNING, 0)
         assert pair.scales.omega0 == pytest.approx(0.5 * PENNING.hybrid, rel=1e-14)
         step = pair.minus_spectrum(4 - 0.5) - pair.minus_spectrum(2 - 0.5)
         assert step == pytest.approx(PENNING.hybrid, rel=1e-13)
