@@ -87,7 +87,9 @@ def solve_one(node_target):
     return solve_eigens([PROBLEM], [node_target])[0].energy
 
 
-# (callable, valid keyword arguments, {argument: (message start, probes)})
+# (callable, valid keyword arguments, {argument: (message start, probes)}[, case id])
+# A row names its case by the callable unless it gives an id, as the rows that
+# call one function with either planar trap's frequencies do.
 CASES = [
     (OscillatorScales, dict(mass=2.0, omega0=3.0, energy_offset=0.5, hbar=1.0),
      {"mass": ("mass", SCALE), "omega0": ("omega0", SCALE), "hbar": ("hbar", SCALE),
@@ -121,7 +123,9 @@ CASES = [
      {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
     (penning_spectrum, dict(freqs=PENNING, max_n=3, max_k=2),
      {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
-    (planar_partner, dict(freqs=PAUL, abs_m=1), {"abs_m": ("|M|", LABEL)}),
+    (planar_partner, dict(freqs=PAUL, abs_m=1), {"abs_m": ("|M|", LABEL)}, "paul_susy_partner"),
+    (planar_partner, dict(freqs=PENNING, abs_m=1), {"abs_m": ("|M|", LABEL)},
+     "penning_susy_partner"),
     (paul_shell_count, dict(e_tilde=6), {"e_tilde": ("scaled energy", (*LABEL, 1))}),
     (paul_related_systems, dict(count=4), {"count": ("count", (*LABEL, 0))}),
     (penning_state_count, dict(freqs=PENNING, energy_cap=6.0),
@@ -181,8 +185,8 @@ CASES = [
 ]
 
 
-def _name(func) -> str:
-    return getattr(func, "__qualname__", func.__name__)
+def _name(func, label=()) -> str:
+    return label[0] if label else getattr(func, "__qualname__", func.__name__)
 
 
 def _show(value) -> str:
@@ -190,8 +194,8 @@ def _show(value) -> str:
 
 
 PROBES = [
-    pytest.param(func, base, arg, start, value, id=f"{_name(func)}-{arg}={_show(value)}")
-    for func, base, checked in CASES
+    pytest.param(func, base, arg, start, value, id=f"{_name(func, label)}-{arg}={_show(value)}")
+    for func, base, checked, *label in CASES
     for arg, (start, values) in checked.items()
     for value in values
 ]
@@ -224,7 +228,8 @@ def _numbers(value):
         yield from _numbers(value(1.0))
 
 
-@pytest.mark.parametrize("func, base", [pytest.param(f, b, id=_name(f)) for f, b, _ in CASES])
+@pytest.mark.parametrize(
+    "func, base", [pytest.param(f, b, id=_name(f, label)) for f, b, _, *label in CASES])
 def test_valid_base_call_is_finite(func, base):
     assert all(math.isfinite(x) for x in _numbers(func(**base)))
 
