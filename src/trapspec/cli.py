@@ -15,42 +15,17 @@ import warnings
 
 import numpy as np
 
-from . import exports
+# The modules only some commands use are read as attributes at call time, so
+# a command runs only the modules on its own path (see the package docstring).
+from . import defect, exports, fields, planar, susy, verification
 from .config import MAGNETIC_TRAPS, TRAP_KINDS, RunConfig, load_config
-from .defect import EffectiveModel, defect_energy
 from .errors import ConfigError, DomainError, OracleError
-from .fields import (
-    biot_savart_field,
-    ip_field_cartesian,
-    ip_scales,
-    isotropy_residual,
-    oscillator_scales,
-    solve_bar_current,
-    solve_quad_current,
-    top_field_series,
-    top_scales,
-    TrapAssembly,
-)
 from .oscillator3d import (
     OscillatorScales,
     _tower_level,
     radial_wavefunction_3d,
     shell_capacity,
 )
-from .planar import (
-    paul_frequencies,
-    paul_shell_count,
-    paul_spectrum,
-    paul_wavefunctions,
-    penning_energy,
-    penning_frequencies,
-    penning_spectrum,
-    penning_state_count,
-    penning_wavefunction,
-    planar_partner,
-)
-from .susy import partner_pair, tower_potential
-from .verification import SUITE_ORDER, run_suite, tolerance_scale
 
 # An Ioffe-Pritchard or TOP potential is only a single isotropic oscillator
 # when the currents are tuned; beyond this residual the level structure the
@@ -58,9 +33,23 @@ from .verification import SUITE_ORDER, run_suite, tolerance_scale
 ISOTROPY_WINDOW = 1e-6
 # Most shells one `shells` call tabulates: 1e6 comma-separated counts are ~17 MB.
 MAX_SHELLS = 10**6
+# Most levels one `susy` or `defect` report lists: 1e5 susy levels are ~8.5 MB of JSON.
+MAX_LEVELS = 10**5
+# Most rows one `field-map` table holds: 1e6 rows are ~160 MB of CSV.
+MAX_FIELD_MAP_ROWS = 10**6
 # Largest tower label a table of several levels may reach: past 2^53 a float
 # no longer holds every integer, so levels two labels apart can round to one.
 MAX_EXACT_LABEL = 2**53
+
+
+class _SuiteHelpFormatter(argparse.HelpFormatter):
+    """Names the verification suites in ``--suite``'s help only when help is
+    printed, so that building the parser does not run the verification module."""
+
+    def _get_help_string(self, action):
+        if action.dest == "suite":
+            return action.help + ", ".join(verification.SUITE_ORDER)
+        return action.help
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config",
                    help="run configuration, checked against --trap (needed for penning counts)")
 
-    p = sub.add_parser("verify", help="run built-in verification suites")
-    p.add_argument("--suite", default="all",
-                   help="'all' or one of: " + ", ".join(SUITE_ORDER))
+    p = sub.add_parser("verify", help="run built-in verification suites",
+                       formatter_class=_SuiteHelpFormatter)
+    p.add_argument("--suite", default="all", help="'all' or one of: ")
     p.add_argument("--L", "--l-angular", dest="l_angular", type=int, default=None,
                    help="restrict the partner-degeneracy suite to one L")
 
@@ -183,6 +172,11 @@ def _check_labels(tower: int, first: int, levels: int) -> None:
         )
 
 
+def _check_levels(levels: int) -> None:
+    if levels > MAX_LEVELS:
+        raise DomainError(f"--levels must lie in [1, {MAX_LEVELS}], got {levels}")
+
+
 def _require_trap(cfg: RunConfig, kinds, command: str) -> None:
     if cfg.trap not in kinds:
         raise DomainError(
@@ -203,7 +197,8 @@ class _Magnetic:
         self.cfg = cfg
         self.geometry = cfg.build_geometry()
         self.scales = self.derive(self.geometry)
-        self.residual = isotropy_residual(self.scales)  # a coil pair too flat to confine raises
+        # A coil pair too flat to confine raises.
+        self.residual = fields.isotropy_residual(self.scales)
 
     @property
     def oscillator(self) -> OscillatorScales:
@@ -213,7 +208,7 @@ class _Magnetic:
                 f"trap is anisotropic (isotropy residual {self.residual:.3e}); solve the "
                 "tuning current first (see the isotropy command)"
             )
-        return oscillator_scales(
+        return fields.oscillator_scales(
             self.cfg.build_particle(), self.scales.field, self.scales.isotropic_radius
         )
 
@@ -245,7 +240,8 @@ class _Magnetic:
         """
         if not oracle:
             return np.vstack([self.series(*points.T, t) for t in times])
-        return biot_savart_field(tuple(self.assembly(t) for t in times), points).reshape(-1, 3)
+        assemblies = tuple(self.assembly(t) for t in times)
+        return fields.biot_savart_field(assemblies, points).reshape(-1, 3)
 
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         osc = self.oscillator
@@ -271,28 +267,36 @@ class _Magnetic:
 
     def partner(self, tower: int):
         osc = self.oscillator
-        return partner_pair(tower, osc)
+        return susy.partner_pair(tower, osc)
 
 
 class _IoffePritchard(_Magnetic):
-    derive = staticmethod(ip_scales)
-    solve = staticmethod(solve_bar_current)
     tuned_row = "tuned_bar_current_A"
+
+    def derive(self, geometry):
+        return fields.ip_scales(geometry)
+
+    def solve(self, geometry):
+        return fields.solve_bar_current(geometry)
 
     def drive_times(self, samples: int):
         return np.array([0.0])
 
     def series(self, x, y, z, t):
-        return ip_field_cartesian(self.scales, x, y, z)
+        return fields.ip_field_cartesian(self.scales, x, y, z)
 
     def assembly(self, t):
-        return TrapAssembly.ioffe_pritchard(self.geometry)
+        return fields.TrapAssembly.ioffe_pritchard(self.geometry)
 
 
 class _Top(_Magnetic):
-    derive = staticmethod(top_scales)
-    solve = staticmethod(solve_quad_current)
     tuned_row = "tuned_quad_current_A"
+
+    def derive(self, geometry):
+        return fields.top_scales(geometry)
+
+    def solve(self, geometry):
+        return fields.solve_quad_current(geometry)
 
     def drive_times(self, samples: int):
         if samples < 1:
@@ -301,10 +305,10 @@ class _Top(_Magnetic):
         return np.arange(samples) * period / samples
 
     def series(self, x, y, z, t):
-        return top_field_series(self.scales, x, y, z, t)
+        return fields.top_field_series(self.scales, x, y, z, t)
 
     def assembly(self, t):
-        return TrapAssembly.top(self.geometry, t)
+        return fields.TrapAssembly.top(self.geometry, t)
 
 
 class _Planar:
@@ -317,7 +321,7 @@ class _Planar:
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         if max_k < 0:
             raise DomainError("--max-k must be nonnegative")
-        n, m, k, e = self.spectrum(self.freqs, max_n, max_k)
+        n, m, k, e = self.spectrum(max_n, max_k)
         if natural:
             return exports.csv_text(("N", "M", "K", "E_over_quantum"),
                                     n, m, k, np.divide(e, self.quantum))
@@ -330,19 +334,22 @@ class _Planar:
         return state.radial, 0.0, "rho", "X", "scale"
 
     def partner(self, abs_m: int):
-        return planar_partner(self.freqs, abs_m)
+        return planar.planar_partner(self.freqs, abs_m)
 
 
 class _Paul(_Planar):
-    frequencies = staticmethod(paul_frequencies)
-    spectrum = staticmethod(paul_spectrum)
+    def frequencies(self, geometry):
+        return planar.paul_frequencies(geometry)
+
+    def spectrum(self, max_n: int, max_k: int):
+        return planar.paul_spectrum(self.freqs, max_n, max_k)
 
     @property
     def quantum(self) -> float:
         return self.freqs.quantum
 
     def state(self, n: int, m: int, k: int):
-        return paul_wavefunctions(self.freqs, n, m, k)
+        return planar.paul_wavefunctions(self.freqs, n, m, k)
 
     def scale_rows(self):
         f = self.freqs
@@ -357,15 +364,18 @@ class _Paul(_Planar):
 
 
 class _Penning(_Planar):
-    frequencies = staticmethod(penning_frequencies)
-    spectrum = staticmethod(penning_spectrum)
+    def frequencies(self, geometry):
+        return planar.penning_frequencies(geometry)
+
+    def spectrum(self, max_n: int, max_k: int):
+        return planar.penning_spectrum(self.freqs, max_n, max_k)
 
     @property
     def quantum(self) -> float:
         return self.freqs.hbar * self.freqs.hybrid
 
     def state(self, n: int, m: int, k: int):
-        return penning_wavefunction(self.freqs, n, k, m)
+        return planar.penning_wavefunction(self.freqs, n, k, m)
 
     def scale_rows(self):
         f = self.freqs
@@ -414,6 +424,11 @@ def _cmd_field_map(args) -> int:
     trap = _load_trap(args)
     if args.points < 2 or args.extent_fraction <= 0.0:
         raise DomainError("field-map needs at least 2 points per axis and a positive extent")
+    # One row per grid point and drive time; only a rotating bias has more than one time.
+    samples = args.time_samples if trap.scales.bias_frequency else 1
+    if args.points ** 3 * samples > MAX_FIELD_MAP_ROWS:
+        raise DomainError(f"field-map of {args.points}^3 points at {samples} times exceeds "
+                          f"{MAX_FIELD_MAP_ROWS} rows")
     times = trap.drive_times(args.time_samples)
     # A huge extent overflows the coordinates or the field; say so instead
     # of printing inf and nan.
@@ -422,13 +437,13 @@ def _cmd_field_map(args) -> int:
         axis = np.linspace(-half, half, args.points)
         xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
         points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-        fields = trap.fields(points, times, args.oracle)
-    if not (np.isfinite(points).all() and np.isfinite(fields).all()):
+        field = trap.fields(points, times, args.oracle)
+    if not (np.isfinite(points).all() and np.isfinite(field).all()):
         raise DomainError(f"--extent-fraction {args.extent_fraction:g} gives non-finite "
                           "field-map coordinates or fields")
     _emit(args, exports.csv_text(
         ("x_m", "y_m", "z_m", "t_s", "Bx_T", "By_T", "Bz_T"),
-        *np.tile(points, (len(times), 1)).T, np.repeat(times, len(points)), *fields.T,
+        *np.tile(points, (len(times), 1)).T, np.repeat(times, len(points)), *field.T,
     ))
     return 0
 
@@ -483,6 +498,7 @@ def _cmd_susy(args) -> int:
         raise DomainError("tower index and iteration count must be nonnegative")
     if args.levels < 1 or args.samples < 2:
         raise DomainError("susy needs at least one level and two potential samples")
+    _check_levels(args.levels)
     _check_labels(tower, tower + 2 * i0, args.levels)
 
     # The pair after i0 ladder steps sits at tower index L + i0 (3D) or
@@ -490,8 +506,8 @@ def _cmd_susy(args) -> int:
     # label removed + 2j.
     pair = trap.partner(tower + i0)
     lam, length, quantum = pair.l_angular, pair.scales.r0, pair.scales.quantum
-    plus_pot = tower_potential(lam, pair.scales, quantum * (lam + 1.5))
-    minus_pot = tower_potential(lam + 1.0, pair.scales, quantum * (lam + 0.5))
+    plus_pot = susy.tower_potential(lam, pair.scales, quantum * (lam + 1.5))
+    minus_pot = susy.tower_potential(lam + 1.0, pair.scales, quantum * (lam + 0.5))
     removed = tower + 2 * i0
     unit = quantum if natural else 1.0  # x / 1.0 is x exactly
     spectrum = [
@@ -533,9 +549,10 @@ def _cmd_defect(args) -> int:
     natural = _natural_mode(trap.cfg, args)
     if args.levels < 1:
         raise DomainError("--levels must be positive")
+    _check_levels(args.levels)
     _check_labels(args.l_angular, args.l_angular + 2 * args.iterations, args.levels)
     osc = trap.oscillator
-    model = EffectiveModel(
+    model = defect.EffectiveModel(
         l_angular=args.l_angular, iterations=args.iterations,
         selector=args.selector, delta=args.delta, scales=osc,
     )
@@ -545,7 +562,7 @@ def _cmd_defect(args) -> int:
         if natural:  # exactly N* + 3/2 in quanta; avoids cancellation against mu B0
             energy = n_s - model.iterations - model.delta + 1.5
         else:
-            energy = defect_energy(model, n_s)
+            energy = defect.defect_energy(model, n_s)
         spectrum.append({"level": n_s, "energy": energy})
     _emit(args, exports.json_text({
         "trap_scales": {
@@ -575,12 +592,12 @@ def _cmd_shells(args) -> int:
     if args.trap in MAGNETIC_TRAPS:
         counts = [shell_capacity(n) for n in range(args.max_n + 1)]
     elif args.trap == "paul":
-        counts = [paul_shell_count(e) for e in range(2, args.max_n + 3)]
+        counts = [planar.paul_shell_count(e) for e in range(2, args.max_n + 3)]
     else:
-        freqs = penning_frequencies(cfg.build_geometry())
-        ground = penning_energy(freqs, 0, 0, 0)
+        freqs = planar.penning_frequencies(cfg.build_geometry())
+        ground = planar.penning_energy(freqs, 0, 0, 0)
         caps = ground + np.arange(args.max_n + 1) * freqs.hbar * freqs.axial
-        counts = penning_state_count(freqs, caps).tolist()
+        counts = planar.penning_state_count(freqs, caps).tolist()
     print(",".join(str(c) for c in counts))
     return 0
 
@@ -591,10 +608,10 @@ def _cmd_verify(args) -> int:
         if args.suite != "susy":
             raise ConfigError("--l-angular only applies to the susy suite")
         kwargs["l_values"] = (args.l_angular,)
-    scale = tolerance_scale()
+    scale = verification.tolerance_scale()
     if scale != 1.0:
         warnings.warn(f"TRAPSPEC_TOL_SCALE={scale:g} scales every numeric tolerance")
-    results = run_suite(args.suite, **kwargs)
+    results = verification.run_suite(args.suite, **kwargs)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

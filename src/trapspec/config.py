@@ -11,30 +11,35 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import fields, planar
 from .errors import ConfigError
-from .fields import DipoleParticle, IoffePritchardGeometry, TopGeometry
-from .planar import PaulParams, PenningParams
 
 __all__ = ["RunConfig", "load_config"]
 
 UNIT_MODES = ("si", "natural")
 
-# One row per trap kind: the record it builds and its JSON geometry fields,
-# listed in the record's field order.
+# One row per trap kind: the module and name of the record it builds, and its
+# JSON geometry fields, listed in the record's field order.  The record is
+# looked up only when a geometry is built, so reading a config runs neither
+# module.
 TRAPS = {
-    "ioffe_pritchard": (IoffePritchardGeometry, (
+    "ioffe_pritchard": (fields, "IoffePritchardGeometry", (
         "coil_radius_m", "coil_halfspacing_m", "coil_current_A", "bar_distance_m",
         "bar_current_A",
     )),
-    "top": (TopGeometry, (
+    "top": (fields, "TopGeometry", (
         "quad_radius_m", "quad_halfspacing_m", "quad_current_A", "bias_radius_m",
         "bias_halfspacing_m", "bias_current_A", "bias_frequency_rad_per_s",
     )),
-    "paul": (PaulParams, ("voltage_V", "size_m", "drive_rad_per_s", "charge_C", "mass_kg")),
-    "penning": (PenningParams, ("voltage_V", "size_m", "axial_field_T", "charge_C", "mass_kg")),
+    "paul": (planar, "PaulParams", (
+        "voltage_V", "size_m", "drive_rad_per_s", "charge_C", "mass_kg",
+    )),
+    "penning": (planar, "PenningParams", (
+        "voltage_V", "size_m", "axial_field_T", "charge_C", "mass_kg",
+    )),
 }
 TRAP_KINDS = tuple(TRAPS)
-GEOMETRY_FIELDS = {kind: names for kind, (_, names) in TRAPS.items()}
+GEOMETRY_FIELDS = {kind: names for kind, (_, _, names) in TRAPS.items()}
 
 PARTICLE_FIELDS = ("magnetic_moment_J_per_T", "mass_kg")
 
@@ -72,13 +77,13 @@ class RunConfig:
 
     def build_geometry(self):
         """Construct the geometry record of this trap kind."""
-        record, names = TRAPS[self.trap]
-        return record(*(self.geometry[name] for name in names))
+        module, record, names = TRAPS[self.trap]
+        return getattr(module, record)(*(self.geometry[name] for name in names))
 
-    def build_particle(self) -> DipoleParticle:
+    def build_particle(self) -> fields.DipoleParticle:
         if self.trap not in MAGNETIC_TRAPS:
             raise ConfigError(f"trap '{self.trap}' has no dipole particle record")
-        return DipoleParticle(
+        return fields.DipoleParticle(
             magnetic_moment=self.particle["magnetic_moment_J_per_T"],
             mass=self.particle["mass_kg"],
         )

@@ -270,10 +270,17 @@ class _Batch:
                 prefactors[pref, mesh_key] = len(r2p_columns)
                 r2p_columns.append(pref * r * r)
             s = p.exponent()
+            try:
+                growth = math.exp((s - 0.5) * h)
+            except OverflowError:
+                raise DomainError(
+                    f"origin exponent {s:.6g} of state {state} is too large for its mesh: "
+                    f"the Numerov start grows by e^{(s - 0.5) * h:.6g} in one step"
+                ) from None
             scalars.append((
                 vcol, prefactors[pref, mesh_key], p.centrifugal + 0.25, h * h / 12.0, pref,
                 float(v_columns[vcol][0]), 4.0 * s + 2.0,
-                math.exp((s - 0.5) * h), float(r[0]) ** 2, float(r[1]) ** 2,
+                growth, float(r[0]) ** 2, float(r[1]) ** 2,
             ))
             self.radii.append(r)
         # Problems with one scalar row march alike, so states of one share columns.

@@ -680,6 +680,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "1/1 suites passed" in out
 
+    def test_origin_exponent_past_the_float_range_exits_3(self, capsys):
+        # The L = 10^6 tower's Numerov start would grow by e^2038 in one step.
+        code, out, err = run(capsys, "verify", "--suite", "susy", "--L", "1000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: origin exponent 1e+06 of state 0 is too large")
+        assert err.count("\n") == 1
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
@@ -825,15 +832,47 @@ class TestErrorWiring:
         assert code == 2
         assert err.startswith("config error: cannot read config file")
 
-    def test_table_too_large_to_allocate_exits_3(self, tmp_path, capsys):
+    def test_table_too_large_to_allocate_exits_3(self, tmp_path, capsys, monkeypatch):
         # 100000**3 points need 7.11 PiB a coordinate, beyond any 64-bit user
         # address space; the labels N = 0 .. 1e12 of a spectrum alone need 7.28 TiB.
+        # The field-map row limit would refuse that grid first, so it is lifted.
+        monkeypatch.setattr(cli, "MAX_FIELD_MAP_ROWS", math.inf)
         for argv, size in [(("field-map", "--points", "100000"), "7.11 PiB"),
                            (("spectrum", "--max-n", "1000000000000"), "7.28 TiB")]:
             code, out, err = run(capsys, argv[0], "--config", ip_config(tmp_path), *argv[1:])
             assert (code, out) == (3, ""), argv
             assert err.startswith(f"validation error: Unable to allocate {size}")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (("susy", "--levels", "100000000", "--natural-units"),
+         "--levels must lie in [1, 100000], got 100000000"),
+        (("defect", "--delta", "0.5", "--levels", "100000000"),
+         "--levels must lie in [1, 100000], got 100000000"),
+        (("field-map", "--points", "2", "--time-samples", "100000000"),
+         "field-map of 2^3 points at 100000000 times exceeds 1000000 rows"),
+        (("field-map", "--points", "101"), "field-map of 101^3 points at 8 times exceeds "
+         "1000000 rows"),
+    ])
+    def test_runaway_table_is_refused_before_any_work(self, tmp_path, capsys, argv, message):
+        # Each is refused at once, before any table is built; without the
+        # limits the first three run for minutes before printing anything.
+        code, out, err = run(capsys, argv[0], "--config", top_config(tmp_path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == f"validation error: {message}\n"
+
+    def test_limits_admit_max_levels_and_rows(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LEVELS", 3)
+        monkeypatch.setattr(cli, "MAX_FIELD_MAP_ROWS", 16)
+        top, ip = top_config(tmp_path), ip_config(tmp_path)
+        for command, extra in [("susy", ()), ("defect", ("--delta", "0.5"))]:
+            assert run(capsys, command, "--config", top, *extra, "--levels", "3")[0] == 0
+            assert run(capsys, command, "--config", top, *extra, "--levels", "4")[0] == 3
+        argv = ("field-map", "--points", "2", "--time-samples")
+        assert run(capsys, *argv, "2", "--config", top)[0] == 0
+        assert run(capsys, *argv, "3", "--config", top)[0] == 3
+        # A static trap tabulates one time, whatever --time-samples says.
+        assert run(capsys, *argv, "3", "--config", ip)[0] == 0
 
     def test_oversized_config_number_exits_2(self, tmp_path, capsys):
         geometry = dict(IP_GEOMETRY, coil_current_A=10**400)

@@ -133,7 +133,8 @@ class TestBuilders:
 
     @pytest.mark.parametrize("kind", TRAP_KINDS)
     def test_table_lists_fields_in_record_order(self, kind):
-        record, names = TRAPS[kind]
+        module, name, names = TRAPS[kind]
+        record = getattr(module, name)
         fields = [f.name for f in dataclasses.fields(record)]
         assert len(names) == len(fields)
         for name, field in zip(names, fields):

@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, one public list, oracles share no code with the
-closed forms they check, and neither start-up nor a verify suite loads scipy."""
+closed forms they check, neither start-up nor a verify suite loads scipy, and a
+command runs only the package modules it uses."""
 
 import ast
 import os
@@ -9,13 +10,11 @@ import types
 from pathlib import Path
 
 import pytest
+from test_cli import ip_config, paul_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trapspec"
-# The package __init__ imports names only to re-export them.
-SOURCES = sorted(
-    p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def declared_all(tree) -> list[str] | None:
@@ -58,17 +57,14 @@ def test_check_sees_unused_and_used_names():
 
 
 def test_every_all_lists_the_package_exports():
-    # The package publishes each module's __all__ by wildcard import, so that
-    # list is the only one. A wildcard goes wrong silently on a module without
-    # an __all__ (it publishes every name), a name in two lists (the later
-    # import shadows the earlier) or a listed name bound to another object.
+    # The package resolves each public name from the __all__ of the first
+    # module in its order that lists it, so that list is the only one. That
+    # goes wrong silently on a module without an __all__ (nothing of it is
+    # published), a name in two lists (the later one is never reached) or a
+    # listed name bound to another object.
     import trapspec
 
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    modules = [
-        node.module for node in tree.body
-        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
-    ]
+    modules = trapspec._MODULES
     assert {"constants", "errors", "numerov", "special", "config", "verification"} <= set(modules)
     owner = {}
     for module in modules:
@@ -81,10 +77,14 @@ def test_every_all_lists_the_package_exports():
             owner[name] = module
             assert getattr(trapspec, name) is getattr(source, name)
     public = {
-        n for n, v in vars(trapspec).items()
-        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+        n for n in dir(trapspec)
+        if not n.startswith("_") and not isinstance(getattr(trapspec, n), types.ModuleType)
     }
     assert public == set(owner)
+    star = {}
+    exec("from trapspec import *", star)
+    assert star.keys() - {"__builtins__"} == set(owner)
+    assert len(owner) == 88
 
 
 def package_imports(source: str) -> set[str]:
@@ -178,24 +178,79 @@ def test_oracle_check_sees_a_series_call():
     assert oracle_leaks(ast.unparse(tree)) == ["ip_field_cartesian"]
 
 
-def scipy_loaded_after(statements: str) -> str:
-    """The scipy modules loaded once ``statements`` run in a fresh interpreter."""
-    probe = (
-        f"import sys; {statements}; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def fresh_stdout(program: str) -> str:
+    """What ``program`` prints in a fresh interpreter that imports trapspec from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", program], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     return done.stdout
+
+
+def scipy_loaded_after(statements: str) -> str:
+    """The scipy modules loaded once ``statements`` run in a fresh interpreter."""
+    return fresh_stdout(
+        f"import sys; {statements}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
 
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported only where `overlap` runs; importing the package and
     # its command line must not pay for it.
     assert scipy_loaded_after("import trapspec, trapspec.cli") == "[]\n"
+
+
+def modules_run_after(statements: str) -> tuple[set[str], set[str]]:
+    """The trapspec modules registered, and those whose body has run, once
+    ``statements`` run in a fresh interpreter.  A module's body has run once
+    its namespace holds ``__builtins__``; reading the namespace through
+    ``object.__getattribute__`` does not run a deferred body."""
+    out = fresh_stdout(
+        f"import sys; {statements}; "
+        "mods = {n: m for n, m in sys.modules.items() if n.startswith('trapspec.')}; "
+        "print(sorted(mods)); "
+        "print(sorted(n for n, m in mods.items() "
+        "if '__builtins__' in object.__getattribute__(m, '__dict__')))"
+    )
+    registered, ran = (set(ast.literal_eval(line)) for line in out.splitlines()[-2:])
+    return registered, ran
+
+
+@pytest.mark.parametrize("command,config,idle", [
+    (None, None, {"numerov", "verification", "defect"}),
+    ("scales", ip_config, {"planar", "numerov", "verification", "defect"}),
+    ("spectrum", paul_config, {"fields", "numerov", "verification", "defect"}),
+], ids=["import", "scales-ip", "spectrum-paul"])
+def test_a_command_runs_only_the_modules_it_uses(tmp_path, command, config, idle):
+    import trapspec
+
+    statements = "import trapspec.cli"
+    if command:
+        statements += f"; trapspec.cli.main({[command, '--config', config(tmp_path)]!r})"
+    registered, ran = modules_run_after(statements)
+    assert {f"trapspec.{m}" for m in trapspec._MODULES} <= registered
+    assert not {f"trapspec.{m}" for m in idle} & ran
+    assert "trapspec.config" in ran  # the probe sees a module that ran
+
+
+def test_a_module_body_runs_on_first_use():
+    assert modules_run_after("import trapspec; trapspec.numerov.solve_eigen")[1] == {
+        "trapspec.errors", "trapspec.numerov"}
+
+
+def test_tracing_installs_after_the_cli_import():
+    # perfbench/tracing.py finds each target module in sys.modules and rebinds
+    # its functions in every trapspec module: every module must be registered
+    # once the command line is imported, loaded or not.
+    import trapspec
+
+    statements = (
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r}); import trapspec.cli; "
+        "from tracing import Tracer; t = Tracer(); t.install(); t.uninstall()"
+    )
+    assert {f"trapspec.{m}" for m in trapspec._MODULES} <= modules_run_after(statements)[1]
 
 
 def test_radial_solves_load_no_scipy():

@@ -101,6 +101,16 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match=r"^energy window .* of state 1 .* is too wide"):
             solve_eigens([oscillator_problem(0.0, n_points=2000), steep], [0, 1])
 
+    def test_origin_exponent_past_the_start_growth_rejected(self):
+        # s = 1e6 on the step h = 2e-3 makes the start's one-step growth
+        # e^((s - 1/2) h) = e^2038, past the float range: refused with the
+        # state named, not a bare OverflowError.
+        with pytest.raises(DomainError, match=r"^origin exponent 1e\+06 of state 0 is too large"):
+            solve_eigen(oscillator_problem(1e12), 0)
+        high = oscillator_problem(2.0, origin_exponent=1e6)
+        with pytest.raises(DomainError, match=r"^origin exponent 1e\+06 of state 1 is too large"):
+            solve_eigens([oscillator_problem(0.0), high], [0, 0])
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_potential_names_state_and_radius(self, bad):
         problem = RadialProblem(lambda r: np.where(r > 11, bad, 0.5 * r * r), 0.0, 1.0, 1e-6, 12.0)
