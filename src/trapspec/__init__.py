@@ -10,6 +10,14 @@ Every public module is registered on import but runs only on its first
 attribute use, so a command runs only the modules on its own path.  The
 package's names resolve on first use, each from the ``__all__`` of the
 module that defines it.
+
+numpy is imported inside the functions that build arrays, not at the top of
+a module.  The closed forms behind ``scales``, ``isotropy``, ``defect`` and
+``shells`` (but for Penning counts) are a few floats each, so those commands,
+and a command that stops at a configuration or validation error before any
+array is built, run without numpy.  The solver and oracle modules
+(``numerov``, ``verification``) work on arrays throughout and import it at
+the top, so ``verify`` always loads it.
 """
 
 import importlib.util

@@ -2,21 +2,22 @@
 
 Every command reads a JSON run configuration (where one is needed), prints
 a deterministic report to stdout, and optionally writes CSV/JSON artifacts
-atomically.  Exit codes: 0 success, 2 configuration error, 3 validation
-failure (or a table too large to allocate), 4 oracle non-convergence.
+atomically.  Exit codes: 0 success, 1 stdout closed by its reader, 2
+configuration error, 3 validation failure (or a table too large to
+allocate), 4 oracle non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 
-import numpy as np
-
-# The modules only some commands use are read as attributes at call time, so
-# a command runs only the modules on its own path (see the package docstring).
+# The modules only some commands use are read as attributes at call time, and
+# numpy is imported only where an array is built, so a command runs only the
+# modules on its own path (see the package docstring).
 from . import defect, exports, fields, planar, susy, verification
 from .config import MAGNETIC_TRAPS, TRAP_KINDS, RunConfig, load_config
 from .errors import ConfigError, DomainError, OracleError
@@ -35,6 +36,10 @@ ISOTROPY_WINDOW = 1e-6
 MAX_SHELLS = 10**6
 # Most levels one `susy` or `defect` report lists: 1e5 susy levels are ~8.5 MB of JSON.
 MAX_LEVELS = 10**5
+# Most potential samples one `susy` report lists: 1e6 samples are ~112 MB of JSON.
+MAX_SAMPLES = 10**6
+# Most grid points one `wavefunction` table holds: 1e6 rows are ~42 MB of CSV.
+MAX_POINTS = 10**6
 # Most rows one `field-map` table holds: 1e6 rows are ~160 MB of CSV.
 MAX_FIELD_MAP_ROWS = 10**6
 # Largest tower label a table of several levels may reach: past 2^53 a float
@@ -172,9 +177,10 @@ def _check_labels(tower: int, first: int, levels: int) -> None:
         )
 
 
-def _check_levels(levels: int) -> None:
-    if levels > MAX_LEVELS:
-        raise DomainError(f"--levels must lie in [1, {MAX_LEVELS}], got {levels}")
+def _check_most(option: str, value: int, least: int, most: int) -> None:
+    """Refuse ``value`` above ``most``; ``least`` is the smallest value the option admits."""
+    if value > most:
+        raise DomainError(f"{option} must lie in [{least}, {most}], got {value}")
 
 
 def _require_trap(cfg: RunConfig, kinds, command: str) -> None:
@@ -238,13 +244,15 @@ class _Magnetic:
 
         Rows run over the points of the first time, then of the next.
         """
+        import numpy as np
         if not oracle:
             return np.vstack([self.series(*points.T, t) for t in times])
         assemblies = tuple(self.assembly(t) for t in times)
         return fields.biot_savart_field(assemblies, points).reshape(-1, 3)
 
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
-        osc = self.oscillator
+        osc = self.oscillator  # an untuned trap raises here, before numpy loads
+        import numpy as np
         # Level N holds L = N % 2, N % 2 + 2, ..., N: int64 arrays, so a table too
         # large to allocate raises MemoryError.
         counts = np.arange(max_n + 1) // 2 + 1
@@ -280,6 +288,7 @@ class _IoffePritchard(_Magnetic):
         return fields.solve_bar_current(geometry)
 
     def drive_times(self, samples: int):
+        import numpy as np
         return np.array([0.0])
 
     def series(self, x, y, z, t):
@@ -302,6 +311,7 @@ class _Top(_Magnetic):
         if samples < 1:
             raise DomainError("field-map needs at least one time sample")
         period = 2.0 * math.pi / self.scales.bias_frequency
+        import numpy as np
         return np.arange(samples) * period / samples
 
     def series(self, x, y, z, t):
@@ -323,8 +333,7 @@ class _Planar:
             raise DomainError("--max-k must be nonnegative")
         n, m, k, e = self.spectrum(max_n, max_k)
         if natural:
-            return exports.csv_text(("N", "M", "K", "E_over_quantum"),
-                                    n, m, k, np.divide(e, self.quantum))
+            return exports.csv_text(("N", "M", "K", "E_over_quantum"), n, m, k, e / self.quantum)
         return exports.csv_text(("N", "M", "K", "E_joules"), n, m, k, e)
 
     def wavefunction(self, args):
@@ -430,6 +439,7 @@ def _cmd_field_map(args) -> int:
         raise DomainError(f"field-map of {args.points}^3 points at {samples} times exceeds "
                           f"{MAX_FIELD_MAP_ROWS} rows")
     times = trap.drive_times(args.time_samples)
+    import numpy as np
     # A huge extent overflows the coordinates or the field; say so instead
     # of printing inf and nan.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -475,9 +485,11 @@ def _cmd_wavefunction(args) -> int:
     natural = _natural_mode(trap.cfg, args)
     if args.points < 2 or args.r_max <= 0.0:
         raise DomainError("wavefunction needs at least 2 points and a positive --r-max")
+    _check_most("--points", args.points, 2, MAX_POINTS)
 
     # One table for every factor, W(r), X(rho) or Z(z), on the factor's own r0.
     factor, start, name, column, scale = trap.wavefunction(args)
+    import numpy as np
     grid = np.linspace(start, args.r_max, args.points) * factor.r0
     values = factor(grid)
     if natural:
@@ -498,7 +510,8 @@ def _cmd_susy(args) -> int:
         raise DomainError("tower index and iteration count must be nonnegative")
     if args.levels < 1 or args.samples < 2:
         raise DomainError("susy needs at least one level and two potential samples")
-    _check_levels(args.levels)
+    _check_most("--levels", args.levels, 1, MAX_LEVELS)
+    _check_most("--samples", args.samples, 2, MAX_SAMPLES)
     _check_labels(tower, tower + 2 * i0, args.levels)
 
     # The pair after i0 ladder steps sits at tower index L + i0 (3D) or
@@ -519,6 +532,7 @@ def _cmd_susy(args) -> int:
         for j in range(args.levels)
     ]
 
+    import numpy as np
     radii = np.geomspace(0.1, 6.0, args.samples) * length
     plus_samples = np.asarray(plus_pot(radii), dtype=float)
     minus_samples = np.asarray(minus_pot(radii), dtype=float)
@@ -549,7 +563,7 @@ def _cmd_defect(args) -> int:
     natural = _natural_mode(trap.cfg, args)
     if args.levels < 1:
         raise DomainError("--levels must be positive")
-    _check_levels(args.levels)
+    _check_most("--levels", args.levels, 1, MAX_LEVELS)
     _check_labels(args.l_angular, args.l_angular + 2 * args.iterations, args.levels)
     osc = trap.oscillator
     model = defect.EffectiveModel(
@@ -594,6 +608,7 @@ def _cmd_shells(args) -> int:
     elif args.trap == "paul":
         counts = [planar.paul_shell_count(e) for e in range(2, args.max_n + 3)]
     else:
+        import numpy as np
         freqs = planar.penning_frequencies(cfg.build_geometry())
         ground = planar.penning_energy(freqs, 0, 0, 0)
         caps = ground + np.arange(args.max_n + 1) * freqs.hbar * freqs.axial
@@ -649,7 +664,14 @@ def main(argv=None) -> int:
                     raise DomainError(f"option {option} is too large for a float")
                 if type(value) is float and not math.isfinite(value):
                     raise DomainError(f"option {option} must be finite")
-            return HANDLERS[args.command](args)
+            code = HANDLERS[args.command](args)
+            sys.stdout.flush()  # a reader of stdout that has gone shows here, not at exit
+            return code
+    except BrokenPipeError:
+        # As the Python docs' "Note on SIGPIPE" does: stdout goes to os.devnull,
+        # so that the flush at exit cannot raise again, and the exit code is 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

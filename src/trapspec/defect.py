@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, ExcludedLevelError, NormalizabilityError, finite, integer
 from .oscillator3d import OscillatorScales, RadialEigenstate, _tower_level, tower_state
 from .special import tower_degree
@@ -96,6 +94,7 @@ def effective_potential(model: EffectiveModel) -> Callable[[float], float]:
         scales.hbar**2 / (2.0 * scales.mass)
     )
     const = scales.quantum * (model.delta - model.iterations)
+    import numpy as np
 
     def v_eff(r):
         r = np.asarray(r, dtype=float)

@@ -31,8 +31,6 @@ import stat
 import tempfile
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .errors import DomainError
 
 _BLOCK_ROWS = 8192
@@ -55,6 +53,7 @@ def csv_text(header, *columns) -> str:
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)} names")
+    import numpy as np
     arrays = [np.asarray(c) for c in columns]
     for name, a in zip(header, arrays):
         if a.dtype.kind == "b":
@@ -102,7 +101,7 @@ def csv_text(header, *columns) -> str:
 
 def _words(cells):
     """Fixed 32-byte strings as rows of four 8-byte words."""
-    return cells.view(np.uint64).reshape(-1, 4)
+    return cells.view("u8").reshape(-1, 4)
 
 
 def json_text(doc) -> str:
@@ -146,6 +145,7 @@ def _json(value, newline: str) -> str:
         items = [encode_basestring_ascii(key) + ": " + _json(value[key], inner)
                  for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    import numpy as np  # only here: a document of plain values never loads numpy
     if isinstance(value, (np.generic, np.ndarray)):
         return _json(value.tolist(), newline)
     raise TypeError(f"cannot export {type(value).__name__} value {value!r}")

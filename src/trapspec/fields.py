@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import MU0
 from .errors import (
     AccuracyError, ConfinementError, DomainError, SingularityError, in_range, nonzero, positive,
@@ -232,6 +230,7 @@ def ip_field_series(scales: DerivedScales, rho, phi, z) -> np.ndarray:
     Constant bias + bar quadrupole + coil curvature; the omitted terms are
     fourth order in distance over the coil scale.  Inputs broadcast.
     """
+    import numpy as np
     _check_kind(scales, "ip")
     rho, phi, z = np.broadcast_arrays(*np.atleast_1d(rho, phi, z))
     curv = scales.field * scales.area / scales.length**4
@@ -244,6 +243,7 @@ def ip_field_series(scales: DerivedScales, rho, phi, z) -> np.ndarray:
 
 def ip_field_cartesian(scales: DerivedScales, x, y, z) -> np.ndarray:
     """Same field as :func:`ip_field_series` in Cartesian components."""
+    import numpy as np
     x, y, z = np.broadcast_arrays(*np.atleast_1d(x, y, z))
     rho = np.hypot(x, y)
     phi = np.arctan2(y, x)
@@ -258,6 +258,7 @@ def ip_field_cartesian(scales: DerivedScales, x, y, z) -> np.ndarray:
 
 def ip_potential(particle: DipoleParticle, scales: DerivedScales, rho, z):
     """Quadratic-order IP trapping potential mu|B| for anti-aligned dipoles."""
+    import numpy as np
     _check_kind(scales, "ip")
     alpha = scales.area / scales.length**4
     ratio = _gradient_ratio(scales)
@@ -275,6 +276,7 @@ def top_field_series(scales: DerivedScales, x, y, z, t) -> np.ndarray:
     Rotating bias + quadrupole gradient + bias-pair curvature, truncated at
     second order in the coordinates.  All four inputs broadcast.
     """
+    import numpy as np
     _check_kind(scales, "top")
     x, y, z, t = np.broadcast_arrays(*np.atleast_1d(x, y, z, t))
     c = np.cos(scales.bias_frequency * t)
@@ -294,6 +296,7 @@ def top_time_avg_potential(particle: DipoleParticle, scales: DerivedScales, rho,
     Valid when the drive is fast compared to the motion but slow compared to
     the Larmor precession (not enforced here).
     """
+    import numpy as np
     _check_kind(scales, "top")
     alpha = scales.area / scales.length**4
     ratio = _gradient_ratio(scales)
@@ -375,6 +378,7 @@ _CHUNK_ROWS = 4096
 
 def _rows(points) -> np.ndarray:
     """``points`` as an (n, 3) float array; one point of shape (3,) is one row."""
+    import numpy as np
     p = np.asarray(points, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != 3:
         raise DomainError(f"points must have shape (3,) or (n, 3), got {p.shape}")
@@ -401,6 +405,7 @@ class CircularLoop:
         if norm == 0.0:
             raise DomainError("loop axis must be a nonzero vector")
         object.__setattr__(self, "axis", tuple(c / norm for c in self.axis))
+        import numpy as np
         n = np.asarray(self.axis)
         seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
         e1 = np.cross(n, seed)
@@ -410,6 +415,7 @@ class CircularLoop:
 
     def min_distance(self, points):
         """Distance from each point to the loop wire."""
+        import numpy as np
         p = _rows(points) - np.asarray(self.center)
         e1, e2, n = self._frame
         radial = np.hypot(np.vecdot(p, e1), np.vecdot(p, e2))
@@ -423,6 +429,7 @@ class CircularLoop:
         # (1/|s|**3 - 1/R**3) + a**2 n/R**3: the dropped cross(dl, x)/R**3 sum to 0
         # with the dl, and the bracket is built from R**2 - |s|**2 = 2 x.q, so no
         # term cancels another.  Blocks hold at most _BLOCK_PAIRS (point, panel) pairs.
+        import numpy as np
         theta = np.linspace(0.0, 2.0 * math.pi, n_panels, endpoint=False)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         mean = np.empty((local.shape[1], 3))
@@ -449,6 +456,7 @@ class CircularLoop:
         ``_LOOP_RTOL`` of its largest component; only the points still moving
         go on.  A point still moving at 2**20 panels raises AccuracyError.
         """
+        import numpy as np
         return _loop_fields((self,), _rows(points))[0].reshape(np.shape(points))
 
 
@@ -459,6 +467,7 @@ def _loop_fields(loops, p: np.ndarray) -> list[np.ndarray]:
     so loops with one center, axis and radius share its doublings; each loop
     then scales the converged mean by its own current.
     """
+    import numpy as np
     groups = {}
     for i, loop in enumerate(loops):
         groups.setdefault((tuple(loop.center), loop.axis, loop.radius), []).append(i)
@@ -510,16 +519,19 @@ class StraightWire:
         object.__setattr__(self, "direction", tuple(c / norm for c in self.direction))
 
     def _perp(self, p: np.ndarray) -> np.ndarray:
+        import numpy as np
         d = np.asarray(self.direction)
         rel = p - np.asarray(self.point_on)
         return rel - np.vecdot(rel, d)[:, None] * d
 
     def min_distance(self, points):
         """Distance from each point to the wire."""
+        import numpy as np
         s = self._perp(_rows(points))
         return np.sqrt(np.vecdot(s, s)).reshape(np.shape(points)[:-1])[()]
 
     def field(self, points) -> np.ndarray:
+        import numpy as np
         s = self._perp(_rows(points))
         d_sq = np.vecdot(s, s)
         b = (MU0 * self.current / (2.0 * math.pi * d_sq))[:, None] * np.cross(self.direction, s)
@@ -594,6 +606,7 @@ def biot_savart_field(assembly: TrapAssembly | tuple[TrapAssembly, ...], points)
     model diverges.  Every snapshot is checked, in order, before any field
     is computed.
     """
+    import numpy as np
     stacked = isinstance(assembly, tuple)
     snapshots = assembly if stacked else (assembly,)
     p = _rows(points)
@@ -638,6 +651,7 @@ def top_time_average_numeric(
     :func:`top_time_avg_potential`.  It calls :func:`top_field_series` by
     design, because what it checks is the drive-period average, not the field.
     """
+    import numpy as np
     _check_kind(scales, "top")
     period = 2.0 * math.pi / scales.bias_frequency
 

@@ -19,8 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import HBAR
 from .errors import DomainError, finite, in_range, integer, positive
 from .special import laguerre_march, log_radial_norm, radial_norm_3d, tower_degree
@@ -142,12 +140,12 @@ class RadialEigenstate:
 
     def __call__(self, r):
         val = tower_rows([self], r)[0]
-        return val if np.asarray(r).ndim else float(val)
+        return val if val.ndim else float(val)
 
     def derivative(self, r):
         """Analytic ``dW/dr`` (Laguerre derivative identity, stable in u = r/r0)."""
         val = tower_rows([self], r, derivative=True)[0]
-        return val if np.asarray(r).ndim else float(val)
+        return val if val.ndim else float(val)
 
 
 def tower_rows(states, r, derivative: bool = False) -> np.ndarray:
@@ -166,6 +164,7 @@ def tower_rows(states, r, derivative: bool = False) -> np.ndarray:
     finite value (the march or ``u^2`` overflows), the value is 0: ``e^(-u^2/2) <
     10^(-7e152)`` there outweighs the polynomial at any degree the recurrence admits.
     """
+    import numpy as np
     arr = np.asarray(r, dtype=float)
     flat = arr.reshape(-1)
     out = np.empty((len(states), flat.size))
@@ -188,6 +187,7 @@ def _tower_group(states, lam, r0, u, x, ex, derivative: bool) -> np.ndarray:
 
     ``u`` is ``r/r0``, ``x`` is ``u * u`` and ``ex`` is ``exp(-x/2)``.
     """
+    import numpy as np
     degrees = [state.degree for state in states]
     norms = np.array([state.norm for state in states])[:, None]
     a = lam + 1.0

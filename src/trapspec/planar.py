@@ -35,8 +35,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .constants import HBAR
 from .errors import DomainError, StabilityError, finite, in_range, integer, nonzero, positive
 from .oscillator3d import OscillatorScales, RadialEigenstate, tower_state
@@ -156,6 +154,7 @@ def static_quadrupole_potential(params: PaulParams, rho, z):
     The Paul trap drives this spatial profile at the drive frequency; the
     Penning trap applies it statically.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     out = params.voltage / (2.0 * params.size**2) * (z * z - 0.5 * rho * rho)
@@ -164,6 +163,7 @@ def static_quadrupole_potential(params: PaulParams, rho, z):
 
 def paul_effective_potential(freqs: PaulFrequencies, rho, z):
     """Time-averaged well ``(1/2) m w_p^2 (rho^2 + 4 z^2)``."""
+    import numpy as np
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     out = 0.5 * freqs.mass * freqs.secular**2 * (rho * rho + 4.0 * z * z)
@@ -198,6 +198,7 @@ def _planar_labels(max_n: int, max_k: int, max_j: int | None = None):
     only the pairs with ``(N+M)/2 <= max_j`` are built: ``M`` then stops at
     ``2 max_j - N``.
     """
+    import numpy as np
     counts = np.minimum(np.arange(max_n + 1), max_n if max_j is None else max_j) + 1  # Ms at each N
     n = np.repeat(np.arange(max_n + 1), counts)
     m = 2 * (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts)) - n
@@ -206,6 +207,7 @@ def _planar_labels(max_n: int, max_k: int, max_j: int | None = None):
 
 def _by_energy(n, m, k, energy):
     """The table's rows sorted by ``(E, N, K, M)``, as arrays ``(N, M, K, E)``."""
+    import numpy as np
     order = np.lexsort((m, k, n, energy))
     return n[order], m[order], k[order], energy[order]
 
@@ -216,6 +218,7 @@ def paul_spectrum(freqs: PaulFrequencies, max_n: int, max_k: int):
     Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
     is bit for bit :func:`paul_energy` of its labels.
     """
+    import numpy as np
     n, m, k = _planar_labels(integer("max_n", max_n, 0), integer("max_k", max_k, 0))
     with np.errstate(over="ignore"):  # as in floats: an overflow is an inf level
         return _by_energy(n, m, k, _paul_level(freqs, n, k))
@@ -238,6 +241,7 @@ class PlanarState:
     energy: float
 
     def __call__(self, rho, phi, z):
+        import numpy as np
         rho_arr = np.asarray(rho, dtype=float)
         with np.errstate(divide="ignore"):
             r_part = self.radial(rho_arr) / np.sqrt(rho_arr)
@@ -436,6 +440,7 @@ def penning_spectrum(freqs: PenningFrequencies, max_n: int, max_k: int):
     the magnetron cap raises its error for the first label past it in
     ``(N, M)`` order, ``N = M = cap + 1``, before any array is built.
     """
+    import numpy as np
     max_n = integer("max_n", max_n, 0)
     top = min(max_n, MAGNETRON_CAP + 1)
     _check_magnetron(top, top)
@@ -471,6 +476,7 @@ def penning_state_count(
     that would take more than :data:`COUNT_LIMIT` label-by-K comparisons
     raises :class:`DomainError` before any array is built.
     """
+    import numpy as np
     caps = np.asarray(energy_cap, dtype=float)
     if caps.ndim > 1:
         raise DomainError(

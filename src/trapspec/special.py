@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .errors import DomainError, integer, positive
 
 __all__ = ["laguerre_gen", "hermite", "radial_norm_3d"]
@@ -58,6 +56,7 @@ def laguerre_march(degrees, alpha: float, x):
     The march runs to the largest degree asked for; its steps fall under the limit of
     :func:`laguerre_gen`, and degrees and order are checked as there.
     """
+    import numpy as np
     degrees = [integer("Laguerre degree", n, 0) for n in degrees]
     if not -1.0 < alpha < math.inf:
         raise DomainError(f"Laguerre order must be finite and exceed -1, got {alpha!r}")
@@ -144,6 +143,7 @@ def laguerre_gen(n: int, alpha: float, x):
         point count (at least :data:`MIN_STEP_POINTS`) above :data:`RECURRENCE_LIMIT`
         raises :class:`DomainError` before any step.
     """
+    import numpy as np
     n = integer("Laguerre degree", n, 0)
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
@@ -162,6 +162,7 @@ def hermite(k: int, x):
     ``H_0 = 1``, ``H_1 = 2x``, ``H_{k+1} = 2 x H_k - 2 k H_{k-1}``, under the
     step limit of :func:`laguerre_gen`.
     """
+    import numpy as np
     k = integer("Hermite index", k, 0)
     arr = np.asarray(x, dtype=float)
     _check_steps("Hermite", k, arr)

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, ExcludedLevelError, integer, positive
 from .oscillator3d import OscillatorScales, RadialEigenstate, shell_capacity, tower_state
 from .special import tower_degree
@@ -49,6 +47,7 @@ __all__ = [
 
 
 def _positive_radii(r) -> np.ndarray:
+    import numpy as np
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("superpotential evaluators need r > 0")
@@ -68,6 +67,7 @@ class Superpotential:
     r0: float
 
     def value(self, r):
+        import numpy as np
         arr = _positive_radii(r)
         u = arr / self.r0
         out = 0.5 * u * u - (self.l_angular + 1.0) * np.log(u)
@@ -107,6 +107,7 @@ def input_potential(l_angular: int, scales: OscillatorScales) -> Callable[[float
     spring = 0.5 * scales.mass * scales.omega0**2
     shift = scales.quantum * (l_angular + 1.5)
     ll = float(l_angular * (l_angular + 1))
+    import numpy as np
 
     def v_plus(r):
         arr = np.asarray(r, dtype=float)
@@ -127,6 +128,7 @@ def tower_potential(
     """
     pref = scales.hbar**2 / (2.0 * scales.mass)
     spring = 0.5 * scales.mass * scales.omega0**2
+    import numpy as np
 
     def potential(r):
         r = np.asarray(r, dtype=float)
@@ -156,6 +158,7 @@ class PartnerPair:
         return self.generator.l_angular
 
     def _combo(self, r, sign: float):
+        import numpy as np
         pref = self.scales.hbar**2 / (2.0 * self.scales.mass)
         du = self.generator.derivative(r)
         d2u = self.generator.second_derivative(r)

@@ -1,10 +1,14 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface (in-process; a closed stdout
+needs a process of its own)."""
 
 import argparse
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -853,6 +857,9 @@ class TestErrorWiring:
          "field-map of 2^3 points at 100000000 times exceeds 1000000 rows"),
         (("field-map", "--points", "101"), "field-map of 101^3 points at 8 times exceeds "
          "1000000 rows"),
+        (("susy", "--samples", "1000001"), "--samples must lie in [2, 1000000], got 1000001"),
+        (("wavefunction", "--n-level", "0", "--points", "1000001"),
+         "--points must lie in [2, 1000000], got 1000001"),
     ])
     def test_runaway_table_is_refused_before_any_work(self, tmp_path, capsys, argv, message):
         # Each is refused at once, before any table is built; without the
@@ -861,13 +868,40 @@ class TestErrorWiring:
         assert (code, out) == (3, "")
         assert err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("scales", "--config", "IP"),
+        ("spectrum", "--config", "IP", "--max-n", "40"),
+        ("shells", "--trap", "top", "--max-n", "40"),
+    ])
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, argv):
+        # The reader of stdout has gone before the first write, as in
+        # `trapspec scales --config ip.json | true`.
+        argv = [ip_config(tmp_path) if a == "IP" else a for a in argv]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "trapspec.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
+
     def test_limits_admit_max_levels_and_rows(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_LEVELS", 3)
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 3)
+        monkeypatch.setattr(cli, "MAX_POINTS", 3)
         monkeypatch.setattr(cli, "MAX_FIELD_MAP_ROWS", 16)
         top, ip = top_config(tmp_path), ip_config(tmp_path)
-        for command, extra in [("susy", ()), ("defect", ("--delta", "0.5"))]:
+        for command, extra in [("susy", ("--samples", "3")), ("defect", ("--delta", "0.5"))]:
             assert run(capsys, command, "--config", top, *extra, "--levels", "3")[0] == 0
             assert run(capsys, command, "--config", top, *extra, "--levels", "4")[0] == 3
+        assert run(capsys, "susy", "--config", top, "--levels", "3", "--samples", "4")[0] == 3
+        argv = ("wavefunction", "--config", top, "--n-level", "0", "--points")
+        assert run(capsys, *argv, "3")[0] == 0
+        assert run(capsys, *argv, "4")[0] == 3
         argv = ("field-map", "--points", "2", "--time-samples")
         assert run(capsys, *argv, "2", "--config", top)[0] == 0
         assert run(capsys, *argv, "3", "--config", top)[0] == 3

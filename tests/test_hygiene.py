@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, one public list, oracles share no code with the
-closed forms they check, neither start-up nor a verify suite loads scipy, and a
-command runs only the package modules it uses."""
+closed forms they check, neither start-up nor a verify suite loads scipy, a
+command runs only the package modules it uses, and numpy loads only where a
+command builds an array."""
 
 import ast
 import os
@@ -10,7 +11,7 @@ import types
 from pathlib import Path
 
 import pytest
-from test_cli import ip_config, paul_config
+from test_cli import ip_config, paul_config, penning_config, top_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trapspec"
@@ -233,6 +234,44 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path, command, config, idle
     assert {f"trapspec.{m}" for m in trapspec._MODULES} <= registered
     assert not {f"trapspec.{m}" for m in idle} & ran
     assert "trapspec.config" in ran  # the probe sees a module that ran
+
+
+def numpy_after_each(commands) -> list:
+    """``(exit code, numpy loaded)`` in a fresh interpreter after ``import
+    trapspec.cli`` (code None) and then after each command in turn."""
+    out = fresh_stdout(
+        "import sys, trapspec.cli; seen = [(None, 'numpy' in sys.modules)]\n"
+        f"for argv in {commands!r}:\n"
+        "    seen.append((trapspec.cli.main(argv), 'numpy' in sys.modules))\n"
+        "print(seen)"
+    )
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_scalar_commands_start_without_numpy(tmp_path):
+    # numpy is imported only where an array is built: the closed forms of
+    # scales, isotropy, shells and defect, and the documented error paths,
+    # build none.
+    (tmp_path / "untuned").mkdir()
+    ip, top = ip_config(tmp_path), top_config(tmp_path)
+    commands = [
+        *(["scales", "--config", c] for c in (ip, top, paul_config(tmp_path),
+                                               penning_config(tmp_path))),
+        ["isotropy", "--config", ip], ["isotropy", "--config", top],
+        *(["shells", "--trap", t, "--max-n", "40"] for t in ("ioffe_pritchard", "top", "paul")),
+        ["defect", "--config", ip, "--delta", "0.3"], ["defect", "--config", top, "--delta", "0.3"],
+        ["scales", "--config", str(tmp_path / "missing.json")],
+        ["spectrum", "--config", ip_config(tmp_path / "untuned", bar_current=20.0)],
+    ]
+    assert numpy_after_each(commands) == [(None, False)] + [(0, False)] * 11 + [
+        (2, False), (3, False)]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "field-map"])
+def test_array_commands_load_numpy(tmp_path, command):
+    # The probe above sees numpy once a command builds an array.
+    assert numpy_after_each([[command, "--config", ip_config(tmp_path)]]) == [
+        (None, False), (0, True)]
 
 
 def test_a_module_body_runs_on_first_use():
