@@ -15,9 +15,10 @@ numpy is imported inside the functions that build arrays, not at the top of
 a module.  The closed forms behind ``scales``, ``isotropy``, ``defect`` and
 ``shells`` (but for Penning counts) are a few floats each, so those commands,
 and a command that stops at a configuration or validation error before any
-array is built, run without numpy.  The solver and oracle modules
-(``numerov``, ``verification``) work on arrays throughout and import it at
-the top, so ``verify`` always loads it.
+array is built, run without numpy.  So do ``verify --help`` and the
+combinatorics suite: ``verification`` imports numpy in the suites that build
+arrays.  The solver (``numerov``) works on arrays throughout and imports it
+at the top.
 """
 
 import importlib.util

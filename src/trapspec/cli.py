@@ -145,6 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared helpers.
 
 
+def _check_destination(args) -> None:
+    """Refuse an ``--out`` whose directory does not exist, before the command
+    computes anything; any other fault of the destination shows as it is written."""
+    if getattr(args, "out", None):
+        try:
+            os.stat(os.path.dirname(os.path.abspath(args.out)))
+        except FileNotFoundError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from exc
+        except OSError:
+            pass
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         try:
@@ -451,9 +463,12 @@ def _cmd_field_map(args) -> int:
     if not (np.isfinite(points).all() and np.isfinite(field).all()):
         raise DomainError(f"--extent-fraction {args.extent_fraction:g} gives non-finite "
                           "field-map coordinates or fields")
+    # Rows run over x, then y, then z, then time, slowest first; the
+    # coordinates and times take few values, so each is formatted once.
+    it, ix, iy, iz = np.indices((len(times), *[args.points] * 3)).reshape(4, -1)
     _emit(args, exports.csv_text(
         ("x_m", "y_m", "z_m", "t_s", "Bx_T", "By_T", "Bz_T"),
-        *np.tile(points, (len(times), 1)).T, np.repeat(times, len(points)), *field.T,
+        *(exports.Shared(axis, i) for i in (ix, iy, iz)), exports.Shared(times, it), *field.T,
     ))
     return 0
 
@@ -664,6 +679,7 @@ def main(argv=None) -> int:
                     raise DomainError(f"option {option} is too large for a float")
                 if type(value) is float and not math.isfinite(value):
                     raise DomainError(f"option {option} must be finite")
+            _check_destination(args)
             code = HANDLERS[args.command](args)
             sys.stdout.flush()  # a reader of stdout that has gone shows here, not at exit
             return code

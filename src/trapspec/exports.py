@@ -22,6 +22,15 @@ with its unused bytes NUL; rows go through in blocks of ``_BLOCK_ROWS``
 (8192), so the scratch arrays stay about 0.26 MB a column whatever the
 table's length.  A non-finite cell raises ``DomainError``, naming its column
 and row: no table prints ``nan``.
+
+A column may also be given as ``Shared(values, index)``, the cells of
+``values[index]``, for a column that repeats few values (a field map's
+coordinates and drive times).  Numeric ``values`` are formatted once, by the
+same kernels and per-cell ``%``, into a table of 4-word cells, and each
+block gathers its rows from it.  The text is byte for byte that of the
+column ``values[index]``, and so is any error: the same ``TypeError`` or
+``ValueError``, and the same ``DomainError`` naming the first row that takes
+a non-finite value.  A value no row takes is never checked.
 """
 
 from __future__ import annotations
@@ -43,18 +52,52 @@ def fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+class Shared:
+    """A ``csv_text`` column whose cells are ``values[index]``.
+
+    ``index`` is an integer array, and its length is the column's.  A type of
+    its own, since a plain tuple is already a column of its items.
+    """
+
+    __slots__ = ("values", "index")
+
+    def __init__(self, values, index):
+        self.values, self.index = values, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 def csv_text(header, *columns) -> str:
     """Render a table from its header and one sequence per column.
 
-    Integer columns print bare, every other column as ``%.17g``.  A boolean
-    column is ambiguous and raises TypeError; columns of unequal length, or a
-    column count that differs from the header's, raise ValueError; a ``nan``
-    or infinite cell raises DomainError naming its column and row.
+    Integer columns print bare, every other column as ``%.17g``.  A column
+    may be a :class:`Shared` ``(values, index)``: numeric ``values`` are
+    formatted once and each row copies its cell, and the text and any error
+    are byte for byte those of the column ``values[index]``, which is what
+    values of any other type print as.  A boolean column is ambiguous and
+    raises TypeError; columns of unequal length, or a column count that
+    differs from the header's, raise ValueError; a ``nan`` or infinite cell
+    raises DomainError naming its column and row.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)} names")
     import numpy as np
-    arrays = [np.asarray(c) for c in columns]
+    arrays, tables = [], {}
+    for j, c in enumerate(columns):
+        if isinstance(c, Shared):
+            values, index = np.asarray(c.values), np.asarray(c.index)
+            if values.dtype.kind in "fiu":
+                # Each value's cell, and which values are non-finite.
+                table = np.empty(len(values), dtype="V32")
+                found = _format(values, table.view(np.uint64).reshape(-1, 4))
+                flags = np.zeros(len(values), dtype=bool)
+                flags[list(found)] = True
+                tables[j] = table, found, flags
+                c = index
+            else:  # cells that are not numbers print one at a time in any case
+                c = values[index]
+        arrays.append(np.asarray(c))
     for name, a in zip(header, arrays):
         if a.dtype.kind == "b":
             raise TypeError(f"boolean column {name!r} is ambiguous; use 0/1 integers")
@@ -62,41 +105,58 @@ def csv_text(header, *columns) -> str:
             raise ValueError(
                 f"column {name!r} has {len(a)} values; column {header[0]!r} has {len(arrays[0])}"
             )
-    # Imported here, so commands that print no table never compile it.
-    from ._cells import float_cells, int_cells
 
     rows = len(arrays[0]) if arrays else 0
+    # The separator in each cell's last byte: ',' after every column but the last.
+    ends = np.array([ord(",") << 56] * (len(arrays) - 1) + [ord("\n") << 56], dtype=np.uint64)
     text = [",".join(header) + "\n"]
     for start in range(0, rows, _BLOCK_ROWS):
         block = np.empty((min(_BLOCK_ROWS, rows - start), 4 * len(arrays)), dtype=np.uint64)
-        bad = []
+        bad = []  # (row in the block, column, text) of each column's first non-finite cell
         for j, a in enumerate(arrays):
             a = a[start:start + len(block)]
-            cells = block[:, 4 * j:4 * j + 4]
-            if a.dtype.kind in "iu":
-                int_cells(a.astype(np.int64 if a.dtype.kind == "i" else np.uint64, copy=False),
-                          cells)
+            if j in tables:
+                table, found, flags = tables[j]
+                block.view("V32")[:, j] = table[a]
+                hit = np.flatnonzero(flags[a]) if found else ()
+                if len(hit):  # index may count from the end
+                    bad.append((hit[0], j, found[int(a[hit[0]]) % len(table)]))
             else:
-                if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
-                    a = a.astype(np.float64, copy=False)
-                    slow = float_cells(a, cells)
-                else:
-                    slow = np.arange(len(a))
-                values = a[slow]
-                printed = ["%.17g" % (v,) for v in values.tolist()]
-                cells[slow] = _words(np.array(printed, dtype="S32"))
-                # "%g" prints float(v): a cell prints nan or inf where that is non-finite.
-                with np.errstate(over="ignore"):
-                    off = np.flatnonzero(~np.isfinite(values.astype(np.float64)))
-                if off.size:
-                    bad.append((slow[off[0]], j, printed[off[0]]))
-            cells[:, 3] |= np.uint64(ord("\n" if j == len(arrays) - 1 else ",") << 56)
+                found = _format(a, block[:, 4 * j:4 * j + 4])
+                if found:
+                    i = min(found)
+                    bad.append((i, j, found[i]))
         if bad:
             i, j, s = min(bad)
             raise DomainError(f"non-finite value {s} in column {header[j]!r}, "
                               f"row {start + i + 1} of {rows}")
+        block.reshape(len(block), -1, 4)[:, :, 3] |= ends
         text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(text)
+
+
+def _format(a, cells) -> dict:
+    """Write the cells of column ``a`` into the 4-word rows of ``cells``, each
+    without its separator; return the position and text of each non-finite one."""
+    import numpy as np
+    # Imported here, so commands that print no table never compile it.
+    from ._cells import float_cells, int_cells
+
+    if a.dtype.kind in "iu":
+        int_cells(a.astype(np.int64 if a.dtype.kind == "i" else np.uint64, copy=False), cells)
+        return {}
+    if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+        a = a.astype(np.float64, copy=False)
+        slow = float_cells(a, cells)
+    else:
+        slow = np.arange(len(a))
+    values = a[slow]
+    printed = ["%.17g" % (v,) for v in values.tolist()]
+    cells[slow] = _words(np.array(printed, dtype="S32"))
+    # "%g" prints float(v): a cell prints nan or inf where that is non-finite.
+    with np.errstate(over="ignore"):
+        off = np.flatnonzero(~np.isfinite(values.astype(np.float64)))
+    return {int(slow[k]): printed[k] for k in off}
 
 
 def _words(cells):

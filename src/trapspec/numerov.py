@@ -777,23 +777,33 @@ def solve_eigen(problem: RadialProblem, node_target: int) -> EigenResult:
     return solve_eigens([problem], [node_target])[0]
 
 
-def count_nodes(samples: np.ndarray) -> int:
+def count_nodes(samples: np.ndarray):
     """Count strict sign changes, ignoring samples in the decaying tails.
 
     Samples with ``|W| <= _TAIL_FRACTION * max|W|`` are treated as zero so that
     round-off wiggle in the classically forbidden regions does not register.
+    A 2-D array is counted row by row, each row against its own largest
+    sample, and gives an int64 array; any other array gives an int.
     """
     w = np.asarray(samples, dtype=float)
-    if w.size < 2:
-        return 0
-    amax = float(np.max(np.abs(w)))
-    if amax == 0.0:
-        return 0
-    kept = w[np.abs(w) > _TAIL_FRACTION * amax]
-    if kept.size < 2:
-        return 0
-    signs = np.sign(kept)
-    return int(np.sum(signs[1:] * signs[:-1] < 0.0))
+    rows = w if w.ndim == 2 else w.reshape(1, -1)
+    if rows.shape[1] < 2:
+        counts = np.zeros(len(rows), dtype=np.int64)
+    else:
+        floor = _TAIL_FRACTION * np.maximum(rows.max(axis=1, keepdims=True),
+                                            -rows.min(axis=1, keepdims=True))
+        kept = (rows > floor) | (rows < -floor)
+        # The kept samples of all rows, one row after the next: a flip at i lies
+        # between kept samples i and i + 1, so row r holds those from its first
+        # kept sample to the one before its last.
+        negative = (rows < 0.0)[kept]
+        flips = np.flatnonzero(negative[1:] != negative[:-1])
+        sizes = np.count_nonzero(kept, axis=1)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        counts = (np.searchsorted(flips, np.maximum(ends - 1, starts))
+                  - np.searchsorted(flips, starts))
+    return counts if w.ndim == 2 else int(counts[0])
 
 
 def overlap(

@@ -15,26 +15,8 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .defect import EffectiveModel, defect_energy, defect_wavefunction, recover_partner
+from . import defect, fields, numerov, planar, susy
 from .errors import ConfigError
-from .fields import (
-    DipoleParticle,
-    IoffePritchardGeometry,
-    TopGeometry,
-    TrapAssembly,
-    biot_savart_field,
-    ip_field_cartesian,
-    ip_potential,
-    ip_scales,
-    solve_bar_current,
-    solve_quad_current,
-    top_scales,
-    top_time_average_numeric,
-    top_time_avg_potential,
-)
-from .numerov import RadialProblem, count_nodes, gram, solve_eigens
 from .oscillator3d import (
     OscillatorScales,
     allowed_angular,
@@ -44,23 +26,10 @@ from .oscillator3d import (
     shell_capacity,
     tower_rows,
 )
-from .planar import (
-    PaulFrequencies,
-    PenningFrequencies,
-    paul_energy,
-    paul_related_systems,
-    paul_shell_count,
-    paul_wavefunctions,
-    penning_energy,
-    penning_wavefunction,
-    planar_partner,
-)
-from .susy import (
-    input_potential,
-    partner_pair,
-    partner_wavefunction,
-    related_systems_3d,
-)
+
+# The modules only some suites use are read as attributes at call time, and
+# numpy is imported in the suites that build arrays, so the parser's suite
+# list and the combinatorics suite run without it.
 
 __all__ = ["CheckResult", "run_suite"]
 
@@ -111,32 +80,32 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def reference_ip_geometry() -> IoffePritchardGeometry:
+def reference_ip_geometry() -> fields.IoffePritchardGeometry:
     """Centimeter-scale coil pair with bars tuned for isotropy."""
-    geo = IoffePritchardGeometry(
+    geo = fields.IoffePritchardGeometry(
         coil_radius=0.02, coil_halfspacing=0.02, coil_current=100.0,
         bar_distance=0.01, bar_current=1.0,
     )
-    return replace(geo, bar_current=solve_bar_current(geo))
+    return replace(geo, bar_current=fields.solve_bar_current(geo))
 
 
-def reference_top_geometry() -> TopGeometry:
+def reference_top_geometry() -> fields.TopGeometry:
     """Bias pair plus quadrupole pair, quadrupole tuned for isotropy."""
-    geo = TopGeometry(
+    geo = fields.TopGeometry(
         quad_radius=0.02, quad_halfspacing=0.02, quad_current=1.0,
         bias_radius=0.03, bias_halfspacing=0.03, bias_current=20.0,
         bias_frequency=2.0 * math.pi * 1.0e4,
     )
-    return replace(geo, quad_current=solve_quad_current(geo))
+    return replace(geo, quad_current=fields.solve_quad_current(geo))
 
 
-def reference_particle() -> DipoleParticle:
+def reference_particle() -> fields.DipoleParticle:
     """Alkali-scale dipole: mu ~ half a Bohr magneton, m ~ 87 u."""
-    return DipoleParticle(magnetic_moment=4.6e-24, mass=1.44e-25)
+    return fields.DipoleParticle(magnetic_moment=4.6e-24, mass=1.44e-25)
 
 
-def _problem(potential, centrifugal, r_max=12.0, origin_exponent=None) -> RadialProblem:
-    return RadialProblem(
+def _problem(potential, centrifugal, r_max=12.0, origin_exponent=None) -> numerov.RadialProblem:
+    return numerov.RadialProblem(
         potential=potential, centrifugal=centrifugal, mass=1.0,
         r_min=1e-6, r_max=r_max, origin_exponent=origin_exponent,
     )
@@ -144,10 +113,11 @@ def _problem(potential, centrifugal, r_max=12.0, origin_exponent=None) -> Radial
 
 def _well(omega: float):
     """Harmonic well ``w^2 r^2 / 2``."""
+    import numpy as np
     return lambda r: 0.5 * omega**2 * np.asarray(r, float) ** 2
 
 
-def _tower_problem(lam: float, omega: float, well) -> RadialProblem:
+def _tower_problem(lam: float, omega: float, well) -> numerov.RadialProblem:
     """Radial problem of tower ``lam``, ``lam(lam+1)/r^2 + well``, in natural units.
 
     ``well`` is :func:`_well` at ``omega``; a suite builds one per frequency
@@ -164,7 +134,7 @@ def _tower_problem(lam: float, omega: float, well) -> RadialProblem:
 
 def _solve_energies(problems, node_targets) -> list[float]:
     """Eigenvalues of all states of a suite from one batched solve."""
-    return [res.energy for res in solve_eigens(problems, node_targets)]
+    return [res.energy for res in numerov.solve_eigens(problems, node_targets)]
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +175,7 @@ def check_spectrum_oracle(max_n: int = 16, max_l: int = 6) -> CheckResult:
 
 
 def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> CheckResult:
+    import numpy as np
     scales = OscillatorScales.natural()
     pref = scales.hbar**2 / (2.0 * scales.mass)
     thr = tolerance("degeneracy_relative")
@@ -214,7 +185,7 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
 
     problems, targets = [], []
     for l in l_values:
-        pair = partner_pair(l, scales)
+        pair = susy.partner_pair(l, scales)
         c_plus = l * (l + 1.0)
         c_minus = (l + 1.0) * (l + 2.0)
 
@@ -255,8 +226,9 @@ def check_partner_degeneracy(l_values=(0, 1, 2, 3, 4), levels: int = 6) -> Check
 
 
 def check_pauli_gap() -> CheckResult:
+    import numpy as np
     scales = OscillatorScales.natural()
-    pair = partner_pair(0, scales)
+    pair = susy.partner_pair(0, scales)
     rng = np.random.default_rng(20260825)
     radii = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 100)) * scales.r0
     gap = pair.minus_potential(radii) - pair.plus_potential(radii)
@@ -277,12 +249,15 @@ def check_pauli_gap() -> CheckResult:
 # 4. Node counts of the analytic radial profiles.
 
 
-def check_node_counts() -> CheckResult:
+def node_count_profiles():
+    """The node-counts suite's states as (label, wanted node count), and their
+    profiles on one grid, a row each."""
+    import numpy as np
     scales = OscillatorScales.natural()
     grid = np.linspace(1e-4, 12.0, 12001) * scales.r0
     # Each partner W_{N_s-1, L+1} is nodeless; it shares its tower with the L+1 states.
     checks = [
-        (f"partner (N_s={l + 2}, L={l})", partner_wavefunction(l + 2, l, scales), 0)
+        (f"partner (N_s={l + 2}, L={l})", susy.partner_wavefunction(l + 2, l, scales), 0)
         for l in range(5)
     ] + [
         (f"(N={n}, L={l})", radial_wavefunction_3d(scales, n, l), (n - l) // 2)
@@ -290,18 +265,21 @@ def check_node_counts() -> CheckResult:
         for l in allowed_angular(n)
     ]
     profiles = tower_rows([state for _, state, _ in checks], grid)
-    mismatches = []
-    for (label, _, want), profile in zip(checks, profiles):
-        found = count_nodes(profile)
-        if found != want:
-            mismatches.append(f"{label}: {found} != {want}")
-    n_checked = len(checks)
+    return [(label, want) for label, _, want in checks], profiles
 
+
+def check_node_counts() -> CheckResult:
+    checks, profiles = node_count_profiles()
+    mismatches = [
+        f"{label}: {found} != {want}"
+        for (label, want), found in zip(checks, numerov.count_nodes(profiles).tolist())
+        if found != want
+    ]
     return CheckResult(
         name="node-counts",
         passed=not mismatches,
         detail=(
-            f"{len(mismatches)} node-count mismatches over {n_checked} profiles"
+            f"{len(mismatches)} node-count mismatches over {len(checks)} profiles"
             + (f"; first: {mismatches[0]}" if mismatches else "")
         ),
     )
@@ -337,9 +315,9 @@ def check_combinatorics() -> CheckResult:
             failures.append(f"shell_capacity({n}) = {shell_capacity(n)} != {running}")
 
     sequences = (
-        (related_systems_3d(0, 4), [1, 5, 21, 57]),
-        (related_systems_3d(1, 4), [2, 11, 36, 85]),
-        (paul_related_systems(7), [1, 3, 7, 15, 27, 45, 69]),
+        (susy.related_systems_3d(0, 4), [1, 5, 21, 57]),
+        (susy.related_systems_3d(1, 4), [2, 11, 36, 85]),
+        (planar.paul_related_systems(7), [1, 3, 7, 15, 27, 45, 69]),
     )
     for got, expected in sequences:
         if got != expected:
@@ -347,8 +325,8 @@ def check_combinatorics() -> CheckResult:
 
     for e in range(2, max_n + 1):
         brute = _brute_paul_count(e)
-        if paul_shell_count(e) != brute:
-            failures.append(f"paul_shell_count({e}) = {paul_shell_count(e)} != {brute}")
+        if planar.paul_shell_count(e) != brute:
+            failures.append(f"paul_shell_count({e}) = {planar.paul_shell_count(e)} != {brute}")
 
     return CheckResult(
         name="combinatorics",
@@ -375,8 +353,8 @@ def check_isotropy_tuning() -> CheckResult:
     worst, worst_label = 0.0, ""
 
     for label, scales, potential in (
-        ("ip", ip_scales(reference_ip_geometry()), ip_potential),
-        ("top", top_scales(reference_top_geometry()), top_time_avg_potential),
+        ("ip", fields.ip_scales(reference_ip_geometry()), fields.ip_potential),
+        ("top", fields.top_scales(reference_top_geometry()), fields.top_time_avg_potential),
     ):
         r_s = scales.isotropic_radius
         h = 0.3 * r_s
@@ -405,29 +383,31 @@ def check_isotropy_tuning() -> CheckResult:
 
 
 def _fitted_slope(radii, errors) -> float:
+    import numpy as np
     return float(np.polyfit(np.log(radii), np.log(errors), 1)[0])
 
 
 def check_field_oracle() -> CheckResult:
+    import numpy as np
     particle = reference_particle()
     fractions = np.geomspace(1e-3, 1e-1, 9)
     direction = np.array([0.36, 0.48, 0.8])
 
     ip_geo = reference_ip_geometry()
-    scales = ip_scales(ip_geo)
+    scales = fields.ip_scales(ip_geo)
     points = direction * fractions[:, None] * scales.length
-    series = ip_field_cartesian(scales, *points.T)
-    exact = biot_savart_field(TrapAssembly.ioffe_pritchard(ip_geo), points)
+    series = fields.ip_field_cartesian(scales, *points.T)
+    exact = fields.biot_savart_field(fields.TrapAssembly.ioffe_pritchard(ip_geo), points)
     ip_slope = _fitted_slope(fractions, np.linalg.norm(series - exact, axis=1) / scales.field)
 
     top_geo = reference_top_geometry()
-    tscales = top_scales(top_geo)
+    tscales = fields.top_scales(top_geo)
     errs = []
     for frac in fractions:
         point = direction * frac * tscales.length
-        numeric = top_time_average_numeric(particle, tscales, *point)
-        closed = top_time_avg_potential(particle, tscales, math.hypot(point[0], point[1]),
-                                        point[2])
+        numeric = fields.top_time_average_numeric(particle, tscales, *point)
+        closed = fields.top_time_avg_potential(particle, tscales, math.hypot(point[0], point[1]),
+                                               point[2])
         errs.append(abs(numeric - closed) / (particle.magnetic_moment * tscales.field))
     top_slope = _fitted_slope(fractions, np.asarray(errs))
 
@@ -447,6 +427,7 @@ def check_field_oracle() -> CheckResult:
 
 
 def check_defect_model() -> CheckResult:
+    import numpy as np
     scales = OscillatorScales.natural()
     radii = np.geomspace(0.05, 8.0, 40) * scales.r0
     thr_point = tolerance("recovery_pointwise")
@@ -455,35 +436,35 @@ def check_defect_model() -> CheckResult:
     worst_point = 0.0
 
     for l in range(3):
-        pair = partner_pair(l, scales)
-        plus_rec = recover_partner(0, 0, l, scales)
-        minus_rec = recover_partner(1, 0, l, scales)
+        pair = susy.partner_pair(l, scales)
+        plus_rec = defect.recover_partner(0, 0, l, scales)
+        minus_rec = defect.recover_partner(1, 0, l, scales)
         for got, want in (
-            (plus_rec.potential(radii), input_potential(l, scales)(radii)),
+            (plus_rec.potential(radii), susy.input_potential(l, scales)(radii)),
             (minus_rec.potential(radii), pair.minus_potential(radii)),
         ):
             dev = np.max(np.abs(got - want) / np.maximum(np.abs(want), floor))
             worst_point = max(worst_point, float(dev))
 
-    model = EffectiveModel(l_angular=0, iterations=0, selector=0, delta=0.3, scales=scales)
+    model = defect.EffectiveModel(l_angular=0, iterations=0, selector=0, delta=0.3, scales=scales)
     tower = _tower_problem(model.l_star, 1.0, _well(1.0))
     worst_spec = 0.0
     for k, numeric in enumerate(_solve_energies([tower] * 5, range(5))):
-        exact = defect_energy(model, 2 * k)
+        exact = defect.defect_energy(model, 2 * k)
         worst_spec = max(worst_spec, abs(numeric - exact) / exact)
 
     # The tower's orthonormality is the orthonormality suite's "shifted tower".
     # A label-dependent shift moves each level onto a different effective
     # centrifugal index, so the tower stops being orthogonal.
     mixed = [
-        defect_wavefunction(
-            EffectiveModel(l_angular=0, iterations=0, selector=0,
-                           delta=0.3 + 0.15 * (k % 2), scales=scales),
+        defect.defect_wavefunction(
+            defect.EffectiveModel(l_angular=0, iterations=0, selector=0,
+                                  delta=0.3 + 0.15 * (k % 2), scales=scales),
             2 * k,
         )
         for k in range(4)
     ]
-    matrix = gram(functools.partial(tower_rows, mixed), 0.0, 14.0 * scales.r0)
+    matrix = numerov.gram(functools.partial(tower_rows, mixed), 0.0, 14.0 * scales.r0)
     mixing = float(np.max(np.abs(matrix[np.triu_indices(4, 1)])))
 
     passed = worst_point <= thr_point and worst_spec <= thr_spec and mixing > MIXING_FLOOR
@@ -502,13 +483,14 @@ def check_defect_model() -> CheckResult:
 # 9. Planar traps: separated closed forms against 2D radial solves.
 
 
-def _planar_reference() -> tuple[PaulFrequencies, PenningFrequencies]:
-    paul = PaulFrequencies(quadrupole=80.0, drive=1600.0, mass=1.0, hbar=1.0)  # w_p = 1
-    penning = PenningFrequencies(axial=1.0, cyclotron=math.sqrt(7.0), mass=1.0, hbar=1.0)
+def _planar_reference() -> tuple[planar.PaulFrequencies, planar.PenningFrequencies]:
+    paul = planar.PaulFrequencies(quadrupole=80.0, drive=1600.0, mass=1.0, hbar=1.0)  # w_p = 1
+    penning = planar.PenningFrequencies(axial=1.0, cyclotron=math.sqrt(7.0), mass=1.0, hbar=1.0)
     return paul, penning
 
 
 def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> CheckResult:
+    import numpy as np
     paul, penning = _planar_reference()
     thr = tolerance("planar_energy_relative")
     worst, worst_label = 0.0, ""
@@ -524,7 +506,7 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
 
     for (n, m), e_radial in radial_paul.items():
         for k in range(max_k + 1):
-            exact = paul_energy(paul, n, k)
+            exact = planar.paul_energy(paul, n, k)
             numeric = e_radial + paul.quantum * (2 * k + 1)
             rel = abs(numeric - exact) / exact
             if rel > worst:
@@ -533,7 +515,7 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
     for (n, m_abs), e_radial in radial_penning.items():
         for m in {m_abs, -m_abs}:
             for k in range(max_k + 1):
-                exact = penning_energy(penning, n, k, m)
+                exact = planar.penning_energy(penning, n, k, m)
                 numeric = (
                     e_radial
                     - 0.5 * penning.hbar * penning.cyclotron * m
@@ -549,9 +531,9 @@ def check_planar_traps(max_n: int = 4, max_k: int = 4, max_abs_m: int = 3) -> Ch
     grid = np.linspace(1e-3, 12.0, 4001)
     worst_map = 0.0
     for m in range(3):
-        pair = planar_partner(paul, m)
+        pair = planar.planar_partner(paul, m)
         for n_s in (m + 2, m + 4):
-            state = paul_wavefunctions(paul, n_s, m, 0).radial
+            state = planar.paul_wavefunctions(paul, n_s, m, 0).radial
             lowered = state.derivative(grid) + pair.generator.derivative(grid) * state(grid)
             target = pair.partner_wavefunction(n_s - 0.5)(grid)
             lowered /= math.sqrt(np.trapezoid(lowered**2, grid))
@@ -589,37 +571,38 @@ def orthonormality_families(max_n: int = 12) -> list[tuple[str, list, tuple[floa
     for l in range(2):
         families.append((
             f"partner L={l}",
-            [partner_wavefunction(n_s, l, scales) for n_s in range(l + 2, max_n + 1, 2)],
+            [susy.partner_wavefunction(n_s, l, scales) for n_s in range(l + 2, max_n + 1, 2)],
             (0.0, 14.0),
         ))
     for m in range(3):
         families.append((
             f"planar |M|={m}",
-            [paul_wavefunctions(paul, n, m, 0).radial for n in range(m, max_n + 1, 2)],
+            [planar.paul_wavefunctions(paul, n, m, 0).radial for n in range(m, max_n + 1, 2)],
             (0.0, 12.0),
         ))
     z0 = paul.axial_scales.r0
     families.append((
         "axial",
-        [paul_wavefunctions(paul, 0, 0, k).axial for k in range(max_n + 1)],
+        [planar.paul_wavefunctions(paul, 0, 0, k).axial for k in range(max_n + 1)],
         (-15.0 * z0, 15.0 * z0),
     ))
     for m in (0, 1):
         families.append((
             f"hybrid |M|={m}",
-            [penning_wavefunction(penning, n, 0, m).radial for n in range(m, max_n + 1, 2)],
+            [planar.penning_wavefunction(penning, n, 0, m).radial for n in range(m, max_n + 1, 2)],
             (0.0, 12.0 * penning.radial_scales.r0),
         ))
-    model = EffectiveModel(l_angular=0, iterations=0, selector=0, delta=0.3, scales=scales)
+    model = defect.EffectiveModel(l_angular=0, iterations=0, selector=0, delta=0.3, scales=scales)
     families.append((
         "shifted tower",
-        [defect_wavefunction(model, n_s) for n_s in range(0, max_n + 1, 2)],
+        [defect.defect_wavefunction(model, n_s) for n_s in range(0, max_n + 1, 2)],
         (0.0, 14.0),
     ))
     return families
 
 
 def check_orthonormality(max_n: int = 12) -> CheckResult:
+    import numpy as np
     thr = tolerance("orthonormality")
     worst, worst_label = 0.0, ""
     families = orthonormality_families(max_n)
@@ -627,7 +610,7 @@ def check_orthonormality(max_n: int = 12) -> CheckResult:
     for label, states, (lo, hi) in families:
         # Upper triangle only: the first worst pair in row order, as a
         # pair-by-pair scan would name it.
-        matrix = gram(functools.partial(tower_rows, states), lo, hi)
+        matrix = numerov.gram(functools.partial(tower_rows, states), lo, hi)
         deviation = np.triu(np.abs(matrix - np.eye(len(states))))
         i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
         n_pairs += len(states) * (len(states) + 1) // 2

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trapspec import _cells, cli, exports
 from trapspec.errors import DomainError
@@ -161,6 +162,95 @@ class TestCsvText:
         columns = [kinds[name]() for name in names]
         header = tuple(f"{name}{i}" for i, name in enumerate(names))
         assert csv_text(header, *columns) == reference_csv(header, list(zip(*columns)))
+
+
+def outcome(header, columns):
+    """csv_text's text for ``columns``, or the type and message of what it raises."""
+    try:
+        return csv_text(header, *columns)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Signed zeros, subnormals, values past either end of the float kernel's
+# window (1e-30, 1e17) and non-finite ones.
+_SHARED_FLOATS = [0.0, -0.0, 5e-324, -1.5e-310, 1e-30, -1e-30, 1e17, -1e17, math.nan,
+                  math.inf, -math.inf, 0.1, -1 / 3]
+_SHARED_VALUES = {
+    "float64": st.lists(st.one_of(st.sampled_from(_SHARED_FLOATS), st.floats()),
+                        min_size=1, max_size=6).map(np.array),
+    "float32": st.lists(st.floats(width=32), min_size=1, max_size=6).map(
+        lambda v: np.array(v, dtype=np.float32)),
+    "int64": st.lists(st.one_of(st.sampled_from([0, -1, -(2**63), 2**63 - 1]),
+                                st.integers(-(2**63), 2**63 - 1)),
+                      min_size=1, max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    "uint64": st.lists(st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]),
+                                 st.integers(0, 2**64 - 1)),
+                       min_size=1, max_size=6).map(lambda v: np.array(v, dtype=np.uint64)),
+    "object": st.lists(st.one_of(st.sampled_from(_SHARED_FLOATS), st.integers(-5, 5)),
+                       min_size=1, max_size=6).map(lambda v: np.array(v, dtype=object)),
+    "bool": st.lists(st.booleans(), min_size=1, max_size=3).map(np.array),
+}
+
+
+class TestSharedColumns:
+    """A ``Shared(values, index)`` column against the column ``values[index]``."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_prints_or_raises_as_the_materialized_column(self, data):
+        rows = data.draw(st.one_of(
+            st.integers(0, 30),
+            st.integers(exports._BLOCK_ROWS - 3, 2 * exports._BLOCK_ROWS + 3)), label="rows")
+        shared, materialized = [], []
+        for _ in range(data.draw(st.integers(1, 4), label="columns")):
+            length = data.draw(st.sampled_from([rows] * 7 + [rows + 1]), label="length")
+            kind = data.draw(st.sampled_from(
+                ["float64", "float64", "float32", "int64", "uint64", "object", "plain", "bool"]),
+                label="kind")
+            if kind == "plain":  # a column of its own, with a non-finite cell or none
+                column = np.random.default_rng(length).standard_normal(length)
+                if length and data.draw(st.booleans(), label="plain nan"):
+                    column[data.draw(st.integers(0, length - 1), label="nan row")] = math.nan
+                shared.append(column)
+                materialized.append(column)
+                continue
+            values = data.draw(_SHARED_VALUES[kind], label="values")
+            n = len(values)
+            # Repeats in any order, negative positions too.
+            index = data.draw(st.one_of(
+                hnp.arrays(np.int64, length, elements=st.integers(-n, n - 1)),
+                st.integers(0, 2**32).map(
+                    lambda seed: np.random.default_rng(seed).integers(-n, n, length))),
+                label="index")
+            shared.append(exports.Shared(values, index))
+            materialized.append(values[index])
+        header = tuple(f"c{j}" for j in range(len(shared)))
+        assert outcome(header, shared) == outcome(header, materialized)
+
+    def test_a_field_map_grid(self):
+        # Coordinates and times as the field map passes them, over two blocks.
+        axis, times = np.linspace(-1e-3, 1e-3, 15), np.arange(3) * 1e-4 / 3
+        it, ix, iy, iz = np.indices((3, 15, 15, 15)).reshape(4, -1)
+        column = exports.Shared(axis, ix)
+        assert len(column) == 3 * 15**3 > exports._BLOCK_ROWS
+        header, b = ("x", "y", "z", "t", "b"), np.arange(len(ix), dtype=np.int64)
+        assert csv_text(header, column, exports.Shared(axis, iy), exports.Shared(axis, iz),
+                        exports.Shared(times, it), b) == reference_csv(
+            header, list(zip(axis[ix], axis[iy], axis[iz], times[it], b)))
+
+    def test_a_non_finite_value_no_row_takes(self):
+        column = exports.Shared(np.array([math.nan, 0.5, -math.inf]), np.ones(3, dtype=np.int64))
+        assert csv_text(("v",), column) == "v\n0.5\n0.5\n0.5\n"
+
+    def test_the_first_row_that_takes_a_non_finite_value_is_named(self):
+        rows = exports._BLOCK_ROWS + 5
+        index = np.zeros(rows, dtype=np.int64)
+        index[[rows - 2, rows - 1]] = [2, 1]
+        values = np.array([0.25, math.nan, -math.inf])
+        with pytest.raises(DomainError, match=rf"^non-finite value -inf in column 'v', "
+                                              rf"row {rows - 1} of {rows}$"):
+            csv_text(("k", "v"), np.arange(rows), exports.Shared(values, index))
 
 
 def finite_doubles(bits):

@@ -179,13 +179,19 @@ def test_oracle_check_sees_a_series_call():
     assert oracle_leaks(ast.unparse(tree)) == ["ip_field_cartesian"]
 
 
-def fresh_stdout(program: str) -> str:
-    """What ``program`` prints in a fresh interpreter that imports trapspec from src."""
+def fresh_run(program: str, *argv: str) -> subprocess.CompletedProcess:
+    """``program`` run with ``argv`` in a fresh interpreter that imports trapspec from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", program], capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", program, *argv], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def fresh_stdout(program: str) -> str:
+    """What ``program`` prints in a fresh interpreter that imports trapspec from src."""
+    done = fresh_run(program)
+    done.check_returncode()
     return done.stdout
 
 
@@ -238,11 +244,16 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path, command, config, idle
 
 def numpy_after_each(commands) -> list:
     """``(exit code, numpy loaded)`` in a fresh interpreter after ``import
-    trapspec.cli`` (code None) and then after each command in turn."""
+    trapspec.cli`` (code None) and then after each command in turn; a command
+    that exits, as ``--help`` does, gives its exit code."""
     out = fresh_stdout(
         "import sys, trapspec.cli; seen = [(None, 'numpy' in sys.modules)]\n"
         f"for argv in {commands!r}:\n"
-        "    seen.append((trapspec.cli.main(argv), 'numpy' in sys.modules))\n"
+        "    try:\n"
+        "        code = trapspec.cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    seen.append((code, 'numpy' in sys.modules))\n"
         "print(seen)"
     )
     return ast.literal_eval(out.splitlines()[-1])
@@ -250,8 +261,8 @@ def numpy_after_each(commands) -> list:
 
 def test_scalar_commands_start_without_numpy(tmp_path):
     # numpy is imported only where an array is built: the closed forms of
-    # scales, isotropy, shells and defect, and the documented error paths,
-    # build none.
+    # scales, isotropy, shells and defect, the verify parser and its
+    # combinatorics suite, and the documented error paths build none.
     (tmp_path / "untuned").mkdir()
     ip, top = ip_config(tmp_path), top_config(tmp_path)
     commands = [
@@ -260,11 +271,28 @@ def test_scalar_commands_start_without_numpy(tmp_path):
         ["isotropy", "--config", ip], ["isotropy", "--config", top],
         *(["shells", "--trap", t, "--max-n", "40"] for t in ("ioffe_pritchard", "top", "paul")),
         ["defect", "--config", ip, "--delta", "0.3"], ["defect", "--config", top, "--delta", "0.3"],
+        ["verify", "--help"], ["verify", "--suite", "combinatorics"],
         ["scales", "--config", str(tmp_path / "missing.json")],
+        ["spectrum", "--config", ip, "--natural-units", "--out",
+         str(tmp_path / "missing-dir" / "x.csv")],
         ["spectrum", "--config", ip_config(tmp_path / "untuned", bar_current=20.0)],
     ]
-    assert numpy_after_each(commands) == [(None, False)] + [(0, False)] * 11 + [
-        (2, False), (3, False)]
+    assert numpy_after_each(commands) == [(None, False)] + [(0, False)] * 13 + [
+        (2, False), (2, False), (3, False)]
+
+
+def test_a_missing_out_directory_is_refused_before_any_work(tmp_path):
+    # The table is neither computed nor formatted: the command stops with the
+    # line the write itself would print, before numpy loads.
+    target = tmp_path / "missing-dir" / "x.csv"
+    done = fresh_run(
+        "import sys, trapspec.cli; code = trapspec.cli.main(sys.argv[1:]); "
+        "print(code, 'numpy' in sys.modules)",
+        "spectrum", "--config", ip_config(tmp_path), "--natural-units", "--out", str(target),
+    )
+    assert (done.stdout, done.stderr) == (
+        "2 False\n", f"config error: cannot write {target}: No such file or directory\n")
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "field-map"])

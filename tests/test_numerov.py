@@ -26,7 +26,7 @@ from trapspec.numerov import (
 )
 from trapspec.oscillator3d import OscillatorScales, radial_wavefunction_3d, tower_rows
 from trapspec.susy import input_potential, partner_pair
-from trapspec.verification import orthonormality_families
+from trapspec.verification import node_count_profiles, orthonormality_families
 
 NAT = OscillatorScales.natural()
 
@@ -741,6 +741,19 @@ class TestBatching:
         assert solve() == expected
 
 
+def reference_count_nodes(samples) -> int:
+    """Sign changes of one profile among its samples above the tail fraction,
+    one profile at a time: the reference for ``count_nodes``."""
+    w = np.asarray(samples, dtype=float).ravel()
+    if w.size < 2:
+        return 0
+    amax = float(np.max(np.abs(w)))
+    if amax == 0.0:
+        return 0
+    signs = np.sign(w[np.abs(w) > numerov._TAIL_FRACTION * amax])
+    return int(np.sum(signs[1:] * signs[:-1] < 0.0))
+
+
 class TestCountNodes:
     def test_clean_sign_changes(self):
         x = np.linspace(0.0, 1.0, 1001)
@@ -761,6 +774,33 @@ class TestCountNodes:
         for n, l in ((0, 0), (6, 2), (10, 0)):
             w = radial_wavefunction_3d(NAT, n, l)
             assert count_nodes(w(r)) == (n - l) // 2
+
+    def test_rows_count_as_each_row_alone(self):
+        # The node-counts suite counts its 54 profiles as one array.
+        checks, profiles = node_count_profiles()
+        assert profiles.shape == (54, 12001)
+        counts = count_nodes(profiles)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [count_nodes(row) for row in profiles]
+        assert counts.tolist() == [reference_count_nodes(row) for row in profiles]
+        assert counts.tolist() == [want for _, want in checks]
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (3, 1)])
+    def test_rows_too_short_to_flip(self, shape):
+        assert count_nodes(np.ones(shape)).tolist() == [0] * shape[0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-9, -1e-9,
+                                              1e-300, -5e-324, math.inf, -math.inf, math.nan]),
+                             min_size=6, max_size=6), min_size=1, max_size=6))
+    def test_rows_match_one_row_at_a_time(self, rows):
+        # Flat, tail-only and non-finite rows, and rows whose last kept sample
+        # has the other sign from the next row's first: that is no flip.
+        rows = np.array(rows)
+        want = [reference_count_nodes(row) for row in rows]
+        assert count_nodes(rows).tolist() == want
+        assert [count_nodes(row) for row in rows] == want
+        assert count_nodes(rows.ravel()) == reference_count_nodes(rows)
 
 
 class TestOverlap:
