@@ -45,6 +45,12 @@ MAX_FIELD_MAP_ROWS = 10**6
 # Largest tower label a table of several levels may reach: past 2^53 a float
 # no longer holds every integer, so levels two labels apart can round to one.
 MAX_EXACT_LABEL = 2**53
+# Most rows a spectrum table builds from Python numbers, without numpy: this
+# many take at most 14 ms to build and print that way, against 45 ms to load
+# numpy (one pinned CPU of a 2-core x86-64 host).  A larger table is built as
+# arrays, and so is one with a non-finite number, whose error and warnings
+# the arrays give.
+SMALL_TABLE_ROWS = 10**4
 
 
 class _SuiteHelpFormatter(argparse.HelpFormatter):
@@ -264,20 +270,31 @@ class _Magnetic:
 
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         osc = self.oscillator  # an untuned trap raises here, before numpy loads
-        import numpy as np
-        # Level N holds L = N % 2, N % 2 + 2, ..., N: int64 arrays, so a table too
-        # large to allocate raises MemoryError.
-        counts = np.arange(max_n + 1) // 2 + 1
-        n = np.repeat(np.arange(max_n + 1), counts)
-        l = n % 2 + 2 * (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts))
         # The trap-referenced level (E - mu B0) in quanta is exactly N + 3/2;
         # recomputing it from the joule value would shed seven digits to
         # cancellation.
-        if natural:
-            return exports.csv_text(("N", "L", "degeneracy", "E_over_hbar_omega0"),
-                                    n, l, 2 * l + 1, n + 1.5)
-        return exports.csv_text(("N", "L", "degeneracy", "E_joules", "E_over_hbar_omega0"),
-                                n, l, 2 * l + 1, _tower_level(osc, n), n + 1.5)
+        header = ["N", "L", "degeneracy", "E_over_hbar_omega0"]
+        if not natural:
+            header.insert(3, "E_joules")
+        # Level N holds L = N % 2, N % 2 + 2, ..., N.
+        half = max_n // 2 + 1
+        if half * (half + max_n % 2) <= SMALL_TABLE_ROWS:
+            n = [N for N in range(max_n + 1) for _ in range(N // 2 + 1)]
+            l = [L for N in range(max_n + 1) for L in range(N % 2, N + 1, 2)]
+            columns = [n, l, [2 * L + 1 for L in l], [N + 1.5 for N in n]]
+            if not natural:
+                columns.insert(3, [_tower_level(osc, N) for N in n])
+            if all(map(math.isfinite, columns[3])):
+                return exports.csv_text(header, *columns)
+        import numpy as np
+        # int64 arrays, so a table too large to allocate raises MemoryError.
+        counts = np.arange(max_n + 1) // 2 + 1
+        n = np.repeat(np.arange(max_n + 1), counts)
+        l = n % 2 + 2 * (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts))
+        columns = [n, l, 2 * l + 1, n + 1.5]
+        if not natural:
+            columns.insert(3, _tower_level(osc, n))
+        return exports.csv_text(header, *columns)
 
     def wavefunction(self, args):
         if args.axis == "axial":
@@ -343,10 +360,15 @@ class _Planar:
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         if max_k < 0:
             raise DomainError("--max-k must be nonnegative")
+        header = ("N", "M", "K", "E_over_quantum" if natural else "E_joules")
+        unit = self.quantum if natural else 1.0  # x / 1.0 is x exactly
+        if (max_n + 1) * (max_n + 2) // 2 * (max_k + 1) <= SMALL_TABLE_ROWS and unit:
+            n, m, k, e = planar.spectrum_lists(self.freqs, max_n, max_k)
+            e = [x / unit for x in e]
+            if all(map(math.isfinite, e)):
+                return exports.csv_text(header, n, m, k, e)
         n, m, k, e = self.spectrum(max_n, max_k)
-        if natural:
-            return exports.csv_text(("N", "M", "K", "E_over_quantum"), n, m, k, e / self.quantum)
-        return exports.csv_text(("N", "M", "K", "E_joules"), n, m, k, e)
+        return exports.csv_text(header, n, m, k, e / self.quantum if natural else e)
 
     def wavefunction(self, args):
         state = self.state(args.n_level, args.m_azimuthal, args.k_axial)

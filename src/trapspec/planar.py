@@ -449,6 +449,31 @@ def penning_spectrum(freqs: PenningFrequencies, max_n: int, max_k: int):
         return _by_energy(n, m, k, _penning_level(freqs, n, k, m))
 
 
+def spectrum_lists(freqs: PaulFrequencies | PenningFrequencies, max_n: int, max_k: int):
+    """The states of :func:`paul_spectrum` or :func:`penning_spectrum` as lists of Python numbers.
+
+    Returns lists ``(N, M, K, E)``, checked as those functions check, with
+    each energy bit for bit theirs.  Where every energy is finite the rows
+    come in their order, ``(E, N, K, M)``.  Built without numpy, for a table
+    small enough that building it takes less time than numpy takes to load.
+    """
+    max_n = integer("max_n", max_n, 0)
+    if isinstance(freqs, PenningFrequencies):
+        top = min(max_n, MAGNETRON_CAP + 1)
+        _check_magnetron(top, top)
+
+        def level(n, k, m):
+            return _penning_level(freqs, n, k, m)
+    else:
+        def level(n, k, m):
+            return _paul_level(freqs, n, k)
+    max_k = integer("max_k", max_k, 0)
+    rows = sorted((level(n, k, m), n, k, m) for n in range(max_n + 1)
+                  for m in range(-n, n + 1, 2) for k in range(max_k + 1))
+    e, n, k, m = map(list, zip(*rows))
+    return n, m, k, e
+
+
 def planar_partner(freqs: PaulFrequencies | PenningFrequencies, abs_m: int) -> PartnerPair:
     """Partner pair of the ``|M|`` tower of a Paul or Penning trap.
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,9 +334,9 @@ class TestSpectrumTableMatchesThePerRowLoop:
         else:
             assert (code, out.getvalue()) == (0, expected)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_drawn_tables(self, tmp_path_factory, data):
+    @staticmethod
+    def draw_config(tmp_path_factory, data):
+        """A trap kind and a config of that kind, its scales drawn over a few decades."""
         kind = data.draw(st.sampled_from(["ip", "top", "paul", "penning"]), label="kind")
         decade = st.floats(-1.0, 1.0).map(lambda x: 10.0**x)
         if kind in ("ip", "top"):
@@ -357,11 +358,38 @@ class TestSpectrumTableMatchesThePerRowLoop:
             geometry, particle, trap = dict(PENNING_GEOMETRY), None, "penning"
             for name in ("voltage_V", "size_m", "axial_field_T", "mass_kg"):
                 geometry = _scaled(geometry, (name,), data.draw(st.floats(0.7, 1.4)))
-        config = write_config(tmp_path_factory.mktemp(kind), "trap.json", trap, geometry,
-                              particle)
+        return kind, write_config(tmp_path_factory.mktemp(kind), "trap.json", trap, geometry,
+                                  particle)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_drawn_tables(self, tmp_path_factory, data):
+        kind, config = self.draw_config(tmp_path_factory, data)
         max_n = data.draw(st.integers(0, 60 if kind == "penning" else 30), label="max_n")
         max_k = data.draw(st.integers(0, 6), label="max_k")
         self.check(config, max_n, max_k, data.draw(st.booleans(), label="natural"))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_lists_print_as_the_arrays(self, tmp_path_factory, data):
+        # A table of at most cli.SMALL_TABLE_ROWS rows is built from Python
+        # numbers; built as arrays, it prints the same bytes and errors.
+        kind, config = self.draw_config(tmp_path_factory, data)
+        max_n = data.draw(st.integers(0, 60 if kind == "penning" else 200), label="max_n")
+        argv = ["spectrum", "--config", config, "--max-n", str(max_n),
+                "--max-k", str(data.draw(st.integers(0, 12), label="max_k"))]
+        if data.draw(st.booleans(), label="natural"):
+            argv.append("--natural-units")
+
+        def outcome():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        lists = outcome()
+        with mock.patch.object(cli, "SMALL_TABLE_ROWS", -1):
+            assert outcome() == lists
 
     @pytest.mark.parametrize("max_n", [50, 51, 60])
     @pytest.mark.parametrize("natural", [False, True])

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import stat
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,6 +253,47 @@ class TestSharedColumns:
         with pytest.raises(DomainError, match=rf"^non-finite value -inf in column 'v', "
                                               rf"row {rows - 1} of {rows}$"):
             csv_text(("k", "v"), np.arange(rows), exports.Shared(values, index))
+
+
+# Python cells of each kind: ints at and past either end of int64, finite
+# floats (signed zeros, subnormals, past the float kernel's window) and
+# non-finite ones, booleans, and numbers of both types in one column.
+_PLAIN_CELLS = {
+    "int": st.one_of(st.integers(-10**6, 10**6),
+                     st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1, 2**64])),
+    "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_SHARED_FLOATS)),
+    "bool": st.booleans(),
+    "mixed": st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0)),
+}
+
+
+class TestPlainColumns:
+    """Lists and tuples of Python numbers against the same columns as arrays."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_prints_or_raises_as_the_arrays(self, data):
+        rows = data.draw(st.integers(0, 12), label="rows")
+        columns = []
+        for _ in range(data.draw(st.integers(1, 4), label="columns")):
+            length = data.draw(st.sampled_from([rows] * 7 + [rows + 1]), label="length")
+            kind = data.draw(st.sampled_from(["int", "int", "float", "float", "bool", "mixed"]),
+                             label="kind")
+            column = data.draw(st.lists(_PLAIN_CELLS[kind], min_size=length, max_size=length),
+                               label="cells")
+            columns.append(data.draw(st.sampled_from([list, tuple]), label="type")(column))
+        header = tuple(f"c{j}" for j in range(len(columns)))
+        with mock.patch.object(exports, "_plain_formats", lambda columns: None):
+            arrays = outcome(header, columns)
+        assert outcome(header, columns) == arrays
+
+    def test_a_table_of_ints_and_finite_floats_prints_without_numpy(self):
+        # csv_text is reached with numpy absent: an import of it would raise.
+        with mock.patch.dict(sys.modules, {"numpy": None}):
+            text = csv_text(("n", "e"), [0, -3, 2**63 - 1], (0.1, -0.0, 5e-324))
+        assert text == ("n,e\n0,0.10000000000000001\n-3,-0\n"
+                        "9223372036854775807,4.9406564584124654e-324\n")
 
 
 def finite_doubles(bits):

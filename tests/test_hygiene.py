@@ -261,8 +261,9 @@ def numpy_after_each(commands) -> list:
 
 def test_scalar_commands_start_without_numpy(tmp_path):
     # numpy is imported only where an array is built: the closed forms of
-    # scales, isotropy, shells and defect, the verify parser and its
-    # combinatorics suite, and the documented error paths build none.
+    # scales, isotropy, shells and defect, a spectrum of at most
+    # cli.SMALL_TABLE_ROWS levels, the verify parser and its combinatorics
+    # suite, and the documented error paths build none.
     (tmp_path / "untuned").mkdir()
     ip, top = ip_config(tmp_path), top_config(tmp_path)
     commands = [
@@ -272,12 +273,18 @@ def test_scalar_commands_start_without_numpy(tmp_path):
         *(["shells", "--trap", t, "--max-n", "40"] for t in ("ioffe_pritchard", "top", "paul")),
         ["defect", "--config", ip, "--delta", "0.3"], ["defect", "--config", top, "--delta", "0.3"],
         ["verify", "--help"], ["verify", "--suite", "combinatorics"],
+        # The two spectra of a cli-session benchmark pass, in SI and natural units.
+        ["spectrum", "--config", top, "--max-n", "40"],
+        ["spectrum", "--config", ip, "--max-n", "40", "--natural-units"],
+        ["spectrum", "--config", paul_config(tmp_path), "--max-n", "30", "--max-k", "12"],
+        ["spectrum", "--config", penning_config(tmp_path), "--max-n", "30", "--max-k", "12",
+         "--natural-units"],
         ["scales", "--config", str(tmp_path / "missing.json")],
         ["spectrum", "--config", ip, "--natural-units", "--out",
          str(tmp_path / "missing-dir" / "x.csv")],
         ["spectrum", "--config", ip_config(tmp_path / "untuned", bar_current=20.0)],
     ]
-    assert numpy_after_each(commands) == [(None, False)] + [(0, False)] * 13 + [
+    assert numpy_after_each(commands) == [(None, False)] + [(0, False)] * 17 + [
         (2, False), (2, False), (3, False)]
 
 
@@ -295,10 +302,13 @@ def test_a_missing_out_directory_is_refused_before_any_work(tmp_path):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["spectrum", "field-map"])
-def test_array_commands_load_numpy(tmp_path, command):
+@pytest.mark.parametrize("command,extra", [
+    # A spectrum of 101^2 labels, past cli.SMALL_TABLE_ROWS, is built as arrays.
+    ("spectrum", ["--max-n", "200"]), ("field-map", []),
+], ids=["spectrum", "field-map"])
+def test_array_commands_load_numpy(tmp_path, command, extra):
     # The probe above sees numpy once a command builds an array.
-    assert numpy_after_each([[command, "--config", ip_config(tmp_path)]]) == [
+    assert numpy_after_each([[command, "--config", ip_config(tmp_path), *extra]]) == [
         (None, False), (0, True)]
 
 

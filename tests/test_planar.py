@@ -34,6 +34,7 @@ from trapspec.planar import (
     penning_state_count,
     penning_wavefunction,
     planar_partner,
+    spectrum_lists,
     static_quadrupole_potential,
     validate_planar_numbers,
 )
@@ -578,6 +579,22 @@ class TestSpectrumArrays:
     def test_cap_error_names_the_first_label_past_it(self, max_n):
         with pytest.raises(DomainError, match=r"^\(N\+M\)/2 = 51 exceeds the magnetron cap 50"):
             penning_spectrum(PENNING, max_n, 0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["PAUL", "PENNING", "TIED"]), st.integers(0, 12), st.integers(0, 5))
+    def test_lists_hold_the_arrays_rows(self, which, max_n, max_k):
+        freqs = {"PAUL": PAUL, "PENNING": PENNING, "TIED": self.TIED}[which]
+        arrays = (paul_spectrum if which == "PAUL" else penning_spectrum)(freqs, max_n, max_k)
+        lists = spectrum_lists(freqs, max_n, max_k)
+        assert [type(c) for c in lists] == [list] * 4
+        assert {type(v) for c in lists[:3] for v in c} == {int}
+        assert lists[:3] == tuple(a.tolist() for a in arrays[:3])
+        assert np.array(lists[3]).view(np.int64).tolist() == arrays[3].view(np.int64).tolist()
+
+    @pytest.mark.parametrize("max_n", [MAGNETRON_CAP + 1, 2 * MAGNETRON_CAP])
+    def test_lists_check_the_cap_as_the_arrays(self, max_n):
+        with pytest.raises(DomainError, match=r"^\(N\+M\)/2 = 51 exceeds the magnetron cap 50"):
+            spectrum_lists(PENNING, max_n, 0)
 
     def test_at_the_cap_every_row_is_present(self):
         n, m, k, _ = penning_spectrum(PENNING, MAGNETRON_CAP, 1)
