@@ -367,7 +367,7 @@ class _Planar:
             e = [x / unit for x in e]
             if all(map(math.isfinite, e)):
                 return exports.csv_text(header, n, m, k, e)
-        n, m, k, e = self.spectrum(max_n, max_k)
+        n, m, k, e = planar.spectrum(self.freqs, max_n, max_k)
         return exports.csv_text(header, n, m, k, e / self.quantum if natural else e)
 
     def wavefunction(self, args):
@@ -383,9 +383,6 @@ class _Planar:
 class _Paul(_Planar):
     def frequencies(self, geometry):
         return planar.paul_frequencies(geometry)
-
-    def spectrum(self, max_n: int, max_k: int):
-        return planar.paul_spectrum(self.freqs, max_n, max_k)
 
     @property
     def quantum(self) -> float:
@@ -409,9 +406,6 @@ class _Paul(_Planar):
 class _Penning(_Planar):
     def frequencies(self, geometry):
         return planar.penning_frequencies(geometry)
-
-    def spectrum(self, max_n: int, max_k: int):
-        return planar.penning_spectrum(self.freqs, max_n, max_k)
 
     @property
     def quantum(self) -> float:

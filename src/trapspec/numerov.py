@@ -5,7 +5,7 @@ package, so it deliberately avoids the analytic results: eigenvalues come
 from node-counted shooting (Numerov propagation from both ends, matched at
 the outermost classical turning point), and overlaps from adaptive
 quadrature: ``gram`` integrates a whole family on Gauss-Legendre panels in
-numpy, and ``overlap`` one pair by scipy's ``quad``, imported when called.
+numpy, and ``overlap`` is one entry of it, so the module needs numpy alone.
 
 The radial problem solved, in units with ``hbar = 1``, is
 
@@ -806,29 +806,15 @@ def count_nodes(samples: np.ndarray):
     return counts if w.ndim == 2 else int(counts[0])
 
 
-def overlap(
-    f: Callable[[float], float],
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    weight: Optional[Callable[[float], float]] = None,
-    tol: float = 1e-12,
-) -> float:
-    """Adaptive-quadrature inner product ``int f g (weight) dr``.
+def overlap(f: Callable, g: Callable, lo: float, hi: float,
+            weight: Optional[Callable] = None) -> float:
+    """Inner product ``int f g (weight) dr``: the off-diagonal entry of :func:`gram`.
 
-    Raises :class:`AccuracyError` when the quadrature error estimate stays
-    above ``1e-8`` (non-convergent refinement).
+    ``f``, ``g`` and ``weight`` take arrays, as a :func:`gram` family does; the
+    family is the pair ``(f, g weight)``, so its bounds and errors are gram's.
     """
-    from scipy.integrate import quad
-
-    if weight is None:
-        integrand = lambda x: f(x) * g(x)
-    else:
-        integrand = lambda x: f(x) * g(x) * weight(x)
-    value, err = quad(integrand, lo, hi, epsabs=tol, epsrel=1e-10, limit=400)
-    if err > 1e-8:
-        raise AccuracyError(f"overlap quadrature error estimate {err:.3g} exceeds 1e-8")
-    return value
+    h = g if weight is None else (lambda x: g(x) * weight(x))
+    return float(gram(lambda x: np.array([f(x), h(x)]), lo, hi)[0, 1])
 
 
 @functools.cache
@@ -853,8 +839,11 @@ def gram(
     at least half the worst, evaluating the family once on all new nodes, until each
     entry's summed error is within ``1e-14`` of the largest entry or ``1e-10`` of its own,
     so every error estimate is within ``1e-10`` of the largest entry, whatever the
-    family's scale.  Raises :class:`AccuracyError` past 400 subdivisions.
+    family's scale.  Raises :class:`DomainError` for a bound that is not finite, and
+    :class:`AccuracyError` past 400 subdivisions.
     """
+    finite("lo", lo)
+    finite("hi", hi)
     nodes, weights = _gauss_legendre()
     triangle = None  # (rows, cols) of the upper triangle, once the family's size is known
 

@@ -212,18 +212,6 @@ def _by_energy(n, m, k, energy):
     return n[order], m[order], k[order], energy[order]
 
 
-def paul_spectrum(freqs: PaulFrequencies, max_n: int, max_k: int):
-    """Every Paul state with ``N <= max_n`` and ``K <= max_k``, lowest level first.
-
-    Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
-    is bit for bit :func:`paul_energy` of its labels.
-    """
-    import numpy as np
-    n, m, k = _planar_labels(integer("max_n", max_n, 0), integer("max_k", max_k, 0))
-    with np.errstate(over="ignore"):  # as in floats: an overflow is an inf level
-        return _by_energy(n, m, k, _paul_level(freqs, n, k))
-
-
 @dataclass(frozen=True)
 class PlanarState:
     """Separated Paul or Penning eigenfunction ``psi(rho, phi, z)``, unit 3D norm.
@@ -432,41 +420,45 @@ def penning_wavefunction(
     return _planar_state(freqs, n_radial, m_azimuthal, k_axial, energy)
 
 
-def penning_spectrum(freqs: PenningFrequencies, max_n: int, max_k: int):
-    """Every Penning state with ``N <= max_n`` and ``K <= max_k``, lowest level first.
+def _level(freqs: PaulFrequencies | PenningFrequencies, max_n: int):
+    """The trap's level ``E(N, K, M)`` at unchecked labels, numbers or int64 arrays alike.
 
-    Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
-    is bit for bit :func:`penning_energy` of its labels.  A ``max_n`` past
-    the magnetron cap raises its error for the first label past it in
-    ``(N, M)`` order, ``N = M = cap + 1``, before any array is built.
+    A Penning ``max_n`` past the magnetron cap raises its error for the first
+    label past it in ``(N, M)`` order, ``N = M = cap + 1``.
     """
-    import numpy as np
-    max_n = integer("max_n", max_n, 0)
-    top = min(max_n, MAGNETRON_CAP + 1)
-    _check_magnetron(top, top)
-    n, m, k = _planar_labels(max_n, integer("max_k", max_k, 0))
-    with np.errstate(over="ignore", invalid="ignore"):  # as in floats: inf or nan levels
-        return _by_energy(n, m, k, _penning_level(freqs, n, k, m))
-
-
-def spectrum_lists(freqs: PaulFrequencies | PenningFrequencies, max_n: int, max_k: int):
-    """The states of :func:`paul_spectrum` or :func:`penning_spectrum` as lists of Python numbers.
-
-    Returns lists ``(N, M, K, E)``, checked as those functions check, with
-    each energy bit for bit theirs.  Where every energy is finite the rows
-    come in their order, ``(E, N, K, M)``.  Built without numpy, for a table
-    small enough that building it takes less time than numpy takes to load.
-    """
-    max_n = integer("max_n", max_n, 0)
     if isinstance(freqs, PenningFrequencies):
         top = min(max_n, MAGNETRON_CAP + 1)
         _check_magnetron(top, top)
+        return lambda n, k, m: _penning_level(freqs, n, k, m)
+    return lambda n, k, m: _paul_level(freqs, n, k)
 
-        def level(n, k, m):
-            return _penning_level(freqs, n, k, m)
-    else:
-        def level(n, k, m):
-            return _paul_level(freqs, n, k)
+
+def spectrum(freqs: PaulFrequencies | PenningFrequencies, max_n: int, max_k: int):
+    """Every Paul or Penning state with ``N <= max_n`` and ``K <= max_k``, lowest level first.
+
+    Returns arrays ``(N, M, K, E)`` sorted by ``(E, N, K, M)``; each energy
+    is bit for bit :func:`paul_energy` or :func:`penning_energy` of its
+    labels.  A Penning ``max_n`` past the magnetron cap raises its error
+    before any array is built.
+    """
+    import numpy as np
+    max_n = integer("max_n", max_n, 0)
+    level = _level(freqs, max_n)
+    n, m, k = _planar_labels(max_n, integer("max_k", max_k, 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in floats: inf or nan levels
+        return _by_energy(n, m, k, level(n, k, m))
+
+
+def spectrum_lists(freqs: PaulFrequencies | PenningFrequencies, max_n: int, max_k: int):
+    """The states of :func:`spectrum` as lists of Python numbers.
+
+    Returns lists ``(N, M, K, E)``, checked as :func:`spectrum` checks, with
+    each energy bit for bit its own.  Where every energy is finite the rows
+    come in its order, ``(E, N, K, M)``.  Built without numpy, for a table
+    small enough that building it takes less time than numpy takes to load.
+    """
+    max_n = integer("max_n", max_n, 0)
+    level = _level(freqs, max_n)
     max_k = integer("max_k", max_k, 0)
     rows = sorted((level(n, k, m), n, k, m) for n in range(max_n + 1)
                   for m in range(-n, n + 1, 2) for k in range(max_k + 1))

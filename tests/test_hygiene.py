@@ -1,9 +1,9 @@
 """Source hygiene: no unused imports, one public list, oracles share no code with the
-closed forms they check, neither start-up nor a verify suite loads scipy, a
-command runs only the package modules it uses, and numpy loads only where a
-command builds an array."""
+closed forms they check, the package runs without scipy, a command runs only the
+package modules it uses, and numpy loads only where a command builds an array."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +116,31 @@ def test_numerov_imports_only_errors_from_the_package():
     assert package_imports(source) == {"errors"}
 
 
+def top_level_imports(source: str) -> set[str]:
+    """The top-level packages a source imports by absolute name, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # numpy is the one runtime dependency; scipy is a test reference only.
+    assert "scipy" not in top_level_imports(path.read_text(encoding="utf-8"))
+
+
+def test_scipy_check_sees_a_deferred_import():
+    source = (
+        "import numpy as np\nfrom . import errors\n"
+        "def f():\n    from scipy.integrate import quad\n"
+    )
+    assert top_level_imports(source) == {"numpy", "scipy"}
+
+
 def test_exact_rules_import_nothing_from_the_package():
     # The Gram tests' reference shares no code with the quadrature it checks.
     assert package_imports((ROOT / "tests" / "exact_rules.py").read_text(encoding="utf-8")) == set()
@@ -204,8 +229,8 @@ def scipy_loaded_after(statements: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only where `overlap` runs; importing the package and
-    # its command line must not pay for it.
+    # scipy is a test dependency only; importing the package and its command
+    # line must not load it.
     assert scipy_loaded_after("import trapspec, trapspec.cli") == "[]\n"
 
 
@@ -330,7 +355,32 @@ def test_tracing_installs_after_the_cli_import():
     assert {f"trapspec.{m}" for m in trapspec._MODULES} <= modules_run_after(statements)[1]
 
 
-def test_radial_solves_load_no_scipy():
-    # The Numerov solve and the Gram quadrature need only numpy, so all ten
-    # suites leave scipy unloaded.
-    assert scipy_loaded_after("from trapspec import run_suite; run_suite('all')") == "[]\n"
+def test_radial_solves_load_no_scipy(tmp_path):
+    # scipy is a test dependency only. With `import scipy` made to fail, every
+    # command on the four reference configs, all ten suites and overlap run.
+    ip, top, paul, penning = (
+        config(tmp_path) for config in (ip_config, top_config, paul_config, penning_config))
+    # A Paul spectrum past cli.SMALL_TABLE_ROWS runs the array builder too.
+    commands = [["verify", "--suite", "all"], ["spectrum", "--config", paul, "--max-n", "150"]]
+    for trap, config in (("ioffe_pritchard", ip), ("top", top), ("paul", paul),
+                         ("penning", penning)):
+        commands += [
+            ["scales", "--config", config], ["spectrum", "--config", config],
+            ["wavefunction", "--config", config, "--n-level", "2"], ["susy", "--config", config],
+            ["shells", "--trap", trap, "--max-n", "40", "--config", config],
+        ]
+        if trap in ("ioffe_pritchard", "top"):
+            commands += [["field-map", "--config", config], ["isotropy", "--config", config],
+                         ["field-map", "--config", config, "--oracle"],
+                         ["defect", "--config", config, "--delta", "0.3"]]
+    out = fresh_stdout(
+        "import contextlib, io, sys; sys.modules['scipy'] = None\n"
+        "import numpy as np, trapspec.cli\n"
+        "from trapspec import overlap\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [trapspec.cli.main(argv) for argv in {commands!r}]\n"
+        "print([codes, overlap(np.exp, np.exp, 0.0, 1.0)])"
+    )
+    codes, value = ast.literal_eval(out)
+    assert codes == [0] * len(commands)
+    assert value == pytest.approx((math.e**2 - 1) / 2, rel=1e-14)

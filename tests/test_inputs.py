@@ -48,14 +48,13 @@ from trapspec.planar import (
     paul_frequencies,
     paul_related_systems,
     paul_shell_count,
-    paul_spectrum,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
-    penning_spectrum,
     penning_state_count,
     penning_wavefunction,
     planar_partner,
+    spectrum,
     validate_planar_numbers,
 )
 from trapspec.special import hermite, laguerre_gen, radial_norm_3d
@@ -119,10 +118,10 @@ CASES = [
      {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
     (penning_wavefunction, dict(freqs=PENNING, n_radial=3, k_axial=2, m_azimuthal=-1),
      {"n_radial": ("N", LABEL), "m_azimuthal": ("M", INTEGRAL), "k_axial": ("K", LABEL)}),
-    (paul_spectrum, dict(freqs=PAUL, max_n=3, max_k=2),
-     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
-    (penning_spectrum, dict(freqs=PENNING, max_n=3, max_k=2),
-     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}),
+    (spectrum, dict(freqs=PAUL, max_n=3, max_k=2),
+     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}, "paul_spectrum"),
+    (spectrum, dict(freqs=PENNING, max_n=3, max_k=2),
+     {"max_n": ("max_n", LABEL), "max_k": ("max_k", LABEL)}, "penning_spectrum"),
     (planar_partner, dict(freqs=PAUL, abs_m=1), {"abs_m": ("|M|", LABEL)}, "paul_susy_partner"),
     (planar_partner, dict(freqs=PENNING, abs_m=1), {"abs_m": ("|M|", LABEL)},
      "penning_susy_partner"),

@@ -803,27 +803,53 @@ class TestCountNodes:
         assert count_nodes(rows.ravel()) == reference_count_nodes(rows)
 
 
+# (lo, hi, the bound named in the error)
+NON_FINITE_BOUNDS = [
+    (0.0, np.inf, "hi"), (-np.inf, 0.0, "lo"), (np.nan, 1.0, "lo"), (0.0, np.nan, "hi"),
+]
+
+
 class TestOverlap:
+    # overlap is one entry of gram: finite bounds, array callables. The tails
+    # past 14 (L = 0 states) and 12 (the planar measure) are below 1e-60.
     def test_unit_norm(self):
         w = radial_wavefunction_3d(NAT, 0, 0)
-        assert overlap(w, w, 0.0, np.inf) == pytest.approx(1.0, abs=1e-10)
+        assert overlap(w, w, 0.0, 14.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonality(self):
         a = radial_wavefunction_3d(NAT, 0, 0)
         b = radial_wavefunction_3d(NAT, 2, 0)
-        assert abs(overlap(a, b, 0.0, np.inf)) < 1e-10
+        assert abs(overlap(a, b, 0.0, 14.0)) < 1e-10
 
     def test_weighted_inner_product(self):
         # Planar measure: int 2 e^{-rho^2} rho drho = 1.
-        f = lambda rho: math.sqrt(2.0) * math.exp(-0.5 * rho * rho)
-        val = overlap(f, f, 0.0, np.inf, weight=lambda rho: rho)
+        f = lambda rho: np.sqrt(2.0) * np.exp(-0.5 * rho * rho)
+        val = overlap(f, f, 0.0, 12.0, weight=lambda rho: rho)
         assert val == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore")
     def test_nonconvergent_refinement_raises(self):
-        wild = lambda x: math.sin(1e7 * x * x)
+        wild = lambda x: np.sin(1e7 * x * x)
         with pytest.raises(AccuracyError):
             overlap(wild, wild, 0.0, 50.0)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_unnormalized_pair_converges(self, scale):
+        # The bounds are relative, so a pair scaled to entries of 1e8 or 1e12
+        # converges as the pair does, within 1e-14 of its largest entry.
+        a, b = (radial_wavefunction_3d(NAT, n, 0) for n in (0, 2))
+        value = overlap(lambda r: scale * a(r), lambda r: scale * b(r), 0.0, 14.0)
+        assert abs(value) <= 1e-14 * scale**2
+
+    def test_reversed_and_empty_intervals(self):
+        a, b = (radial_wavefunction_3d(NAT, n, 0) for n in (0, 2))
+        assert overlap(a, b, 14.0, 0.0) == pytest.approx(-overlap(a, b, 0.0, 14.0), abs=1e-16)
+        assert overlap(a, b, 2.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("lo, hi, bound", NON_FINITE_BOUNDS)
+    def test_non_finite_bound_refused(self, lo, hi, bound):
+        w = radial_wavefunction_3d(NAT, 0, 0)
+        with pytest.raises(DomainError, match=f"^{bound} must be finite"):
+            overlap(w, w, lo, hi)
 
 
 FAMILIES = orthonormality_families()
@@ -880,6 +906,21 @@ class TestGram:
         wild = lambda x: np.sin(1e7 * x * x)
         with pytest.raises(AccuracyError, match="not_converged"):
             gram(stacked([wild, wild]), 0.0, 50.0)
+
+    @pytest.mark.parametrize("lo, hi, bound", NON_FINITE_BOUNDS)
+    def test_non_finite_bound_refused(self, lo, hi, bound):
+        # Refused before the family is evaluated, so no RuntimeWarning is raised.
+        family = mock.Mock(side_effect=lambda x: np.array([np.exp(-x * x)]))
+        with pytest.raises(DomainError, match=f"^{bound} must be finite"):
+            gram(family, lo, hi)
+        family.assert_not_called()
+
+    def test_reversed_bounds_negate_and_equal_bounds_vanish(self):
+        forward = full_gram(0)
+        _, states, (lo, hi) = FAMILIES[0]
+        family = functools.partial(tower_rows, states)
+        assert np.max(np.abs(gram(family, hi, lo) + forward)) <= 1e-15
+        assert np.array_equal(gram(family, lo, lo), np.zeros_like(forward))
 
     def test_unnormalized_pair_converges_as_the_pair(self):
         # Entries ~1e8 give error estimates ~2e-7, well within 1e-10 of the largest.

@@ -26,14 +26,13 @@ from trapspec.planar import (
     paul_frequencies,
     paul_related_systems,
     paul_shell_count,
-    paul_spectrum,
     paul_wavefunctions,
     penning_energy,
     penning_frequencies,
-    penning_spectrum,
     penning_state_count,
     penning_wavefunction,
     planar_partner,
+    spectrum,
     spectrum_lists,
     static_quadrupole_potential,
     validate_planar_numbers,
@@ -563,7 +562,7 @@ class TestSpectrumArrays:
     def test_penning_matches_the_per_row_loop(self, which, max_n, max_k):
         freqs = {"PENNING": PENNING, "TIED": self.TIED}[which]
         self.assert_same_rows(
-            penning_spectrum(freqs, max_n, max_k),
+            spectrum(freqs, max_n, max_k),
             per_row_levels(lambda n, m, k: penning_energy(freqs, n, k, m), max_n, max_k),
         )
 
@@ -571,20 +570,20 @@ class TestSpectrumArrays:
     @given(st.integers(0, 12), st.integers(0, 5))
     def test_paul_matches_the_per_row_loop(self, max_n, max_k):
         self.assert_same_rows(
-            paul_spectrum(PAUL, max_n, max_k),
+            spectrum(PAUL, max_n, max_k),
             per_row_levels(lambda n, m, k: paul_energy(PAUL, n, k), max_n, max_k),
         )
 
     @pytest.mark.parametrize("max_n", [MAGNETRON_CAP + 1, 2 * MAGNETRON_CAP])
     def test_cap_error_names_the_first_label_past_it(self, max_n):
         with pytest.raises(DomainError, match=r"^\(N\+M\)/2 = 51 exceeds the magnetron cap 50"):
-            penning_spectrum(PENNING, max_n, 0)
+            spectrum(PENNING, max_n, 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from(["PAUL", "PENNING", "TIED"]), st.integers(0, 12), st.integers(0, 5))
     def test_lists_hold_the_arrays_rows(self, which, max_n, max_k):
         freqs = {"PAUL": PAUL, "PENNING": PENNING, "TIED": self.TIED}[which]
-        arrays = (paul_spectrum if which == "PAUL" else penning_spectrum)(freqs, max_n, max_k)
+        arrays = spectrum(freqs, max_n, max_k)
         lists = spectrum_lists(freqs, max_n, max_k)
         assert [type(c) for c in lists] == [list] * 4
         assert {type(v) for c in lists[:3] for v in c} == {int}
@@ -597,7 +596,7 @@ class TestSpectrumArrays:
             spectrum_lists(PENNING, max_n, 0)
 
     def test_at_the_cap_every_row_is_present(self):
-        n, m, k, _ = penning_spectrum(PENNING, MAGNETRON_CAP, 1)
+        n, m, k, _ = spectrum(PENNING, MAGNETRON_CAP, 1)
         assert len(n) == (MAGNETRON_CAP + 1) * (MAGNETRON_CAP + 2) // 2 * 2
         assert ((n + m) // 2).max() == MAGNETRON_CAP
 
