@@ -257,17 +257,6 @@ class _Magnetic:
             ]
         return rows
 
-    def fields(self, points, times, oracle: bool):
-        """The series field at ``points`` for each of ``times``, or the conductor-level sum.
-
-        Rows run over the points of the first time, then of the next.
-        """
-        import numpy as np
-        if not oracle:
-            return np.vstack([self.series(*points.T, t) for t in times])
-        assemblies = tuple(self.assembly(t) for t in times)
-        return fields.biot_savart_field(assemblies, points).reshape(-1, 3)
-
     def spectrum_table(self, max_n: int, max_k: int, natural: bool) -> str:
         osc = self.oscillator  # an untuned trap raises here, before numpy loads
         # The trap-referenced level (E - mu B0) in quanta is exactly N + 3/2;
@@ -316,10 +305,6 @@ class _IoffePritchard(_Magnetic):
     def solve(self, geometry):
         return fields.solve_bar_current(geometry)
 
-    def drive_times(self, samples: int):
-        import numpy as np
-        return np.array([0.0])
-
     def series(self, x, y, z, t):
         return fields.ip_field_cartesian(self.scales, x, y, z)
 
@@ -335,13 +320,6 @@ class _Top(_Magnetic):
 
     def solve(self, geometry):
         return fields.solve_quad_current(geometry)
-
-    def drive_times(self, samples: int):
-        if samples < 1:
-            raise DomainError("field-map needs at least one time sample")
-        period = 2.0 * math.pi / self.scales.bias_frequency
-        import numpy as np
-        return np.arange(samples) * period / samples
 
     def series(self, x, y, z, t):
         return fields.top_field_series(self.scales, x, y, z, t)
@@ -462,12 +440,15 @@ def _cmd_field_map(args) -> int:
     if args.points < 2 or args.extent_fraction <= 0.0:
         raise DomainError("field-map needs at least 2 points per axis and a positive extent")
     # One row per grid point and drive time; only a rotating bias has more than one time.
-    samples = args.time_samples if trap.scales.bias_frequency else 1
+    omega = trap.scales.bias_frequency
+    samples = args.time_samples if omega else 1
     if args.points ** 3 * samples > MAX_FIELD_MAP_ROWS:
         raise DomainError(f"field-map of {args.points}^3 points at {samples} times exceeds "
                           f"{MAX_FIELD_MAP_ROWS} rows")
-    times = trap.drive_times(args.time_samples)
+    if samples < 1:
+        raise DomainError("field-map needs at least one time sample")
     import numpy as np
+    times = np.arange(samples) * (2.0 * math.pi / omega) / samples if omega else np.array([0.0])
     # A huge extent overflows the coordinates or the field; say so instead
     # of printing inf and nan.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -475,7 +456,12 @@ def _cmd_field_map(args) -> int:
         axis = np.linspace(-half, half, args.points)
         xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
         points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-        field = trap.fields(points, times, args.oracle)
+        # Rows run over the points of the first time, then of the next.
+        if args.oracle:
+            assemblies = tuple(trap.assembly(t) for t in times)
+            field = fields.biot_savart_field(assemblies, points).reshape(-1, 3)
+        else:
+            field = np.vstack([trap.series(*points.T, t) for t in times])
     if not (np.isfinite(points).all() and np.isfinite(field).all()):
         raise DomainError(f"--extent-fraction {args.extent_fraction:g} gives non-finite "
                           "field-map coordinates or fields")
@@ -521,7 +507,10 @@ def _cmd_wavefunction(args) -> int:
     # One table for every factor, W(r), X(rho) or Z(z), on the factor's own r0.
     factor, start, name, column, scale = trap.wavefunction(args)
     import numpy as np
-    grid = np.linspace(start, args.r_max, args.points) * factor.r0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
+        grid = np.linspace(start, args.r_max, args.points) * factor.r0
+    if not np.isfinite(grid).all():
+        raise DomainError(f"--r-max {args.r_max:g} gives non-finite wavefunction grid points")
     values = factor(grid)
     if natural:
         text = exports.csv_text((f"{name}_over_{scale}", f"{column}_times_sqrt_{scale}"),

@@ -41,7 +41,6 @@ __all__ = [
     "DipoleParticle",
     "DerivedScales",
     "ip_scales",
-    "ip_field_series",
     "ip_field_cartesian",
     "ip_potential",
     "isotropy_residual",
@@ -224,35 +223,21 @@ def _check_kind(scales: DerivedScales, kind: str) -> None:
         raise DomainError(f"scales were derived for a {scales.kind!r} trap, need {kind!r}")
 
 
-def ip_field_series(scales: DerivedScales, rho, phi, z) -> np.ndarray:
-    """IP field near the axis, cylindrical components, stacked on the last axis.
+def ip_field_cartesian(scales: DerivedScales, x, y, z) -> np.ndarray:
+    """IP field near the axis, Cartesian components, stacked on the last axis.
 
     Constant bias + bar quadrupole + coil curvature; the omitted terms are
     fourth order in distance over the coil scale.  Inputs broadcast.
     """
     import numpy as np
     _check_kind(scales, "ip")
-    rho, phi, z = np.broadcast_arrays(*np.atleast_1d(rho, phi, z))
-    curv = scales.field * scales.area / scales.length**4
-    b_rho = scales.gradient * rho * np.cos(2.0 * phi) - curv * z * rho
-    b_phi = -scales.gradient * rho * np.sin(2.0 * phi)
-    b_z = scales.field + curv * (z * z - 0.5 * rho * rho)
-    out = np.stack([b_rho, b_phi, b_z], axis=-1)
-    return out[0] if out.shape == (1, 3) else out
-
-
-def ip_field_cartesian(scales: DerivedScales, x, y, z) -> np.ndarray:
-    """Same field as :func:`ip_field_series` in Cartesian components."""
-    import numpy as np
     x, y, z = np.broadcast_arrays(*np.atleast_1d(x, y, z))
-    rho = np.hypot(x, y)
-    phi = np.arctan2(y, x)
-    cyl = np.atleast_2d(ip_field_series(scales, rho, phi, z))
-    c, s = np.cos(phi).ravel(), np.sin(phi).ravel()
-    flat = cyl.reshape(-1, 3)
-    bx = flat[:, 0] * c - flat[:, 1] * s
-    by = flat[:, 0] * s + flat[:, 1] * c
-    out = np.stack([bx, by, flat[:, 2]], axis=-1).reshape(cyl.shape)
+    g, curv = scales.gradient, scales.field * scales.area / scales.length**4
+    # 0.0 + v is v, but +0.0 where v is -0.0: an exact zero prints as 0.
+    b_x = 0.0 + (g - curv * z) * x
+    b_y = 0.0 - (g + curv * z) * y
+    b_z = scales.field + curv * (z * z - 0.5 * (x * x + y * y))
+    out = np.stack([b_x, b_y, b_z], axis=-1)
     return out[0] if out.shape == (1, 3) else out
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspec import cli, oscillator3d
+from trapspec import cli, oscillator3d, verification
 from trapspec.errors import DomainError, OracleError
 from trapspec.exports import csv_text
 from trapspec.oscillator3d import allowed_angular, energy_3d
@@ -479,6 +479,18 @@ class TestWavefunctionCommand:
         assert err.startswith("validation error: Laguerre degree ")
         assert err.endswith(" at 501 points takes more than 1e+08 recurrence steps\n")
 
+    @pytest.mark.parametrize("units", ["si", "natural"])
+    def test_axial_grid_past_the_float_range_exits_3(self, tmp_path, capsys, units):
+        # The axial grid spans [-r_max, r_max], whose width is inf at 1e308.
+        argv = ("wavefunction", "--config", paul_config(tmp_path, units=units), "--n-level", "0",
+                "--axis", "axial", "--r-max")
+        code, out, err = run(capsys, *argv, "1e308")
+        assert (code, out) == (3, "")
+        assert err == "validation error: --r-max 1e+308 gives non-finite wavefunction grid points\n"
+        code, out, err = run(capsys, *argv, "8.9e307")
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 501
+
 
 class TestSusyCommand:
     def test_magnetic_report_structure(self, tmp_path, capsys):
@@ -719,6 +731,15 @@ class TestVerifyCommand:
         assert err.startswith("validation error: origin exponent 1e+06 of state 0 is too large")
         assert err.count("\n") == 1
 
+    def test_negative_l_exits_3(self, capsys):
+        # At L = -1 the suite's oracle would solve the L = 0 problem and
+        # report a mismatch, as if the closed forms were wrong.
+        code, out, err = run(capsys, "verify", "--suite", "susy", "--L", "-1")
+        assert (code, out) == (3, "")
+        assert err == "validation error: L must be a nonnegative integer, got -1\n"
+        with pytest.raises(DomainError, match="^L must be a nonnegative integer, got -1$"):
+            verification.run_suite("susy", l_values=(-1,))
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
@@ -895,6 +916,35 @@ class TestErrorWiring:
         code, out, err = run(capsys, argv[0], "--config", top_config(tmp_path), *argv[1:])
         assert (code, out) == (3, "")
         assert err == f"validation error: {message}\n"
+
+    @pytest.mark.parametrize("config,argv,message", [
+        (ip_config, ("spectrum", "--max-n", "-1"), "--max-n must be nonnegative"),
+        (paul_config, ("spectrum", "--max-k", "-1"), "--max-k must be nonnegative"),
+        (ip_config, ("wavefunction", "--n-level", "0", "--points", "1"),
+         "wavefunction needs at least 2 points and a positive --r-max"),
+        (ip_config, ("wavefunction", "--n-level", "0", "--r-max", "0"),
+         "wavefunction needs at least 2 points and a positive --r-max"),
+        (ip_config, ("susy", "--l-angular", "-1"),
+         "tower index and iteration count must be nonnegative"),
+        (ip_config, ("susy", "--iterations", "-1"),
+         "tower index and iteration count must be nonnegative"),
+        (ip_config, ("susy", "--levels", "0"),
+         "susy needs at least one level and two potential samples"),
+        (ip_config, ("susy", "--samples", "1"),
+         "susy needs at least one level and two potential samples"),
+        (ip_config, ("defect", "--delta", "0.5", "--levels", "0"), "--levels must be positive"),
+    ])
+    def test_option_below_its_least_value_exits_3(self, tmp_path, capsys, config, argv, message):
+        code, out, err = run(capsys, argv[0], "--config", config(tmp_path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == f"validation error: {message}\n"
+
+    def test_geometry_record_that_is_a_list_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "list.json", "ioffe_pritchard", [0.02, 0.02], PARTICLE)
+        code, out, err = run(capsys, "scales", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == ("config error: geometry record for trap 'ioffe_pritchard' must be a "
+                       "JSON object\n")
 
     @pytest.mark.parametrize("argv", [
         ("scales", "--config", "IP"),

@@ -571,6 +571,20 @@ class TestWriteTextAtomic:
         write_text_atomic(str(path), "data\n")
         assert os.listdir(tmp_path) == ["out.csv"]
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, existing):
+        # A failure at the rename removes the temporary file and leaves the
+        # target as it was: absent, or with its old bytes.
+        path = tmp_path / "out.csv"
+        if existing:
+            path.write_bytes(b"old\n")
+        with mock.patch("os.replace", side_effect=OSError("rename failed")):
+            with pytest.raises(OSError, match="^rename failed$"):
+                write_text_atomic(str(path), "new\n")
+        assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"old\n"
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_mode_follows_the_umask_or_the_replaced_file(self, tmp_path, umask, mode):
         # As for a file the shell writes: a new one gets 0o666 less the umask,

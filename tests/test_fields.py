@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from trapspec.fields import (
     TrapAssembly,
     biot_savart_field,
     ip_field_cartesian,
-    ip_field_series,
     ip_potential,
     ip_scales,
     isotropy_residual,
@@ -156,13 +156,13 @@ class TestIpScales:
 class TestIpSeries:
     def test_origin_is_pure_bias(self):
         s = ip_scales(tuned_ip_geometry())
-        b = ip_field_series(s, 0.0, 0.0, 0.0)
+        b = ip_field_cartesian(s, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(b, [0.0, 0.0, s.field], rtol=0, atol=1e-20)
 
     def test_on_axis_curvature(self):
         s = ip_scales(tuned_ip_geometry())
         for z in (1e-4, 3e-3):
-            b = ip_field_series(s, 0.0, 0.0, z)
+            b = ip_field_cartesian(s, 0.0, 0.0, z)
             want = s.field * (1.0 + s.area * z * z / s.length**4)
             assert b[2] == pytest.approx(want, rel=1e-14)
             assert b[0] == 0.0 and b[1] == 0.0
@@ -200,6 +200,42 @@ class TestIpSeries:
         ratio = err(2e-2) / err(1e-2)
         assert ratio > 2.0**3.5
 
+    @staticmethod
+    def assert_exact_series(s, points):
+        # Each component within 2 ulp of the series evaluated exactly at the
+        # float inputs and scales, and an exact zero (Bx at x = 0, By at
+        # y = 0) is +0.0, which prints as 0.
+        g, b0 = Fraction(s.gradient), Fraction(s.field)
+        curv = Fraction(s.field * s.area / s.length**4)
+        for point, got in zip(points, np.atleast_2d(ip_field_cartesian(s, *points.T))):
+            x, y, z = map(Fraction, point)
+            want = ((g - curv * z) * x, -(g + curv * z) * y,
+                    b0 + curv * (z * z - (x * x + y * y) / 2))
+            for value, exact in zip(got.tolist(), want):
+                if exact == 0:
+                    assert math.copysign(1.0, value) == 1.0 and value == 0.0, (point, got)
+                else:
+                    assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+    def test_default_grids_match_the_exact_series(self):
+        # Reversed bars make g - c z negative, so (g - c z) x alone is -0.0 at x = 0.
+        tuned = tuned_ip_geometry()
+        for g in (tuned, dataclasses.replace(tuned, bar_current=-tuned.bar_current)):
+            s = ip_scales(g)
+            for n in (2, 3, 5, 9, 15):  # field-map's default extent, 0.05 coil lengths
+                self.assert_exact_series(s, cube_grid(0.05 * s.length, n))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.floats(-0.1, 0.1)] * 3))
+    def test_points_near_the_center_match_the_exact_series(self, point):
+        s = ip_scales(tuned_ip_geometry())
+        self.assert_exact_series(s, np.array([point]) * s.length)
+
+    def test_top_scales_are_refused(self):
+        s = top_scales(tuned_top_geometry())
+        with pytest.raises(DomainError, match="^scales were derived for a 'top' trap, need 'ip'$"):
+            ip_field_cartesian(s, 0.0, 0.0, 0.0)
+
 
 class TestIpPotential:
     def test_origin_value(self):
@@ -224,7 +260,7 @@ class TestIpPotential:
         s = ip_scales(g)
         rho = 1e-4 * s.length
         direct = PARTICLE.magnetic_moment * float(
-            np.linalg.norm(ip_field_series(s, rho, 0.0, 0.0))
+            np.linalg.norm(ip_field_cartesian(s, rho, 0.0, 0.0))
         )
         assert ip_potential(PARTICLE, s, rho, 0.0) == pytest.approx(direct, rel=1e-7)
 
@@ -233,7 +269,7 @@ class TestIpPotential:
         s = ip_scales(g)
         z = 1e-4 * s.length
         direct = PARTICLE.magnetic_moment * float(
-            np.linalg.norm(ip_field_series(s, 0.0, 0.0, z))
+            np.linalg.norm(ip_field_cartesian(s, 0.0, 0.0, z))
         )
         assert ip_potential(PARTICLE, s, 0.0, z) == pytest.approx(direct, rel=1e-12)
 

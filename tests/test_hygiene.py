@@ -85,7 +85,7 @@ def test_every_all_lists_the_package_exports():
     star = {}
     exec("from trapspec import *", star)
     assert star.keys() - {"__builtins__"} == set(owner)
-    assert len(owner) == 88
+    assert len(owner) == 87
 
 
 def package_imports(source: str) -> set[str]:

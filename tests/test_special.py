@@ -60,6 +60,11 @@ class TestLaguerre:
             laguerre_series(4, 1.5, 0.8), rel=1e-12
         )
 
+    @pytest.mark.parametrize("x", [-1.0, [1.0, -0.5], -5e-324])
+    def test_negative_argument_rejected(self, x):
+        with pytest.raises(DomainError, match="^Laguerre argument must be nonnegative$"):
+            laguerre_gen(2, 0.5, x)
+
     def test_recurrence_matches_series_broadly(self):
         rng = np.random.default_rng(7)
         for n in range(16):
@@ -251,6 +256,12 @@ class TestRadialNorm3d:
     def test_degree_below_zero_rejected(self):
         with pytest.raises(DomainError):
             radial_norm_3d(0, 2, 1.0)
+
+    @pytest.mark.parametrize("l_angular", [-2, -3, -10])
+    def test_angular_index_of_minus_two_or_below_rejected(self, l_angular):
+        message = f"^angular parameter must exceed -3/2, got {l_angular}$"
+        with pytest.raises(DomainError, match=message):
+            radial_norm_3d(l_angular + 2, l_angular, 1.0)
 
 
 class TestRadialNorm2d:
